@@ -11,7 +11,9 @@ if [[ "${1:-}" == "--clean" ]]; then
   rm -rf build
 fi
 
-cmake -B build -S .
+# -Werror everywhere (tests, benches, tools): a clean build prints no
+# warnings, and a new one fails the check.
+cmake -B build -S . -DXCHAIN_WERROR=ON
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 

@@ -87,13 +87,6 @@ void Blockchain::record_status(const Transaction& tx, TxStatus status) {
   tx_status_.emplace(it, tx.seq, status);
 }
 
-void Blockchain::reset_fault_runtime() {
-  next_seq_ = 0;
-  tx_status_.clear();
-  halted_ = false;
-  finalized_ = false;
-}
-
 void Blockchain::register_contract(std::unique_ptr<Contract> c) {
   c->id_ = contracts_.size();
   c->chain_ = id_;
@@ -257,16 +250,6 @@ void Blockchain::produce_block_faulted(Tick now) {
   }
 }
 
-void Blockchain::reset() {
-  ledger_.restore();
-  height_ = -1;
-  mempool_.clear();
-  events_.clear();
-  applied_tx_count_ = 0;
-  reset_fault_runtime();
-  for (auto& c : contracts_) c->reset();
-}
-
 void Blockchain::snap_push() {
   // Tick-boundary-only, traceless-only: the mempool was consumed by block
   // production and the event log never grows under TraceMode::kOff, so
@@ -293,11 +276,14 @@ void Blockchain::snap_rewind(std::size_t depth) {
   mempool_.clear();
   // Fault runtime (submission ordinals, tracked statuses, halt flags) is
   // per-run state: rewinding to a snapshot restarts the run from that
-  // point, and the fuzz executor's rewind-to-slot-0 relies on this being
-  // equivalent to reset() for replay determinism. Fault-active sweeps run
-  // on the brute executor (one rewind target at the clean state), so
-  // mid-run snapshot layering never coexists with a live fault runtime.
-  reset_fault_runtime();
+  // point, so a rewind to slot 0 replays a run exactly as a fresh world
+  // would. Fault-active sweeps rewind only to slot 0 (the brute
+  // executor), so mid-run snapshot layering never coexists with a live
+  // fault runtime.
+  next_seq_ = 0;
+  tx_status_.clear();
+  halted_ = false;
+  finalized_ = false;
   // kRestore leaves the stack at depth + 1, matching the ledger.
   for (auto& c : contracts_) c->snapshot(SnapshotOp::kRestore, depth);
 }
@@ -351,14 +337,6 @@ void MultiChain::finalize_all() {
 
 void MultiChain::produce_all(Tick now) {
   for (auto& c : chains_) c->produce_block(now);
-}
-
-void MultiChain::checkpoint() {
-  for (auto& c : chains_) c->checkpoint();
-}
-
-void MultiChain::reset() {
-  for (auto& c : chains_) c->reset();
 }
 
 void MultiChain::snap_push() {

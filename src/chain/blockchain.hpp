@@ -91,7 +91,7 @@ struct Transaction {
 
 /// Lifecycle of a tracked transaction (Transaction::track).
 enum class TxStatus : std::uint8_t {
-  kUnknown,   ///< never tracked on this chain (or statuses were reset)
+  kUnknown,   ///< never tracked on this chain (or since rewound)
   kPending,   ///< sitting in the mempool
   kIncluded,  ///< applied in a produced block
   kDropped,   ///< discarded by a seeded submission-drop fault
@@ -122,21 +122,14 @@ class Contract {
   /// expired refund, which is their dominant strategy.
   virtual void on_block(TxContext& ctx) { (void)ctx; }
 
-  /// Restores the contract to its just-constructed state. Reusable worlds
-  /// (MultiChain::reset) call this once per schedule so sweep workers can
-  /// re-run protocols on one arena-style world instead of redeploying.
-  /// Contracts deployed on reusable chains must override this to clear
-  /// every mutable member; pure caches of deterministic computation may
-  /// survive.
-  virtual void reset() {}
-
-  /// Layered-checkpoint hook (the tree executor's tick-granular rewind,
-  /// Blockchain::snap_push/snap_rewind). Contract implementers: derive
-  /// from chain::SnapshotState<Self> instead of Contract directly and
-  /// list every mutable member in state_tie() — exactly the members
-  /// reset() clears. The default throws: a contract that supports only
-  /// reset() must fail loudly if deployed on a tree-swept world, never
-  /// silently carry state across branches.
+  /// Snapshot-stack hook (Blockchain::snap_push/snap_rewind): the only
+  /// way a contract's state rolls back, whether a reused world rewinds to
+  /// its post-setup slot 0 or the tree executor to a mid-run tick.
+  /// Contract implementers: derive from chain::SnapshotState<Self> instead
+  /// of Contract directly and list every mutable member in state_tie();
+  /// pure caches of deterministic computation may stay out. The default
+  /// throws: a stateful contract that never opted in must fail loudly on
+  /// a rewound world, never silently carry state across runs.
   virtual void snapshot(SnapshotOp op, std::size_t depth) {
     (void)op;
     (void)depth;
@@ -177,8 +170,8 @@ class Contract {
 class Blockchain {
  public:
   /// Observer invoked once per applied transaction (chain id, signer,
-  /// block height). An external instrument — not chain state: reset() and
-  /// snapshots leave it untouched. The load generator uses it to map
+  /// block height). An external instrument — not chain state: snapshots
+  /// leave it untouched. The load generator uses it to map
   /// inclusions back to protocol instances for latency percentiles.
   using InclusionObserver = std::function<void(ChainId, PartyId, Tick)>;
 
@@ -213,7 +206,7 @@ class Blockchain {
   std::uint64_t submit(Transaction tx);
 
   /// Status of a tracked submission (TxStatus::kUnknown for untracked
-  /// ids or after reset()).
+  /// ids or after a snap_rewind()).
   TxStatus tx_status(std::uint64_t id) const;
 
   /// Raises a pending tracked transaction's fee to max(current, fee);
@@ -227,7 +220,8 @@ class Blockchain {
   bool halted() const { return halted_; }
 
   /// Marks the simulated timeline complete: submit throws from here on.
-  /// Worlds call this after their final tick; reset() re-opens the chain.
+  /// Runs call this after their final tick; snap_rewind() re-opens the
+  /// chain.
   void finalize() { finalized_ = true; }
   bool finalized() const { return finalized_; }
 
@@ -242,8 +236,8 @@ class Blockchain {
   void set_resilience(const ResiliencePolicy& policy) { resilience_ = policy; }
   const ResiliencePolicy& resilience() const { return resilience_; }
 
-  /// Number of transactions applied over the chain's lifetime (zeroed by
-  /// reset(), so reused worlds report per-run counts).
+  /// Number of transactions applied since the chain was built (rewound
+  /// with the snapshot stack, so reused worlds report per-run counts).
   std::size_t applied_tx_count() const { return applied_tx_count_; }
 
   /// Installs (or clears, with an empty function) the per-inclusion
@@ -271,19 +265,17 @@ class Blockchain {
   /// sweep, as the block at height `now`.
   void produce_block(Tick now);
 
-  /// Captures the ledger state as the baseline reset() returns to.
-  void checkpoint() { ledger_.checkpoint(); }
-
-  /// Rolls the chain back to its checkpoint: ledger balances, height,
-  /// event log, mempool, tx count, and every contract's state.
-  void reset();
-
-  /// Layered checkpoint stack (tree executor). snap_push() snapshots the
-  /// live chain — ledger, height, tx count, every contract — as one more
-  /// depth; snap_rewind(d) restores depth d and truncates above it.
-  /// Callable only at a tick boundary on a traceless chain: the mempool
-  /// must be empty (block production consumed it) and the event log stays
-  /// empty under TraceMode::kOff, so neither is part of a snapshot.
+  /// Layered snapshot stack, the chain's only rollback. snap_push()
+  /// snapshots the live chain — ledger, height, tx count, every contract —
+  /// as one more depth; snap_rewind(d) restores depth d, truncates above
+  /// it, and restarts the run from there: the mempool empties and the
+  /// per-run fault runtime (submission ordinals, tracked statuses, halt
+  /// and finalize flags) is forgotten. A reused world pushes slot 0 right
+  /// after setup and rewinds to it before every run; the tree executor
+  /// pushes one slot per executed tick. Callable only at a tick boundary
+  /// on a traceless chain: the mempool must be empty (block production
+  /// consumed it) and the event log stays empty under TraceMode::kOff, so
+  /// neither is part of a snapshot.
   void snap_push();
   void snap_rewind(std::size_t depth);
   std::size_t snap_depth() const { return ledger_.snap_depth(); }
@@ -304,11 +296,6 @@ class Blockchain {
 
   /// Records `status` for tx if it is tracked.
   void record_status(const Transaction& tx, TxStatus status);
-
-  /// Re-opens the chain and forgets per-run fault runtime: submission
-  /// ordinals, tracked statuses, halt/finalize flags. Shared by reset()
-  /// and snap_rewind() (the fuzz executor's rewind-to-clean-state path).
-  void reset_fault_runtime();
 
   ChainId id_;
   std::string name_;
@@ -382,15 +369,8 @@ class MultiChain {
   /// Produces the block at height `now` on every chain.
   void produce_all(Tick now);
 
-  /// Checkpoints / resets every chain — the world-reuse pair: checkpoint
-  /// once after setup (endowments minted, contracts deployed), reset
-  /// before each subsequent run.
-  void checkpoint();
-  void reset();
-
-  /// Layered checkpoint stack over every chain (see Blockchain). The tree
-  /// executor pushes once per executed tick and rewinds on backtrack;
-  /// depths advance in lockstep across chains.
+  /// Layered snapshot stack over every chain (see Blockchain); depths
+  /// advance in lockstep across chains.
   void snap_push();
   void snap_rewind(std::size_t depth);
   std::size_t snap_depth() const;

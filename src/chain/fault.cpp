@@ -1,6 +1,8 @@
 #include "chain/fault.hpp"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "chain/blockchain.hpp"
@@ -9,23 +11,34 @@ namespace xchain::chain {
 
 namespace {
 
-/// Parses a non-negative decimal integer at text[pos...], advancing pos.
-/// Throws std::invalid_argument naming `what` when no digits are present.
-long long parse_uint_at(const std::string& text, std::size_t& pos,
-                        const char* what) {
+/// Parses a non-negative decimal integer of type T at text[pos...],
+/// advancing pos. Throws std::invalid_argument naming `what` when no
+/// digits are present or the value does not fit in T.
+template <class T>
+T parse_uint_at(const std::string& text, std::size_t& pos, const char* what) {
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<T>::max());
   const std::size_t digits = pos;
-  long long value = 0;
+  std::uint64_t value = 0;
+  bool overflow = false;
   while (pos < text.size() &&
          std::isdigit(static_cast<unsigned char>(text[pos]))) {
-    value = value * 10 + (text[pos] - '0');
+    const auto digit = static_cast<std::uint64_t>(text[pos] - '0');
+    overflow = overflow || value > (kMax - digit) / 10;
+    if (!overflow) value = value * 10 + digit;
     ++pos;
   }
-  if (pos == digits) {
-    throw std::invalid_argument(std::string("fault spec: expected ") + what +
-                                " in '" + text + "' at offset " +
-                                std::to_string(digits));
+  if (pos == digits || overflow) {
+    std::string what_msg = "fault spec: ";
+    what_msg += overflow ? "out-of-range " : "expected ";
+    what_msg += what;
+    what_msg += " in '";
+    what_msg += text;
+    what_msg += "' at offset ";
+    what_msg += std::to_string(digits);
+    throw std::invalid_argument(what_msg);
   }
-  return value;
+  return static_cast<T>(value);
 }
 
 /// Consumes ",key=" at text[pos...]; throws when absent (the grammar is
@@ -48,13 +61,13 @@ bool peek_key(const std::string& text, std::size_t pos, const char* key) {
 /// Parses "A-B" (inclusive window) into clause.from/.to.
 void parse_window(const std::string& text, std::size_t& pos,
                   FaultClause& clause) {
-  clause.from = static_cast<Tick>(parse_uint_at(text, pos, "window start"));
+  clause.from = parse_uint_at<Tick>(text, pos, "window start");
   if (pos >= text.size() || text[pos] != '-') {
     throw std::invalid_argument("fault spec: expected '-' in window of '" +
                                 text + "'");
   }
   ++pos;
-  clause.to = static_cast<Tick>(parse_uint_at(text, pos, "window end"));
+  clause.to = parse_uint_at<Tick>(text, pos, "window end");
   if (clause.to < clause.from) {
     throw std::invalid_argument("fault spec: window ends before it starts in '" +
                                 text + "'");
@@ -73,28 +86,27 @@ FaultClause parse_clause(const std::string& text) {
     pos = 8;
     parse_window(text, pos, clause);
     expect_key(text, pos, "cap");
-    clause.cap = static_cast<int>(parse_uint_at(text, pos, "cap"));
+    clause.cap = parse_uint_at<int>(text, pos, "cap");
     if (peek_key(text, pos, "spam")) {
       expect_key(text, pos, "spam");
-      clause.spam = static_cast<int>(parse_uint_at(text, pos, "spam"));
+      clause.spam = parse_uint_at<int>(text, pos, "spam");
       if (clause.spam < 1) {
         throw std::invalid_argument(
             "fault spec: spam=0 is implicit, drop the key in '" + text + "'");
       }
       expect_key(text, pos, "fee");
-      clause.spam_fee =
-          static_cast<Amount>(parse_uint_at(text, pos, "spam fee"));
+      clause.spam_fee = parse_uint_at<Amount>(text, pos, "spam fee");
     }
     if (peek_key(text, pos, "mem")) {
       expect_key(text, pos, "mem");
-      clause.mem = static_cast<int>(parse_uint_at(text, pos, "mem limit"));
+      clause.mem = parse_uint_at<int>(text, pos, "mem limit");
     }
   } else if (text.rfind("drop@", 0) == 0) {
     clause.kind = FaultClause::Kind::kDrop;
     pos = 5;
     parse_window(text, pos, clause);
     expect_key(text, pos, "p");
-    clause.permille = static_cast<int>(parse_uint_at(text, pos, "permille"));
+    clause.permille = parse_uint_at<int>(text, pos, "permille");
     if (clause.permille < 1 || clause.permille > 1000) {
       throw std::invalid_argument(
           "fault spec: drop probability must be 1..1000 permille in '" + text +
@@ -102,8 +114,7 @@ FaultClause parse_clause(const std::string& text) {
     }
     if (peek_key(text, pos, "seed")) {
       expect_key(text, pos, "seed");
-      clause.seed =
-          static_cast<std::uint64_t>(parse_uint_at(text, pos, "seed"));
+      clause.seed = parse_uint_at<std::uint64_t>(text, pos, "seed");
       if (clause.seed == 0) {
         throw std::invalid_argument(
             "fault spec: seed=0 is implicit, drop the key in '" + text + "'");
@@ -297,13 +308,13 @@ ResiliencePolicy ResiliencePolicy::parse(const std::string& text) {
     if (text.size() == 12) return p;
     if (text[12] == ':') {
       std::size_t pos = 13;
-      p.base_fee = static_cast<Amount>(parse_uint_at(text, pos, "base fee"));
+      p.base_fee = parse_uint_at<Amount>(text, pos, "base fee");
       if (pos < text.size() && text[pos] == ',') {
         ++pos;
-        p.fee_step = static_cast<Amount>(parse_uint_at(text, pos, "fee step"));
+        p.fee_step = parse_uint_at<Amount>(text, pos, "fee step");
         if (pos < text.size() && text[pos] == ',') {
           ++pos;
-          p.max_fee = static_cast<Amount>(parse_uint_at(text, pos, "max fee"));
+          p.max_fee = parse_uint_at<Amount>(text, pos, "max fee");
         }
       }
       if (pos == text.size()) {

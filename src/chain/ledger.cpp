@@ -1,7 +1,6 @@
 #include "chain/ledger.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "chain/snapshot.hpp"
 
@@ -104,32 +103,6 @@ std::vector<std::tuple<Address, Symbol, Amount>> Ledger::holdings() const {
   scan(party_, Address::Kind::kParty);
   scan(contract_, Address::Kind::kContract);
   return out;
-}
-
-void Ledger::checkpoint() {
-  saved_party_ = party_;
-  saved_contract_ = contract_;
-  checkpointed_ = true;
-}
-
-void Ledger::restore() {
-  if (!checkpointed_) {
-    throw std::logic_error(
-        "Ledger::restore() without a prior checkpoint() — this would "
-        "silently empty the balance book");
-  }
-  // Columns interned after the checkpoint keep their mapping (it is pure
-  // naming); only balances roll back. Rows that grew since the checkpoint
-  // shrink back, so restored state is exactly the checkpointed book.
-  party_ = saved_party_;
-  contract_ = saved_contract_;
-  // The layered stack's undo records describe the history this jump just
-  // discarded; applying them afterwards would corrupt the book, and a
-  // world alternating legacy runs with tree sweeps must not accumulate an
-  // ever-growing log. Invalidate the stack wholesale.
-  undo_.clear();
-  marks_.clear();
-  snap_depth_ = 0;
 }
 
 void Ledger::snap_push() {

@@ -72,24 +72,9 @@ class Ledger {
     }
   }
 
-  /// Captures the current balances as the checkpoint restore() returns to.
-  void checkpoint();
-
-  /// Restores the balances captured by checkpoint(). Part of the
-  /// arena-style world-reuse path: sweep workers reset one world per
-  /// schedule instead of rebuilding chains from scratch. Calling restore()
-  /// without a prior checkpoint() throws std::logic_error — it used to
-  /// silently empty the balance book, a semantic hole that became live the
-  /// moment checkpoints stack (a missed baseline would quietly zero every
-  /// endowment instead of failing the sweep loudly). Jumping back to the
-  /// baseline also invalidates (clears) the layered snapshot stack: its
-  /// undo records describe history the restore just discarded, and a
-  /// world alternating legacy runs with tree sweeps must not accumulate
-  /// an ever-growing log.
-  void restore();
-
-  /// Layered checkpoint stack, independent of the checkpoint()/restore()
-  /// baseline: the tree executor pushes one snapshot per executed tick and
+  /// Layered snapshot stack, the ledger's only rollback: a reused world
+  /// pushes slot 0 right after setup and rewinds to it before every run,
+  /// and the tree executor pushes one more slot per executed tick and
   /// rewinds to arbitrary depths on backtrack. Implemented as an undo log,
   /// not copies: a push records a watermark (O(1)), mutations append their
   /// previous value while the stack is live, and a rewind plays the log
@@ -122,10 +107,6 @@ class Ledger {
   std::vector<std::uint32_t> col_of_;
   std::vector<SymbolId> symbols_;           ///< column -> symbol
   std::vector<std::uint32_t> cols_by_name_; ///< columns, symbol-name order
-
-  Book saved_party_;
-  Book saved_contract_;
-  bool checkpointed_ = false;
 
   /// One reversible mutation, recorded while the snapshot stack is live.
   /// Books only grow during execution, so three kinds suffice: a cell's

@@ -1,13 +1,13 @@
 #pragma once
 
-// Layered state snapshots for the checkpoint *stack* (tree-executor
-// substrate).
+// Layered state snapshots: the checkpoint *stack*, the one rollback
+// mechanism of a reusable world.
 //
-// The scenario tree executor (sim/scenario.cpp) rolls a reusable world
-// back to the start of an arbitrary tick instead of to one post-setup
-// baseline, so every stateful object in a world — ledgers, contracts,
-// protocol actors — keeps a stack of snapshots of its mutable members,
-// one per executed tick. The helpers here make that mechanical:
+// A reused world rolls back to its post-setup state (slot 0) before every
+// run, and the scenario tree executor (sim/scenario.cpp) to the start of
+// an arbitrary tick, so every stateful object in a world — ledgers,
+// contracts, protocol actors — keeps a stack of snapshots of its mutable
+// members, one per pushed tick. The helpers here make that mechanical:
 //
 //   * a class lists its mutable members once, as a std::tie, and a
 //     TieStack of the matching value types gives push / restore /

@@ -255,22 +255,4 @@ void MultiPartyArcContract::on_block(chain::TxContext& ctx) {
   }
 }
 
-void MultiPartyArcContract::reset() {
-  ep_deposited_.reset();
-  ep_refunded_ = false;
-  ep_awarded_ = false;
-  for (RedemptionPremium& slot : rp_) {
-    slot.amount = 0;
-    slot.path.clear();
-    slot.deposited_at.reset();
-    slot.refunded = false;
-    slot.awarded = false;
-  }
-  escrowed_at_.reset();
-  asset_resolved_at_.reset();
-  redeemed_ = false;
-  refunded_ = false;
-  for (auto& k : hashkeys_) k.reset();
-}
-
 }  // namespace xchain::contracts

@@ -107,10 +107,6 @@ class MultiPartyArcContract
   /// Timeout sweep: premium refunds/awards and the final asset refund.
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse). The signature
-  /// verification memo survives: it caches pure computation.
-  void reset() override;
-
   // -- Public state -----------------------------------------------------------
 
   const Params& params() const { return p_; }
@@ -187,7 +183,7 @@ class MultiPartyArcContract
   /// deterministic hashkeys/path signatures every schedule.
   crypto::VerifyCache vcache_;
   /// Equation 1 amounts per deposit path (pure in (g, p), so it survives
-  /// reset() like the signature memo).
+  /// rewinds like the signature memo).
   std::map<graph::Path, Amount> rp_amount_memo_;
   std::optional<Tick> ep_deposited_;
   bool ep_refunded_ = false;
@@ -199,8 +195,8 @@ class MultiPartyArcContract
   bool refunded_ = false;
   std::vector<std::optional<crypto::Hashkey>> hashkeys_;
 
-  /// Every mutable member (exactly what reset() clears; the signature and
-  /// Equation-1 memos cache pure computation and are deliberately absent).
+  /// Every mutable member (the signature and Equation-1 memos cache pure
+  /// computation and are deliberately absent).
   auto state_tie() {
     return std::tie(ep_deposited_, ep_refunded_, ep_awarded_, rp_,
                     escrowed_at_, asset_resolved_at_, redeemed_, refunded_,

@@ -155,14 +155,6 @@ void CoinAuctionContract::on_block(chain::TxContext& ctx) {
   }
 }
 
-void CoinAuctionContract::reset() {
-  premium_endowed_ = false;
-  for (auto& b : bids_) b.reset();
-  for (auto& k : keys_) k.reset();
-  settled_ = false;
-  clean_ = false;
-}
-
 // ---------------------------------------------------------------------------
 // Ticket chain
 // ---------------------------------------------------------------------------
@@ -225,13 +217,6 @@ void TicketAuctionContract::on_block(chain::TxContext& ctx) {
                           p_.amount);
     if (ctx.tracing()) ctx.emit(id(), "settled", "tickets refunded");
   }
-}
-
-void TicketAuctionContract::reset() {
-  escrowed_ = false;
-  for (auto& k : keys_) k.reset();
-  settled_ = false;
-  awarded_to_.reset();
 }
 
 }  // namespace xchain::contracts

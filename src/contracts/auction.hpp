@@ -66,9 +66,6 @@ class CoinAuctionContract : public chain::SnapshotState<CoinAuctionContract> {
 
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse).
-  void reset() override;
-
   // -- Public state -----------------------------------------------------------
   const Params& params() const { return p_; }
   bool premium_endowed() const { return premium_endowed_; }
@@ -95,7 +92,7 @@ class CoinAuctionContract : public chain::SnapshotState<CoinAuctionContract> {
   bool settled_ = false;
   bool clean_ = false;
 
-  /// Every mutable member (exactly what reset() clears).
+  /// Every mutable member.
   auto state_tie() {
     return std::tie(premium_endowed_, bids_, keys_, settled_, clean_);
   }
@@ -124,9 +121,6 @@ class TicketAuctionContract
 
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse).
-  void reset() override;
-
   // -- Public state -----------------------------------------------------------
   const Params& params() const { return p_; }
   bool escrowed() const { return escrowed_; }
@@ -150,7 +144,7 @@ class TicketAuctionContract
   bool settled_ = false;
   std::optional<PartyId> awarded_to_;
 
-  /// Every mutable member (exactly what reset() clears).
+  /// Every mutable member.
   auto state_tie() {
     return std::tie(escrowed_, keys_, settled_, awarded_to_);
   }

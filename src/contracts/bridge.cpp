@@ -211,21 +211,6 @@ void BridgeDoorContract::on_block(chain::TxContext& ctx) {
   }
 }
 
-void BridgeDoorContract::reset() {
-  premium_at_.reset();
-  committed_at_.reset();
-  bonds_mask_ = 0;
-  reported_mask_ = 0;
-  forfeited_mask_ = 0;
-  success_reported_ = false;
-  commit_window_closed_ = false;
-  settled_ = false;
-  settle_success_ = false;
-  principal_refunded_ = false;
-  premium_refunded_ = false;
-  premium_split_ = false;
-}
-
 // ---------------------------------------------------------------------------
 // BridgeClaimContract
 // ---------------------------------------------------------------------------
@@ -292,15 +277,6 @@ void BridgeClaimContract::on_block(chain::TxContext& ctx) {
   if (ctx.tracing()) {
     ctx.emit(id(), "claim_closed", failed_ ? "failed" : "completed");
   }
-}
-
-void BridgeClaimContract::reset() {
-  created_ = !p_.user_creates;
-  attest_mask_ = 0;
-  rewards_paid_ = 0;
-  resolved_ = false;
-  failed_ = false;
-  closed_ = false;
 }
 
 }  // namespace xchain::contracts

@@ -93,9 +93,6 @@ class BridgeDoorContract : public chain::SnapshotState<BridgeDoorContract> {
   /// Commit-deadline and settle-deadline sweeps (see class comment).
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse).
-  void reset() override;
-
   /// Scheduled-step ladder for Scheduler::validate_deadlines: premium,
   /// bonds, commit, settle (the unhedged baseline has no premium/bond
   /// steps).
@@ -165,8 +162,8 @@ class BridgeDoorContract : public chain::SnapshotState<BridgeDoorContract> {
   bool premium_refunded_ = false;
   bool premium_split_ = false;
 
-  /// Every mutable member (exactly what reset() clears) — the checkpoint
-  /// stack and the rewind-integrity hash both derive from this list.
+  /// Every mutable member — the snapshot stack and the rewind-integrity
+  /// hash both derive from this list.
   auto state_tie() {
     return std::tie(premium_at_, committed_at_, bonds_mask_, reported_mask_,
                     forfeited_mask_, success_reported_, commit_window_closed_,
@@ -228,9 +225,6 @@ class BridgeClaimContract : public chain::SnapshotState<BridgeClaimContract> {
   /// Attest-deadline sweep: marks an unresolved claim failed; refunds the
   /// pool remainder to the user either way.
   void on_block(chain::TxContext& ctx) override;
-
-  /// Restores the just-constructed state (world reuse).
-  void reset() override;
 
   std::vector<Tick> deadline_schedule() const override {
     if (p_.user_creates) return {p_.create_deadline, p_.attest_deadline};

@@ -294,33 +294,4 @@ void BrokerChainContract::on_block(chain::TxContext& ctx) {
   }
 }
 
-void BrokerChainContract::reset() {
-  const auto clear_simple = [](SimplePremium& prem) {
-    prem.deposited = false;
-    prem.refunded = false;
-    prem.awarded = false;
-  };
-  clear_simple(ep_);
-  clear_simple(tp_);
-  for (auto* slots : {&rp_escrow_, &rp_trading_}) {
-    for (RedemptionSlot& s : *slots) {
-      s.amount = 0;
-      s.path.clear();
-      s.deposited_at.reset();
-      s.refunded = false;
-      s.awarded = false;
-    }
-  }
-  for (auto* keys : {&keys_escrow_, &keys_trading_}) {
-    for (auto& k : *keys) k.reset();
-  }
-  escrowed_at_.reset();
-  traded_at_.reset();
-  escrow_bucket_ = 0;
-  trading_bucket_ = 0;
-  escrow_redeemed_ = false;
-  trading_redeemed_ = false;
-  refunded_ = false;
-}
-
 }  // namespace xchain::contracts

@@ -99,10 +99,6 @@ class BrokerChainContract : public chain::SnapshotState<BrokerChainContract> {
 
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse). The signature
-  /// verification memo survives: it caches pure computation.
-  void reset() override;
-
   // -- Public state -----------------------------------------------------------
 
   const Params& params() const { return p_; }
@@ -211,7 +207,7 @@ class BrokerChainContract : public chain::SnapshotState<BrokerChainContract> {
   std::size_t diam_;
   crypto::VerifyCache vcache_;
   /// Equation 1 amounts per (arc sender, deposit path) — pure in (g, p),
-  /// so it survives reset() like the signature memo.
+  /// so it survives rewinds like the signature memo.
   std::map<std::pair<PartyId, graph::Path>, Amount> rp_amount_memo_;
   SimplePremium ep_;
   SimplePremium tp_;
@@ -227,8 +223,8 @@ class BrokerChainContract : public chain::SnapshotState<BrokerChainContract> {
   bool trading_redeemed_ = false;
   bool refunded_ = false;
 
-  /// Every mutable member (exactly what reset() clears; the signature and
-  /// Equation-1 memos cache pure computation and are deliberately absent).
+  /// Every mutable member (the signature and Equation-1 memos cache pure
+  /// computation and are deliberately absent).
   auto state_tie() {
     return std::tie(ep_, tp_, rp_escrow_, rp_trading_, keys_escrow_,
                     keys_trading_, escrowed_at_, traded_at_, escrow_bucket_,

@@ -108,16 +108,4 @@ void HedgedSwapContract::on_block(chain::TxContext& ctx) {
   }
 }
 
-void HedgedSwapContract::reset() {
-  premium_at_.reset();
-  escrowed_at_.reset();
-  principal_resolved_at_.reset();
-  premium_resolved_at_.reset();
-  redeemed_ = false;
-  principal_refunded_ = false;
-  premium_refunded_ = false;
-  premium_awarded_ = false;
-  preimage_.reset();
-}
-
 }  // namespace xchain::contracts

@@ -64,9 +64,6 @@ class HedgedSwapContract : public chain::SnapshotState<HedgedSwapContract> {
   ///    principal to its owner and award them the premium.
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse).
-  void reset() override;
-
   /// The §5.2 deadline ladder in scheduled-step order — premium deposit,
   /// principal escrow, redemption — for Scheduler::validate_deadlines'
   /// ">= Delta per step" check.
@@ -117,8 +114,8 @@ class HedgedSwapContract : public chain::SnapshotState<HedgedSwapContract> {
   bool premium_awarded_ = false;
   std::optional<crypto::Bytes> preimage_;
 
-  /// Every mutable member (exactly what reset() clears) — the checkpoint
-  /// stack and the rewind-integrity hash both derive from this list.
+  /// Every mutable member — the snapshot stack and the rewind-integrity
+  /// hash both derive from this list.
   auto state_tie() {
     return std::tie(premium_at_, escrowed_at_, principal_resolved_at_,
                     premium_resolved_at_, redeemed_, principal_refunded_,

@@ -52,12 +52,4 @@ void HtlcContract::on_block(chain::TxContext& ctx) {
   }
 }
 
-void HtlcContract::reset() {
-  funded_at_.reset();
-  resolved_at_.reset();
-  redeemed_ = false;
-  refunded_ = false;
-  preimage_.reset();
-}
-
 }  // namespace xchain::contracts

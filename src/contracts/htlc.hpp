@@ -48,9 +48,6 @@ class HtlcContract : public chain::SnapshotState<HtlcContract> {
   /// Timeout sweep: refunds the principal at/after the timelock.
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse).
-  void reset() override;
-
   // -- Public state (anyone may read) --------------------------------------
   const Params& params() const { return p_; }
   bool funded() const { return funded_at_.has_value(); }
@@ -75,7 +72,7 @@ class HtlcContract : public chain::SnapshotState<HtlcContract> {
   bool refunded_ = false;
   std::optional<crypto::Bytes> preimage_;
 
-  /// Every mutable member (exactly what reset() clears).
+  /// Every mutable member.
   auto state_tie() {
     return std::tie(funded_at_, resolved_at_, redeemed_, refunded_,
                     preimage_);

@@ -173,14 +173,4 @@ void LadderContract::on_block(chain::TxContext& ctx) {
   }
 }
 
-void LadderContract::reset() {
-  for (Rung& r : rungs_) {
-    r.state = RungState::kEmpty;
-    r.deposited_at.reset();
-    r.resolved_at.reset();
-  }
-  dead_ = false;
-  preimage_.reset();
-}
-
 }  // namespace xchain::contracts

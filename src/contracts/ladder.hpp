@@ -81,9 +81,6 @@ class LadderContract : public chain::SnapshotState<LadderContract> {
   /// Timeout sweep implementing DEFAULT and FINAL above.
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse).
-  void reset() override;
-
   /// The scheduled-step deadline ladder: rung deposits run highest index
   /// first (deposit deadlines are strictly decreasing in rung index), so
   /// the step order is the reversed rung list, followed by redemption.
@@ -152,7 +149,7 @@ class LadderContract : public chain::SnapshotState<LadderContract> {
   bool dead_ = false;
   std::optional<crypto::Bytes> preimage_;
 
-  /// Every mutable member (exactly what reset() clears).
+  /// Every mutable member.
   auto state_tie() { return std::tie(rungs_, dead_, preimage_); }
   friend chain::SnapshotState<LadderContract>;
 };

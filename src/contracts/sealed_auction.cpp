@@ -180,13 +180,4 @@ void SealedCoinAuctionContract::on_block(chain::TxContext& ctx) {
   }
 }
 
-void SealedCoinAuctionContract::reset() {
-  premium_endowed_ = false;
-  for (auto& c : commitments_) c.reset();
-  for (auto& r : revealed_) r.reset();
-  for (auto& k : keys_) k.reset();
-  settled_ = false;
-  clean_ = false;
-}
-
 }  // namespace xchain::contracts

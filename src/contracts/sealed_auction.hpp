@@ -56,9 +56,6 @@ class SealedCoinAuctionContract
 
   void on_block(chain::TxContext& ctx) override;
 
-  /// Restores the just-constructed state (world reuse).
-  void reset() override;
-
   // -- Public state -----------------------------------------------------------
   const Params& params() const { return p_; }
   bool premium_endowed() const { return premium_endowed_; }
@@ -90,7 +87,7 @@ class SealedCoinAuctionContract
   bool settled_ = false;
   bool clean_ = false;
 
-  /// Every mutable member (exactly what reset() clears).
+  /// Every mutable member.
   auto state_tie() {
     return std::tie(premium_endowed_, commitments_, revealed_, keys_,
                     settled_, clean_);

@@ -1,7 +1,6 @@
 #include "core/auction.hpp"
 
 #include <memory>
-#include <stdexcept>
 #include <tuple>
 
 #include "contracts/auction.hpp"
@@ -369,11 +368,11 @@ struct AuctionWorld::Impl {
   Setup s;         ///< open variant
   SealedSetup ss;  ///< sealed variant
   std::unique_ptr<PayoffTracker> tracker;
-  // Persistent tree-executor actors (one variant populated, per `sealed`).
-  std::unique_ptr<Auctioneer> tree_alice;
-  std::vector<std::unique_ptr<Bidder>> tree_bidders;
-  std::unique_ptr<SealedAuctioneer> tree_sealed_alice;
-  std::vector<std::unique_ptr<SealedBidder>> tree_sealed_bidders;
+  // Persistent actors (one variant populated, per `sealed`).
+  std::unique_ptr<Auctioneer> alice;
+  std::vector<std::unique_ptr<Bidder>> bidders;
+  std::unique_ptr<SealedAuctioneer> sealed_alice;
+  std::vector<std::unique_ptr<SealedBidder>> sealed_bidders;
   sim::TreeFrame frame;
 };
 
@@ -478,8 +477,33 @@ AuctionWorld::AuctionWorld(const AuctionConfig& cfg, bool sealed,
     }
   }
 
-  w.chains.checkpoint();
   w.tracker = std::make_unique<PayoffTracker>(w.chains, n + 1);
+
+  w.frame.chains = &w.chains;
+  if (sealed) {
+    w.sealed_alice =
+        std::make_unique<SealedAuctioneer>(w.ss, AuctioneerStrategy::kHonest);
+    w.frame.actors.push_back(w.sealed_alice.get());
+    for (std::size_t i = 0; i < n; ++i) {
+      w.sealed_bidders.push_back(std::make_unique<SealedBidder>(
+          static_cast<PartyId>(i + 1), w.ss, sim::DeviationPlan::conforming(),
+          cfg.bids[i]));
+      w.frame.actors.push_back(w.sealed_bidders.back().get());
+    }
+    w.frame.horizon = 6 * d + 2;
+  } else {
+    w.alice = std::make_unique<Auctioneer>(w.s, AuctioneerStrategy::kHonest,
+                                           cfg.bids);
+    w.frame.actors.push_back(w.alice.get());
+    for (std::size_t i = 0; i < n; ++i) {
+      w.bidders.push_back(std::make_unique<Bidder>(
+          static_cast<PartyId>(i + 1), w.s, sim::DeviationPlan::conforming(),
+          cfg.bids[i]));
+      w.frame.actors.push_back(w.bidders.back().get());
+    }
+    w.frame.horizon = 5 * d + 2;
+  }
+  sim::debug_validate_deadlines(w.chains, d);
 }
 
 AuctionWorld::~AuctionWorld() = default;
@@ -497,102 +521,37 @@ sim::DeviationPlan bidder_plan_of(BidderStrategy strategy, bool sealed) {
   }
 }
 
-void AuctionWorld::set_environment(const chain::ChainEnvironment& env) {
-  impl_->chains.set_environment(env);
+AuctioneerStrategy auctioneer_of(int variant) {
+  switch (variant) {
+    case 0: return AuctioneerStrategy::kHonest;
+    case 1: return AuctioneerStrategy::kNoSetup;
+    case 2: return AuctioneerStrategy::kAbandon;
+    case 3: return AuctioneerStrategy::kDeclareLoser;
+    case 4: return AuctioneerStrategy::kCoinOnly;
+    case 5: return AuctioneerStrategy::kTicketOnly;
+    default: return AuctioneerStrategy::kSplit;
+  }
 }
 
-AuctionResult AuctionWorld::run(
-    AuctioneerStrategy alice,
-    const std::vector<sim::DeviationPlan>& bidder_plans) {
-  Impl& w = *impl_;
-  const std::size_t n = w.cfg.bids.size();
-  if (bidder_plans.size() != n) {
-    throw std::invalid_argument(w.sealed
-                                    ? "run_sealed_auction: one plan per "
-                                      "bidder"
-                                    : "run_auction: one plan per bidder");
-  }
-  const Tick d = w.cfg.delta;
-  w.chains.reset();
+sim::TreeFrame& AuctionWorld::frame() { return impl_->frame; }
 
-  sim::Scheduler sched(w.chains);
+void AuctionWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
+  Impl& w = *impl_;
+  const AuctioneerStrategy alice = auctioneer_of(plans.at(0).variant());
   if (w.sealed) {
-    SealedAuctioneer a(w.ss, alice);
-    std::vector<std::unique_ptr<SealedBidder>> bs;
-    sched.add_party(a);
-    for (std::size_t i = 0; i < n; ++i) {
-      bs.push_back(std::make_unique<SealedBidder>(
-          static_cast<PartyId>(i + 1), w.ss, bidder_plans[i],
-          w.cfg.bids[i]));
-      sched.add_party(*bs.back());
-    }
-    sched.run_until(6 * d + 2);
-  } else {
-    Auctioneer a(w.s, alice, w.cfg.bids);
-    std::vector<std::unique_ptr<Bidder>> bs;
-    sched.add_party(a);
-    for (std::size_t i = 0; i < n; ++i) {
-      bs.push_back(std::make_unique<Bidder>(static_cast<PartyId>(i + 1), w.s,
-                                            bidder_plans[i], w.cfg.bids[i]));
-      sched.add_party(*bs.back());
-    }
-    sched.run_until(5 * d + 2);
-  }
-
-  w.chains.finalize_all();
-  return tree_collect();
-}
-
-sim::TreeFrame& AuctionWorld::tree_frame() {
-  Impl& w = *impl_;
-  if (w.frame.chains == nullptr) {
-    const std::size_t n = w.cfg.bids.size();
-    w.frame.chains = &w.chains;
-    if (w.sealed) {
-      w.tree_sealed_alice =
-          std::make_unique<SealedAuctioneer>(w.ss, AuctioneerStrategy::kHonest);
-      w.frame.actors.push_back(w.tree_sealed_alice.get());
-      for (std::size_t i = 0; i < n; ++i) {
-        w.tree_sealed_bidders.push_back(std::make_unique<SealedBidder>(
-            static_cast<PartyId>(i + 1), w.ss, sim::DeviationPlan::conforming(),
-            w.cfg.bids[i]));
-        w.frame.actors.push_back(w.tree_sealed_bidders.back().get());
-      }
-      w.frame.horizon = 6 * w.cfg.delta + 2;
-    } else {
-      w.tree_alice = std::make_unique<Auctioneer>(
-          w.s, AuctioneerStrategy::kHonest, w.cfg.bids);
-      w.frame.actors.push_back(w.tree_alice.get());
-      for (std::size_t i = 0; i < n; ++i) {
-        w.tree_bidders.push_back(std::make_unique<Bidder>(
-            static_cast<PartyId>(i + 1), w.s, sim::DeviationPlan::conforming(),
-            w.cfg.bids[i]));
-        w.frame.actors.push_back(w.tree_bidders.back().get());
-      }
-      w.frame.horizon = 5 * w.cfg.delta + 2;
-    }
-  }
-  return w.frame;
-}
-
-void AuctionWorld::tree_set_plans(
-    AuctioneerStrategy alice,
-    const std::vector<sim::DeviationPlan>& bidder_plans) {
-  Impl& w = *impl_;
-  if (w.sealed) {
-    w.tree_sealed_alice->set_strategy(alice);
-    for (std::size_t i = 0; i < w.tree_sealed_bidders.size(); ++i) {
-      w.tree_sealed_bidders[i]->set_plan(bidder_plans.at(i));
+    w.sealed_alice->set_strategy(alice);
+    for (std::size_t i = 0; i < w.sealed_bidders.size(); ++i) {
+      w.sealed_bidders[i]->set_plan(plans.at(i + 1));
     }
   } else {
-    w.tree_alice->set_strategy(alice);
-    for (std::size_t i = 0; i < w.tree_bidders.size(); ++i) {
-      w.tree_bidders[i]->set_plan(bidder_plans.at(i));
+    w.alice->set_strategy(alice);
+    for (std::size_t i = 0; i < w.bidders.size(); ++i) {
+      w.bidders[i]->set_plan(plans.at(i + 1));
     }
   }
 }
 
-AuctionResult AuctionWorld::tree_collect() const {
+AuctionResult AuctionWorld::collect() const {
   const Impl& w = *impl_;
   const std::size_t n = w.cfg.bids.size();
 
@@ -613,25 +572,31 @@ AuctionResult AuctionWorld::tree_collect() const {
   return out;
 }
 
-AuctionResult AuctionWorld::run(AuctioneerStrategy alice,
-                                const std::vector<BidderStrategy>& bidders) {
-  std::vector<sim::DeviationPlan> plans;
-  plans.reserve(bidders.size());
+namespace {
+
+AuctionResult play_auction(const AuctionConfig& cfg, bool sealed,
+                           AuctioneerStrategy alice,
+                           const std::vector<BidderStrategy>& bidders) {
+  std::vector<sim::DeviationPlan> plans{
+      sim::DeviationPlan::conforming().with_variant(static_cast<int>(alice))};
   for (const BidderStrategy s : bidders) {
-    plans.push_back(bidder_plan_of(s, impl_->sealed));
+    plans.push_back(bidder_plan_of(s, sealed));
   }
-  return run(alice, plans);
+  AuctionWorld world(cfg, sealed);
+  return sim::play(world, plans);
 }
+
+}  // namespace
 
 AuctionResult run_sealed_auction(const AuctionConfig& cfg,
                                  AuctioneerStrategy alice,
                                  const std::vector<BidderStrategy>& bidders) {
-  return AuctionWorld(cfg, /*sealed=*/true).run(alice, bidders);
+  return play_auction(cfg, /*sealed=*/true, alice, bidders);
 }
 
 AuctionResult run_auction(const AuctionConfig& cfg, AuctioneerStrategy alice,
                           const std::vector<BidderStrategy>& bidders) {
-  return AuctionWorld(cfg, /*sealed=*/false).run(alice, bidders);
+  return play_auction(cfg, /*sealed=*/false, alice, bidders);
 }
 
 }  // namespace xchain::core

@@ -24,6 +24,11 @@ enum class AuctioneerStrategy {
   kSplit,         ///< winner's key on the coin chain, loser's on tickets
 };
 
+/// The auctioneer's strategy a plan variant names — the declaration
+/// order above (0 = kHonest ... 6 = kSplit; larger variants name kSplit).
+/// The auctioneer deviates through her plan's variant only.
+AuctioneerStrategy auctioneer_of(int variant);
+
 /// A bidder's behaviour, as a named shorthand. Bidders execute
 /// sim::DeviationPlans over their scheduled-action ordinals (open: 0 = bid,
 /// 1 = forward; sealed: 0 = commit, 1 = reveal, 2 = forward) — these enums
@@ -76,11 +81,10 @@ AuctionResult run_sealed_auction(const AuctionConfig& cfg,
                                  AuctioneerStrategy alice,
                                  const std::vector<BidderStrategy>& bidders);
 
-/// Reusable world for the ticket auction (open or sealed-bid): chains,
-/// contracts, endowments, bidder secrets, and signature caches built once;
-/// every run() rolls back to the post-setup checkpoint and replays one
-/// strategy combination. The free functions above delegate to a fresh
-/// world; sweep workers keep one per adapter clone.
+/// World of the ticket auction (open or sealed-bid): chains, contracts,
+/// endowments, bidder secrets, signature caches, and the persistent
+/// auctioneer and bidder actors, built once. Runs go through sim::play
+/// (see TwoPartyWorld); the free functions above play a fresh world.
 class AuctionWorld {
  public:
   AuctionWorld(const AuctionConfig& cfg, bool sealed,
@@ -89,29 +93,17 @@ class AuctionWorld {
   AuctionWorld(AuctionWorld&&) noexcept;
   AuctionWorld& operator=(AuctionWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule: the auctioneer's
-  /// declaration strategy plus one deviation plan per bidder (delays land
-  /// their submissions at the shifted tick; the contracts' inclusive
-  /// deadlines decide whether a late bid/reveal/forward still counts).
-  AuctionResult run(AuctioneerStrategy alice,
-                    const std::vector<sim::DeviationPlan>& bidder_plans);
-
-  /// Installs a chain environment (fault plan + resilience policy); call
-  /// once after construction. See TwoPartyWorld::set_environment.
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Legacy strategy-enum form: maps each BidderStrategy onto its
-  /// halt-style plan via bidder_plan_of().
-  AuctionResult run(AuctioneerStrategy alice,
-                    const std::vector<BidderStrategy>& bidders);
-
-  /// Tree-executor access (sim/tree.hpp): persistent actors, built on the
-  /// first call; the auctioneer's strategy is installed per schedule like
-  /// the bidders' plans.
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(AuctioneerStrategy alice,
-                      const std::vector<sim::DeviationPlan>& bidder_plans);
-  AuctionResult tree_collect() const;
+  /// Chains, actors (auctioneer, then bidders 1..n), and the run horizon
+  /// (sim/tree.hpp).
+  sim::TreeFrame& frame();
+  /// Installs one plan per actor: plans[0]'s variant is the auctioneer's
+  /// declaration strategy (auctioneer_of), plans[1..n] are the bidders'
+  /// deviation plans (delays land their submissions at the shifted tick;
+  /// the contracts' inclusive deadlines decide whether a late
+  /// bid/reveal/forward still counts).
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// The result of the run the world's state describes.
+  AuctionResult collect() const;
 
  private:
   struct Impl;

@@ -181,7 +181,6 @@ BootstrapSchedule bootstrap_amounts(const BootstrapConfig& cfg) {
 }
 
 struct BootstrapWorld::Impl {
-  BootstrapConfig cfg;
   BootstrapSchedule amounts;
   chain::MultiChain chains;
   contracts::LadderContract* apricot_ladder = nullptr;
@@ -189,8 +188,8 @@ struct BootstrapWorld::Impl {
   crypto::Secret secret;
   std::vector<GlobalAction> schedule;
   std::unique_ptr<PayoffTracker> tracker;
-  std::unique_ptr<LadderParty> tree_alice;
-  std::unique_ptr<LadderParty> tree_bob;
+  std::unique_ptr<LadderParty> alice;
+  std::unique_ptr<LadderParty> bob;
   sim::TreeFrame frame;
 };
 
@@ -201,7 +200,6 @@ BootstrapWorld::BootstrapWorld(const BootstrapConfig& cfg,
     throw std::invalid_argument("run_bootstrap_swap: rounds >= 1");
   }
   Impl& w = *impl_;
-  w.cfg = cfg;
   const Tick d = cfg.delta;
   const int r = cfg.rounds;
   w.amounts = bootstrap_amounts(cfg);
@@ -279,8 +277,20 @@ BootstrapWorld::BootstrapWorld(const BootstrapConfig& cfg,
   }
 
   w.schedule = make_schedule(r);
-  chains.checkpoint();
   w.tracker = std::make_unique<PayoffTracker>(chains, 2);
+
+  w.alice = std::make_unique<LadderParty>(
+      kAlice, "alice", sim::DeviationPlan::conforming(), w.schedule,
+      *w.apricot_ladder, *w.banana_ladder, w.secret);
+  w.bob = std::make_unique<LadderParty>(
+      kBob, "bob", sim::DeviationPlan::conforming(), w.schedule,
+      *w.apricot_ladder, *w.banana_ladder, crypto::Secret{});
+  w.frame.chains = &chains;
+  w.frame.actors = {w.alice.get(), w.bob.get()};
+  w.frame.horizon = (2 * r + 4) * d + 2;
+  // The §6 ladder interleaves the two chains' deposits Delta apart, so each
+  // single chain's consecutive deadlines sit 2*Delta apart.
+  sim::debug_validate_deadlines(chains, d);
 }
 
 BootstrapWorld::~BootstrapWorld() = default;
@@ -288,59 +298,14 @@ BootstrapWorld::BootstrapWorld(BootstrapWorld&&) noexcept = default;
 BootstrapWorld& BootstrapWorld::operator=(BootstrapWorld&&) noexcept =
     default;
 
-void BootstrapWorld::set_environment(const chain::ChainEnvironment& env) {
-  impl_->chains.set_environment(env);
+sim::TreeFrame& BootstrapWorld::frame() { return impl_->frame; }
+
+void BootstrapWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
+  impl_->alice->set_plan(plans.at(0));
+  impl_->bob->set_plan(plans.at(1));
 }
 
-BootstrapResult BootstrapWorld::run(sim::DeviationPlan alice,
-                                    sim::DeviationPlan bob) {
-  Impl& w = *impl_;
-  const Tick d = w.cfg.delta;
-  const int r = w.cfg.rounds;
-  w.chains.reset();
-
-  LadderParty a(kAlice, "alice", alice, w.schedule, *w.apricot_ladder,
-                *w.banana_ladder, w.secret);
-  LadderParty b(kBob, "bob", bob, w.schedule, *w.apricot_ladder,
-                *w.banana_ladder, crypto::Secret{});
-  sim::Scheduler sched(w.chains);
-  sched.add_party(a);
-  sched.add_party(b);
-#ifndef NDEBUG
-  // The §6 ladder interleaves the two chains' deposits Delta apart, so each
-  // single chain's consecutive deadlines sit 2*Delta apart; debug builds
-  // re-check that spacing on every run.
-  sched.validate_deadlines(d);
-#endif
-  sched.run_until((2 * r + 4) * d + 2);
-
-  w.chains.finalize_all();
-  return tree_collect();
-}
-
-sim::TreeFrame& BootstrapWorld::tree_frame() {
-  Impl& w = *impl_;
-  if (!w.tree_alice) {
-    w.tree_alice = std::make_unique<LadderParty>(
-        kAlice, "alice", sim::DeviationPlan::conforming(), w.schedule,
-        *w.apricot_ladder, *w.banana_ladder, w.secret);
-    w.tree_bob = std::make_unique<LadderParty>(
-        kBob, "bob", sim::DeviationPlan::conforming(), w.schedule,
-        *w.apricot_ladder, *w.banana_ladder, crypto::Secret{});
-    w.frame.chains = &w.chains;
-    w.frame.actors = {w.tree_alice.get(), w.tree_bob.get()};
-    w.frame.horizon = (2 * w.cfg.rounds + 4) * w.cfg.delta + 2;
-  }
-  return w.frame;
-}
-
-void BootstrapWorld::tree_set_plans(
-    const std::vector<sim::DeviationPlan>& plans) {
-  impl_->tree_alice->set_plan(plans.at(0));
-  impl_->tree_bob->set_plan(plans.at(1));
-}
-
-BootstrapResult BootstrapWorld::tree_collect() const {
+BootstrapResult BootstrapWorld::collect() const {
   const Impl& w = *impl_;
   const contracts::LadderContract& apricot_ladder = *w.apricot_ladder;
   const contracts::LadderContract& banana_ladder = *w.banana_ladder;
@@ -363,7 +328,8 @@ BootstrapResult BootstrapWorld::tree_collect() const {
 BootstrapResult run_bootstrap_swap(const BootstrapConfig& cfg,
                                    sim::DeviationPlan alice,
                                    sim::DeviationPlan bob) {
-  return BootstrapWorld(cfg).run(alice, bob);
+  BootstrapWorld world(cfg);
+  return sim::play(world, {std::move(alice), std::move(bob)});
 }
 
 }  // namespace xchain::core

@@ -73,10 +73,10 @@ BootstrapResult run_bootstrap_swap(const BootstrapConfig& cfg,
                                    sim::DeviationPlan alice,
                                    sim::DeviationPlan bob);
 
-/// Reusable world for the bootstrapped ladder swap: both chains, both
-/// ladder contracts, and endowments built once; every run() rolls back to
-/// the post-setup checkpoint and replays one schedule. run_bootstrap_swap
-/// delegates to a fresh world; sweep workers keep one per adapter clone.
+/// World of the bootstrapped ladder swap: both chains, both ladder
+/// contracts, endowments, and the two persistent actors, built once. Runs
+/// go through sim::play (see TwoPartyWorld); run_bootstrap_swap plays a
+/// fresh world.
 class BootstrapWorld {
  public:
   explicit BootstrapWorld(const BootstrapConfig& cfg,
@@ -85,18 +85,12 @@ class BootstrapWorld {
   BootstrapWorld(BootstrapWorld&&) noexcept;
   BootstrapWorld& operator=(BootstrapWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule.
-  BootstrapResult run(sim::DeviationPlan alice, sim::DeviationPlan bob);
-
-  /// Installs a chain environment (fault plan + resilience policy); call
-  /// once after construction. See TwoPartyWorld::set_environment.
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Tree-executor access (sim/tree.hpp): persistent actors, built on the
-  /// first call; plans index Alice, Bob in order.
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(const std::vector<sim::DeviationPlan>& plans);
-  BootstrapResult tree_collect() const;
+  /// Chains, actors (Alice, Bob), and the run horizon (sim/tree.hpp).
+  sim::TreeFrame& frame();
+  /// Installs one plan per actor: Alice, Bob.
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// The result of the run the world's state describes.
+  BootstrapResult collect() const;
 
  private:
   struct Impl;

@@ -168,16 +168,12 @@ struct BridgeWorld::Impl {
   /// MultiChain and leave own_chains empty.
   chain::MultiChain own_chains;
   chain::MultiChain* chains = &own_chains;
-  bool bound = false;
   PartyId base = 0;  ///< first global party id (0 when private)
-  Tick start = 0;    ///< deadline-ladder offset (0 when private)
   contracts::BridgeDoorContract* door = nullptr;
   contracts::BridgeClaimContract* claim = nullptr;
   std::unique_ptr<PayoffTracker> tracker;
-  // Persistent actors for the schedule-tree executor (transfer variant;
-  // nullptr until the first tree_frame() call).
-  std::unique_ptr<BridgeUser> tree_user;
-  std::vector<std::unique_ptr<BridgeWitness>> tree_witnesses;
+  std::unique_ptr<BridgeUser> user;
+  std::vector<std::unique_ptr<BridgeWitness>> witnesses;
   sim::TreeFrame frame;
 };
 
@@ -189,19 +185,18 @@ BridgeWorld::BridgeWorld(const BridgeConfig& cfg, const WorldBinding& binding,
     : impl_(std::make_unique<Impl>()) {
   Impl& w = *impl_;
   w.cfg = cfg;
-  w.bound = binding.bound();
+  const bool bound = binding.bound();
   w.base = binding.party_base;
-  w.start = binding.start;
   const Tick d = cfg.delta;
-  const Tick t0 = w.start;
+  const Tick t0 = binding.start;
   const bool acct = cfg.variant == BridgeVariant::kAccountCreate;
-  chain::MultiChain& chains = w.bound ? *binding.chains : w.own_chains;
+  chain::MultiChain& chains = bound ? *binding.chains : w.own_chains;
   w.chains = &chains;
-  if (!w.bound) chains.set_trace(trace);
-  chain::Blockchain& locking = w.bound ? chains.get_or_add_chain("locking")
-                                       : chains.add_chain("locking");
-  chain::Blockchain& issuing = w.bound ? chains.get_or_add_chain("issuing")
-                                       : chains.add_chain("issuing");
+  if (!bound) chains.set_trace(trace);
+  chain::Blockchain& locking = bound ? chains.get_or_add_chain("locking")
+                                     : chains.add_chain("locking");
+  chain::Blockchain& issuing = bound ? chains.get_or_add_chain("issuing")
+                                     : chains.add_chain("issuing");
 
   const PartyId user = w.base + kUser;
   // The user's principal — the asset being bridged — lives on the locking
@@ -252,78 +247,41 @@ BridgeWorld::BridgeWorld(const BridgeConfig& cfg, const WorldBinding& binding,
   issuing.ledger_for_setup().mint(impl_->claim->address(), "wrapped",
                                   cfg.transfer_amount);
 
-  if (!w.bound) chains.checkpoint();
   impl_->tracker =
       std::make_unique<PayoffTracker>(chains, w.base, cfg.party_count());
+
+  w.user = std::make_unique<BridgeUser>(cfg, sim::DeviationPlan::conforming(),
+                                        *w.door, *w.claim);
+  w.user->set_account_base(w.base);
+  w.frame.chains = &chains;
+  w.frame.actors = {w.user.get()};
+  for (PartyId i = 1; i <= static_cast<PartyId>(cfg.n_witnesses); ++i) {
+    w.witnesses.push_back(std::make_unique<BridgeWitness>(
+        cfg, i, sim::DeviationPlan::conforming(), *w.door, *w.claim));
+    w.witnesses.back()->set_account_base(w.base);
+    w.frame.actors.push_back(w.witnesses.back().get());
+  }
+  w.frame.horizon = t0 + 6 * d + 2;
+  // The ladder must leave Delta between consecutive scheduled steps or
+  // the protocol's tolerance claims are vacuous.
+  if (!bound) sim::debug_validate_deadlines(chains, d);
 }
 
 BridgeWorld::~BridgeWorld() = default;
 BridgeWorld::BridgeWorld(BridgeWorld&&) noexcept = default;
 BridgeWorld& BridgeWorld::operator=(BridgeWorld&&) noexcept = default;
 
-void BridgeWorld::set_environment(const chain::ChainEnvironment& env) {
-  impl_->chains->set_environment(env);
-}
+sim::TreeFrame& BridgeWorld::frame() { return impl_->frame; }
 
-BridgeResult BridgeWorld::run(const std::vector<sim::DeviationPlan>& plans) {
+void BridgeWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   Impl& w = *impl_;
-  if (w.bound) {
-    throw std::logic_error(
-        "BridgeWorld::run: bound worlds are driven by the load scheduler");
-  }
-  w.chains->reset();
-
-  BridgeUser user(w.cfg, plans.at(0), *w.door, *w.claim);
-  std::vector<std::unique_ptr<BridgeWitness>> witnesses;
-  sim::Scheduler sched(*w.chains);
-  sched.add_party(user);
-  for (PartyId i = 1; i <= static_cast<PartyId>(w.cfg.n_witnesses); ++i) {
-    witnesses.push_back(std::make_unique<BridgeWitness>(
-        w.cfg, i, plans.at(static_cast<std::size_t>(i)), *w.door, *w.claim));
-    sched.add_party(*witnesses.back());
-  }
-#ifndef NDEBUG
-  // The ladder must leave Delta between consecutive scheduled steps or
-  // the protocol's tolerance claims are vacuous; debug builds check it on
-  // every run.
-  sched.validate_deadlines(w.cfg.delta);
-#endif
-  sched.run_until(6 * w.cfg.delta + 2);
-
-  w.chains->finalize_all();
-  return tree_collect();
-}
-
-sim::TreeFrame& BridgeWorld::tree_frame() {
-  Impl& w = *impl_;
-  if (!w.tree_user) {
-    w.tree_user = std::make_unique<BridgeUser>(
-        w.cfg, sim::DeviationPlan::conforming(), *w.door, *w.claim);
-    w.tree_user->set_account_base(w.base);
-    w.frame.chains = w.chains;
-    w.frame.actors = {w.tree_user.get()};
-    for (PartyId i = 1; i <= static_cast<PartyId>(w.cfg.n_witnesses); ++i) {
-      w.tree_witnesses.push_back(std::make_unique<BridgeWitness>(
-          w.cfg, i, sim::DeviationPlan::conforming(), *w.door, *w.claim));
-      w.tree_witnesses.back()->set_account_base(w.base);
-      w.frame.actors.push_back(w.tree_witnesses.back().get());
-    }
-    w.frame.horizon = w.start + 6 * w.cfg.delta + 2;
-  }
-  return w.frame;
-}
-
-void BridgeWorld::tree_set_plans(
-    const std::vector<sim::DeviationPlan>& plans) {
-  Impl& w = *impl_;
-  w.tree_user->set_plan(plans.at(0));
-  for (PartyId i = 1; i <= static_cast<PartyId>(w.cfg.n_witnesses); ++i) {
-    w.tree_witnesses[static_cast<std::size_t>(i - 1)]->set_plan(
-        plans.at(static_cast<std::size_t>(i)));
+  w.user->set_plan(plans.at(0));
+  for (std::size_t i = 0; i < w.witnesses.size(); ++i) {
+    w.witnesses[i]->set_plan(plans.at(i + 1));
   }
 }
 
-BridgeResult BridgeWorld::tree_collect() const {
+BridgeResult BridgeWorld::collect() const {
   const Impl& w = *impl_;
   BridgeResult r;
   r.committed = w.door->committed();
@@ -341,7 +299,8 @@ BridgeResult BridgeWorld::tree_collect() const {
 
 BridgeResult run_bridge(const BridgeConfig& cfg,
                         const std::vector<sim::DeviationPlan>& plans) {
-  return BridgeWorld(cfg).run(plans);
+  BridgeWorld world(cfg);
+  return sim::play(world, plans);
 }
 
 }  // namespace xchain::core

@@ -75,19 +75,18 @@ struct BridgeResult {
   chain::EventLog events;
 };
 
-/// Reusable world for the witness bridge (both variants): chains,
-/// contracts, and endowments are built once; every run() rolls the world
-/// back to the post-setup checkpoint and replays a schedule. The transfer
-/// path is tree-capable (persistent SnapshotState actors); account-create
-/// runs brute.
+/// World of the witness bridge (both variants): chains, contracts,
+/// endowments, and the persistent user and witness actors, built once.
+/// Runs go through sim::play (see TwoPartyWorld); run_bridge plays a
+/// fresh world.
 class BridgeWorld {
  public:
   explicit BridgeWorld(const BridgeConfig& cfg,
                        chain::TraceMode trace = chain::TraceMode::kFull);
 
   /// Bound form (core/binding.hpp): deploys the instance onto the shared
-  /// MultiChain at `binding.party_base` / `binding.start`. Bound worlds
-  /// are driven through tree_frame()'s actors — run() throws.
+  /// MultiChain at `binding.party_base` / `binding.start`; the load
+  /// scheduler drives the frame's actors on the shared chains.
   BridgeWorld(const BridgeConfig& cfg, const WorldBinding& binding,
               chain::TraceMode trace = chain::TraceMode::kOff);
 
@@ -95,26 +94,21 @@ class BridgeWorld {
   BridgeWorld(BridgeWorld&&) noexcept;
   BridgeWorld& operator=(BridgeWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule (plans[0] the user,
-  /// plans[1..n] the witnesses).
-  BridgeResult run(const std::vector<sim::DeviationPlan>& plans);
-
-  /// Installs a chain environment (fault plan + resilience policy) on the
-  /// world's chains. Call once, right after construction; fault-active
-  /// worlds must run through run() (the brute executor).
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Tree-executor access (sim/tree.hpp), transfer variant only.
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(const std::vector<sim::DeviationPlan>& plans);
-  BridgeResult tree_collect() const;
+  /// Chains, actors (the user, then witnesses 1..n), and the run horizon
+  /// (sim/tree.hpp).
+  sim::TreeFrame& frame();
+  /// Installs one plan per actor: plans[0] the user, plans[1..n] the
+  /// witnesses.
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// The result of the run the world's state describes.
+  BridgeResult collect() const;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// One-shot convenience wrapper: a fresh world per call.
+/// One run on a fresh world.
 BridgeResult run_bridge(const BridgeConfig& cfg,
                         const std::vector<sim::DeviationPlan>& plans);
 

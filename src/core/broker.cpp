@@ -323,20 +323,17 @@ Tick lockup_of(const BrokerChainContract& c) {
 }  // namespace
 
 struct BrokerWorld::Impl {
-  BrokerConfig cfg;
   Setup s;
   /// Private worlds own their chains; bound worlds alias the shared
   /// MultiChain and leave own_chains empty.
   chain::MultiChain own_chains;
   chain::MultiChain* chains = &own_chains;
-  bool bound = false;
   PartyId base = 0;  ///< first global party id (0 when private)
   crypto::SigningCache sign_cache;
   std::unique_ptr<PayoffTracker> tracker;
-  Tick horizon = 0;
-  std::unique_ptr<AliceBroker> tree_alice;
-  std::unique_ptr<SellerBroker> tree_bob;
-  std::unique_ptr<SellerBroker> tree_carol;
+  std::unique_ptr<AliceBroker> alice;
+  std::unique_ptr<SellerBroker> bob;
+  std::unique_ptr<SellerBroker> carol;
   sim::TreeFrame frame;
 };
 
@@ -347,8 +344,7 @@ BrokerWorld::BrokerWorld(const BrokerConfig& cfg, const WorldBinding& binding,
                          chain::TraceMode trace)
     : impl_(std::make_unique<Impl>()) {
   Impl& w = *impl_;
-  w.cfg = cfg;
-  w.bound = binding.bound();
+  const bool bound = binding.bound();
   w.base = binding.party_base;
   const Tick d = cfg.delta;
   const Tick t0 = binding.start;
@@ -356,18 +352,17 @@ BrokerWorld::BrokerWorld(const BrokerConfig& cfg, const WorldBinding& binding,
   s.g = broker_digraph();
   s.sign_cache = &w.sign_cache;
 
-  chain::MultiChain& chains = w.bound ? *binding.chains : w.own_chains;
+  chain::MultiChain& chains = bound ? *binding.chains : w.own_chains;
   w.chains = &chains;
-  if (!w.bound) chains.set_trace(trace);
-  chain::Blockchain& ticket_chain =
-      w.bound ? chains.get_or_add_chain("ticketchain")
-              : chains.add_chain("ticketchain");
-  chain::Blockchain& coin_chain = w.bound
-                                      ? chains.get_or_add_chain("coinchain")
-                                      : chains.add_chain("coinchain");
+  if (!bound) chains.set_trace(trace);
+  chain::Blockchain& ticket_chain = bound
+                                        ? chains.get_or_add_chain("ticketchain")
+                                        : chains.add_chain("ticketchain");
+  chain::Blockchain& coin_chain = bound ? chains.get_or_add_chain("coinchain")
+                                        : chains.add_chain("coinchain");
 
-  crypto::Rng rng(w.bound ? "broker-deal:" + binding.tag
-                          : std::string("broker-deal"));
+  crypto::Rng rng(bound ? "broker-deal:" + binding.tag
+                        : std::string("broker-deal"));
   std::vector<crypto::PublicKey> pub_keys;
   const char* names[3] = {"alice", "bob", "carol"};
   for (int i = 0; i < 3; ++i) {
@@ -455,72 +450,36 @@ BrokerWorld::BrokerWorld(const BrokerConfig& cfg, const WorldBinding& binding,
                                        coin_chain.native(), kCoinBudget);
   }
 
-  w.horizon = s.hashkey_base + (s.g.diameter() + 3 + 1) * d + 2;
-  if (!w.bound) chains.checkpoint();
   w.tracker = std::make_unique<PayoffTracker>(chains, w.base, 3);
+
+  const sim::DeviationPlan conform = sim::DeviationPlan::conforming();
+  w.alice = std::make_unique<AliceBroker>(kAlice, "alice", s, conform);
+  w.bob = std::make_unique<SellerBroker>(kBob, "bob", s, conform, s.ticket,
+                                         s.coin);
+  w.carol = std::make_unique<SellerBroker>(kCarol, "carol", s, conform,
+                                           s.coin, s.ticket);
+  w.alice->set_account_base(w.base);
+  w.bob->set_account_base(w.base);
+  w.carol->set_account_base(w.base);
+  w.frame.chains = &chains;
+  w.frame.actors = {w.alice.get(), w.bob.get(), w.carol.get()};
+  w.frame.horizon = s.hashkey_base + (s.g.diameter() + 3 + 1) * d + 2;
+  if (!bound) sim::debug_validate_deadlines(chains, d);
 }
 
 BrokerWorld::~BrokerWorld() = default;
 BrokerWorld::BrokerWorld(BrokerWorld&&) noexcept = default;
 BrokerWorld& BrokerWorld::operator=(BrokerWorld&&) noexcept = default;
 
-void BrokerWorld::set_environment(const chain::ChainEnvironment& env) {
-  impl_->chains->set_environment(env);
+sim::TreeFrame& BrokerWorld::frame() { return impl_->frame; }
+
+void BrokerWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
+  impl_->alice->set_plan(plans.at(0));
+  impl_->bob->set_plan(plans.at(1));
+  impl_->carol->set_plan(plans.at(2));
 }
 
-BrokerResult BrokerWorld::run(sim::DeviationPlan alice, sim::DeviationPlan bob,
-                              sim::DeviationPlan carol) {
-  Impl& w = *impl_;
-  Setup& s = w.s;
-  if (w.bound) {
-    throw std::logic_error(
-        "BrokerWorld::run: bound worlds are driven by the load scheduler");
-  }
-  w.chains->reset();
-
-  AliceBroker a(kAlice, "alice", s, alice);
-  SellerBroker b(kBob, "bob", s, bob, s.ticket, s.coin);
-  SellerBroker c(kCarol, "carol", s, carol, s.coin, s.ticket);
-  sim::Scheduler sched(*w.chains);
-  sched.add_party(a);
-  sched.add_party(b);
-  sched.add_party(c);
-  sched.run_until(w.horizon);
-
-  w.chains->finalize_all();
-  return tree_collect();
-}
-
-sim::TreeFrame& BrokerWorld::tree_frame() {
-  Impl& w = *impl_;
-  Setup& s = w.s;
-  if (!w.tree_alice) {
-    w.tree_alice = std::make_unique<AliceBroker>(
-        kAlice, "alice", s, sim::DeviationPlan::conforming());
-    w.tree_bob = std::make_unique<SellerBroker>(
-        kBob, "bob", s, sim::DeviationPlan::conforming(), s.ticket, s.coin);
-    w.tree_carol = std::make_unique<SellerBroker>(
-        kCarol, "carol", s, sim::DeviationPlan::conforming(), s.coin,
-        s.ticket);
-    w.tree_alice->set_account_base(w.base);
-    w.tree_bob->set_account_base(w.base);
-    w.tree_carol->set_account_base(w.base);
-    w.frame.chains = w.chains;
-    w.frame.actors = {w.tree_alice.get(), w.tree_bob.get(),
-                      w.tree_carol.get()};
-    w.frame.horizon = w.horizon;
-  }
-  return w.frame;
-}
-
-void BrokerWorld::tree_set_plans(
-    const std::vector<sim::DeviationPlan>& plans) {
-  impl_->tree_alice->set_plan(plans.at(0));
-  impl_->tree_bob->set_plan(plans.at(1));
-  impl_->tree_carol->set_plan(plans.at(2));
-}
-
-BrokerResult BrokerWorld::tree_collect() const {
+BrokerResult BrokerWorld::collect() const {
   const Impl& w = *impl_;
   const Setup& s = w.s;
 
@@ -541,7 +500,8 @@ BrokerResult BrokerWorld::tree_collect() const {
 BrokerResult run_broker_deal(const BrokerConfig& cfg, sim::DeviationPlan alice,
                              sim::DeviationPlan bob,
                              sim::DeviationPlan carol) {
-  return BrokerWorld(cfg).run(alice, bob, carol);
+  BrokerWorld world(cfg);
+  return sim::play(world, {std::move(alice), std::move(bob), std::move(carol)});
 }
 
 }  // namespace xchain::core

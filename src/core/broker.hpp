@@ -50,19 +50,18 @@ BrokerResult run_broker_deal(const BrokerConfig& cfg,
                              sim::DeviationPlan alice, sim::DeviationPlan bob,
                              sim::DeviationPlan carol);
 
-/// Reusable world for the brokered sale: both chains, both contracts,
-/// premium tables, secrets, and signature caches built once; every run()
-/// rolls back to the post-setup checkpoint and replays one schedule.
-/// run_broker_deal delegates to a fresh world; sweep workers keep one per
-/// adapter clone.
+/// World of the brokered sale: both chains, both contracts, premium
+/// tables, secrets, signature caches, and the three persistent actors,
+/// built once. Runs go through sim::play (see TwoPartyWorld);
+/// run_broker_deal plays a fresh world.
 class BrokerWorld {
  public:
   explicit BrokerWorld(const BrokerConfig& cfg,
                        chain::TraceMode trace = chain::TraceMode::kFull);
 
   /// Bound form (core/binding.hpp): deploys the instance onto the shared
-  /// MultiChain at `binding.party_base` / `binding.start`. Bound worlds
-  /// are driven through tree_frame()'s actors — run() throws.
+  /// MultiChain at `binding.party_base` / `binding.start`; the load
+  /// scheduler drives the frame's actors on the shared chains.
   BrokerWorld(const BrokerConfig& cfg, const WorldBinding& binding,
               chain::TraceMode trace = chain::TraceMode::kOff);
 
@@ -70,19 +69,13 @@ class BrokerWorld {
   BrokerWorld(BrokerWorld&&) noexcept;
   BrokerWorld& operator=(BrokerWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule.
-  BrokerResult run(sim::DeviationPlan alice, sim::DeviationPlan bob,
-                   sim::DeviationPlan carol);
-
-  /// Installs a chain environment (fault plan + resilience policy); call
-  /// once after construction. See TwoPartyWorld::set_environment.
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Tree-executor access (sim/tree.hpp): persistent actors, built on the
-  /// first call; plans index Alice, Bob, Carol in order.
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(const std::vector<sim::DeviationPlan>& plans);
-  BrokerResult tree_collect() const;
+  /// Chains, actors (Alice, Bob, Carol), and the run horizon
+  /// (sim/tree.hpp).
+  sim::TreeFrame& frame();
+  /// Installs one plan per actor: Alice, Bob, Carol.
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// The result of the run the world's state describes.
+  BrokerResult collect() const;
 
  private:
   struct Impl;

@@ -275,7 +275,7 @@ struct MultiPartyWorld::Impl {
   chain::MultiChain chains;
   crypto::SigningCache sign_cache;
   std::unique_ptr<PayoffTracker> tracker;
-  std::vector<std::unique_ptr<SwapParty>> tree_parties;
+  std::vector<std::unique_ptr<SwapParty>> parties;
   sim::TreeFrame frame;
 };
 
@@ -387,8 +387,17 @@ MultiPartyWorld::MultiPartyWorld(const MultiPartyConfig& cfg,
     }
   }
 
-  chains.checkpoint();
   impl_->tracker = std::make_unique<PayoffTracker>(chains, n);
+
+  Impl& w = *impl_;
+  w.frame.chains = &chains;
+  for (Vertex v = 0; v < n; ++v) {
+    w.parties.push_back(
+        std::make_unique<SwapParty>(v, s, sim::DeviationPlan::conforming()));
+    w.frame.actors.push_back(w.parties.back().get());
+  }
+  w.frame.horizon = s.horizon;
+  sim::debug_validate_deadlines(chains, d);
 }
 
 MultiPartyWorld::~MultiPartyWorld() = default;
@@ -396,56 +405,16 @@ MultiPartyWorld::MultiPartyWorld(MultiPartyWorld&&) noexcept = default;
 MultiPartyWorld& MultiPartyWorld::operator=(MultiPartyWorld&&) noexcept =
     default;
 
-void MultiPartyWorld::set_environment(const chain::ChainEnvironment& env) {
-  impl_->chains.set_environment(env);
-}
+sim::TreeFrame& MultiPartyWorld::frame() { return impl_->frame; }
 
-MultiPartyResult MultiPartyWorld::run(
-    const std::vector<sim::DeviationPlan>& plans) {
+void MultiPartyWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   Impl& w = *impl_;
-  const Digraph& g = w.cfg.g;
-  const std::size_t n = g.size();
-  if (plans.size() != n) {
-    throw std::invalid_argument("multi-party swap: one plan per party");
-  }
-  w.chains.reset();
-
-  std::vector<std::unique_ptr<SwapParty>> parties;
-  sim::Scheduler sched(w.chains);
-  for (Vertex v = 0; v < n; ++v) {
-    parties.push_back(std::make_unique<SwapParty>(v, w.s, plans[v]));
-    sched.add_party(*parties.back());
-  }
-  sched.run_until(w.s.horizon);
-
-  w.chains.finalize_all();
-  return tree_collect();
-}
-
-sim::TreeFrame& MultiPartyWorld::tree_frame() {
-  Impl& w = *impl_;
-  if (w.tree_parties.empty()) {
-    const std::size_t n = w.cfg.g.size();
-    w.frame.chains = &w.chains;
-    for (Vertex v = 0; v < n; ++v) {
-      w.tree_parties.push_back(std::make_unique<SwapParty>(
-          v, w.s, sim::DeviationPlan::conforming()));
-      w.frame.actors.push_back(w.tree_parties.back().get());
-    }
-    w.frame.horizon = w.s.horizon;
-  }
-  return w.frame;
-}
-
-void MultiPartyWorld::tree_set_plans(
-    const std::vector<sim::DeviationPlan>& plans) {
-  Impl& w = *impl_;
-  for (std::size_t v = 0; v < w.tree_parties.size(); ++v) {
-    w.tree_parties[v]->set_plan(plans.at(v));
+  for (std::size_t v = 0; v < w.parties.size(); ++v) {
+    w.parties[v]->set_plan(plans.at(v));
   }
 }
 
-MultiPartyResult MultiPartyWorld::tree_collect() const {
+MultiPartyResult MultiPartyWorld::collect() const {
   const Impl& w = *impl_;
   const Digraph& g = w.cfg.g;
   const std::size_t n = g.size();
@@ -472,7 +441,8 @@ MultiPartyResult MultiPartyWorld::tree_collect() const {
 
 MultiPartyResult run_multi_party_swap(
     const MultiPartyConfig& cfg, const std::vector<sim::DeviationPlan>& plans) {
-  return MultiPartyWorld(cfg).run(plans);
+  MultiPartyWorld world(cfg);
+  return sim::play(world, plans);
 }
 
 }  // namespace xchain::core

@@ -54,11 +54,10 @@ MultiPartyResult run_multi_party_swap(
     const MultiPartyConfig& cfg,
     const std::vector<sim::DeviationPlan>& plans);
 
-/// Reusable world for the multi-party swap: one chain per party, all arc
-/// contracts, endowments, leader secrets, and signature caches built once;
-/// every run() rolls back to the post-setup checkpoint and replays one
-/// deviation schedule. run_multi_party_swap delegates to a fresh world;
-/// sweep workers keep one per adapter clone. Throws std::invalid_argument
+/// World of the multi-party swap: one chain per party, all arc contracts,
+/// endowments, leader secrets, signature caches, and one persistent actor
+/// per party, built once. Runs go through sim::play (see TwoPartyWorld);
+/// run_multi_party_swap plays a fresh world. Throws std::invalid_argument
 /// on malformed configs, exactly like the free function.
 class MultiPartyWorld {
  public:
@@ -68,18 +67,12 @@ class MultiPartyWorld {
   MultiPartyWorld(MultiPartyWorld&&) noexcept;
   MultiPartyWorld& operator=(MultiPartyWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule (one plan per party).
-  MultiPartyResult run(const std::vector<sim::DeviationPlan>& plans);
-
-  /// Installs a chain environment (fault plan + resilience policy); call
-  /// once after construction. See TwoPartyWorld::set_environment.
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Tree-executor access (sim/tree.hpp): persistent actors, built on the
-  /// first call; the executor owns the tick loop.
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(const std::vector<sim::DeviationPlan>& plans);
-  MultiPartyResult tree_collect() const;
+  /// Chains, one actor per vertex, and the run horizon (sim/tree.hpp).
+  sim::TreeFrame& frame();
+  /// Installs one plan per party, in vertex order.
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// The result of the run the world's state describes.
+  MultiPartyResult collect() const;
 
  private:
   struct Impl;

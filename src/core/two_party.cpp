@@ -260,22 +260,17 @@ TwoPartyResult run_base_two_party(const TwoPartyConfig& cfg,
 }
 
 struct TwoPartyWorld::Impl {
-  TwoPartyConfig cfg;
   /// Private worlds own their chains; bound worlds alias the shared
   /// MultiChain and leave own_chains empty.
   chain::MultiChain own_chains;
   chain::MultiChain* chains = &own_chains;
-  bool bound = false;
   PartyId base = 0;  ///< first global party id (0 when private)
-  Tick start = 0;    ///< deadline-ladder offset (0 when private)
   contracts::HedgedSwapContract* apricot_c = nullptr;
   contracts::HedgedSwapContract* banana_c = nullptr;
   crypto::Secret secret;
   std::unique_ptr<PayoffTracker> tracker;
-  // Persistent actors for the schedule-tree executor (nullptr until the
-  // first tree_frame() call; their mutable state rides the snapshot stack).
-  std::unique_ptr<HedgedAlice> tree_alice;
-  std::unique_ptr<HedgedBob> tree_bob;
+  std::unique_ptr<HedgedAlice> alice;
+  std::unique_ptr<HedgedBob> bob;
   sim::TreeFrame frame;
 };
 
@@ -288,19 +283,17 @@ TwoPartyWorld::TwoPartyWorld(const TwoPartyConfig& cfg,
                              chain::TraceMode trace)
     : impl_(std::make_unique<Impl>()) {
   Impl& w = *impl_;
-  w.cfg = cfg;
-  w.bound = binding.bound();
+  const bool bound = binding.bound();
   w.base = binding.party_base;
-  w.start = binding.start;
   const Tick d = cfg.delta;
-  const Tick t0 = w.start;
-  chain::MultiChain& chains = w.bound ? *binding.chains : w.own_chains;
+  const Tick t0 = binding.start;
+  chain::MultiChain& chains = bound ? *binding.chains : w.own_chains;
   w.chains = &chains;
-  if (!w.bound) chains.set_trace(trace);
-  chain::Blockchain& apricot = w.bound ? chains.get_or_add_chain("apricot")
-                                       : chains.add_chain("apricot");
-  chain::Blockchain& banana = w.bound ? chains.get_or_add_chain("banana")
-                                      : chains.add_chain("banana");
+  if (!bound) chains.set_trace(trace);
+  chain::Blockchain& apricot = bound ? chains.get_or_add_chain("apricot")
+                                     : chains.add_chain("apricot");
+  chain::Blockchain& banana = bound ? chains.get_or_add_chain("banana")
+                                    : chains.add_chain("banana");
 
   const PartyId alice = w.base + kAlice;
   const PartyId bob = w.base + kBob;
@@ -316,8 +309,8 @@ TwoPartyWorld::TwoPartyWorld(const TwoPartyConfig& cfg,
   apricot.ledger_for_setup().mint(chain::Address::party(bob),
                                   apricot.native(), cfg.premium_b);
 
-  crypto::Rng rng(w.bound ? "two-party-hedged:" + binding.tag
-                          : std::string("two-party-hedged"));
+  crypto::Rng rng(bound ? "two-party-hedged:" + binding.tag
+                        : std::string("two-party-hedged"));
   impl_->secret = crypto::Secret::random(rng);
 
   // §5.2 schedule: premiums at Delta / 2*Delta, principals at 3*Delta /
@@ -337,72 +330,35 @@ TwoPartyWorld::TwoPartyWorld(const TwoPartyConfig& cfg,
           /*premium_deadline=*/t0 + d, /*escrow_deadline=*/t0 + 4 * d,
           /*redemption_deadline=*/t0 + 5 * d});
 
-  // Shared chains are never checkpointed: the load scheduler owns their
-  // lifecycle and worlds bound to them cannot be reset or finalized.
-  if (!w.bound) chains.checkpoint();
   impl_->tracker = std::make_unique<PayoffTracker>(chains, w.base, 2);
+
+  w.alice = std::make_unique<HedgedAlice>(sim::DeviationPlan::conforming(),
+                                          *w.apricot_c, *w.banana_c, w.secret);
+  w.bob = std::make_unique<HedgedBob>(sim::DeviationPlan::conforming(),
+                                      *w.apricot_c, *w.banana_c);
+  w.alice->set_account_base(w.base);
+  w.bob->set_account_base(w.base);
+  w.frame.chains = w.chains;
+  w.frame.actors = {w.alice.get(), w.bob.get()};
+  w.frame.horizon = t0 + 6 * d + 2;
+  // §5.2's deadlines must leave Delta between consecutive scheduled steps
+  // or the protocol's tolerance claims are vacuous; debug builds check the
+  // ladder once per private world.
+  if (!bound) sim::debug_validate_deadlines(chains, d);
 }
 
 TwoPartyWorld::~TwoPartyWorld() = default;
 TwoPartyWorld::TwoPartyWorld(TwoPartyWorld&&) noexcept = default;
 TwoPartyWorld& TwoPartyWorld::operator=(TwoPartyWorld&&) noexcept = default;
 
-void TwoPartyWorld::set_environment(const chain::ChainEnvironment& env) {
-  impl_->chains->set_environment(env);
+sim::TreeFrame& TwoPartyWorld::frame() { return impl_->frame; }
+
+void TwoPartyWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
+  impl_->alice->set_plan(plans.at(0));
+  impl_->bob->set_plan(plans.at(1));
 }
 
-TwoPartyResult TwoPartyWorld::run(sim::DeviationPlan alice,
-                                  sim::DeviationPlan bob) {
-  Impl& w = *impl_;
-  if (w.bound) {
-    throw std::logic_error(
-        "TwoPartyWorld::run: bound worlds are driven by the load scheduler");
-  }
-  w.chains->reset();
-
-  HedgedAlice a(alice, *w.apricot_c, *w.banana_c, w.secret);
-  HedgedBob b(bob, *w.apricot_c, *w.banana_c);
-  sim::Scheduler sched(*w.chains);
-  sched.add_party(a);
-  sched.add_party(b);
-#ifndef NDEBUG
-  // §5.2's deadlines must leave Delta between consecutive scheduled steps
-  // or the protocol's tolerance claims are vacuous; debug builds check the
-  // ladder on every run (release sweeps skip the redundant pass).
-  sched.validate_deadlines(w.cfg.delta);
-#endif
-  sched.run_until(6 * w.cfg.delta + 2);
-
-  // The run is over: no further submissions are meaningful, and a party
-  // (or test) that tries anyway should fail loudly rather than mutate a
-  // world whose results were already collected.
-  w.chains->finalize_all();
-  return tree_collect();
-}
-
-sim::TreeFrame& TwoPartyWorld::tree_frame() {
-  Impl& w = *impl_;
-  if (!w.tree_alice) {
-    w.tree_alice = std::make_unique<HedgedAlice>(
-        sim::DeviationPlan::conforming(), *w.apricot_c, *w.banana_c, w.secret);
-    w.tree_bob = std::make_unique<HedgedBob>(sim::DeviationPlan::conforming(),
-                                             *w.apricot_c, *w.banana_c);
-    w.tree_alice->set_account_base(w.base);
-    w.tree_bob->set_account_base(w.base);
-    w.frame.chains = w.chains;
-    w.frame.actors = {w.tree_alice.get(), w.tree_bob.get()};
-    w.frame.horizon = w.start + 6 * w.cfg.delta + 2;
-  }
-  return w.frame;
-}
-
-void TwoPartyWorld::tree_set_plans(
-    const std::vector<sim::DeviationPlan>& plans) {
-  impl_->tree_alice->set_plan(plans.at(0));
-  impl_->tree_bob->set_plan(plans.at(1));
-}
-
-TwoPartyResult TwoPartyWorld::tree_collect() const {
+TwoPartyResult TwoPartyWorld::collect() const {
   const Impl& w = *impl_;
   const contracts::HedgedSwapContract& apricot_c = *w.apricot_c;
   const contracts::HedgedSwapContract& banana_c = *w.banana_c;
@@ -424,7 +380,8 @@ TwoPartyResult TwoPartyWorld::tree_collect() const {
 TwoPartyResult run_hedged_two_party(const TwoPartyConfig& cfg,
                                     sim::DeviationPlan alice,
                                     sim::DeviationPlan bob) {
-  return TwoPartyWorld(cfg).run(alice, bob);
+  TwoPartyWorld world(cfg);
+  return sim::play(world, {std::move(alice), std::move(bob)});
 }
 
 }  // namespace xchain::core

@@ -64,21 +64,20 @@ TwoPartyResult run_hedged_two_party(const TwoPartyConfig& cfg,
 inline constexpr int kBaseTwoPartyActions = 2;
 inline constexpr int kHedgedTwoPartyActions = 3;
 
-/// Reusable world for the hedged two-party swap: chains, contracts, and
-/// endowments are built once; every run() rolls the world back to that
-/// checkpoint and replays a schedule on it. A world constructed per call is
-/// exactly run_hedged_two_party (the free function delegates here); sweep
-/// workers instead keep one world per adapter clone and run thousands of
-/// schedules on it, skipping per-schedule chain construction entirely.
+/// World of the hedged two-party swap: chains, contracts, endowments, and
+/// the two persistent, snapshot-capable actors, built once. A run
+/// installs plans and ticks the frame to its horizon (sim::play):
+/// run_hedged_two_party does that on a fresh traced world, sweep adapters
+/// on one reused traceless world rewound to its post-setup snapshot
+/// (sim/scenario.hpp), and the load generator on a bound world.
 class TwoPartyWorld {
  public:
   explicit TwoPartyWorld(const TwoPartyConfig& cfg,
                          chain::TraceMode trace = chain::TraceMode::kFull);
 
   /// Bound form (core/binding.hpp): deploys the instance onto the shared
-  /// MultiChain at `binding.party_base` / `binding.start`. Bound worlds
-  /// are driven through tree_frame()'s actors by the load scheduler —
-  /// run() (which resets and finalizes chains) throws.
+  /// MultiChain at `binding.party_base` / `binding.start`; the load
+  /// scheduler drives the frame's actors on the shared chains.
   TwoPartyWorld(const TwoPartyConfig& cfg, const WorldBinding& binding,
                 chain::TraceMode trace = chain::TraceMode::kOff);
 
@@ -86,24 +85,12 @@ class TwoPartyWorld {
   TwoPartyWorld(TwoPartyWorld&&) noexcept;
   TwoPartyWorld& operator=(TwoPartyWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule.
-  TwoPartyResult run(sim::DeviationPlan alice, sim::DeviationPlan bob);
-
-  /// Installs a chain environment (fault plan + resilience policy) on the
-  /// world's chains. Call once, right after construction: fault state is
-  /// configuration, not snapshotted world state, so it survives the
-  /// per-run reset. Fault-active worlds must run through run() (the brute
-  /// executor); the tree executor's snapshot layering does not admit
-  /// carried-over mempools.
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Tree-executor access (sim/tree.hpp): the first call builds the
-  /// world's persistent, snapshot-capable actors; the executor owns the
-  /// tick loop, plan installation goes through tree_set_plans() and
-  /// result assembly through tree_collect().
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(const std::vector<sim::DeviationPlan>& plans);
-  TwoPartyResult tree_collect() const;
+  /// Chains, actors (Alice, Bob), and the run horizon (sim/tree.hpp).
+  sim::TreeFrame& frame();
+  /// Installs one plan per actor: Alice, Bob.
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// The result of the run the world's state describes.
+  TwoPartyResult collect() const;
 
  private:
   struct Impl;

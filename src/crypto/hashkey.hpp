@@ -83,9 +83,9 @@ bool verify_premium_path(const PublicKey& signer, std::uint64_t tag,
 /// Signature verification is pure: the verdict is a function of the bytes
 /// checked. A contract on a reusable sweep world sees the same
 /// deterministic hashkeys and premium-path signatures on every schedule,
-/// so it can carry one of these across runs (a cache of pure computation —
-/// explicitly allowed to survive Contract::reset()) and pay each modular
-/// exponentiation chain once instead of once per schedule.
+/// so it can carry one of these across runs (a cache of pure computation,
+/// deliberately left out of the contract's snapshot state) and pay each
+/// modular exponentiation chain once instead of once per schedule.
 ///
 /// Entries are keyed by the full serialized verification input (domain
 /// tag, secret, digest, path, signatures, resolved public keys), compared

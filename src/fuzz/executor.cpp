@@ -28,31 +28,11 @@ ScheduleExecutor::ScheduleExecutor(const sim::ProtocolAdapter& adapter)
     : adapter_(adapter), frame_(adapter.tree_frame()) {
   if (!frame_) return;
   for (sim::Party* p : frame_->actors) p->set_consult_log(&log_);
-  // Normalize the world to a checkpointed start-of-tick-0 baseline. A
-  // surviving snapshot stack's slot 0 is always that baseline; a fresh
-  // (or legacy-invalidated) world lands on it via reset(), and we push
-  // the one slot every later run rewinds to.
-  if (frame_->chains->snap_depth() > 0) {
-    rewind_to_start();
-  } else {
-    frame_->chains->reset();
-    frame_->chains->snap_push();
-    for (sim::Party* p : frame_->actors) {
-      p->snapshot(chain::SnapshotOp::kPush, 0);
-    }
-  }
 }
 
 ScheduleExecutor::~ScheduleExecutor() {
   if (!frame_) return;
   for (sim::Party* p : frame_->actors) p->set_consult_log(nullptr);
-}
-
-void ScheduleExecutor::rewind_to_start() {
-  frame_->chains->snap_rewind(0);
-  for (sim::Party* p : frame_->actors) {
-    p->snapshot(chain::SnapshotOp::kRestore, 0);
-  }
 }
 
 RunOutcome ScheduleExecutor::run(const sim::Schedule& s) {
@@ -61,15 +41,11 @@ RunOutcome ScheduleExecutor::run(const sim::Schedule& s) {
   for (const sim::DeviationPlan& p : s.plans) {
     sig_mix(h, static_cast<std::uint64_t>(p.variant()));
   }
+  if (frame_) log_.begin_run(frame_->actors.size());
+  out.outcomes = adapter_.run(s);
+  out.conforming_audited =
+      sim::audit_schedule(s.label, out.outcomes, out.violations);
   if (frame_) {
-    rewind_to_start();
-    adapter_.tree_set_plans(s);
-    log_.begin_run(frame_->actors.size());
-    for (Tick t = 0; t < frame_->horizon; ++t) {
-      for (sim::Party* p : frame_->actors) p->tick(*frame_->chains, t);
-      frame_->chains->produce_all(t);
-    }
-    out.outcomes = adapter_.tree_collect(s);
     for (const sim::ConsultEntry& e : log_.entries()) {
       sig_mix(h, e.party);
       sig_mix(h, static_cast<std::uint64_t>(e.ordinal));
@@ -78,11 +54,8 @@ RunOutcome ScheduleExecutor::run(const sim::Schedule& s) {
       sig_mix(h, static_cast<std::uint64_t>(e.tick));
     }
   } else {
-    out.outcomes = adapter_.run(s);
+    mix_outcomes(h, out);
   }
-  out.conforming_audited =
-      sim::audit_schedule(s.label, out.outcomes, out.violations);
-  if (!frame_) mix_outcomes(h, out);
   out.signature = h;
   return out;
 }

@@ -6,17 +6,17 @@
 // enumerated spaces: it explores a whole plan-space trie depth-first and
 // memoizes by consulted decisions. A fuzzer needs the opposite shape —
 // run ONE arbitrary schedule cheaply, over and over, on a reusable world
-// — so this executor keeps just the bottom layer of that machinery: the
-// persistent TreeFrame actors, a single slot-0 checkpoint (state at the
-// start of tick 0; every run rewinds to it and replays the full horizon),
-// and the ConsultLog. The log is the fuzzer's coverage signal: the
-// sequence of (party, ordinal, policy, tick) coordinates a run actually
-// consulted is a compiler-instrumentation-free execution fingerprint —
-// two runs with the same consult path and outcomes exercised the same
-// behaviour, however different their raw plan encodings look.
+// — which is exactly ProtocolAdapter::run() (a rewind to the world's
+// post-setup snapshot, then the full horizon). This executor adds the
+// ConsultLog on the world's persistent actors: the fuzzer's coverage
+// signal. The sequence of (party, ordinal, policy, tick) coordinates a
+// run actually consulted is a compiler-instrumentation-free execution
+// fingerprint — two runs with the same consult path and outcomes
+// exercised the same behaviour, however different their raw plan
+// encodings look.
 //
-// Adapters without tree hooks (e.g. the planted self-test adapter) fall
-// back to ProtocolAdapter::run() with an outcome-only signature.
+// Adapters without an engine world (e.g. the planted self-test adapter)
+// get an outcome-only signature.
 
 #include <cstdint>
 #include <vector>
@@ -32,9 +32,9 @@ struct RunOutcome {
   std::vector<sim::PartyOutcome> outcomes;
   std::vector<sim::Violation> violations;
   std::size_t conforming_audited = 0;
-  /// Execution signature: plan variants + consult path + outcome digest
-  /// (outcome digest only on the non-tree fallback path). Two equal
-  /// signatures mean the runs exercised identical behaviour.
+  /// Execution signature: plan variants + consult path (an outcome digest
+  /// instead for adapters without an engine world). Two equal signatures
+  /// mean the runs exercised identical behaviour.
   std::uint64_t signature = 0;
 
   bool violating() const { return !violations.empty(); }
@@ -55,13 +55,7 @@ class ScheduleExecutor {
   /// Executes `s` from a clean tick-0 world and audits the outcomes.
   RunOutcome run(const sim::Schedule& s);
 
-  /// Whether the adapter is driven through its tree hooks (consult-path
-  /// signatures) or the run() fallback (outcome-only signatures).
-  bool tree_driven() const { return frame_ != nullptr; }
-
  private:
-  void rewind_to_start();
-
   const sim::ProtocolAdapter& adapter_;
   sim::TreeFrame* frame_ = nullptr;
   sim::ConsultLog log_;

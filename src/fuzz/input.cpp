@@ -2,34 +2,50 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <limits>
 
 namespace xchain::fuzz {
 
 namespace {
 
-/// Parses a decimal integer (optional leading '-') at text[pos...],
-/// advancing pos past it. Throws FuzzFormatError naming `what` when no
-/// digits are present.
-long long parse_int_at(const std::string& text, std::size_t& pos,
-                       const char* what) {
+/// Parses a decimal integer of type T (optional leading '-') at
+/// text[pos...], advancing pos past it. Throws FuzzFormatError naming
+/// `what` when no digits are present or the value does not fit in T.
+template <class T>
+T parse_int_at(const std::string& text, std::size_t& pos, const char* what) {
   bool neg = false;
   std::size_t p = pos;
   if (p < text.size() && text[p] == '-') {
     neg = true;
     ++p;
   }
+  // The largest magnitude T holds with this sign: |min| is max + 1.
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(std::numeric_limits<T>::max()) + (neg ? 1 : 0);
   const std::size_t digits = p;
-  long long value = 0;
+  std::uint64_t magnitude = 0;
+  bool overflow = false;
   while (p < text.size() && std::isdigit(static_cast<unsigned char>(text[p]))) {
-    value = value * 10 + (text[p] - '0');
+    const auto digit = static_cast<std::uint64_t>(text[p] - '0');
+    overflow = overflow || magnitude > (limit - digit) / 10;
+    if (!overflow) magnitude = magnitude * 10 + digit;
     ++p;
   }
-  if (p == digits) {
-    throw FuzzFormatError(std::string("plan: expected ") + what + " in '" +
-                          text + "' at offset " + std::to_string(pos));
+  if (p == digits || overflow) {
+    std::string msg = "plan: ";
+    msg += overflow ? "out-of-range " : "expected ";
+    msg += what;
+    msg += " in '";
+    msg += text;
+    msg += "' at offset ";
+    msg += std::to_string(pos);
+    throw FuzzFormatError(msg);
   }
   pos = p;
-  return neg ? -value : value;
+  if (!neg) return static_cast<T>(magnitude);
+  // -(magnitude - 1) - 1 stays in range even for magnitude == |min|.
+  return static_cast<T>(-static_cast<std::int64_t>(magnitude - 1) - 1);
 }
 
 std::string trimmed(const std::string& s) {
@@ -51,7 +67,7 @@ sim::DeviationPlan parse_plan(const std::string& text) {
   std::size_t pos = 0;
   if (t[0] == 'v') {
     pos = 1;
-    variant = static_cast<int>(parse_int_at(t, pos, "variant"));
+    variant = parse_int_at<int>(t, pos, "variant");
     if (pos >= t.size() || t[pos] != ':') {
       throw FuzzFormatError("plan: expected ':' after variant in '" + t + "'");
     }
@@ -89,13 +105,12 @@ sim::DeviationPlan parse_plan(const std::string& text) {
       std::size_t p = 0;
       if (part.rfind("halt@", 0) == 0) {
         p = 5;
-        const long long k = parse_int_at(part, p, "halt ordinal");
+        const int k = parse_int_at<int>(part, p, "halt ordinal");
         if (p != part.size() || k < 0) {
           throw FuzzFormatError("plan: bad halt part '" + part + "'");
         }
         // Rebuild preserving mods added so far (halt_after is a factory).
-        sim::DeviationPlan halted_plan =
-            sim::DeviationPlan::halt_after(static_cast<int>(k));
+        sim::DeviationPlan halted_plan = sim::DeviationPlan::halt_after(k);
         for (const int o : seen) {
           const sim::ActionPolicy pol = plan.policy(o);
           halted_plan = pol.choice == sim::ActionChoice::kDrop
@@ -106,36 +121,34 @@ sim::DeviationPlan parse_plan(const std::string& text) {
         halted = true;
       } else if (part[0] == 'd') {
         p = 1;
-        const long long o = parse_int_at(part, p, "delay ordinal");
+        const int o = parse_int_at<int>(part, p, "delay ordinal");
         if (p >= part.size() || part[p] != '+') {
           throw FuzzFormatError("plan: expected '+' in delay part '" + part +
                                 "'");
         }
         ++p;
-        const long long d = parse_int_at(part, p, "delay ticks");
+        const Tick d = parse_int_at<Tick>(part, p, "delay ticks");
         if (p != part.size() || o < 0 || d < 1) {
           throw FuzzFormatError("plan: bad delay part '" + part + "'");
         }
-        if (std::find(seen.begin(), seen.end(), static_cast<int>(o)) !=
-            seen.end()) {
+        if (std::find(seen.begin(), seen.end(), o) != seen.end()) {
           throw FuzzFormatError("plan: duplicate ordinal " + std::to_string(o) +
                                 " in '" + t + "'");
         }
-        seen.push_back(static_cast<int>(o));
-        plan = plan.delayed(static_cast<int>(o), static_cast<Tick>(d));
+        seen.push_back(o);
+        plan = plan.delayed(o, d);
       } else if (part[0] == 'x') {
         p = 1;
-        const long long o = parse_int_at(part, p, "drop ordinal");
+        const int o = parse_int_at<int>(part, p, "drop ordinal");
         if (p != part.size() || o < 0) {
           throw FuzzFormatError("plan: bad drop part '" + part + "'");
         }
-        if (std::find(seen.begin(), seen.end(), static_cast<int>(o)) !=
-            seen.end()) {
+        if (std::find(seen.begin(), seen.end(), o) != seen.end()) {
           throw FuzzFormatError("plan: duplicate ordinal " + std::to_string(o) +
                                 " in '" + t + "'");
         }
-        seen.push_back(static_cast<int>(o));
-        plan = plan.dropped(static_cast<int>(o));
+        seen.push_back(o);
+        plan = plan.dropped(o);
       } else {
         throw FuzzFormatError("plan: unknown part '" + part + "' in '" + t +
                               "' (want conform, halt@k, d<o>+<t>, or x<o>)");
@@ -224,9 +237,9 @@ FuzzInput FuzzInput::parse(const std::string& text) {
         if (sp2 == std::string::npos) fail("'plan' wants: plan <party> <plan>");
         std::size_t pos = 0;
         const std::string idx_text = rest.substr(0, sp2);
-        long long idx = -1;
+        int idx = -1;
         try {
-          idx = parse_int_at(idx_text, pos, "party index");
+          idx = parse_int_at<int>(idx_text, pos, "party index");
         } catch (const FuzzFormatError&) {
           fail("bad party index '" + idx_text + "'");
         }

@@ -68,11 +68,14 @@ class TxSink {
 /// timing-griefing all flow through one per-ordinal mechanism instead of
 /// per-engine strategy enums.
 ///
-/// Parties are rebuilt per sweep schedule (their deviation plan changes),
-/// so construction sits on the sweep hot path: key pairs come from the
-/// process-wide keygen cache, the submit() helper below builds trace notes
-/// only on chains that actually record them, and the conforming fast path
-/// of act() adds no allocation over a direct submit.
+/// Parties persist for their world's lifetime: each schedule installs a
+/// new plan with set_plan(), and their mutable state rides the world's
+/// snapshot stack (snapshot() below), so a rewind to the post-setup slot
+/// restores every actor with the chains. Acting sits on the sweep hot
+/// path: key pairs come from the process-wide keygen cache, the submit()
+/// helper below builds trace notes only on chains that actually record
+/// them, and the conforming fast path of act() adds no allocation over a
+/// direct submit.
 class Party {
  public:
   Party(PartyId id, std::string name)
@@ -128,20 +131,19 @@ class Party {
   /// Transactions submitted here are applied in this tick's blocks.
   virtual void step(chain::MultiChain& chains, Tick now) = 0;
 
-  /// Swaps in a new deviation plan (tree executor: persistent actors are
-  /// built once per world and re-planned per schedule).
+  /// Swaps in a new deviation plan (actors are built once per world and
+  /// re-planned per schedule).
   void set_plan(DeviationPlan plan) { plan_ = std::move(plan); }
 
   /// Points act() at the executor's consultation log (null — the default —
   /// records nothing and costs one branch).
   void set_consult_log(ConsultLog* log) { consults_ = log; }
 
-  /// Layered-checkpoint hook, mirroring chain::Contract::snapshot: actors
-  /// that participate in tree sweeps derive from
-  /// chain::SnapshotState<Self, Party> and list their mutable members in
-  /// state_tie() (the base's pending-action queue is handled here). The
-  /// default throws so a stateful actor class that never opted in fails
-  /// loudly instead of leaking state across branches.
+  /// Snapshot-stack hook, mirroring chain::Contract::snapshot: actors of
+  /// reused worlds derive from chain::SnapshotState<Self, Party> and list
+  /// their mutable members in state_tie() (the base's pending-action queue
+  /// is handled here). The default throws so a stateful actor class that
+  /// never opted in fails loudly instead of leaking state across runs.
   virtual void snapshot(chain::SnapshotOp op, std::size_t depth) {
     (void)op;
     (void)depth;

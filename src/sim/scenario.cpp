@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -12,7 +11,6 @@
 #include <thread>
 #include <utility>
 
-#include "chain/snapshot.hpp"
 #include "core/crr.hpp"
 #include "sim/consult.hpp"
 
@@ -254,18 +252,11 @@ class TreeExecutor {
   TreeExecutor(const ProtocolAdapter& adapter, TreeFrame& frame)
       : adapter_(adapter), frame_(frame) {
     for (Party* p : frame_.actors) p->set_consult_log(&log_);
-    // The world may arrive dirty: a previous tree sweep leaves end-of-run
-    // state behind, with its snapshot stack intact. Slot 0 of a surviving
-    // stack is always the clean start-of-tick-0 baseline, so rewind to it.
-    // When there is no stack — a fresh world, or one whose stack a legacy
-    // run() invalidated (MultiChain::reset's restore() clears it, since
-    // the undo log cannot describe history across a baseline jump) — the
-    // post-setup reset() lands on the same baseline.
-    if (frame_.chains->snap_depth() > 0) {
-      rewind_to(0, /*integrity_check=*/false);
-    } else {
-      frame_.chains->reset();
-    }
+    // The world may arrive dirty (an earlier sweep or run() leaves
+    // end-of-run state behind), but its slot 0 is always the post-setup
+    // start-of-tick-0 state (WorldAdapter pushes it when it builds the
+    // world), so rewind there.
+    rewind_to(0, /*integrity_check=*/false);
     // Slot 0 backs every full replay and is never overwritten once
     // created, so its hash stays fresh for the whole sweep.
     hashes_.assign(1, world_hash());
@@ -426,10 +417,7 @@ class TreeExecutor {
 
   void push_slot(Tick t, bool with_hash) {
     const std::size_t d = static_cast<std::size_t>(t);
-    frame_.chains->snap_push();
-    for (Party* p : frame_.actors) {
-      p->snapshot(chain::SnapshotOp::kPush, d);
-    }
+    frame_.snap_push();
     if (with_hash && hashed_to_ >= d) {
       if (hashes_.size() <= d) hashes_.resize(d + 1);
       hashes_[d] = world_hash();
@@ -441,16 +429,13 @@ class TreeExecutor {
 
   void rewind_to(Tick t, bool integrity_check) {
     const std::size_t d = static_cast<std::size_t>(t);
-    frame_.chains->snap_rewind(d);
-    for (Party* p : frame_.actors) {
-      p->snapshot(chain::SnapshotOp::kRestore, d);
-    }
+    frame_.snap_rewind(d);
     if (integrity_check && d < hashed_to_ && world_hash() != hashes_[d]) {
       throw std::logic_error(
           adapter_.name() + ": tree executor state hash mismatch after "
           "rewind to tick " + std::to_string(t) +
           " — a contract or actor snapshot misses a mutable member (its "
-          "state_tie() must list exactly the members reset() clears)");
+          "state_tie() must list every mutable member)");
     }
   }
 
@@ -762,29 +747,19 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
 
   // An active chain environment forces the brute executor: faults carry
   // mempool contents across blocks, and the tree executor's layered
-  // snapshots require an empty mempool at every branch point. It also
-  // requires world reuse — the legacy fresh-world run paths build their
-  // chains outside the adapter's environment hook and would silently
-  // sweep a reliable world.
+  // snapshots require an empty mempool at every branch point.
   const bool env_active = adapter_.environment().active();
-  if (env_active && !adapter_.world_reuse()) {
-    throw std::invalid_argument(
-        "a chain environment (faults/resilience) needs world reuse, but "
-        "adapter '" +
-        adapter_.name() + "' has world reuse disabled");
-  }
   if (env_active && opts.executor == SweepExecutor::kTree) {
     throw std::invalid_argument(
         "SweepOptions.executor = kTree, but adapter '" + adapter_.name() +
         "' has an active chain environment (fault-injected sweeps run on "
         "the brute executor)");
   }
-  const bool tree_capable = !env_active && adapter_.world_reuse() &&
-                            adapter_.tree_frame() != nullptr;
+  const bool tree_capable = !env_active && adapter_.tree_frame() != nullptr;
   if (opts.executor == SweepExecutor::kTree && !tree_capable) {
     throw std::invalid_argument(
         "SweepOptions.executor = kTree, but adapter '" + adapter_.name() +
-        "' is not tree-capable (needs world reuse and tree hooks)");
+        "' is not tree-capable (it has no engine world)");
   }
   const bool use_tree =
       opts.executor == SweepExecutor::kTree ||
@@ -902,67 +877,8 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
 }
 
 // ---------------------------------------------------------------------------
-// Bound instances (load generation)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Generic LoadInstance over a bound world (core/binding.hpp): owns the
-/// world, exposes its tree frame's persistent actors and horizon to the
-/// load scheduler, and maps the end-of-run result through the owning
-/// adapter's outcome assembly under the all-conforming schedule. The
-/// collect functor captures an adapter copy by value, so the instance
-/// outlives whoever bound it.
-template <class World, class Result>
-class BoundWorldInstance final : public LoadInstance {
- public:
-  using CollectFn = std::function<std::vector<PartyOutcome>(const Result&)>;
-
-  BoundWorldInstance(std::unique_ptr<World> world, std::size_t parties,
-                     CollectFn collect)
-      : world_(std::move(world)), collect_(std::move(collect)) {
-    TreeFrame& frame = world_->tree_frame();
-    world_->tree_set_plans(
-        std::vector<DeviationPlan>(parties, DeviationPlan::conforming()));
-    actors_ = frame.actors;
-    end_ = frame.horizon;
-  }
-
-  const std::vector<Party*>& actors() const override { return actors_; }
-  Tick end_tick() const override { return end_; }
-  std::vector<PartyOutcome> collect() const override {
-    return collect_(world_->tree_collect());
-  }
-
- private:
-  std::unique_ptr<World> world_;
-  CollectFn collect_;
-  std::vector<Party*> actors_;
-  Tick end_ = 0;
-};
-
-/// The all-conforming schedule a bound instance is audited under.
-Schedule conforming_schedule(std::size_t parties, std::string label) {
-  Schedule s;
-  s.plans.assign(parties, DeviationPlan::conforming());
-  s.label = std::move(label);
-  return s;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // Two-party swap
 // ---------------------------------------------------------------------------
-
-core::TwoPartyWorld& TwoPartySwapAdapter::world() const {
-  return world_.ensure([this] {
-    auto w =
-        std::make_unique<core::TwoPartyWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
 
 std::vector<PartyOutcome> TwoPartySwapAdapter::outcomes_from(
     const core::TwoPartyResult& r, const Schedule& s) const {
@@ -974,53 +890,9 @@ std::vector<PartyOutcome> TwoPartySwapAdapter::outcomes_from(
   return {std::move(alice), std::move(bob)};
 }
 
-std::vector<PartyOutcome> TwoPartySwapAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != 2) {
-    throw std::invalid_argument("two-party schedule needs 2 plans");
-  }
-  const core::TwoPartyResult r =
-      world_reuse()
-          ? world().run(s.plans[0], s.plans[1])
-          : core::run_hedged_two_party(cfg_, s.plans[0], s.plans[1]);
-  return outcomes_from(r, s);
-}
-
-std::unique_ptr<LoadInstance> TwoPartySwapAdapter::bind_instance(
-    const core::WorldBinding& binding) const {
-  auto w = std::make_unique<core::TwoPartyWorld>(cfg_, binding);
-  return std::make_unique<
-      BoundWorldInstance<core::TwoPartyWorld, core::TwoPartyResult>>(
-      std::move(w), party_count(),
-      [a = *this, s = conforming_schedule(2, binding.tag)](
-          const core::TwoPartyResult& r) { return a.outcomes_from(r, s); });
-}
-
-TreeFrame* TwoPartySwapAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void TwoPartySwapAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> TwoPartySwapAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
 // ---------------------------------------------------------------------------
 // Multi-party ARC swap
 // ---------------------------------------------------------------------------
-
-core::MultiPartyWorld& MultiPartySwapAdapter::world() const {
-  return world_.ensure([this] {
-    auto w =
-        std::make_unique<core::MultiPartyWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
 
 std::vector<PartyOutcome> MultiPartySwapAdapter::outcomes_from(
     const core::MultiPartyResult& r, const Schedule& s) const {
@@ -1036,47 +908,9 @@ std::vector<PartyOutcome> MultiPartySwapAdapter::outcomes_from(
   return outcomes;
 }
 
-std::vector<PartyOutcome> MultiPartySwapAdapter::run(
-    const Schedule& s) const {
-  const core::MultiPartyResult r =
-      world_reuse() ? world().run(s.plans)
-                    : core::run_multi_party_swap(cfg_, s.plans);
-  return outcomes_from(r, s);
-}
-
-TreeFrame* MultiPartySwapAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void MultiPartySwapAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> MultiPartySwapAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
 // ---------------------------------------------------------------------------
 // Ticket auction
 // ---------------------------------------------------------------------------
-
-namespace {
-
-core::AuctioneerStrategy auctioneer_of(int variant) {
-  switch (variant) {
-    case 0: return core::AuctioneerStrategy::kHonest;
-    case 1: return core::AuctioneerStrategy::kNoSetup;
-    case 2: return core::AuctioneerStrategy::kAbandon;
-    case 3: return core::AuctioneerStrategy::kDeclareLoser;
-    case 4: return core::AuctioneerStrategy::kCoinOnly;
-    case 5: return core::AuctioneerStrategy::kTicketOnly;
-    default: return core::AuctioneerStrategy::kSplit;
-  }
-}
-
-}  // namespace
 
 std::string TicketAuctionAdapter::variant_label(int variant) {
   switch (variant) {
@@ -1112,19 +946,10 @@ std::string TicketAuctionAdapter::plan_label(
   return plan.str();
 }
 
-core::AuctionWorld& TicketAuctionAdapter::world() const {
-  return world_.ensure([this] {
-    auto w = std::make_unique<core::AuctionWorld>(cfg_, sealed_,
-                                                  chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
-
 std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
     const core::AuctionResult& r, const Schedule& s) const {
   const int variant = s.plans[0].variant();
-  const core::AuctioneerStrategy strat = auctioneer_of(variant);
+  const core::AuctioneerStrategy strat = core::auctioneer_of(variant);
   std::vector<PartyOutcome> outcomes;
   outcomes.push_back(
       {"auctioneer", s.plans[0].conforms_within(cfg_.delta), r.auctioneer,
@@ -1155,47 +980,9 @@ std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
   return outcomes;
 }
 
-std::vector<PartyOutcome> TicketAuctionAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != party_count()) {
-    throw std::invalid_argument("auction schedule plan count mismatch");
-  }
-  const std::vector<sim::DeviationPlan> bidder_plans(s.plans.begin() + 1,
-                                                     s.plans.end());
-  const core::AuctioneerStrategy strat = auctioneer_of(s.plans[0].variant());
-  const core::AuctionResult r =
-      world_reuse() ? world().run(strat, bidder_plans)
-                    : core::AuctionWorld(cfg_, sealed_).run(strat,
-                                                            bidder_plans);
-  return outcomes_from(r, s);
-}
-
-TreeFrame* TicketAuctionAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void TicketAuctionAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(
-      auctioneer_of(s.plans[0].variant()),
-      std::vector<sim::DeviationPlan>(s.plans.begin() + 1, s.plans.end()));
-}
-
-std::vector<PartyOutcome> TicketAuctionAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
 // ---------------------------------------------------------------------------
 // Brokered sale
 // ---------------------------------------------------------------------------
-
-core::BrokerWorld& BrokerDealAdapter::world() const {
-  return world_.ensure([this] {
-    auto w = std::make_unique<core::BrokerWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
 
 std::vector<PartyOutcome> BrokerDealAdapter::outcomes_from(
     const core::BrokerResult& r, const Schedule& s) const {
@@ -1229,41 +1016,6 @@ std::vector<PartyOutcome> BrokerDealAdapter::outcomes_from(
   return {std::move(alice), std::move(bob), std::move(carol)};
 }
 
-std::vector<PartyOutcome> BrokerDealAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != 3) {
-    throw std::invalid_argument("broker schedule needs 3 plans");
-  }
-  const core::BrokerResult r =
-      world_reuse()
-          ? world().run(s.plans[0], s.plans[1], s.plans[2])
-          : core::run_broker_deal(cfg_, s.plans[0], s.plans[1], s.plans[2]);
-  return outcomes_from(r, s);
-}
-
-std::unique_ptr<LoadInstance> BrokerDealAdapter::bind_instance(
-    const core::WorldBinding& binding) const {
-  auto w = std::make_unique<core::BrokerWorld>(cfg_, binding);
-  return std::make_unique<
-      BoundWorldInstance<core::BrokerWorld, core::BrokerResult>>(
-      std::move(w), party_count(),
-      [a = *this, s = conforming_schedule(3, binding.tag)](
-          const core::BrokerResult& r) { return a.outcomes_from(r, s); });
-}
-
-TreeFrame* BrokerDealAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void BrokerDealAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> BrokerDealAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
 // ---------------------------------------------------------------------------
 // Bootstrapped premium ladder, geometric or CRR-priced
 // ---------------------------------------------------------------------------
@@ -1285,15 +1037,6 @@ BootstrapSwapAdapter::BootstrapSwapAdapter(core::BootstrapConfig cfg,
   bob_floor_ = std::max<Amount>(amounts.banana[1] - amounts.apricot[1], 0);
 }
 
-core::BootstrapWorld& BootstrapSwapAdapter::world() const {
-  return world_.ensure([this] {
-    auto w =
-        std::make_unique<core::BootstrapWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
-
 std::vector<PartyOutcome> BootstrapSwapAdapter::outcomes_from(
     const core::BootstrapResult& r, const Schedule& s) const {
   PartyOutcome alice{"alice", s.plans[0].conforms_within(cfg_.delta), r.alice,
@@ -1304,41 +1047,9 @@ std::vector<PartyOutcome> BootstrapSwapAdapter::outcomes_from(
   return {std::move(alice), std::move(bob)};
 }
 
-std::vector<PartyOutcome> BootstrapSwapAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != 2) {
-    throw std::invalid_argument("bootstrap schedule needs 2 plans");
-  }
-  const core::BootstrapResult r =
-      world_reuse() ? world().run(s.plans[0], s.plans[1])
-                    : core::run_bootstrap_swap(cfg_, s.plans[0], s.plans[1]);
-  return outcomes_from(r, s);
-}
-
-TreeFrame* BootstrapSwapAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void BootstrapSwapAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> BootstrapSwapAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
 // ---------------------------------------------------------------------------
 // Witness/attestation bridge
 // ---------------------------------------------------------------------------
-
-core::BridgeWorld& BridgeAdapter::world() const {
-  return world_.ensure([this] {
-    auto w = std::make_unique<core::BridgeWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
 
 std::vector<PartyOutcome> BridgeAdapter::outcomes_from(
     const core::BridgeResult& r, const Schedule& s) const {
@@ -1371,47 +1082,6 @@ std::vector<PartyOutcome> BridgeAdapter::outcomes_from(
     out.push_back(std::move(o));
   }
   return out;
-}
-
-std::vector<PartyOutcome> BridgeAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != party_count()) {
-    throw std::invalid_argument(name() + " schedule needs " +
-                                std::to_string(party_count()) + " plans");
-  }
-  const core::BridgeResult r = world_reuse() ? world().run(s.plans)
-                                             : core::run_bridge(cfg_, s.plans);
-  return outcomes_from(r, s);
-}
-
-std::unique_ptr<LoadInstance> BridgeAdapter::bind_instance(
-    const core::WorldBinding& binding) const {
-  // Transfer variant only: account-create has no persistent-actor path.
-  if (cfg_.variant != core::BridgeVariant::kTransfer) {
-    throw std::logic_error(name() + ": bind_instance not implemented");
-  }
-  auto w = std::make_unique<core::BridgeWorld>(cfg_, binding);
-  return std::make_unique<
-      BoundWorldInstance<core::BridgeWorld, core::BridgeResult>>(
-      std::move(w), party_count(),
-      [a = *this, s = conforming_schedule(party_count(), binding.tag)](
-          const core::BridgeResult& r) { return a.outcomes_from(r, s); });
-}
-
-TreeFrame* BridgeAdapter::tree_frame() const {
-  // Transfer path only: account-create sweeps brute.
-  if (!world_reuse() || cfg_.variant != core::BridgeVariant::kTransfer) {
-    return nullptr;
-  }
-  return &world().tree_frame();
-}
-
-void BridgeAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> BridgeAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
 }
 
 BootstrapSwapAdapter make_crr_ladder_adapter(core::BootstrapConfig cfg,

@@ -29,17 +29,21 @@
 // bound Δ (from which delay menus derive), and — when the generic generator
 // doesn't fit — the party's plan space itself. ScenarioRunner takes an
 // adapter, enumerates the cross product of per-party plan spaces, runs
-// every schedule through the engine (by default each adapter resets one
-// reusable traceless world per schedule; set_world_reuse(false) rebuilds a
-// fresh traced MultiChain per run instead), and feeds each final state to
+// every schedule through the engine, and feeds each final state to
 // payoff_audit, which flags any schedule where a conforming party loses
 // more than its earned premiums.
 //
+// Every protocol has one execution path (WorldAdapter below): one cached
+// traceless world per adapter, whose persistent actors (sim/tree.hpp
+// TreeFrame) tick to the horizon after a rewind to snapshot slot 0, the
+// world's post-setup state. Brute replay, fault sweeps and their
+// attribution twins, the fuzzer, and load twins all run schedules that
+// way; the load generator binds the same world onto shared chains.
+//
 // Serial sweeps default to the prefix-sharing *schedule-tree executor*
-// instead of replaying every schedule from tick 0. Each tree-capable
-// adapter keeps one set of persistent actors (sim/tree.hpp TreeFrame); the
-// executor snapshots the whole world — ledgers, contracts, actors — at
-// every tick boundary onto a layered checkpoint stack
+// instead of replaying every schedule from tick 0. It drives the same
+// frame, snapshotting the whole world — ledgers, contracts, actors — at
+// every tick boundary onto the layered checkpoint stack
 // (Blockchain::snap_push / snap_rewind, chain/snapshot.hpp), logs which
 // (party, ordinal) plan coordinates each run actually consulted
 // (sim/consult.hpp), and memoizes finished runs in a trie keyed by those
@@ -67,19 +71,21 @@
 // Adapters for all the protocol families — two-party hedged swap (§5),
 // multi-party ARC swap (§7), ticket auction open + sealed (§9), the
 // three-party brokered sale (§8), the bootstrapped premium-ladder swap
-// (§6), and the CRR-priced ladder (§4 + §6) — live at the bottom of this
-// header, but new engines should NOT be hand-wired to these classes:
-// register a named factory in sim/registry.hpp instead. The registry maps
-// stable protocol names to ParamSet-driven adapter factories, and the
-// campaign layer (sim/campaign.hpp, the `xchain-sweep` CLI, CI) sweeps
-// whole configuration × strategy grids through it with zero recompilation —
-// that is the entry point future fuzzing / scaling PRs should drive.
+// (§6), the CRR-priced ladder (§4 + §6), and the witness bridge — live at
+// the bottom of this header, but new engines should NOT be hand-wired to
+// these classes: register a named factory in sim/registry.hpp instead. The
+// registry maps stable protocol names to ParamSet-driven adapter
+// factories, and the campaign layer (sim/campaign.hpp, the `xchain-sweep`
+// CLI, CI) sweeps whole configuration × strategy grids through it with
+// zero recompilation — that is the entry point fuzzing and scaling work
+// should drive.
 
 #include <cstddef>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/fault.hpp"
@@ -128,13 +134,11 @@ class LoadInstance {
 };
 
 /// How ScenarioRunner talks to one protocol engine. run() must execute the
-/// schedule on clean state so schedules never contaminate each other — by
-/// default each adapter instance lazily builds ONE reusable, traceless
-/// world (chains + contracts + endowments) and rolls it back to its
-/// post-setup checkpoint per schedule, which is what makes deep sweeps
-/// cheap; set_world_reuse(false) switches run() to the legacy path that
-/// rebuilds a fresh, fully-traced world per schedule (the equivalence
-/// tests pin that both paths report identical results).
+/// schedule on clean state so schedules never contaminate each other.
+/// Every registry protocol derives from WorldAdapter below, whose run()
+/// rewinds one cached traceless world to its post-setup snapshot per
+/// schedule — what makes deep sweeps cheap; test fakes override run()
+/// directly.
 class ProtocolAdapter {
  public:
   virtual ~ProtocolAdapter() = default;
@@ -142,15 +146,10 @@ class ProtocolAdapter {
   virtual std::string name() const = 0;
   virtual std::size_t party_count() const = 0;
 
-  /// Debug/equivalence knob: false makes every run() rebuild a fresh
-  /// fully-traced world per schedule instead of resetting a reused one.
-  void set_world_reuse(bool on) { world_reuse_ = on; }
-  bool world_reuse() const { return world_reuse_; }
-
   /// Chain-side execution environment (chain/fault.hpp): the fault plan
   /// injected into this adapter's chains and the resilience policy its
-  /// parties follow. Installed on the world when it is (re)built, so set
-  /// it before the first run; the default inactive environment keeps the
+  /// parties follow. Installed on the world when it is built, so set it
+  /// before the first run; the default inactive environment keeps the
   /// substrate byte-identical to the historical reliable one. Active
   /// environments are brute-executor only — carried-over mempool entries
   /// break the tree executor's tick-boundary snapshot invariant — and
@@ -201,7 +200,7 @@ class ProtocolAdapter {
   /// [binding.party_base, party_base + party_count()) and its deadline
   /// ladder starts at binding.start; the adapter itself is not captured
   /// (the instance copies what it needs). Adapters without a bound world
-  /// form throw.
+  /// form throw std::logic_error.
   virtual std::unique_ptr<LoadInstance> bind_instance(
       const core::WorldBinding& binding) const {
     (void)binding;
@@ -209,12 +208,11 @@ class ProtocolAdapter {
   }
 
   /// --- Schedule-tree executor hooks ---------------------------------------
-  /// The reusable world's tree frame (persistent actors + chains + horizon),
-  /// built on first use, or nullptr when the adapter cannot be tree-swept
-  /// (no engine support, or world reuse disabled — the tree is meaningless
-  /// on throwaway worlds). When this returns non-null, tree_set_plans /
-  /// tree_collect must be implemented; they are const for the same reason
-  /// run() is (the world is a mutable cache on a logically-const adapter).
+  /// The cached world's frame (persistent actors + chains + horizon), built
+  /// on first use, or nullptr when the adapter has no engine world (test
+  /// fakes). When this returns non-null, tree_set_plans / tree_collect must
+  /// be implemented; they are const for the same reason run() is (the
+  /// world is a mutable cache on a logically-const adapter).
   virtual TreeFrame* tree_frame() const { return nullptr; }
   /// Installs one schedule's plans (and variant knobs, e.g. the
   /// auctioneer's declaration strategy) on the frame's persistent actors.
@@ -223,14 +221,13 @@ class ProtocolAdapter {
     throw std::logic_error(name() + ": tree executor hooks not implemented");
   }
   /// Maps the world's current end-of-run state to per-party outcomes — the
-  /// tree analogue of run()'s result assembly, sharing its code.
+  /// same assembly run() ends with.
   virtual std::vector<PartyOutcome> tree_collect(const Schedule& s) const {
     (void)s;
     throw std::logic_error(name() + ": tree executor hooks not implemented");
   }
 
  private:
-  bool world_reuse_ = true;
   chain::ChainEnvironment env_;
 };
 
@@ -260,6 +257,106 @@ class WorldCache {
 
  private:
   mutable std::unique_ptr<W> w_;
+};
+
+/// The one execution path of every registry protocol. An engine world W
+/// (core/*World) exposes its TreeFrame, set_plans(plans) and collect();
+/// this base drives all of them through that frame:
+///   * run() rewinds the cached private world to snapshot slot 0 (its
+///     post-setup state), then plays the schedule to the horizon
+///     (sim::play) and maps the result through outcomes_from() — the path
+///     brute sweep shards, fault sweeps, attribution twins, the fuzzer and
+///     load twins all share;
+///   * the tree hooks hand the same world to the schedule-tree executor;
+///   * bind_instance() builds the world bound onto shared chains.
+/// A concrete adapter supplies its identity, plan space, make_world() and
+/// outcomes_from().
+template <class W>
+class WorldAdapter : public ProtocolAdapter {
+ public:
+  using Result = decltype(std::declval<const W&>().collect());
+
+  std::vector<PartyOutcome> run(const Schedule& s) const override {
+    W& w = world();
+    w.frame().snap_rewind(0);
+    return outcomes_from(play(w, s.plans), s);
+  }
+
+  std::unique_ptr<LoadInstance> bind_instance(
+      const core::WorldBinding& binding) const override {
+    std::unique_ptr<W> w = make_world(binding);
+    if (w->frame().chains != binding.chains) {
+      throw std::logic_error(name() + ": bind_instance not implemented");
+    }
+    Schedule s;
+    s.plans.assign(party_count(), DeviationPlan::conforming());
+    s.label = binding.tag;
+    w->set_plans(s.plans);
+    return std::make_unique<BoundInstance>(std::move(w), clone(),
+                                           std::move(s));
+  }
+
+  TreeFrame* tree_frame() const override { return &world().frame(); }
+  void tree_set_plans(const Schedule& s) const override {
+    world().set_plans(s.plans);
+  }
+  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override {
+    return outcomes_from(world().collect(), s);
+  }
+
+ protected:
+  /// Builds the protocol's world: private and traceless under a default
+  /// binding, deployed onto binding.chains otherwise. Protocols without a
+  /// bound form ignore `binding` (bind_instance then refuses them).
+  virtual std::unique_ptr<W> make_world(
+      const core::WorldBinding& binding) const = 0;
+
+  /// Maps a finished run's result to per-party outcomes under `s`. Every
+  /// bound term must be path-determined (config + run result + plan
+  /// variants, never a party's own unconsulted plan coordinates): the
+  /// tree executor serves one cached outcome to every schedule sharing a
+  /// consulted-decision path, patching only the conformance flags.
+  virtual std::vector<PartyOutcome> outcomes_from(
+      const Result& r, const Schedule& s) const = 0;
+
+ private:
+  /// A bound world plus the adapter clone whose outcomes_from() audits it
+  /// under the all-conforming schedule.
+  class BoundInstance final : public LoadInstance {
+   public:
+    BoundInstance(std::unique_ptr<W> world,
+                  std::unique_ptr<ProtocolAdapter> owner, Schedule s)
+        : world_(std::move(world)), owner_(std::move(owner)),
+          s_(std::move(s)) {}
+
+    const std::vector<Party*>& actors() const override {
+      return world_->frame().actors;
+    }
+    Tick end_tick() const override { return world_->frame().horizon; }
+    std::vector<PartyOutcome> collect() const override {
+      return static_cast<const WorldAdapter&>(*owner_).outcomes_from(
+          world_->collect(), s_);
+    }
+
+   private:
+    std::unique_ptr<W> world_;
+    std::unique_ptr<ProtocolAdapter> owner_;
+    Schedule s_;
+  };
+
+  /// The cached private world, built on first use with this adapter's
+  /// environment installed and its post-setup state pushed as snapshot
+  /// slot 0, the state every run() rewinds to.
+  W& world() const {
+    return world_.ensure([this] {
+      std::unique_ptr<W> w = make_world(core::WorldBinding{});
+      w->frame().chains->set_environment(environment());
+      w->frame().snap_push();
+      return w;
+    });
+  }
+
+  WorldCache<W> world_;
 };
 
 /// Result of sweeping one adapter's schedule space.
@@ -316,7 +413,8 @@ struct SweepReport {
 enum class SweepExecutor {
   /// Serial sweeps of tree-capable adapters use the schedule-tree
   /// executor; everything else (parallel shards, adapters without tree
-  /// support, world reuse off) brute-force replays every schedule.
+  /// support, active chain environments) brute-force replays every
+  /// schedule.
   kAuto,
   /// Force the schedule-tree executor (always serial). Throws
   /// std::invalid_argument when the adapter is not tree-capable.
@@ -394,7 +492,7 @@ class ScenarioRunner {
 /// Hedged two-party swap (§5.2, Figure 1). Bound: a conforming party whose
 /// principal was locked up and refunded earns at least the counterparty's
 /// premium (p_b for Alice, p_a for Bob).
-class TwoPartySwapAdapter final : public ProtocolAdapter {
+class TwoPartySwapAdapter final : public WorldAdapter<core::TwoPartyWorld> {
  public:
   explicit TwoPartySwapAdapter(core::TwoPartyConfig cfg) : cfg_(cfg) {}
 
@@ -407,25 +505,22 @@ class TwoPartySwapAdapter final : public ProtocolAdapter {
   std::unique_ptr<ProtocolAdapter> clone() const override {
     return std::make_unique<TwoPartySwapAdapter>(*this);
   }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  std::unique_ptr<LoadInstance> bind_instance(
-      const core::WorldBinding& binding) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
 
  private:
-  core::TwoPartyWorld& world() const;
+  std::unique_ptr<core::TwoPartyWorld> make_world(
+      const core::WorldBinding& binding) const override {
+    return std::make_unique<core::TwoPartyWorld>(cfg_, binding);
+  }
   std::vector<PartyOutcome> outcomes_from(const core::TwoPartyResult& r,
-                                          const Schedule& s) const;
+                                          const Schedule& s) const override;
 
   core::TwoPartyConfig cfg_;
-  WorldCache<core::TwoPartyWorld> world_;
 };
 
 /// Multi-party ARC swap on a digraph (§7). Bound (Lemma 6): a conforming
 /// party earns at least premium_unit per locked-and-refunded asset.
-class MultiPartySwapAdapter final : public ProtocolAdapter {
+class MultiPartySwapAdapter final
+    : public WorldAdapter<core::MultiPartyWorld> {
  public:
   explicit MultiPartySwapAdapter(core::MultiPartyConfig cfg)
       : cfg_(std::move(cfg)) {}
@@ -443,18 +538,17 @@ class MultiPartySwapAdapter final : public ProtocolAdapter {
   std::unique_ptr<ProtocolAdapter> clone() const override {
     return std::make_unique<MultiPartySwapAdapter>(*this);
   }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
 
  private:
-  core::MultiPartyWorld& world() const;
+  std::unique_ptr<core::MultiPartyWorld> make_world(
+      const core::WorldBinding&) const override {
+    return std::make_unique<core::MultiPartyWorld>(cfg_,
+                                                   chain::TraceMode::kOff);
+  }
   std::vector<PartyOutcome> outcomes_from(const core::MultiPartyResult& r,
-                                          const Schedule& s) const;
+                                          const Schedule& s) const override;
 
   core::MultiPartyConfig cfg_;
-  WorldCache<core::MultiPartyWorld> world_;
 };
 
 /// Ticket auction (§9), open or sealed-bid. Party 0 is the auctioneer: the
@@ -465,7 +559,7 @@ class MultiPartySwapAdapter final : public ProtocolAdapter {
 /// 0 = commit, 1 = reveal, 2 = forward. Bound (Lemma 8): a conforming
 /// bidder's coins move only against the tickets, and never by more than
 /// its bid.
-class TicketAuctionAdapter final : public ProtocolAdapter {
+class TicketAuctionAdapter final : public WorldAdapter<core::AuctionWorld> {
  public:
   TicketAuctionAdapter(core::AuctionConfig cfg, bool sealed)
       : cfg_(std::move(cfg)), sealed_(sealed) {}
@@ -490,26 +584,25 @@ class TicketAuctionAdapter final : public ProtocolAdapter {
   std::unique_ptr<ProtocolAdapter> clone() const override {
     return std::make_unique<TicketAuctionAdapter>(*this);
   }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
 
  private:
-  core::AuctionWorld& world() const;
+  std::unique_ptr<core::AuctionWorld> make_world(
+      const core::WorldBinding&) const override {
+    return std::make_unique<core::AuctionWorld>(cfg_, sealed_,
+                                                chain::TraceMode::kOff);
+  }
   std::vector<PartyOutcome> outcomes_from(const core::AuctionResult& r,
-                                          const Schedule& s) const;
+                                          const Schedule& s) const override;
 
   core::AuctionConfig cfg_;
   bool sealed_;
-  WorldCache<core::AuctionWorld> world_;
 };
 
 /// Three-party brokered sale (§8, after Herlihy–Liskov–Shrira): Alice
 /// brokers Bob's tickets to Carol. Bound (§8.2): a conforming seller whose
 /// principal was locked up and refunded earns at least the base premium p;
 /// Alice escrows nothing, so her floor is breaking even.
-class BrokerDealAdapter final : public ProtocolAdapter {
+class BrokerDealAdapter final : public WorldAdapter<core::BrokerWorld> {
  public:
   explicit BrokerDealAdapter(core::BrokerConfig cfg) : cfg_(cfg) {}
 
@@ -520,20 +613,16 @@ class BrokerDealAdapter final : public ProtocolAdapter {
   std::unique_ptr<ProtocolAdapter> clone() const override {
     return std::make_unique<BrokerDealAdapter>(*this);
   }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  std::unique_ptr<LoadInstance> bind_instance(
-      const core::WorldBinding& binding) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
 
  private:
-  core::BrokerWorld& world() const;
+  std::unique_ptr<core::BrokerWorld> make_world(
+      const core::WorldBinding& binding) const override {
+    return std::make_unique<core::BrokerWorld>(cfg_, binding);
+  }
   std::vector<PartyOutcome> outcomes_from(const core::BrokerResult& r,
-                                          const Schedule& s) const;
+                                          const Schedule& s) const override;
 
   core::BrokerConfig cfg_;
-  WorldCache<core::BrokerWorld> world_;
 };
 
 /// Bootstrapped premium-ladder swap (§6, Figure 2), driven through the
@@ -545,7 +634,7 @@ class BrokerDealAdapter final : public ProtocolAdapter {
 /// Deliberately final: parallel workers clone adapters by value, so ladder
 /// variants (like the CRR-priced one) are expressed as config factories,
 /// never as subclasses that could slice through the base clone().
-class BootstrapSwapAdapter final : public ProtocolAdapter {
+class BootstrapSwapAdapter final : public WorldAdapter<core::BootstrapWorld> {
  public:
   explicit BootstrapSwapAdapter(core::BootstrapConfig cfg,
                                 std::string name = "");
@@ -559,21 +648,20 @@ class BootstrapSwapAdapter final : public ProtocolAdapter {
   std::unique_ptr<ProtocolAdapter> clone() const override {
     return std::make_unique<BootstrapSwapAdapter>(*this);
   }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
 
   const core::BootstrapConfig& config() const { return cfg_; }
 
  private:
-  core::BootstrapWorld& world() const;
+  std::unique_ptr<core::BootstrapWorld> make_world(
+      const core::WorldBinding&) const override {
+    return std::make_unique<core::BootstrapWorld>(cfg_,
+                                                  chain::TraceMode::kOff);
+  }
   std::vector<PartyOutcome> outcomes_from(const core::BootstrapResult& r,
-                                          const Schedule& s) const;
+                                          const Schedule& s) const override;
 
   core::BootstrapConfig cfg_;
   std::string name_;
-  WorldCache<core::BootstrapWorld> world_;
   Amount alice_floor_ = 0;  ///< apricot rung-1 premium (Bob's deposit)
   Amount bob_floor_ = 0;    ///< banana rung-1 minus apricot rung-1
 };
@@ -588,9 +676,8 @@ class BootstrapSwapAdapter final : public ProtocolAdapter {
 /// commit was stranded by a witness stall or quorum failure (funded by
 /// the forfeited bonds); a conforming witness nets at least its
 /// attestation cost — the reward on a completed transfer, break-even
-/// otherwise. The transfer path is tree-capable; account-create sweeps
-/// brute.
-class BridgeAdapter final : public ProtocolAdapter {
+/// otherwise. Both flavors run under every executor and under load.
+class BridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
  public:
   explicit BridgeAdapter(core::BridgeConfig cfg) : cfg_(cfg) {}
 
@@ -609,22 +696,18 @@ class BridgeAdapter final : public ProtocolAdapter {
   std::unique_ptr<ProtocolAdapter> clone() const override {
     return std::make_unique<BridgeAdapter>(*this);
   }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  std::unique_ptr<LoadInstance> bind_instance(
-      const core::WorldBinding& binding) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
 
   const core::BridgeConfig& config() const { return cfg_; }
 
  private:
-  core::BridgeWorld& world() const;
+  std::unique_ptr<core::BridgeWorld> make_world(
+      const core::WorldBinding& binding) const override {
+    return std::make_unique<core::BridgeWorld>(cfg_, binding);
+  }
   std::vector<PartyOutcome> outcomes_from(const core::BridgeResult& r,
-                                          const Schedule& s) const;
+                                          const Schedule& s) const override;
 
   core::BridgeConfig cfg_;
-  WorldCache<core::BridgeWorld> world_;
 };
 
 /// Market parameters for CRR premium pricing (§4).

@@ -117,4 +117,16 @@ class Scheduler {
   Tick now_ = 0;
 };
 
+/// Scheduler::validate_deadlines in debug builds, a no-op in release
+/// builds: every private engine world checks its freshly deployed
+/// ladders once, at setup.
+inline void debug_validate_deadlines(chain::MultiChain& chains, Tick delta) {
+#ifndef NDEBUG
+  Scheduler(chains).validate_deadlines(delta);
+#else
+  (void)chains;
+  (void)delta;
+#endif
+}
+
 }  // namespace xchain::sim

@@ -2,7 +2,7 @@
 // registered variants sweep clean over the full halt-only and late-delay
 // strategy spaces, the unhedged baseline demonstrably breaches the
 // payoff floor under witness stalls, bridge sweeps are bit-identical
-// serial vs sharded and tree vs brute (transfer path), and the
+// serial vs sharded and tree vs brute (both variants), and the
 // quorum-signed claim path composes with attestation-chain squeezes —
 // fee-escalating witnesses keep the envelope, naive ones breach with
 // [chain-fault] attribution.
@@ -121,30 +121,37 @@ TEST(BridgeSweep, SerialMatchesShardedOnBothVariants) {
   }
 }
 
-TEST(BridgeSweep, TreeMatchesBruteOnTransferPath) {
-  const auto adapter = make_ref("bridge-transfer");
+// Tree ≡ brute on one variant, over all three strategy spaces. The tree
+// executor must actually share prefixes: fewer world executions than
+// schedules, every schedule still covered.
+void expect_tree_matches_brute(const std::string& name) {
+  const auto adapter = make_ref(name);
   ScenarioRunner runner(*adapter);
-  SweepOptions brute;
-  brute.executor = SweepExecutor::kBrute;
-  SweepOptions tree;
-  tree.executor = SweepExecutor::kTree;
-  const SweepReport b = runner.sweep(brute);
-  const SweepReport t = runner.sweep(tree);
-  expect_identical(b, t);
-  // The tree executor actually shares prefixes: fewer world executions
-  // than schedules, every schedule still covered.
-  EXPECT_LT(t.nodes_executed, t.schedules_run);
-  EXPECT_EQ(t.nodes_executed + t.dedup_hits, t.schedules_run);
+  for (const StrategySpace::Kind kind : {StrategySpace::Kind::kHaltOnly,
+                                         StrategySpace::Kind::kTimelyDelays,
+                                         StrategySpace::Kind::kLateDelays}) {
+    SCOPED_TRACE(name + " / " + StrategySpace::kind_name(kind));
+    SweepOptions brute;
+    brute.strategies.kind = kind;
+    brute.executor = SweepExecutor::kBrute;
+    SweepOptions tree = brute;
+    tree.executor = SweepExecutor::kTree;
+    const SweepReport b = runner.sweep(brute);
+    const SweepReport t = runner.sweep(tree);
+    expect_identical(b, t);
+    EXPECT_LT(t.nodes_executed, t.schedules_run);
+    EXPECT_EQ(t.nodes_executed + t.dedup_hits, t.schedules_run);
+  }
 }
 
-TEST(BridgeSweep, AccountCreatePathIsBruteOnly) {
-  // Account-create pays rewards through the door at settle; its adapter
-  // declares no tree capability, and forcing the tree executor must be a
-  // descriptive error, not UB.
-  const auto adapter = make_ref("bridge-account-create");
-  SweepOptions tree;
-  tree.executor = SweepExecutor::kTree;
-  EXPECT_THROW(ScenarioRunner(*adapter).sweep(tree), std::invalid_argument);
+TEST(BridgeSweep, TreeMatchesBruteOnTransferPath) {
+  expect_tree_matches_brute("bridge-transfer");
+}
+
+TEST(BridgeSweep, TreeMatchesBruteOnAccountCreatePath) {
+  // Account-create pays rewards through the door at settle; its world
+  // runs through the same frame as the transfer path.
+  expect_tree_matches_brute("bridge-account-create");
 }
 
 // ---------------------------------------------------------------------------

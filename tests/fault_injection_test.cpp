@@ -74,6 +74,13 @@ TEST(FaultGrammar, PlanRejectsMalformedSpecs) {
            "a:drop@1-2,p=5,seed=0",                // seed=0 is implicit
            "a:outage@1-2,cap=1",                   // trailing junk
            "a:frob@1-2",                           // unknown kind
+           "*:drop@0-5,p=4294968296",              // p wraps to 1000 as int
+           "a:squeeze@0-1,cap=2147483648",         // cap past INT_MAX
+           "a:squeeze@0-1,cap=1,mem=2147483648",   // mem past INT_MAX
+           "a:squeeze@0-1,cap=1,spam=2147483648,fee=1",  // spam past INT_MAX
+           "a:squeeze@0-9999999999999999999999,cap=1",   // overflows 64 bits
+           "a:outage@99999999999999999999-99999999999999999999",
+           "a:drop@0-1,p=5,seed=99999999999999999999",  // seed past 2^64
        }) {
     EXPECT_THROW(FaultPlan::parse(spec), std::invalid_argument) << spec;
   }
@@ -91,6 +98,12 @@ TEST(FaultGrammar, ResilienceRoundTripsAndRejects) {
   EXPECT_THROW(ResiliencePolicy::parse("burst"), std::invalid_argument);
   EXPECT_THROW(ResiliencePolicy::parse("fee-escalate:"),
                std::invalid_argument);
+  // Knobs past their field's range are rejected, never wrapped.
+  EXPECT_THROW(ResiliencePolicy::parse("fee-escalate:99999999999999999999,1,2"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      ResiliencePolicy::parse("fee-escalate:0,1,99999999999999999999999"),
+      std::invalid_argument);
 
   const ResiliencePolicy esc = ResiliencePolicy::parse("fee-escalate:2,3,9");
   EXPECT_EQ(esc.fee_at(5, 5), 2);   // no wait -> base fee
@@ -268,17 +281,22 @@ TEST(FaultMempool, BumpFeeReordersPendingTx) {
 }
 
 TEST(FaultMempool, ResetRestoresReliableSubstrateState) {
+  // Rewinding to the post-setup slot 0 restarts the run: the carried-over
+  // mempool, tracked statuses and submission ordinals are all forgotten.
   chain::MultiChain mc;
+  mc.set_trace(chain::TraceMode::kOff);
   chain::Blockchain& bc = mc.add_chain("apricot");
-  mc.checkpoint();
+  mc.snap_push();
   bc.set_faults(
       FaultPlan::parse("apricot:squeeze@0-9,cap=0").for_chain("apricot"));
   const std::uint64_t id = bc.submit(noop_tx(0, 0));
   bc.produce_block(0);
   EXPECT_EQ(bc.tx_status(id), TxStatus::kPending);
-  mc.reset();
+  mc.snap_rewind(0);
   EXPECT_EQ(bc.tx_status(id), TxStatus::kUnknown) << "statuses are per-run";
   EXPECT_EQ(bc.applied_tx_count(), 0u);
+  EXPECT_FALSE(bc.bump_fee(id, 5)) << "the carried-over tx is gone";
+  EXPECT_EQ(bc.submit(noop_tx(0, 0)), id) << "submission ordinals restart";
 }
 
 // ---------------------------------------------------------------------------
@@ -287,8 +305,9 @@ TEST(FaultMempool, ResetRestoresReliableSubstrateState) {
 
 TEST(SubmitGuards, SubmitAfterFinalizeThrows) {
   chain::MultiChain mc;
+  mc.set_trace(chain::TraceMode::kOff);
   chain::Blockchain& bc = mc.add_chain("apricot");
-  mc.checkpoint();
+  mc.snap_push();
   mc.finalize_all();
   try {
     bc.submit(noop_tx(0, 0));
@@ -297,8 +316,8 @@ TEST(SubmitGuards, SubmitAfterFinalizeThrows) {
     EXPECT_NE(std::string(e.what()).find("finalized"), std::string::npos)
         << e.what();
   }
-  // reset() re-opens the chain for the next run.
-  mc.reset();
+  // Rewinding to slot 0 re-opens the chain for the next run.
+  mc.snap_rewind(0);
   EXPECT_NO_THROW(bc.submit(noop_tx(0, 0)));
 }
 
@@ -446,9 +465,6 @@ TEST(FaultSweep, ActiveEnvironmentRequiresBruteReusableWorlds) {
   sim::SweepOptions tree;
   tree.executor = sim::SweepExecutor::kTree;
   EXPECT_THROW(sim::ScenarioRunner(*adapter).sweep(tree),
-               std::invalid_argument);
-  adapter->set_world_reuse(false);
-  EXPECT_THROW(sim::ScenarioRunner(*adapter).sweep(),
                std::invalid_argument);
 }
 

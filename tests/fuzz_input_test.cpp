@@ -33,6 +33,9 @@ TEST(ParsePlan, RejectsWhatStrCannotPrint) {
       "d0+1.d0+2",                    // duplicate ordinal
       "x0.x0",     "v0:conform",      // variant 0 is never prefixed
       "vx:conform", "d0+1junk", "hold@1", "plan", "d+1", "x",
+      // Values past their field's range are rejected, never wrapped.
+      "halt@4294967296", "x2147483648", "d2147483648+1",
+      "d0+9223372036854775808", "v4294967296:conform", "v-2147483649:x0",
   };
   for (const char* f : bad) {
     EXPECT_THROW(parse_plan(f), FuzzFormatError) << f;

@@ -163,7 +163,10 @@ TEST(LoadGenerator, ReportIsThreadCountInvariant) {
   cfg.users = 200;
   cfg.seed = 3;
   cfg.block_capacity = 3;  // congested: fee escalation in play
-  cfg.mix = {{"two-party", 2}, {"broker", 1}, {"bridge-transfer", 1}};
+  cfg.mix = {{"two-party", 2},
+             {"broker", 1},
+             {"bridge-transfer", 1},
+             {"bridge-account-create", 1}};
 
   cfg.threads = 1;
   const load::LoadReport serial = load::run_load(cfg);

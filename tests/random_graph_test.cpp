@@ -128,8 +128,14 @@ std::vector<RandomCase> random_cases() {
 INSTANTIATE_TEST_SUITE_P(Topologies, RandomGraphSweep,
                          ::testing::ValuesIn(random_cases()),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param.n) +
-                                  "_seed" + std::to_string(info.param.seed);
+                           // Appended in steps: `const char* + std::string&&`
+                           // trips the GCC-12 -Wrestrict false positive
+                           // (PR 105651).
+                           std::string name = "n";
+                           name += std::to_string(info.param.n);
+                           name += "_seed";
+                           name += std::to_string(info.param.seed);
+                           return name;
                          });
 
 }  // namespace

@@ -1,9 +1,10 @@
-// The arena-style world-reuse path (TraceMode::kOff + MultiChain::reset()
-// per schedule) must be a pure accelerator: for every reference adapter,
-// every schedule's audited outcomes — and the whole sweep report — must be
-// identical to the legacy path that rebuilds a fresh, fully-traced world
-// per schedule. This is the contract that lets the sweep run 5-10x faster
-// without weakening the paper's universally-quantified guarantee.
+// World reuse (one traceless world per adapter, rewound to its post-setup
+// snapshot slot 0 before every run) must be a pure accelerator: for every
+// reference adapter, every schedule's audited outcomes — and the whole
+// sweep report — must be identical to a fresh world's, built for that
+// schedule alone (a new adapter clone per schedule). This is the contract
+// that lets the sweep run 5-10x faster without weakening the paper's
+// universally-quantified guarantee.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,8 @@ std::vector<std::unique_ptr<ProtocolAdapter>> reference_adapters() {
   out.push_back(reg.make("broker"));
   out.push_back(reg.make("bootstrap"));
   out.push_back(reg.make("crr-ladder"));
+  out.push_back(reg.make("bridge-transfer"));
+  out.push_back(reg.make("bridge-account-create"));
   return out;
 }
 
@@ -53,51 +56,67 @@ void expect_same_outcomes(const std::vector<PartyOutcome>& fresh,
   }
 }
 
-// Schedule-for-schedule: the reused world (one adapter instance resetting
-// one traceless world) must report exactly what a fresh traced world
-// reports, for every schedule of every reference adapter.
+// The fresh-world reference sweep: every schedule of `opts`' space runs
+// on a new adapter clone, audited in enumeration order.
+SweepReport fresh_world_report(const ProtocolAdapter& adapter,
+                               const SweepOptions& opts) {
+  const ScenarioRunner runner(adapter);
+  SweepReport report;
+  report.protocol = adapter.name();
+  runner.schedule_count(opts, &report.truncations);
+  for (const Schedule& s : runner.enumerate(opts)) {
+    report.conforming_audited +=
+        audit_schedule(s.label, adapter.clone()->run(s), report.violations);
+    ++report.schedules_run;
+  }
+  return report;
+}
+
+void expect_same_report(const SweepReport& fresh, const SweepReport& reused) {
+  EXPECT_EQ(reused.protocol, fresh.protocol);
+  EXPECT_EQ(reused.schedules_run, fresh.schedules_run);
+  EXPECT_EQ(reused.conforming_audited, fresh.conforming_audited);
+  EXPECT_EQ(reused.violations.size(), fresh.violations.size());
+  EXPECT_EQ(reused.truncations, fresh.truncations);
+  EXPECT_TRUE(reused.ok()) << reused.str();
+  EXPECT_TRUE(fresh.ok()) << fresh.str();
+}
+
+// Schedule-for-schedule: the reused world (one adapter instance rewinding
+// one traceless world) must report exactly what a fresh world reports,
+// for every schedule of every reference adapter.
 TEST(SweepEquivalence, ReusedWorldMatchesFreshWorldPerSchedule) {
   for (const auto& adapter : reference_adapters()) {
-    const auto fresh_engine = adapter->clone();
-    fresh_engine->set_world_reuse(false);
-    const auto reused_engine = adapter->clone();  // default: reuse + kOff
+    const auto reused_engine = adapter->clone();
 
     for (const Schedule& s : ScenarioRunner(*adapter).enumerate()) {
-      const auto fresh = fresh_engine->run(s);
+      const auto fresh = adapter->clone()->run(s);
       const auto reused = reused_engine->run(s);
       expect_same_outcomes(fresh, reused, s.label);
       // Re-running the SAME schedule on the reused world must also be
-      // stable: reset() rolls everything back, not just most things.
+      // stable: the rewind rolls everything back, not just most things.
       expect_same_outcomes(fresh, reused_engine->run(s),
                            s.label + " (rerun)");
     }
   }
 }
 
-// Whole-report equivalence through ScenarioRunner, fresh-mode vs default.
+// Whole-report equivalence through ScenarioRunner, fresh worlds vs the
+// default (tree-executed) sweep.
 TEST(SweepEquivalence, SweepReportsIdenticalAcrossWorldModes) {
   for (const auto& adapter : reference_adapters()) {
-    const SweepReport reused = ScenarioRunner(*adapter).sweep();
-
-    auto fresh_engine = adapter->clone();
-    fresh_engine->set_world_reuse(false);
-    const SweepReport fresh = ScenarioRunner(*fresh_engine).sweep();
-
     SCOPED_TRACE(adapter->name());
-    EXPECT_EQ(reused.protocol, fresh.protocol);
-    EXPECT_EQ(reused.schedules_run, fresh.schedules_run);
-    EXPECT_EQ(reused.conforming_audited, fresh.conforming_audited);
-    EXPECT_EQ(reused.violations.size(), fresh.violations.size());
-    EXPECT_TRUE(reused.ok()) << reused.str();
-    EXPECT_TRUE(fresh.ok()) << fresh.str();
+    const SweepOptions opts;
+    expect_same_report(fresh_world_report(*adapter, opts),
+                       ScenarioRunner(*adapter).sweep(opts));
   }
 }
 
-// Delay schedules must behave identically on a reused (reset-per-run)
-// world and on a fresh traced world: pending delayed submissions live on
-// the per-run Party objects, never on the world, so a reset can never leak
-// a queued action into the next schedule. Pinned per schedule over the
-// timely space, and as whole reports over a bounded late space.
+// Delay schedules must behave identically on a reused (rewound-per-run)
+// world and on a fresh one: pending delayed submissions live on the
+// persistent actors, whose queues ride the snapshot stack, so a rewind can
+// never leak a queued action into the next schedule. Pinned per schedule
+// over the timely space, and as whole reports over a bounded late space.
 TEST(SweepEquivalence, DelaySchedulesMatchAcrossWorldModesPerSchedule) {
   SweepOptions opts;
   opts.strategies.kind = StrategySpace::Kind::kTimelyDelays;
@@ -105,17 +124,14 @@ TEST(SweepEquivalence, DelaySchedulesMatchAcrossWorldModesPerSchedule) {
   // check below covers the larger spaces.
   opts.strategies.max_schedules = 400;
   for (const auto& adapter : reference_adapters()) {
-    const auto fresh_engine = adapter->clone();
-    fresh_engine->set_world_reuse(false);
-    const auto reused_engine = adapter->clone();  // default: reuse + kOff
+    const auto reused_engine = adapter->clone();
 
     for (const Schedule& s : ScenarioRunner(*adapter).enumerate(opts)) {
-      const auto fresh = fresh_engine->run(s);
+      const auto fresh = adapter->clone()->run(s);
       const auto reused = reused_engine->run(s);
       expect_same_outcomes(fresh, reused, s.label);
       // Re-running the SAME delayed schedule on the reused world must be
-      // stable: reset() rolls chains back and the new Party objects carry
-      // fresh (empty) delay queues.
+      // stable: the rewind restores every actor's (empty) delay queue.
       expect_same_outcomes(fresh, reused_engine->run(s),
                            s.label + " (rerun)");
     }
@@ -127,26 +143,13 @@ TEST(SweepEquivalence, LateDelayReportsIdenticalAcrossWorldModes) {
   opts.strategies.kind = StrategySpace::Kind::kLateDelays;
   opts.strategies.max_schedules = 1500;
   for (const auto& adapter : reference_adapters()) {
-    const SweepReport reused = ScenarioRunner(*adapter).sweep(opts);
-
-    auto fresh_engine = adapter->clone();
-    fresh_engine->set_world_reuse(false);
-    const SweepReport fresh = ScenarioRunner(*fresh_engine).sweep(opts);
-
     SCOPED_TRACE(adapter->name());
-    EXPECT_EQ(reused.protocol, fresh.protocol);
-    EXPECT_EQ(reused.schedules_run, fresh.schedules_run);
-    EXPECT_EQ(reused.conforming_audited, fresh.conforming_audited);
-    EXPECT_EQ(reused.violations.size(), fresh.violations.size());
-    EXPECT_EQ(reused.truncations, fresh.truncations);
-    EXPECT_TRUE(reused.ok()) << reused.str();
-    EXPECT_TRUE(fresh.ok()) << fresh.str();
+    expect_same_report(fresh_world_report(*adapter, opts),
+                       ScenarioRunner(*adapter).sweep(opts));
   }
 }
 
-// The world-reuse knob survives cloning in the state the clone's maker
-// set, and parallel sweeps (which clone per worker) stay identical to
-// serial whatever the mode.
+// Parallel sweeps (which clone per worker) stay identical to serial.
 TEST(SweepEquivalence, ParallelReusedSweepMatchesSerial) {
   for (const auto& adapter : reference_adapters()) {
     ScenarioRunner runner(*adapter);

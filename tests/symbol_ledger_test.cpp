@@ -1,11 +1,12 @@
 // The interned-ID chain substrate: SymbolTable round-trips, the dense
 // Ledger book preserves the map-era holdings() order, the (address, symbol)
 // keying that the old XOR/shift KeyHash used to (weakly) hash stays
-// collision-free by construction, and checkpoint/restore — the world-reuse
-// primitive — rolls balances back exactly.
+// collision-free by construction, and the snapshot stack — the one
+// rollback primitive of a reused world — rolls balances back exactly.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "chain/blockchain.hpp"
 #include "chain/ledger.hpp"
+#include "chain/snapshot.hpp"
 #include "common/symbol.hpp"
 #include "sim/scheduler.hpp"
 
@@ -144,11 +146,18 @@ TEST(DenseLedger, KeyCollisionRegressionGrid) {
             static_cast<std::size_t>(2 * kAddrs * kSyms));
 }
 
+std::uint64_t hash_of(const Ledger& l) {
+  std::uint64_t h = chain::kStateHashSeed;
+  l.state_hash(h);
+  return h;
+}
+
 TEST(DenseLedger, CheckpointRestoreRollsBackExactly) {
   Ledger l;
   l.mint(Address::party(0), "cr-token", 100);
   l.mint(Address::party(1), "cr-coin", 50);
-  l.checkpoint();
+  l.snap_push();  // slot 0: the post-setup book
+  const std::uint64_t setup_hash = hash_of(l);
 
   EXPECT_TRUE(l.transfer(Address::party(0), Address::party(1), "cr-token",
                          60));
@@ -156,27 +165,39 @@ TEST(DenseLedger, CheckpointRestoreRollsBackExactly) {
   EXPECT_EQ(l.balance(Address::party(0), "cr-token"), 40);
   EXPECT_EQ(l.balance(Address::party(1), "cr-token"), 60);
 
-  l.restore();
+  l.snap_rewind(0);
+  EXPECT_EQ(l.snap_depth(), 1u);
   EXPECT_EQ(l.balance(Address::party(0), "cr-token"), 100);
   EXPECT_EQ(l.balance(Address::party(1), "cr-token"), 0);
   EXPECT_EQ(l.balance(Address::party(1), "cr-coin"), 50);
   EXPECT_EQ(l.balance(Address::party(2), "cr-late-symbol"), 0);
   EXPECT_EQ(l.holdings().size(), 2u);
+  EXPECT_EQ(hash_of(l), setup_hash) << "grown rows must shrink back too";
 
-  // Restore is repeatable (reset-per-schedule semantics).
+  // The rewind is repeatable (rewind-per-schedule semantics).
   EXPECT_TRUE(l.transfer(Address::party(1), Address::party(0), "cr-coin", 50));
-  l.restore();
+  l.snap_rewind(0);
   EXPECT_EQ(l.balance(Address::party(1), "cr-coin"), 50);
-}
+  EXPECT_EQ(hash_of(l), setup_hash);
 
-TEST(DenseLedger, RestoreWithoutCheckpointThrows) {
-  // A restore with no baseline used to silently empty the balance book —
-  // a missed checkpoint() in a sweep world would zero every endowment and
-  // turn all payoffs into nonsense. It is a hard error now.
-  Ledger l;
-  l.mint(Address::party(0), "rc-token", 5);
-  EXPECT_THROW(l.restore(), std::logic_error);
-  EXPECT_EQ(l.balance(Address::party(0), "rc-token"), 5);
+  // Nested depths: a rewind to slot 1 restores exactly slot 1's state, and
+  // slot 0 stays reachable below it.
+  EXPECT_TRUE(l.transfer(Address::party(0), Address::party(3), "cr-token",
+                         10));
+  l.snap_push();  // slot 1
+  const std::uint64_t slot1_hash = hash_of(l);
+  l.snap_push();  // slot 2
+  EXPECT_TRUE(l.transfer(Address::party(3), Address::party(4), "cr-token", 4));
+  l.mint(Address::party(5), "cr-coin", 1);
+  EXPECT_EQ(l.snap_depth(), 3u);
+  l.snap_rewind(1);
+  EXPECT_EQ(l.snap_depth(), 2u);
+  EXPECT_EQ(hash_of(l), slot1_hash);
+  EXPECT_EQ(l.balance(Address::party(3), "cr-token"), 10);
+  EXPECT_EQ(l.balance(Address::party(4), "cr-token"), 0);
+  l.snap_rewind(0);
+  EXPECT_EQ(hash_of(l), setup_hash);
+  EXPECT_EQ(l.balance(Address::party(0), "cr-token"), 100);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,27 +252,45 @@ TEST(TraceMode, SchedulerConstructorAppliesModeToAllChains) {
 }
 
 TEST(TraceMode, MultiChainResetClearsRunState) {
+  // Rewinding a traceless world to its post-setup slot 0 clears every
+  // piece of run state: balances, height, and the applied-tx count.
   chain::MultiChain chains;
+  chains.set_trace(chain::TraceMode::kOff);
   chain::Blockchain& bc = chains.add_chain("resettable");
   bc.ledger_for_setup().mint(Address::party(0), bc.native(), 100);
-  chains.checkpoint();
+  chains.snap_push();
 
   bc.submit({0, "spend", [](chain::TxContext& ctx) {
                ctx.ledger().transfer(Address::party(0), Address::party(1),
                                      ctx.native_id(), 25);
-               ctx.emit(0, "spent");
              }});
   chains.produce_all(0);
   EXPECT_EQ(bc.ledger().balance(Address::party(1), bc.native()), 25);
   EXPECT_EQ(bc.height(), 0);
-  EXPECT_FALSE(bc.events().empty());
+  EXPECT_EQ(bc.applied_tx_count(), 1u);
 
-  chains.reset();
+  chains.snap_rewind(0);
   EXPECT_EQ(bc.ledger().balance(Address::party(0), bc.native()), 100);
   EXPECT_EQ(bc.ledger().balance(Address::party(1), bc.native()), 0);
   EXPECT_EQ(bc.height(), -1);
-  EXPECT_TRUE(bc.events().empty());
   EXPECT_EQ(bc.applied_tx_count(), 0u);
+  EXPECT_EQ(chains.snap_depth(), 1u);
+}
+
+TEST(TraceMode, SnapPushRefusesTracedChainsAndPendingMempools) {
+  // A snapshot holds neither the event log nor the mempool, so it may
+  // only be taken at a tick boundary of a traceless chain.
+  chain::MultiChain traced;
+  traced.add_chain("snap-traced");
+  EXPECT_THROW(traced.snap_push(), std::logic_error);
+
+  chain::MultiChain chains;
+  chains.set_trace(chain::TraceMode::kOff);
+  chain::Blockchain& bc = chains.add_chain("snap-pending");
+  bc.submit({0, "", [](chain::TxContext&) {}});
+  EXPECT_THROW(chains.snap_push(), std::logic_error);
+  chains.produce_all(0);  // block production drains the mempool
+  EXPECT_NO_THROW(chains.snap_push());
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // notice for truncation notice — to the brute-force replay's. These tests
 // pin that equivalence across the full reference-protocol registry, the
 // executor-statistics invariants that distinguish the two engines, the
-// kTree capability check, and report stability across repeated sweeps on
-// one runner (including a dirty world left behind by interleaved run()
-// calls).
+// kTree capability check (every registry protocol passes it), and report
+// stability across repeated sweeps on one runner (including a dirty world
+// left behind by interleaved run() calls).
 
 #include <gtest/gtest.h>
 
@@ -21,8 +21,7 @@
 namespace xchain::sim {
 namespace {
 
-// Same reference set as tests/parallel_sweep_test.cpp: the registry
-// defaults plus a 4-party ring.
+// The registry defaults of every protocol, with a 4-party ring.
 std::vector<std::unique_ptr<ProtocolAdapter>> reference_adapters() {
   const ProtocolRegistry& reg = ProtocolRegistry::global();
   std::vector<std::unique_ptr<ProtocolAdapter>> out;
@@ -36,6 +35,8 @@ std::vector<std::unique_ptr<ProtocolAdapter>> reference_adapters() {
   out.push_back(reg.make("broker"));
   out.push_back(reg.make("bootstrap"));
   out.push_back(reg.make("crr-ladder"));
+  out.push_back(reg.make("bridge-transfer"));
+  out.push_back(reg.make("bridge-account-create"));
   return out;
 }
 
@@ -131,10 +132,10 @@ TEST(TreeEquivalence, TreeForcesSerialExecutionUnderThreadRequest) {
 }
 
 // Repeated sweeps on one runner reuse the adapter's world (and, between
-// tree sweeps, inherit a non-empty snapshot stack); interleaved legacy
-// run() calls dirty that world through the checkpoint/reset path without
-// touching the snapshot stack. Every subsequent sweep must still report
-// identically — the executor re-bases on a clean slot-0 state either way.
+// tree sweeps, inherit a deep snapshot stack); an interleaved run() leaves
+// end-of-run state behind. Every subsequent sweep must still report
+// identically — the executor re-bases on the clean slot-0 state either
+// way.
 TEST(TreeEquivalence, RepeatedAndInterleavedSweepsStayIdentical) {
   const auto adapter = ProtocolRegistry::global().make("bootstrap");
   ScenarioRunner runner(*adapter);
@@ -146,7 +147,7 @@ TEST(TreeEquivalence, RepeatedAndInterleavedSweepsStayIdentical) {
   EXPECT_EQ(second.nodes_executed, first.nodes_executed);
   EXPECT_EQ(second.dedup_hits, first.dedup_hits);
 
-  // Dirty the reused world via the legacy path, then tree-sweep again.
+  // Dirty the reused world with a plain run(), then tree-sweep again.
   Schedule everyone_halts;
   for (std::size_t p = 0; p < adapter->party_count(); ++p) {
     everyone_halts.plans.push_back(DeviationPlan::halt_after(0));
@@ -192,14 +193,22 @@ TEST(TreeEquivalence, TreeRefusesAdapterWithoutHooks) {
   EXPECT_EQ(auto_report.dedup_hits, 0u);
 }
 
-TEST(TreeEquivalence, TreeRefusesWhenWorldReuseDisabled) {
-  const auto adapter = ProtocolRegistry::global().make("two-party");
-  adapter->set_world_reuse(false);
-  ASSERT_EQ(adapter->tree_frame(), nullptr);
-  ScenarioRunner runner(*adapter);
-  SweepOptions opts;
-  opts.executor = SweepExecutor::kTree;
-  EXPECT_THROW((void)runner.sweep(opts), std::invalid_argument);
+// Every registry protocol runs through its world's frame, so every one of
+// them is tree-capable: a forced kTree sweep succeeds and executes fewer
+// runs than it covers.
+TEST(TreeEquivalence, EveryRegistryProtocolIsTreeCapable) {
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  EXPECT_EQ(reg.names().size(), 10u);
+  for (const std::string& name : reg.names()) {
+    SCOPED_TRACE(name);
+    const auto adapter = reg.make(name);
+    ASSERT_NE(adapter->tree_frame(), nullptr);
+    SweepOptions opts;
+    opts.executor = SweepExecutor::kTree;
+    const SweepReport tree = ScenarioRunner(*adapter).sweep(opts);
+    EXPECT_TRUE(tree.ok()) << tree.str();
+    EXPECT_LT(tree.nodes_executed, tree.schedules_run);
+  }
 }
 
 // The unimplemented-hook defaults throw std::logic_error naming the

@@ -21,8 +21,8 @@
 // Exit status: 0 = clean (or self-test passed), 1 = violations found (or
 // self-test failed), 2 = usage / parameter / corpus-format error.
 //
-// Example:
-//   xchain-fuzz --seed=20260808 --budget-runs=2000 \
+// Example (one command line):
+//   xchain-fuzz --seed=20260808 --budget-runs=2000
 //               --corpus=tests/fuzz_corpus --json=build/FUZZ_report.json
 
 #include <algorithm>
@@ -374,7 +374,7 @@ int main(int argc, char** argv) {
     // order and resumes from this run's coverage frontier.
     for (const fuzz::TargetFuzzResult& t : report.targets) {
       for (std::size_t i = 0; i < t.corpus.size(); ++i) {
-        char num[16];
+        char num[24];  // any size_t in decimal, plus the terminator
         std::snprintf(num, sizeof num, "%04zu", i);
         const std::string name =
             "corpus_" + file_stem(t.protocol) + "_" + num + ".fuzz";

@@ -19,7 +19,12 @@ Two artifact schemas are understood, selected by the top-level
     when the candidate reports any *unattributed* hedging violation (a
     correctness failure, not a perf question). Completion-latency
     percentiles (ticks — deterministic, not wall time) are reported per
-    protocol and in aggregate for context.
+    protocol and in aggregate for context. The report is a pure function
+    of its configuration, so when both artifacts share users, seed, mix,
+    gap, cap and max_fee, any difference in a deterministic field
+    (instances, txs_included, chains, ticks, latency_ticks, the
+    per-protocol rows, violations, fault_caused) is report drift: a
+    behaviour change, and a hard failure even under --report-only.
 
 --report-only prints the same comparison but always exits 0 — CI uses it
 on shared 1-core runners, where absolute throughput is too noisy to gate
@@ -128,9 +133,18 @@ def compare_scenario_sweep(base, cand, args, failures):
     return ratio
 
 
+# What a load report is a function of, and what it reports deterministically
+# (everything but wall time, thread count and the build stamp).
+LOAD_CONFIG = ("users", "seed", "mix", "arrival_gap", "block_capacity",
+               "max_fee")
+LOAD_REPORT = ("instances", "txs_included", "chains", "ticks",
+               "latency_ticks", "protocols", "violations", "fault_caused")
+
+
 def compare_load(base, cand, args, failures):
-    """The shared-chain load schema (BENCH_load.json): gate throughput and
-    the zero-unattributed-violations invariant; report latency."""
+    """The shared-chain load schema (BENCH_load.json): gate throughput, the
+    zero-unattributed-violations invariant and report drift; report
+    latency."""
     for doc, path in ((base, args.baseline), (cand, args.candidate)):
         if "instances_per_second" not in doc:
             sys.exit(f"bench_compare: {path} lacks instances_per_second")
@@ -143,6 +157,20 @@ def compare_load(base, cand, args, failures):
             " UNATTRIBUTED hedging violations — the floors failed without"
             " congestion to blame; a correctness failure, not a perf question"
         )
+
+    # Same configuration, different deterministic report: behaviour
+    # changed, which no host or thread count explains.
+    if all(k in base and k in cand and base[k] == cand[k]
+           for k in LOAD_CONFIG):
+        drift = [k for k in LOAD_REPORT if base.get(k) != cand.get(k)]
+        if drift:
+            sys.exit(
+                "bench_compare: REPORT DRIFT under an identical load"
+                " configuration — " + "; ".join(
+                    f"{k}: {base.get(k)!r} -> {cand.get(k)!r}"
+                    for k in drift)
+                + " — a behaviour change, not a perf question"
+            )
 
     # Per-protocol context (never gated): instances and tick latency.
     base_protocols = {p["name"]: p for p in base.get("protocols", [])}

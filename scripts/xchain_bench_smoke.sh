@@ -11,6 +11,11 @@
 #     violations);
 #   * the --threads=1 and --threads=4 artifacts are identical modulo the
 #     wall-time/stamp fields (the load loop's determinism contract);
+#   * equal INT_MAX mix weights draw both protocols (the draw range is
+#     their 64-bit sum);
+#   * scripts/bench_compare.py passes an artifact against its --threads=4
+#     twin and hard-fails, even under --report-only, when a deterministic
+#     field drifts;
 #   * malformed flags and unknown mix protocols exit 2.
 set -euo pipefail
 
@@ -61,6 +66,36 @@ else
   [[ "$t1_lat" == "$t4_lat" ]] || fail "latency differs across thread counts"
 fi
 
+# Equal INT_MAX weights: a 32-bit weight sum overflowed and drew only the
+# first protocol.
+"$bin" --users=50 --mix=two-party:2147483647,broker:2147483647 \
+  --json="$work/max.json" --quiet || fail "INT_MAX-weight run exited $?"
+for proto in two-party broker; do
+  grep -q "\"name\": \"$proto\", \"instances\": [1-9]" "$work/max.json" \
+    || fail "INT_MAX weights drew no $proto instance"
+done
+
+# Report-drift gate: one config, one set of deterministic fields.
+if command -v python3 >/dev/null 2>&1; then
+  compare="$(dirname "$0")/bench_compare.py"
+  python3 "$compare" "$work/t1.json" "$work/t4.json" --report-only \
+    >/dev/null || fail "bench_compare rejected matching load reports"
+  python3 - "$work/t1.json" "$work/drift.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+doc["ticks"] += 1
+with open(sys.argv[2], "w") as f:
+    json.dump(doc, f)
+EOF
+  set +e
+  python3 "$compare" "$work/t1.json" "$work/drift.json" --report-only \
+    >/dev/null 2>&1
+  rc=$?
+  set -e
+  [[ $rc -eq 1 ]] || fail "bench_compare passed a drifted ticks field ($rc)"
+fi
+
 # Usage errors exit 2, never 0/1.
 set +e
 "$bin" --users=0 >/dev/null 2>&1; [[ $? -eq 2 ]] || fail "--users=0 should exit 2"
@@ -71,5 +106,6 @@ set +e
   fail "zero mix weight should exit 2"
 set -e
 
-rm -f "$work/t1.json" "$work/t4.json" "$work/bad.json"
+rm -f "$work/t1.json" "$work/t4.json" "$work/bad.json" "$work/max.json" \
+  "$work/drift.json"
 echo "xchain_bench_smoke: OK"

@@ -90,20 +90,46 @@ void Blockchain::record_status(const Transaction& tx, TxStatus status) {
 void Blockchain::register_contract(std::unique_ptr<Contract> c) {
   c->id_ = contracts_.size();
   c->chain_ = id_;
+  // A deadline already past at deploy wakes the contract in the next
+  // block, as a sweep over every contract would have. Every new wake tick
+  // exceeds height_, so it lands at or after the cursor.
+  for (const Tick deadline : c->timeouts()) {
+    const std::pair<Tick, ContractId> wake{std::max(deadline, height_) + 1,
+                                           c->id_};
+    const auto from =
+        wakes_.begin() + static_cast<std::ptrdiff_t>(wake_cursor_);
+    wakes_.insert(std::upper_bound(from, wakes_.end(), wake), wake);
+  }
   contracts_.push_back(std::move(c));
 }
 
 void Blockchain::produce_block(Tick now) {
+  if (now <= height_) {
+    // Append-only string building (GCC 12 -Wrestrict, PR 105651).
+    std::string what = "Blockchain::produce_block: chain '";
+    what += name_;
+    what += "' is at height ";
+    what += std::to_string(height_);
+    what += "; block ";
+    what += std::to_string(now);
+    what += " would not advance it";
+    throw std::logic_error(what);
+  }
   if (!faults_.empty()) {
     produce_block_faulted(now);
     return;
   }
   height_ = now;
-  // Apply queued transactions in submission order (contracts can rely on
-  // arrival order, paper §3.2 footnote). The batch/mempool pair ping-pongs
-  // so both keep their capacity across blocks.
+  // The batch/mempool pair ping-pongs so both keep their capacity across
+  // blocks.
   batch_.clear();
   batch_.swap(mempool_);
+  apply_batch(now);
+}
+
+void Blockchain::apply_batch(Tick now) {
+  // Submission order (contracts can rely on arrival order, paper §3.2
+  // footnote), then the timeout sweep.
   for (Transaction& tx : batch_) {
     TxContext ctx(*this, tx.sender, now);
     tx.effect(ctx);
@@ -111,10 +137,61 @@ void Blockchain::produce_block(Tick now) {
     record_status(tx, TxStatus::kIncluded);
     if (on_included_) on_included_(id_, tx.sender, now);
   }
-  // Timeout sweep: contracts resolve expired timelocks.
+  run_timeouts(now);
+}
+
+void Blockchain::run_timeouts(Tick now) {
+  // The cursor already sits past every wake tick <= the previous height,
+  // so the due range is a walk forward from it.
+  due_.clear();
+  while (wake_cursor_ < wakes_.size() && wakes_[wake_cursor_].first <= now) {
+    due_.push_back(wakes_[wake_cursor_++].second);
+  }
+  if (due_.size() > 1) {
+    std::sort(due_.begin(), due_.end());
+    due_.erase(std::unique(due_.begin(), due_.end()), due_.end());
+  }
   TxContext sweep(*this, kNoParty, now);
-  for (auto& c : contracts_) {
-    c->on_block(sweep);
+#ifdef NDEBUG
+  for (const ContractId c : due_) contracts_[c]->on_block(sweep);
+#else
+  // Safety net for timeouts() under-declaring: visit every contract, as an
+  // unindexed sweep would, and require each call the index skips to leave
+  // the contract's state and the event log untouched.
+  auto next = due_.begin();
+  for (ContractId c = 0; c < contracts_.size(); ++c) {
+    Contract& contract = *contracts_[c];
+    if (next != due_.end() && *next == c) {
+      ++next;
+      contract.on_block(sweep);
+      continue;
+    }
+    std::uint64_t before = kStateHashSeed;
+    std::uint64_t after = kStateHashSeed;
+    contract.state_hash(before);
+    const std::size_t events_before = events_.size();
+    contract.on_block(sweep);
+    contract.state_hash(after);
+    if (before != after || events_.size() != events_before) {
+      std::string what = "Blockchain::run_timeouts: contract ";
+      what += std::to_string(c);
+      what += " on chain '";
+      what += name_;
+      what += "' changed state in block ";
+      what += std::to_string(now);
+      what += ", where none of its timeouts() came due (timeouts() must "
+              "list every deadline on_block compares against)";
+      throw std::logic_error(what);
+    }
+  }
+#endif
+  // Fired entries matter only to a rewind; with no snapshot stacked, drop
+  // them once they outnumber the pending ones, so a long run's index stays
+  // proportional to its live contracts at amortized O(1) per entry.
+  if (wake_cursor_ * 2 > wakes_.size() && snap_depth() == 0) {
+    wakes_.erase(wakes_.begin(),
+                 wakes_.begin() + static_cast<std::ptrdiff_t>(wake_cursor_));
+    wake_cursor_ = 0;
   }
 }
 
@@ -122,7 +199,8 @@ void Blockchain::produce_block_faulted(Tick now) {
   if (faults_.outage_at(now)) {
     // Full outage: no block at this tick. Height freezes, queued
     // transactions park in the mempool, and — because the timeout sweep
-    // belongs to block production — timelocks do not fire either. Parties
+    // belongs to block production — timelocks do not fire either; the
+    // first block after the outage fires every one it covered. Parties
     // may keep submitting (unlike halt()): their transactions wait out
     // the outage.
     for (Transaction& tx : mempool_) tx.fresh = false;
@@ -237,17 +315,7 @@ void Blockchain::produce_block_faulted(Tick now) {
 
   // 5. Apply the selected block, then the timeout sweep — identical to
   //    the fast path from here on.
-  for (Transaction& tx : batch_) {
-    TxContext ctx(*this, tx.sender, now);
-    tx.effect(ctx);
-    ++applied_tx_count_;
-    record_status(tx, TxStatus::kIncluded);
-    if (on_included_) on_included_(id_, tx.sender, now);
-  }
-  TxContext sweep(*this, kNoParty, now);
-  for (auto& c : contracts_) {
-    c->on_block(sweep);
-  }
+  apply_batch(now);
 }
 
 void Blockchain::snap_push() {
@@ -273,6 +341,13 @@ void Blockchain::snap_rewind(std::size_t depth) {
   ledger_.snap_rewind(depth);
   height_ = snap_counters_.at(depth).first;
   applied_tx_count_ = snap_counters_.at(depth).second;
+  // Fired entries leave the index only while no snapshot is stacked, so
+  // every entry past the restored height is still here: the height alone
+  // places the cursor.
+  wake_cursor_ = static_cast<std::size_t>(
+      std::lower_bound(wakes_.begin(), wakes_.end(),
+                       std::pair<Tick, ContractId>{height_ + 1, 0}) -
+      wakes_.begin());
   mempool_.clear();
   // Fault runtime (submission ordinals, tracked statuses, halt flags) is
   // per-run state: rewinding to a snapshot restarts the run from that

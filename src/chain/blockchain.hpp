@@ -116,11 +116,21 @@ class Contract {
   /// The contract's escrow account.
   Address address() const { return Address::contract(id_); }
 
-  /// Invoked once per produced block, after transactions are applied.
+  /// The timeout sweep, run after a block's transactions are applied.
   /// Contracts process expired timelocks here (refunds, premium awards) —
   /// modelling the convention that the entitled party always triggers an
-  /// expired refund, which is their dominant strategy.
+  /// expired refund, which is their dominant strategy. The chain calls it
+  /// only in blocks where one of timeouts() came due — once, however many
+  /// did — so it must change state only there. Debug builds call it in
+  /// every block and throw if a call the chain would have skipped changed
+  /// state_hash() or emitted an event.
   virtual void on_block(TxContext& ctx) { (void)ctx; }
+
+  /// The deadlines on_block compares against, read once at deploy: a
+  /// timeout d comes due in the first produced block past d (the first
+  /// block after deploy, if d had already passed). A superset is harmless;
+  /// the default (none) suits contracts without a sweep.
+  virtual std::vector<Tick> timeouts() const { return {}; }
 
   /// Snapshot-stack hook (Blockchain::snap_push/snap_rewind): the only
   /// way a contract's state rolls back, whether a reused world rewinds to
@@ -261,8 +271,12 @@ class Blockchain {
     return ref;
   }
 
-  /// Applies all queued transactions, then runs every contract's timeout
-  /// sweep, as the block at height `now`.
+  /// Applies the queued transactions as the block at height `now`, then
+  /// runs the timeout sweep of every contract with a timeout due in it
+  /// (Contract::timeouts: a deadline in [height(), now)) — each once, in
+  /// contract-id order. An outage freezes the height, so the first block
+  /// after it fires every timeout the outage covered. Throws
+  /// std::logic_error unless now > height().
   void produce_block(Tick now);
 
   /// Layered snapshot stack, the chain's only rollback. snap_push()
@@ -294,6 +308,13 @@ class Blockchain {
   /// taken when this chain has fault clauses installed.
   void produce_block_faulted(Tick now);
 
+  /// Applies batch_ as the block at `now`, then runs the timeout sweep.
+  void apply_batch(Tick now);
+
+  /// The timeout sweep of block `now`: on_block for every contract with a
+  /// wake tick in (height_ before this block, now], in id order.
+  void run_timeouts(Tick now);
+
   /// Records `status` for tx if it is tracked.
   void record_status(const Transaction& tx, TxStatus status);
 
@@ -307,6 +328,14 @@ class Blockchain {
   std::vector<Transaction> mempool_;
   std::vector<Transaction> batch_;  ///< produce_block scratch, capacity reused
   std::vector<std::unique_ptr<Contract>> contracts_;
+  /// Deadline index: one (wake tick, contract id) per declared timeout,
+  /// sorted, where the wake tick is the first block past the deadline.
+  /// wakes_[0, wake_cursor_) have wake tick <= height_, i.e. have fired;
+  /// snap_rewind re-derives the cursor from the restored height, and
+  /// fired entries are erased only while no snapshot could need them.
+  std::vector<std::pair<Tick, ContractId>> wakes_;
+  std::size_t wake_cursor_ = 0;
+  std::vector<ContractId> due_;  ///< run_timeouts scratch
   EventLog events_;
   std::size_t applied_tx_count_ = 0;
   /// snap_push() counters stack ({height, applied_tx_count} per depth);

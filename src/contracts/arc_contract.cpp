@@ -214,6 +214,14 @@ void MultiPartyArcContract::refund_escrow_premium(chain::TxContext& ctx,
   }
 }
 
+std::vector<Tick> MultiPartyArcContract::timeouts() const {
+  std::vector<Tick> out{p_.escrow_deadline};
+  for (std::size_t len = 0; len <= p_.g.size(); ++len) {
+    out.push_back(path_deadline(len));
+  }
+  return out;
+}
+
 void MultiPartyArcContract::on_block(chain::TxContext& ctx) {
   // Escrow premium resolution at the escrow deadline: if never activated,
   // refund to u; if activated and the asset never arrived, award to v.

@@ -106,6 +106,8 @@ class MultiPartyArcContract
 
   /// Timeout sweep: premium refunds/awards and the final asset refund.
   void on_block(chain::TxContext& ctx) override;
+  /// The escrow deadline and path_deadline(len) for every path length.
+  std::vector<Tick> timeouts() const override;
 
   // -- Public state -----------------------------------------------------------
 

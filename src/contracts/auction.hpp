@@ -65,6 +65,9 @@ class CoinAuctionContract : public chain::SnapshotState<CoinAuctionContract> {
                        const crypto::Hashkey& key);
 
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> timeouts() const override {
+    return {p_.terms.commit_time};
+  }
 
   // -- Public state -----------------------------------------------------------
   const Params& params() const { return p_; }
@@ -120,6 +123,9 @@ class TicketAuctionContract
                        const crypto::Hashkey& key);
 
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> timeouts() const override {
+    return {p_.terms.commit_time};
+  }
 
   // -- Public state -----------------------------------------------------------
   const Params& params() const { return p_; }

@@ -92,6 +92,9 @@ class BridgeDoorContract : public chain::SnapshotState<BridgeDoorContract> {
 
   /// Commit-deadline and settle-deadline sweeps (see class comment).
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> timeouts() const override {
+    return {p_.commit_deadline, p_.settle_deadline};
+  }
 
   /// Scheduled-step ladder for Scheduler::validate_deadlines: premium,
   /// bonds, commit, settle (the unhedged baseline has no premium/bond
@@ -225,6 +228,7 @@ class BridgeClaimContract : public chain::SnapshotState<BridgeClaimContract> {
   /// Attest-deadline sweep: marks an unresolved claim failed; refunds the
   /// pool remainder to the user either way.
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> timeouts() const override { return {p_.attest_deadline}; }
 
   std::vector<Tick> deadline_schedule() const override {
     if (p_.user_creates) return {p_.create_deadline, p_.attest_deadline};

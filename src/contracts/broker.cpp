@@ -237,6 +237,14 @@ void BrokerChainContract::pay_simple(chain::TxContext& ctx,
   }
 }
 
+std::vector<Tick> BrokerChainContract::timeouts() const {
+  std::vector<Tick> out{p_.escrow_deadline, p_.trading_deadline};
+  for (std::size_t len = 0; len <= p_.g.size(); ++len) {
+    out.push_back(path_deadline(len));
+  }
+  return out;
+}
+
 void BrokerChainContract::on_block(chain::TxContext& ctx) {
   // Escrow premium at the escrow deadline.
   if (ep_.deposited && !ep_.refunded && !ep_.awarded && !escrowed_at_ &&

@@ -98,6 +98,9 @@ class BrokerChainContract : public chain::SnapshotState<BrokerChainContract> {
                        std::size_t leader_index, const crypto::Hashkey& key);
 
   void on_block(chain::TxContext& ctx) override;
+  /// The escrow and trading deadlines and path_deadline(len) for every
+  /// path length.
+  std::vector<Tick> timeouts() const override;
 
   // -- Public state -----------------------------------------------------------
 

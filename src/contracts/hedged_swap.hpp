@@ -1,6 +1,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "chain/blockchain.hpp"
 #include "common/types.hpp"
@@ -63,6 +64,9 @@ class HedgedSwapContract : public chain::SnapshotState<HedgedSwapContract> {
   ///  * at the redemption deadline with an unredeemed principal: refund the
   ///    principal to its owner and award them the premium.
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> timeouts() const override {
+    return {p_.escrow_deadline, p_.redemption_deadline};
+  }
 
   /// The §5.2 deadline ladder in scheduled-step order — premium deposit,
   /// principal escrow, redemption — for Scheduler::validate_deadlines'

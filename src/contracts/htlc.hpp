@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "chain/blockchain.hpp"
 #include "common/types.hpp"
@@ -47,6 +48,7 @@ class HtlcContract : public chain::SnapshotState<HtlcContract> {
 
   /// Timeout sweep: refunds the principal at/after the timelock.
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> timeouts() const override { return {p_.timelock}; }
 
   // -- Public state (anyone may read) --------------------------------------
   const Params& params() const { return p_; }

@@ -80,6 +80,8 @@ class LadderContract : public chain::SnapshotState<LadderContract> {
 
   /// Timeout sweep implementing DEFAULT and FINAL above.
   void on_block(chain::TxContext& ctx) override;
+  /// Every rung's deposit deadline and the redemption deadline.
+  std::vector<Tick> timeouts() const override { return deadline_schedule(); }
 
   /// The scheduled-step deadline ladder: rung deposits run highest index
   /// first (deposit deadlines are strictly decreasing in rung index), so

@@ -55,6 +55,9 @@ class SealedCoinAuctionContract
                        const crypto::Hashkey& key);
 
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> timeouts() const override {
+    return {p_.terms.commit_time};
+  }
 
   // -- Public state -----------------------------------------------------------
   const Params& params() const { return p_; }

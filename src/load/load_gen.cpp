@@ -70,15 +70,23 @@ sim::Schedule conforming_schedule(std::size_t parties, std::string label) {
 
 LoadReport run_load(const LoadConfig& cfg) {
   if (cfg.users == 0) throw std::invalid_argument("load: users must be >= 1");
+  if (cfg.arrival_gap < 0) {
+    throw std::invalid_argument("load: arrival_gap must be >= 0");
+  }
+  if (cfg.block_capacity < 0) {
+    throw std::invalid_argument("load: block_capacity must be >= 0");
+  }
+  if (cfg.max_fee < 0) throw std::invalid_argument("load: max_fee must be >= 0");
   std::vector<MixEntry> mix = cfg.mix;
   if (mix.empty()) mix.push_back({"two-party", 1});
-  int total_weight = 0;
+  // 64-bit: a few INT_MAX weights must not overflow the draw range.
+  std::uint64_t total_weight = 0;
   for (const MixEntry& m : mix) {
     if (m.weight <= 0) {
       throw std::invalid_argument("load: mix weight for '" + m.protocol +
                                   "' must be >= 1");
     }
-    total_weight += m.weight;
+    total_weight += static_cast<std::uint64_t>(m.weight);
   }
   const unsigned threads = std::max(1u, cfg.threads);
 
@@ -120,8 +128,7 @@ LoadReport run_load(const LoadConfig& cfg) {
                       static_cast<std::uint64_t>(cfg.arrival_gap) + 1));
       auto inst = std::make_unique<Instance>();
       inst->idx = i;
-      std::uint64_t pick =
-          rng.next_below(static_cast<std::uint64_t>(total_weight));
+      std::uint64_t pick = rng.next_below(total_weight);
       for (std::size_t m = 0; m < mix.size(); ++m) {
         const std::uint64_t w = static_cast<std::uint64_t>(mix[m].weight);
         if (pick < w) {

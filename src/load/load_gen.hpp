@@ -61,18 +61,18 @@ struct LoadConfig {
 
   /// Weighted protocol mix; empty = {two-party:1}. Names resolve through
   /// ProtocolRegistry::global() and must support bind_instance
-  /// (two-party, broker, bridge-transfer).
+  /// (two-party, broker, bridge-transfer, bridge-account-create).
   std::vector<MixEntry> mix;
 
   /// Inter-arrival gap between consecutive instances is drawn uniformly
-  /// from [0, arrival_gap] ticks (instance 0 arrives at tick 0).
+  /// from [0, arrival_gap] ticks (instance 0 arrives at tick 0). >= 0.
   Tick arrival_gap = 1;
 
   /// Per-block transaction cap on every chain (the organic-congestion
-  /// squeeze). 0 = unbounded blocks (no congestion).
+  /// squeeze). 0 = unbounded blocks (no congestion); negative is invalid.
   int block_capacity = 4;
 
-  /// Fee-escalation ceiling of the instances' ResiliencePolicy.
+  /// Fee-escalation ceiling of the instances' ResiliencePolicy. >= 0.
   Amount max_fee = 64;
 };
 
@@ -121,7 +121,8 @@ struct LoadReport {
 
 /// Runs one load configuration to completion. Throws
 /// std::invalid_argument on malformed configs (zero users, non-positive
-/// weights) and sim::RegistryError on unknown protocol names.
+/// weights, a negative gap, cap or max_fee) and sim::RegistryError on
+/// unknown protocol names.
 LoadReport run_load(const LoadConfig& cfg);
 
 }  // namespace xchain::load

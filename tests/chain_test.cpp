@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "chain/blockchain.hpp"
+#include "chain/fault.hpp"
+#include "chain/snapshot.hpp"
 
 namespace xchain::chain {
 namespace {
@@ -71,10 +77,15 @@ TEST(Address, Identity) {
   EXPECT_EQ(Address::contract(7).str(), "contract:7");
 }
 
-// A trivial contract for framework tests: counts blocks and accepts
-// deposits.
-class CounterContract : public Contract {
+// A trivial contract for framework tests: accepts deposits and counts
+// the blocks in which its deadlines expire. Its sweep obeys the on_block
+// rule — it acts only in the first block past one of its deadlines, once
+// however many came due — and logs that block's height in `fired`.
+class CounterContract : public SnapshotState<CounterContract> {
  public:
+  explicit CounterContract(std::vector<Tick> deadlines = {})
+      : deadlines_(std::move(deadlines)) {}
+
   void deposit(TxContext& ctx, Amount amt) {
     if (ctx.ledger().transfer(Address::party(ctx.sender()), address(),
                               ctx.native(), amt)) {
@@ -82,11 +93,45 @@ class CounterContract : public Contract {
       order.push_back(ctx.sender());
     }
   }
-  void on_block(TxContext&) override { ++blocks; }
+  void on_block(TxContext& ctx) override {
+    const std::size_t passed = passed_;
+    while (passed_ < deadlines_.size() && ctx.now() > deadlines_[passed_]) {
+      ++passed_;
+    }
+    if (passed_ == passed) return;
+    fired.push_back(ctx.now());
+    ctx.emit(id(), "expired");
+  }
+  std::vector<Tick> timeouts() const override { return deadlines_; }
 
-  int blocks = 0;
   std::vector<PartyId> order;
+  std::vector<Tick> fired;
+
+ private:
+  std::vector<Tick> deadlines_;  ///< ascending
+  std::size_t passed_ = 0;       ///< deadlines_[0, passed_) have expired
+
+  auto state_tie() { return std::tie(order, fired, passed_); }
+  friend SnapshotState<CounterContract>;
 };
+
+// Under-declares: its sweep acts past tick 2, but timeouts() names none.
+class UndeclaredContract : public SnapshotState<UndeclaredContract> {
+ public:
+  void on_block(TxContext& ctx) override {
+    if (ctx.now() > 2) expired_ = true;
+  }
+
+ private:
+  bool expired_ = false;
+
+  auto state_tie() { return std::tie(expired_); }
+  friend SnapshotState<UndeclaredContract>;
+};
+
+void produce_through(MultiChain& chains, Tick from, Tick to) {
+  for (Tick t = from; t <= to; ++t) chains.produce_all(t);
+}
 
 TEST(Blockchain, TxAppliedAtBlockProduction) {
   MultiChain chains;
@@ -115,13 +160,115 @@ TEST(Blockchain, TxOrderPreserved) {
   EXPECT_EQ(c.order, (std::vector<PartyId>{1, 0}));
 }
 
-TEST(Blockchain, OnBlockRunsEveryBlock) {
+TEST(Blockchain, TimeoutFiresInFirstBlockPastIt) {
   MultiChain chains;
   Blockchain& bc = chains.add_chain("test");
-  auto& c = bc.deploy<CounterContract>();
-  for (Tick t = 0; t < 5; ++t) chains.produce_all(t);
-  EXPECT_EQ(c.blocks, 5);
-  EXPECT_EQ(bc.height(), 4);
+  auto& c = bc.deploy<CounterContract>(std::vector<Tick>{2, 5});
+  produce_through(chains, 0, 2);
+  EXPECT_TRUE(c.fired.empty()) << "a deadline is inclusive: block 2 is timely";
+  chains.produce_all(3);
+  EXPECT_EQ(c.fired, (std::vector<Tick>{3}));
+  produce_through(chains, 4, 9);
+  EXPECT_EQ(c.fired, (std::vector<Tick>{3, 6}));
+  EXPECT_EQ(bc.height(), 9);
+}
+
+TEST(Blockchain, OutageOverTwoTimeoutsFiresOnce) {
+  // The outage freezes the height at 1, so the first block after it covers
+  // both deadlines and the contract runs once for the pair.
+  MultiChain chains;
+  Blockchain& bc = chains.add_chain("test");
+  bc.set_faults(FaultPlan::parse("test:outage@2-6").for_chain("test"));
+  auto& c = bc.deploy<CounterContract>(std::vector<Tick>{2, 4});
+  produce_through(chains, 0, 6);
+  EXPECT_TRUE(c.fired.empty());
+  EXPECT_EQ(bc.height(), 1);
+  produce_through(chains, 7, 9);
+  EXPECT_EQ(c.fired, (std::vector<Tick>{7}));
+  ASSERT_EQ(bc.events().size(), 1u);
+}
+
+TEST(Blockchain, DueContractsRunInIdOrder) {
+  // The wake ticks sort as contract 1 (3), 2 (4), 0 (5); one block after
+  // an outage makes all three due, and they run in id order, each once.
+  MultiChain chains;
+  Blockchain& bc = chains.add_chain("test");
+  bc.set_faults(FaultPlan::parse("test:outage@3-5").for_chain("test"));
+  bc.deploy<CounterContract>(std::vector<Tick>{4});
+  bc.deploy<CounterContract>(std::vector<Tick>{2, 3});
+  bc.deploy<CounterContract>(std::vector<Tick>{3});
+  produce_through(chains, 0, 6);
+  ASSERT_EQ(bc.events().size(), 3u);
+  for (ContractId i = 0; i < 3; ++i) {
+    EXPECT_EQ(bc.events()[i].contract, i);
+    EXPECT_EQ(bc.events()[i].tick, 6);
+  }
+}
+
+TEST(Blockchain, MidDepthRewindFiresLaterTimeoutAgain) {
+  MultiChain chains;
+  chains.set_trace(TraceMode::kOff);
+  Blockchain& bc = chains.add_chain("test");
+  auto& c = bc.deploy<CounterContract>(std::vector<Tick>{1, 4});
+  chains.snap_push();  // slot 0: height -1
+  produce_through(chains, 0, 2);
+  chains.snap_push();  // slot 1: height 2, the first timeout fired
+  produce_through(chains, 3, 6);
+  EXPECT_EQ(c.fired, (std::vector<Tick>{2, 5}));
+
+  chains.snap_rewind(1);
+  EXPECT_EQ(c.fired, (std::vector<Tick>{2}));
+  produce_through(chains, 3, 6);
+  EXPECT_EQ(c.fired, (std::vector<Tick>{2, 5})) << "fires again";
+
+  chains.snap_rewind(0);
+  EXPECT_TRUE(c.fired.empty());
+  produce_through(chains, 0, 6);
+  EXPECT_EQ(c.fired, (std::vector<Tick>{2, 5}));
+}
+
+TEST(Blockchain, ContractDeployedMidRunFires) {
+  // A load instance deploys on a chain that is already producing. A
+  // deadline already past at deploy fires in the next block.
+  MultiChain chains;
+  Blockchain& bc = chains.add_chain("test");
+  produce_through(chains, 0, 3);
+  auto& later = bc.deploy<CounterContract>(std::vector<Tick>{6});
+  auto& past = bc.deploy<CounterContract>(std::vector<Tick>{1});
+  produce_through(chains, 4, 9);
+  EXPECT_EQ(later.fired, (std::vector<Tick>{7}));
+  EXPECT_EQ(past.fired, (std::vector<Tick>{4}));
+}
+
+TEST(Blockchain, ProduceBlockMustAdvanceHeight) {
+  MultiChain chains;
+  Blockchain& bc = chains.add_chain("test");
+  chains.produce_all(0);
+  chains.produce_all(2);
+  EXPECT_THROW(bc.produce_block(2), std::logic_error);
+  EXPECT_THROW(bc.produce_block(1), std::logic_error);
+  EXPECT_NO_THROW(bc.produce_block(3));
+}
+
+TEST(Blockchain, DebugSweepCatchesUndeclaredTimeout) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the skipped-call cross-check runs in debug builds only";
+#else
+  MultiChain chains;
+  Blockchain& bc = chains.add_chain("witness");
+  bc.deploy<CounterContract>(std::vector<Tick>{1});
+  bc.deploy<UndeclaredContract>();
+  produce_through(chains, 0, 2);
+  try {
+    chains.produce_all(3);
+    FAIL() << "a state change the index skipped must throw";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("contract 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("'witness'"), std::string::npos) << what;
+    EXPECT_NE(what.find("block 3"), std::string::npos) << what;
+  }
+#endif
 }
 
 TEST(Blockchain, EventsRecorded) {

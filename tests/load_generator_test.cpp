@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <memory>
 #include <vector>
 
@@ -226,6 +227,19 @@ TEST(LoadGenerator, SameSeedSameReport) {
   EXPECT_EQ(a.violations.size(), b.violations.size());
 }
 
+TEST(LoadGenerator, MaxWeightsDrawEveryProtocol) {
+  // The draw range is the 64-bit weight sum: a 32-bit one overflowed at
+  // two INT_MAX weights and drew only the first protocol.
+  load::LoadConfig cfg;
+  cfg.users = 50;
+  cfg.mix = {{"two-party", INT_MAX}, {"broker", INT_MAX}};
+  const load::LoadReport r = load::run_load(cfg);
+  ASSERT_EQ(r.per_protocol.size(), 2u);
+  for (const load::ProtocolStats& p : r.per_protocol) {
+    EXPECT_GT(p.instances, 0u) << p.protocol;
+  }
+}
+
 TEST(LoadGenerator, RejectsBadConfigs) {
   load::LoadConfig cfg;
   cfg.users = 0;
@@ -233,6 +247,16 @@ TEST(LoadGenerator, RejectsBadConfigs) {
   cfg.users = 1;
   cfg.mix = {{"two-party", 0}};
   EXPECT_THROW(load::run_load(cfg), std::invalid_argument);
+  cfg.mix = {};
+  cfg.arrival_gap = -1;  // would reach rng.next_below(0)
+  EXPECT_THROW(load::run_load(cfg), std::invalid_argument);
+  cfg.arrival_gap = 1;
+  cfg.block_capacity = -1;  // would silently mean unbounded blocks
+  EXPECT_THROW(load::run_load(cfg), std::invalid_argument);
+  cfg.block_capacity = 4;
+  cfg.max_fee = -1;
+  EXPECT_THROW(load::run_load(cfg), std::invalid_argument);
+  cfg.max_fee = 64;
   cfg.mix = {{"no-such-protocol", 1}};
   EXPECT_THROW(load::run_load(cfg), sim::RegistryError);
   // Protocols without a bound-world form are rejected at bind time.

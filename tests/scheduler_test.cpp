@@ -200,6 +200,8 @@ TEST(SchedulerPropagation, DeltaTimeoutsFireExactlyAtExpiry) {
         ctx.emit(id(), "expired");
       }
     }
+    // Block D is the first one past D - 1.
+    std::vector<Tick> timeouts() const override { return {deadline_ - 1}; }
     Tick fired_at = -1;
 
    private:

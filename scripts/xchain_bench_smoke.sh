@@ -11,6 +11,8 @@
 #     violations);
 #   * the --threads=1 and --threads=4 artifacts are identical modulo the
 #     wall-time/stamp fields (the load loop's determinism contract);
+#   * --scaling=1,4 exits 0: its re-runs match the primary report in every
+#     deterministic field, each violation and its attribution included;
 #   * equal INT_MAX mix weights draw both protocols (the draw range is
 #     their 64-bit sum);
 #   * scripts/bench_compare.py passes an artifact against its --threads=4
@@ -75,6 +77,16 @@ for proto in two-party broker; do
     || fail "INT_MAX weights drew no $proto instance"
 done
 
+# --scaling re-runs the load per thread count and exits 1 unless every
+# deterministic field matches the primary run. At this shape congestion
+# leaves instances incomplete, so the violation lists it compares are not
+# empty.
+"$bin" --users=200 --seed=7 --scaling=1,4 --json="$work/scaling.json" \
+  --quiet || fail "--scaling=1,4 run exited $? (want 0)"
+grep -q '"scaling": \[' "$work/scaling.json" || fail "JSON lacks scaling curve"
+grep -q '"violations": [1-9]' "$work/scaling.json" \
+  || fail "--scaling run compared no violations"
+
 # Report-drift gate: one config, one set of deterministic fields.
 if command -v python3 >/dev/null 2>&1; then
   compare="$(dirname "$0")/bench_compare.py"
@@ -107,5 +119,5 @@ set +e
 set -e
 
 rm -f "$work/t1.json" "$work/t4.json" "$work/bad.json" "$work/max.json" \
-  "$work/drift.json"
+  "$work/drift.json" "$work/scaling.json"
 echo "xchain_bench_smoke: OK"

@@ -64,6 +64,11 @@ PayoffTracker::Snapshot PayoffTracker::snapshot_of(
   return snap;
 }
 
+Amount PayoffDelta::symbol_delta(const chain::Symbol& symbol) const {
+  const auto it = by_symbol.find(symbol);
+  return it == by_symbol.end() ? 0 : it->second;
+}
+
 PayoffDelta PayoffTracker::delta(const chain::MultiChain& chains,
                                  PartyId party) const {
   PayoffDelta d;

@@ -25,6 +25,9 @@ struct PayoffDelta {
   /// Total valued payoff with every symbol at par.
   Amount value_delta = 0;
 
+  /// by_symbol's entry for `symbol`, 0 when it never moved.
+  Amount symbol_delta(const chain::Symbol& symbol) const;
+
   std::string str() const;
 };
 

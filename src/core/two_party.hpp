@@ -60,7 +60,7 @@ TwoPartyResult run_hedged_two_party(const TwoPartyConfig& cfg,
                                     sim::DeviationPlan alice,
                                     sim::DeviationPlan bob);
 
-/// Number of deviation-relevant actions per role (for model checking).
+/// Number of deviation-relevant actions per role (for deviation sweeps).
 inline constexpr int kBaseTwoPartyActions = 2;
 inline constexpr int kHedgedTwoPartyActions = 3;
 

@@ -23,7 +23,7 @@ namespace {
 /// One arrived protocol instance: the bound world plus the scheduler's
 /// bookkeeping. Never destroyed before the run ends — mempools may carry
 /// crowded-out transactions whose effects reference the instance's
-/// contracts and actors long after it completed.
+/// contracts and actors long after it ended.
 struct Instance {
   std::size_t idx = 0;    ///< arrival index (the "#<idx>" of its tag)
   std::size_t proto = 0;  ///< mix index
@@ -67,6 +67,13 @@ sim::Schedule conforming_schedule(std::size_t parties, std::string label) {
 }
 
 }  // namespace
+
+bool LoadReport::same_outcome(const LoadReport& o) const {
+  return instances == o.instances && txs_included == o.txs_included &&
+         chains == o.chains && ticks == o.ticks && latency == o.latency &&
+         per_protocol == o.per_protocol && violations == o.violations &&
+         fault_caused == o.fault_caused && unattributed == o.unattributed;
+}
 
 LoadReport run_load(const LoadConfig& cfg) {
   if (cfg.users == 0) throw std::invalid_argument("load: users must be >= 1");

@@ -22,8 +22,9 @@
 //      so submission sequence numbers never depend on thread timing;
 //   4. block production — produce_all(now) runs the fee-ordered bounded
 //      selection once per chain over the whole tick's traffic.
-// An instance completes once the block at end_tick() - 1 is produced; its
-// outcomes are payoff-audited immediately (audit_schedule). Completion
+// An instance ends once the block at end_tick() - 1 is produced; its
+// outcomes are audited immediately (audit_schedule), whose liveness check
+// flags an instance whose protocol did not complete by then. Completion
 // latency is measured by an inclusion observer mapping applied
 // transactions back to instances through their disjoint account-id
 // ranges.
@@ -85,6 +86,8 @@ struct LatencyStats {
   Tick p99 = 0;
   Tick max = 0;
   double mean = 0.0;
+
+  bool operator==(const LatencyStats&) const = default;
 };
 
 /// Aggregates for one protocol of the mix.
@@ -95,28 +98,40 @@ struct ProtocolStats {
   LatencyStats latency;
   std::size_t violations = 0;
   std::size_t fault_caused = 0;
+
+  bool operator==(const ProtocolStats&) const = default;
 };
 
 /// Result of one load run. Identical for any `threads` value except the
-/// wall_seconds field (pinned by tests/load_generator_test.cpp).
+/// wall_seconds field (same_outcome; pinned by
+/// tests/load_generator_test.cpp).
 struct LoadReport {
-  std::size_t instances = 0;     ///< completed (== LoadConfig::users)
+  /// Instances run to their end tick (== LoadConfig::users), whether or
+  /// not the protocol completed there.
+  std::size_t instances = 0;
   std::size_t txs_included = 0;  ///< transactions applied across all chains
   std::size_t chains = 0;        ///< distinct shared chains created
-  Tick ticks = 0;                ///< simulated ticks until the last completion
+  Tick ticks = 0;                ///< simulated ticks until the last end tick
   double wall_seconds = 0.0;     ///< measured wall time of the tick loop
 
   LatencyStats latency;                      ///< across all instances
   std::vector<ProtocolStats> per_protocol;   ///< in mix order
 
-  /// Hedged-floor violations across all completed instances, in
-  /// completion order; every one should re-audit clean on its faultless
-  /// twin (fault_caused) — an unattributed violation is a real bug.
+  /// audit_schedule violations across all instances, in end-tick order:
+  /// floor breaches, asset-safety losses and all-conforming runs that
+  /// never completed (one "<all>" liveness violation per instance). Every
+  /// one should re-audit clean on its faultless twin (fault_caused) — an
+  /// unattributed violation is a real bug.
   std::vector<sim::Violation> violations;
   std::size_t fault_caused = 0;
   std::size_t unattributed = 0;
 
   bool ok() const { return unattributed == 0; }
+
+  /// True when every field but wall_seconds matches `o`: the counts, every
+  /// latency stat, the per-protocol rows, and each violation with its
+  /// attribution.
+  bool same_outcome(const LoadReport& o) const;
 };
 
 /// Runs one load configuration to completion. Throws

@@ -137,8 +137,8 @@ std::string CampaignReport::str() const {
 // GCC 12's libstdc++ trips -Wrestrict on inlined std::string operator+
 // chains (bogus "accessing 9223372036854775810 or more bytes" — GCC PR
 // 105651, fixed in GCC 13). The library builds with -Werror, so suppress
-// the false positive for just this function, exactly as in
-// analysis/model_checker.cpp.
+// the false positive for just this function; new code builds such strings
+// append-only instead.
 #if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wrestrict"

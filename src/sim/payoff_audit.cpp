@@ -20,14 +20,21 @@ std::string Violation::str() const {
   return out;
 }
 
+bool lost_principal(const core::PayoffDelta& d, const std::string& principal,
+                    const std::string& counter_asset) {
+  return d.symbol_delta(principal) < 0 && d.symbol_delta(counter_asset) <= 0;
+}
+
 std::size_t audit_schedule(const std::string& schedule_label,
                            const std::vector<PartyOutcome>& outcomes,
                            std::vector<Violation>& out,
                            bool check_conservation) {
   std::size_t audited = 0;
   Amount total = 0;
+  bool completed = true;
   for (const PartyOutcome& o : outcomes) {
     total += o.payoff.coin_delta;
+    completed = completed && o.bound.completed;
     if (!o.conforming) continue;
     ++audited;
 
@@ -47,10 +54,18 @@ std::size_t audit_schedule(const std::string& schedule_label,
       out.push_back({schedule_label, o.name, o.payoff.coin_delta, 0,
                      "coin-negative without goods"});
     }
+    if (o.bound.principal_lost) {
+      out.push_back({schedule_label, o.name, o.payoff.coin_delta, floor,
+                     "lost principal without the counter-asset"});
+    }
   }
   if (check_conservation && total != 0) {
     out.push_back({schedule_label, "<all>", total, 0,
                    "native-coin flows not zero-sum across parties"});
+  }
+  if (!completed && audited == outcomes.size()) {
+    out.push_back({schedule_label, "<all>", 0, 0,
+                   "all-conforming run did not complete"});
   }
   return audited;
 }

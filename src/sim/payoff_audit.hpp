@@ -8,10 +8,14 @@
 
 namespace xchain::sim {
 
-/// The paper's hedging guarantee (Definition 1) instantiated for one party
-/// in one finished run: a conforming party must end no worse off than its
-/// earned premium compensation. The protocol adapter fills in the numbers —
-/// the audit only compares them against the observed payoff.
+/// What the audit checks for one party in one finished run, as the
+/// protocol adapter saw it: the paper's hedging guarantee (Definition 1),
+/// a conforming party ends no worse off than its earned premium
+/// compensation; asset safety, a conforming party never loses its
+/// principal without the counter-asset; and liveness, a run in which every
+/// party conforms completes. The adapter fills in the numbers and flags
+/// from the run's result, never from the party's own plan — the audit only
+/// compares them against the observed payoff.
 struct HedgeBound {
   /// Premium-compensation floor on the party's native-coin delta. 0 for a
   /// party that was never harmed; each locked-and-refunded principal raises
@@ -23,7 +27,27 @@ struct HedgeBound {
   /// to `min_coin_delta - spend_allowance` only when `goods_received`.
   Amount spend_allowance = 0;
   bool goods_received = false;
+
+  /// The protocol ran to completion (swap redeemed, deal or auction
+  /// settled, transfer delivered). Every party of a run carries the same
+  /// value. The default keeps outcomes built without a run result clear
+  /// of the liveness check.
+  bool completed = true;
+
+  /// The party's principal left it and the counter-asset never arrived
+  /// (lost_principal below). Set only by adapters whose parties trade one
+  /// principal for one counter-asset: two-party, the ladders, the broker.
+  bool principal_lost = false;
 };
+// The two flags sit in the tail padding after goods_received, so
+// PartyOutcome keeps its size: the tree executor caches one outcome vector
+// per memo leaf.
+static_assert(sizeof(HedgeBound) == 3 * sizeof(Amount));
+
+/// The asset-safety rule: `d` shows `principal` fell and `counter_asset`
+/// did not rise.
+bool lost_principal(const core::PayoffDelta& d, const std::string& principal,
+                    const std::string& counter_asset);
 
 /// One party's end-of-run state as seen by the audit.
 struct PartyOutcome {
@@ -33,12 +57,14 @@ struct PartyOutcome {
   HedgeBound bound;
 };
 
-/// A schedule on which the hedging bound failed for a conforming party.
+/// One failed check of audit_schedule. Floor breaches and asset-safety
+/// violations name the conforming party with its coin delta and floor;
+/// the run-wide checks (conservation, liveness) name party "<all>".
 struct Violation {
   std::string schedule;  ///< label of the offending schedule
   std::string party;
-  Amount coin_delta = 0;    ///< observed
-  Amount required_min = 0;  ///< the floor that was breached
+  Amount coin_delta = 0;    ///< observed (conservation: the net sum)
+  Amount required_min = 0;  ///< the party's floor (0 for "<all>")
   std::string detail;
 
   /// True when the loss is attributed to the injected chain faults rather
@@ -51,13 +77,17 @@ struct Violation {
   bool fault_caused = false;
 
   std::string str() const;
+  bool operator==(const Violation&) const = default;
 };
 
-/// Audits one schedule's outcomes against each conforming party's
-/// HedgeBound, and checks that native-coin flows are zero-sum across
-/// parties when `check_conservation` (premiums only move between parties;
-/// contracts never strand coins). Appends any violations to `out` and
-/// returns the number of conforming parties audited.
+/// Audits one schedule's outcomes. Each conforming party must end at or
+/// above its HedgeBound floor, never coin-negative without goods, and
+/// without principal_lost (asset safety). When every party conforms, every
+/// outcome must be `completed` (liveness: one "<all>" violation per run).
+/// With `check_conservation`, native-coin flows must be zero-sum across
+/// parties (premiums only move between parties; contracts never strand
+/// coins). Appends any violations to `out` and returns the number of
+/// conforming parties audited.
 std::size_t audit_schedule(const std::string& schedule_label,
                            const std::vector<PartyOutcome>& outcomes,
                            std::vector<Violation>& out,

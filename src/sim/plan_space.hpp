@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "sim/deviation.hpp"
@@ -8,41 +7,13 @@
 namespace xchain::sim {
 
 /// The plan space for a role with `actions` protocol actions: conforming
-/// plus every distinct halting point halt@0..halt@(actions-1). With
-/// `include_full_halt`, also appends halt@actions — behaviourally identical
-/// to conforming (the party performs its whole script), kept by sweeps that
-/// want a uniform halting encoding (the model checker's historical space).
-inline std::vector<DeviationPlan> plan_space(int actions,
-                                             bool include_full_halt = false) {
+/// plus every distinct halting point halt@0..halt@(actions-1).
+inline std::vector<DeviationPlan> plan_space(int actions) {
   std::vector<DeviationPlan> plans{DeviationPlan::conforming()};
-  for (int k = 0; k < actions + (include_full_halt ? 1 : 0); ++k) {
+  for (int k = 0; k < actions; ++k) {
     plans.push_back(DeviationPlan::halt_after(k));
   }
   return plans;
-}
-
-/// Iterates the cartesian product of per-role plan spaces, odometer-style
-/// with role 0 as the least significant digit. Shared by the model checker
-/// (src/analysis) and the scenario-sweep engine (src/sim/scenario.hpp) so
-/// the schedule space is enumerated one way everywhere.
-inline void for_each_plan_combination(
-    const std::vector<std::vector<DeviationPlan>>& spaces,
-    const std::function<void(const std::vector<DeviationPlan>&)>& fn) {
-  std::vector<std::size_t> index(spaces.size(), 0);
-  while (true) {
-    std::vector<DeviationPlan> combo;
-    combo.reserve(spaces.size());
-    for (std::size_t i = 0; i < spaces.size(); ++i) {
-      combo.push_back(spaces[i][index[i]]);
-    }
-    fn(combo);
-    std::size_t i = 0;
-    for (; i < spaces.size(); ++i) {
-      if (++index[i] < spaces[i].size()) break;
-      index[i] = 0;
-    }
-    if (i == spaces.size()) return;
-  }
 }
 
 }  // namespace xchain::sim

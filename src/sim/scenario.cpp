@@ -887,6 +887,9 @@ std::vector<PartyOutcome> TwoPartySwapAdapter::outcomes_from(
   if (r.alice_lockup > 0) alice.bound.min_coin_delta = cfg_.premium_b;
   PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg_.delta), r.bob, {}};
   if (r.bob_lockup > 0) bob.bound.min_coin_delta = cfg_.premium_a;
+  alice.bound.completed = bob.bound.completed = r.swapped;
+  alice.bound.principal_lost = lost_principal(r.alice, "apricot", "banana");
+  bob.bound.principal_lost = lost_principal(r.bob, "banana", "apricot");
   return {std::move(alice), std::move(bob)};
 }
 
@@ -903,6 +906,7 @@ std::vector<PartyOutcome> MultiPartySwapAdapter::outcomes_from(
     if (cfg_.hedged) {
       o.bound.min_coin_delta = cfg_.premium_unit * r.assets_refunded[v];
     }
+    o.bound.completed = r.all_redeemed;
     outcomes.push_back(std::move(o));
   }
   return outcomes;
@@ -954,12 +958,12 @@ std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
   outcomes.push_back(
       {"auctioneer", s.plans[0].conforms_within(cfg_.delta), r.auctioneer,
        {}});
+  outcomes.back().bound.completed = r.completed;
   for (std::size_t i = 0; i + 1 < s.plans.size(); ++i) {
     PartyOutcome o{"bidder-" + std::to_string(i + 1),
                    s.plans[i + 1].conforms_within(cfg_.delta), r.bidders[i],
                    {}};
-    const auto it = o.payoff.by_symbol.find("ticket");
-    if (it != o.payoff.by_symbol.end() && it->second > 0) {
+    if (o.payoff.symbol_delta("ticket") > 0) {
       o.bound.goods_received = true;
       o.bound.spend_allowance = cfg_.bids[i];  // never pay above the bid
     } else if (variant != 0 && strat != core::AuctioneerStrategy::kNoSetup &&
@@ -975,6 +979,7 @@ std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
       // never-consulted plan coordinates.
       o.bound.min_coin_delta = cfg_.premium_unit;
     }
+    o.bound.completed = r.completed;
     outcomes.push_back(std::move(o));
   }
   return outcomes;
@@ -1000,19 +1005,19 @@ std::vector<PartyOutcome> BrokerDealAdapter::outcomes_from(
   // every coin-chain bucket still redeems — leaving Bob with both his
   // refunded tickets and the full purchase price. He is then strictly
   // better off than on completion, so no premium is owed (fuzz-found).
-  const auto was_paid = [](const core::PayoffDelta& d, const char* symbol) {
-    const auto it = d.by_symbol.find(symbol);
-    return it != d.by_symbol.end() && it->second > 0;
-  };
   PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg_.delta), r.bob, {}};
-  if (r.bob_lockup > 0 && !was_paid(r.bob, "coin")) {
+  if (r.bob_lockup > 0 && r.bob.symbol_delta("coin") <= 0) {
     bob.bound.min_coin_delta = cfg_.premium_unit;
   }
   PartyOutcome carol{"carol", s.plans[2].conforms_within(cfg_.delta), r.carol,
                      {}};
-  if (r.carol_lockup > 0 && !was_paid(r.carol, "ticket")) {
+  if (r.carol_lockup > 0 && r.carol.symbol_delta("ticket") <= 0) {
     carol.bound.min_coin_delta = cfg_.premium_unit;
   }
+  alice.bound.completed = bob.bound.completed = carol.bound.completed =
+      r.completed;
+  bob.bound.principal_lost = lost_principal(r.bob, "ticket", "coin");
+  carol.bound.principal_lost = lost_principal(r.carol, "coin", "ticket");
   return {std::move(alice), std::move(bob), std::move(carol)};
 }
 
@@ -1044,6 +1049,9 @@ std::vector<PartyOutcome> BootstrapSwapAdapter::outcomes_from(
   if (r.alice_lockup > 0) alice.bound.min_coin_delta = alice_floor_;
   PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg_.delta), r.bob, {}};
   if (r.bob_lockup > 0) bob.bound.min_coin_delta = bob_floor_;
+  alice.bound.completed = bob.bound.completed = r.swapped;
+  alice.bound.principal_lost = lost_principal(r.alice, "apricot", "banana");
+  bob.bound.principal_lost = lost_principal(r.bob, "banana", "apricot");
   return {std::move(alice), std::move(bob)};
 }
 
@@ -1069,6 +1077,7 @@ std::vector<PartyOutcome> BridgeAdapter::outcomes_from(
     // bonds must cover the eager-reward outlay plus the premium floor.
     user.bound.min_coin_delta = cfg_.premium_unit;
   }
+  user.bound.completed = r.transfer_completed;
   out.push_back(std::move(user));
   for (PartyId w = 1; w <= static_cast<PartyId>(cfg_.n_witnesses); ++w) {
     const std::size_t i = static_cast<std::size_t>(w);
@@ -1079,6 +1088,7 @@ std::vector<PartyOutcome> BridgeAdapter::outcomes_from(
     // witness's bond always returns — its own settle report carries the
     // attester set that clears it).
     if (r.transfer_completed) o.bound.min_coin_delta = cfg_.witness_reward;
+    o.bound.completed = r.transfer_completed;
     out.push_back(std::move(o));
   }
   return out;

@@ -31,7 +31,8 @@
 // adapter, enumerates the cross product of per-party plan spaces, runs
 // every schedule through the engine, and feeds each final state to
 // payoff_audit, which flags any schedule where a conforming party loses
-// more than its earned premiums.
+// more than its earned premiums or its principal without the
+// counter-asset, or where an all-conforming run does not complete.
 //
 // Every protocol has one execution path (WorldAdapter below): one cached
 // traceless world per adapter, whose persistent actors (sim/tree.hpp

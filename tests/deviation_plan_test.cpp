@@ -93,7 +93,7 @@ TEST(DeviationPlan, MixedPlanRendersEveryModification) {
 }
 
 // ---------------------------------------------------------------------------
-// The legacy halt-only space is unchanged (model checker + sweeps share it)
+// The legacy halt-only space is unchanged (the sweeps' halt-only default)
 // ---------------------------------------------------------------------------
 
 TEST(PlanSpace, HaltOnlyListMatchesTheHistoricalOrder) {

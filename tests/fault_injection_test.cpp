@@ -390,25 +390,36 @@ ChainEnvironment squeeze_env(const std::string& resilience = "naive") {
           ResiliencePolicy::parse(resilience)};
 }
 
+/// The audit's liveness violation, blamed on the chain faults: every
+/// party conformed, the run did not complete, and the faultless twin did.
+void expect_liveness_fault(const sim::Violation& v) {
+  EXPECT_EQ(v.party, "<all>") << v.str();
+  EXPECT_EQ(v.detail, "all-conforming run did not complete") << v.str();
+  EXPECT_TRUE(v.fault_caused) << v.str();
+  EXPECT_NE(v.str().find("[chain-fault]"), std::string::npos) << v.str();
+}
+
 TEST(FaultSweep, NaiveConformingPartyBreachesUnderSqueeze) {
   // The regression pin for the fault layer's raison d'etre: both parties
   // conform, but fee-3 spam crowds Alice's fee-0 banana traffic out of
   // cap-1 blocks until her inclusive deadline lapses — a sore-loser loss
-  // with no deviator anywhere, attributed to the chain fault.
+  // with no deviator anywhere, attributed to the chain fault. The swap
+  // never completes, so liveness fails too.
   const auto adapter = make_ref("two-party");
   adapter->set_environment(squeeze_env());
   sim::SweepOptions opts;
   opts.max_deviators = 0;
   const sim::SweepReport report = sim::ScenarioRunner(*adapter).sweep(opts);
   EXPECT_EQ(report.schedules_run, 1u);
-  ASSERT_EQ(report.violations.size(), 1u) << report.str();
+  ASSERT_EQ(report.violations.size(), 2u) << report.str();
   const sim::Violation& v = report.violations.front();
   EXPECT_EQ(v.party, "alice");
   EXPECT_EQ(v.coin_delta, -2);
   EXPECT_EQ(v.required_min, 1);
   EXPECT_TRUE(v.fault_caused);
-  EXPECT_EQ(report.fault_caused, 1u);
+  EXPECT_EQ(report.fault_caused, 2u);
   EXPECT_NE(v.str().find("[chain-fault]"), std::string::npos) << v.str();
+  expect_liveness_fault(report.violations.back());
 }
 
 TEST(FaultSweep, FeeEscalationRestoresFloorsUnderSqueeze) {
@@ -476,7 +487,51 @@ TEST(FaultSweep, CloneCarriesTheEnvironment) {
   sim::SweepOptions opts;
   opts.max_deviators = 0;
   const sim::SweepReport report = sim::ScenarioRunner(*clone).sweep(opts);
-  EXPECT_EQ(report.violations.size(), 1u);
+  ASSERT_EQ(report.violations.size(), 2u) << report.str();
+  expect_liveness_fault(report.violations.back());
+}
+
+TEST(FaultSweep, DroppedTrafficFailsLivenessOnEveryProtocol) {
+  // Every submission is dropped, so no conforming run gets anywhere: no
+  // principal moves and no floor is owed, but no protocol completes. The
+  // liveness check is the only one that can see it, and the faultless
+  // twin (which completes) blames the drops.
+  for (const std::string& name : sim::ProtocolRegistry::global().names()) {
+    const auto adapter = make_ref(name);
+    adapter->set_environment(
+        {FaultPlan::parse("*:drop@0-1000,p=1000"),
+         ResiliencePolicy::parse("naive")});
+    sim::SweepOptions opts;
+    opts.max_deviators = 0;
+    const sim::SweepReport report = sim::ScenarioRunner(*adapter).sweep(opts);
+    EXPECT_EQ(report.schedules_run, 1u) << name;
+    ASSERT_EQ(report.violations.size(), 1u) << name << ": " << report.str();
+    expect_liveness_fault(report.violations.front());
+  }
+}
+
+TEST(FaultSweep, OutageStrandsAConformingPrincipal) {
+  // An apricot outage over Bob's redemption window: Bob's banana is
+  // redeemed by Alice, but his claim on the apricot escrow never lands
+  // before it refunds. Both parties conform, so the asset-safety check
+  // fires next to the floor breach and the liveness failure.
+  const auto adapter = make_ref("two-party");
+  adapter->set_environment({FaultPlan::parse("apricot:outage@4-12"),
+                            ResiliencePolicy::parse("naive")});
+  sim::SweepOptions opts;
+  opts.max_deviators = 0;
+  const sim::SweepReport report = sim::ScenarioRunner(*adapter).sweep(opts);
+  ASSERT_EQ(report.violations.size(), 3u) << report.str();
+  EXPECT_EQ(report.fault_caused, 3u);
+  const sim::Violation& floor = report.violations[0];
+  EXPECT_EQ(floor.party, "bob") << floor.str();
+  EXPECT_EQ(floor.detail, "lost more than earned premiums") << floor.str();
+  const sim::Violation& safety = report.violations[1];
+  EXPECT_EQ(safety.party, "bob") << safety.str();
+  EXPECT_EQ(safety.detail, "lost principal without the counter-asset")
+      << safety.str();
+  EXPECT_TRUE(safety.fault_caused);
+  expect_liveness_fault(report.violations[2]);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,14 +544,17 @@ TEST(FaultCampaign, EnvironmentRidesCampaignsAndJson) {
   spec.sweep.max_deviators = 0;
   spec.environment = squeeze_env();
   const sim::CampaignReport report = sim::Campaign(spec).run();
-  EXPECT_EQ(report.total_violations(), 1u);
-  EXPECT_EQ(report.total_fault_caused(), 1u);
+  EXPECT_EQ(report.total_violations(), 2u);
+  EXPECT_EQ(report.total_fault_caused(), 2u);
+  ASSERT_EQ(report.configs.size(), 1u);
+  ASSERT_EQ(report.configs[0].report.violations.size(), 2u);
+  expect_liveness_fault(report.configs[0].report.violations.back());
   const std::string json = sim::campaign_json(report);
   EXPECT_NE(json.find("\"faults\": \"banana:squeeze@4-10,cap=1,spam=2,fee=3\""),
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"resilience\": \"naive\""), std::string::npos);
-  EXPECT_NE(json.find("\"fault_caused\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"fault_caused\": 2"), std::string::npos) << json;
 }
 
 TEST(FaultCampaign, FaultFreeJsonOmitsFaultFields) {

@@ -4,6 +4,7 @@
 #include <set>
 #include <string>
 
+#include "core/multi_party.hpp"
 #include "core/two_party.hpp"
 #include "graph/digraph.hpp"
 #include "sim/plan_space.hpp"
@@ -175,27 +176,90 @@ TEST(ScenarioSweep, UnhedgedBrokerViolatesTheHedgedFloor) {
       << "premium-free broker lock-ups should breach the hedged floor";
 }
 
+// One run of §5.1's premium-free base swap, as audit_schedule sees it:
+// the hedged expectation (a locked-and-refunded principal earns at least
+// one premium) plus the safety and liveness flags every adapter sets.
+std::vector<PartyOutcome> base_two_party_outcomes(
+    const core::TwoPartyConfig& cfg, const DeviationPlan& pa,
+    const DeviationPlan& pb) {
+  const auto r = core::run_base_two_party(cfg, pa, pb);
+  std::vector<PartyOutcome> outcomes;
+  outcomes.push_back({"alice", pa.is_conforming(), r.alice, {}});
+  if (r.alice_lockup > 0) outcomes.back().bound.min_coin_delta = 1;
+  outcomes.back().bound.principal_lost =
+      lost_principal(r.alice, "apricot", "banana");
+  outcomes.push_back({"bob", pb.is_conforming(), r.bob, {}});
+  if (r.bob_lockup > 0) outcomes.back().bound.min_coin_delta = 1;
+  outcomes.back().bound.principal_lost =
+      lost_principal(r.bob, "banana", "apricot");
+  for (PartyOutcome& o : outcomes) o.bound.completed = r.swapped;
+  return outcomes;
+}
+
 TEST(ScenarioSweep, UnhedgedBaseSwapViolatesTheLadderFloor) {
   // The ladder protocols' baseline is §5.1's premium-free atomic swap:
   // audited against the hedged expectation (any locked-and-refunded
   // principal earns at least one premium), it must produce violations —
-  // that sore-loser exposure is what §6's ladder exists to hedge.
+  // that sore-loser exposure is what §6's ladder exists to hedge. It must
+  // fail only there: the base swap is still safe and live, so an asset-
+  // safety or liveness violation would mean the protocol itself is broken.
   const core::TwoPartyConfig cfg = reference_two_party_config();
   std::vector<Violation> violations;
   for (const DeviationPlan& pa : plan_space(core::kBaseTwoPartyActions)) {
     for (const DeviationPlan& pb : plan_space(core::kBaseTwoPartyActions)) {
-      const auto r = core::run_base_two_party(cfg, pa, pb);
-      std::vector<PartyOutcome> outcomes;
-      outcomes.push_back({"alice", pa.is_conforming(), r.alice, {}});
-      if (r.alice_lockup > 0) outcomes.back().bound.min_coin_delta = 1;
-      outcomes.push_back({"bob", pb.is_conforming(), r.bob, {}});
-      if (r.bob_lockup > 0) outcomes.back().bound.min_coin_delta = 1;
       audit_schedule("base-two-party[" + pa.str() + "," + pb.str() + "]",
-                     outcomes, violations);
+                     base_two_party_outcomes(cfg, pa, pb), violations);
     }
   }
   EXPECT_FALSE(violations.empty())
       << "the unhedged base swap should breach the premium floor somewhere";
+  for (const Violation& v : violations) {
+    EXPECT_EQ(v.detail, "lost more than earned premiums") << v.str();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Model checking (§10): sweeping a whole strategy space under the shared
+// audit checks the hedged property, asset safety and liveness at once.
+// ---------------------------------------------------------------------------
+
+TEST(ModelChecker, BaseTwoPartyExposesSoreLoser) {
+  // The negative control: the §5.1 base protocol fails the hedged property,
+  // and only through the sore-loser attack — each violation belongs to a
+  // conforming party whose counterparty deviated and left its principal
+  // escrowed for nothing. Both parties are exposed: Alice when Bob never
+  // escrows, Bob when Alice never redeems.
+  core::TwoPartyConfig cfg;
+  cfg.delta = 2;
+  std::set<std::string> exposed;
+  for (const DeviationPlan& pa : plan_space(core::kBaseTwoPartyActions)) {
+    for (const DeviationPlan& pb : plan_space(core::kBaseTwoPartyActions)) {
+      std::vector<Violation> violations;
+      audit_schedule("base-two-party[" + pa.str() + "," + pb.str() + "]",
+                     base_two_party_outcomes(cfg, pa, pb), violations);
+      for (const Violation& v : violations) {
+        const bool alice = v.party == "alice";
+        EXPECT_TRUE(alice || v.party == "bob") << v.str();
+        EXPECT_TRUE((alice ? pa : pb).is_conforming()) << v.str();
+        EXPECT_FALSE((alice ? pb : pa).is_conforming()) << v.str();
+        exposed.insert(v.party);
+      }
+    }
+  }
+  EXPECT_EQ(exposed, (std::set<std::string>{"alice", "bob"}));
+}
+
+TEST(ModelChecker, MultiPartyTwoVerticesClean) {
+  // The smallest digraph: two vertices with an arc each way, every
+  // combination of (4 halt points + conform) per vertex.
+  core::MultiPartyConfig cfg;
+  cfg.g = graph::Digraph::two_party();
+  cfg.delta = 1;
+  MultiPartySwapAdapter adapter(cfg);
+  const auto report = ScenarioRunner(adapter).sweep();
+  EXPECT_EQ(report.schedules_run, 25u);
+  EXPECT_GT(report.conforming_audited, 0u);
+  EXPECT_TRUE(report.ok()) << report.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -288,6 +352,61 @@ TEST(PayoffAudit, DeviatorsAreNotAudited) {
                                       /*check_conservation=*/false);
   EXPECT_EQ(audited, 0u);
   EXPECT_TRUE(violations.empty());
+}
+
+TEST(PayoffAudit, LivenessFiresOncePerAllConformingIncompleteRun) {
+  PartyOutcome a{"a", true, {}, {}};
+  PartyOutcome b{"b", true, {}, {}};
+  PartyOutcome c{"c", true, {}, {}};
+  b.bound.completed = false;
+
+  std::vector<Violation> violations;
+  EXPECT_EQ(audit_schedule("test", {a, b, c}, violations), 3u);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].party, "<all>");
+  EXPECT_EQ(violations[0].detail, "all-conforming run did not complete");
+
+  // Every outcome incomplete is still one run, one violation.
+  a.bound.completed = c.bound.completed = false;
+  violations.clear();
+  audit_schedule("test", {a, b, c}, violations);
+  EXPECT_EQ(violations.size(), 1u);
+
+  // A deviator anywhere excuses the run: liveness is promised only to
+  // all-conforming runs.
+  for (PartyOutcome* deviator : {&a, &b, &c}) {
+    deviator->conforming = false;
+    violations.clear();
+    audit_schedule("test", {a, b, c}, violations);
+    EXPECT_TRUE(violations.empty()) << deviator->name;
+    deviator->conforming = true;
+  }
+}
+
+TEST(PayoffAudit, AssetSafetyFiresOnlyForConformingParties) {
+  PartyOutcome victim{"victim", true, {}, {}};
+  victim.bound.principal_lost = true;
+  PartyOutcome deviator{"deviator", false, {}, {}};
+  deviator.bound.principal_lost = true;
+
+  std::vector<Violation> violations;
+  audit_schedule("test", {victim, deviator}, violations);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].party, "victim");
+  EXPECT_EQ(violations[0].detail, "lost principal without the counter-asset");
+}
+
+TEST(PayoffAudit, LostPrincipalNeedsTheCounterAssetMissing) {
+  core::PayoffDelta d;
+  EXPECT_FALSE(lost_principal(d, "apricot", "banana"));
+  d.by_symbol["apricot"] = -100;
+  EXPECT_TRUE(lost_principal(d, "apricot", "banana"));
+  d.by_symbol["banana"] = 0;
+  EXPECT_TRUE(lost_principal(d, "apricot", "banana"));
+  d.by_symbol["banana"] = 100;  // the swap went through
+  EXPECT_FALSE(lost_principal(d, "apricot", "banana"));
+  d.by_symbol["apricot"] = 0;
+  EXPECT_FALSE(lost_principal(d, "apricot", "banana"));
 }
 
 TEST(PayoffAudit, ConservationCheckCatchesStrandedCoins) {

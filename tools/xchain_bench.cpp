@@ -8,14 +8,18 @@
 // registry protocols) onto ONE shared MultiChain under a seeded arrival
 // process and drives them to completion. Blocks are capacity-bounded
 // (--cap), so instances outbid each other through fee escalation —
-// organic congestion, no synthetic spam. Every completed instance is
-// payoff-audited against the paper's hedged floors; violations are
-// re-attributed against a faultless twin ([chain-fault]). The report is
-// identical at any --threads value except wall-time fields.
+// organic congestion, no synthetic spam. Every instance is audited at its
+// end tick (sim::audit_schedule): the paper's hedged floors, asset safety,
+// and liveness — an all-conforming instance that never completed is a
+// violation. Violations are re-attributed against a faultless twin
+// ([chain-fault]). The report is identical at any --threads value except
+// wall-time fields.
 //
 // --scaling re-runs the identical load at each listed thread count and
-// records the wall-time curve (verifying the reports agree tick-for-tick
-// along the way). --json (default BENCH_load.json) writes the artifact
+// records the wall-time curve, checking along the way that every report
+// field above the wall-time block (counts, latency stats, per-protocol
+// rows, each violation and its attribution) matches the primary run.
+// --json (default BENCH_load.json) writes the artifact
 // scripts/bench_compare.py gates on.
 //
 // Exit status: 0 = clean (every violation, if any, attributed to
@@ -63,14 +67,18 @@ void print_usage(std::FILE* to) {
       "uniform in [0, --gap] ticks); every block admits at most --cap\n"
       "transactions (default 4; 0 = unbounded), so instances compete for\n"
       "block space through fee escalation (ceiling --max-fee, default 64).\n"
-      "Every completed instance is audited against its hedged floors;\n"
-      "violations re-run solo on a faultless world — congestion-caused\n"
-      "ones are reported as [chain-fault], anything unattributed fails.\n"
+      "Every instance is audited at its end tick: hedged floors, asset\n"
+      "safety, and liveness (an all-conforming instance that never\n"
+      "completed is a violation). Violating protocols re-run solo on a\n"
+      "faultless world — congestion-caused violations are reported as\n"
+      "[chain-fault], anything unattributed fails.\n"
       "--threads=N parallelizes the actor tick phase (0 = one worker per\n"
       "hardware thread); the report is identical at any count except wall\n"
-      "time. --scaling=1,2,4,8 appends a thread-scaling curve to the JSON\n"
-      "artifact (--json, default BENCH_load.json). Exit: 0 clean, 1\n"
-      "unattributed violations, 2 bad usage.\n");
+      "time. --scaling=1,2,4,8 re-runs the load at each count, fails unless\n"
+      "every non-wall report field matches, and appends the thread-scaling\n"
+      "curve to the JSON artifact (--json, default BENCH_load.json).\n"
+      "Exit: 0 clean, 1 unattributed violations or a scaling mismatch, 2\n"
+      "bad usage.\n");
 }
 
 bool parse_long(const std::string& s, long long lo, long long hi,
@@ -252,10 +260,7 @@ int main(int argc, char** argv) {
                        r.wall_seconds > 0
                            ? static_cast<double>(r.instances) / r.wall_seconds
                            : 0.0});
-      if (r.txs_included != report.txs_included ||
-          r.latency.p50 != report.latency.p50 ||
-          r.latency.p99 != report.latency.p99 ||
-          r.violations.size() != report.violations.size()) {
+      if (!r.same_outcome(report)) {
         std::fprintf(stderr,
                      "xchain-bench: report at --threads=%u diverges from the "
                      "primary run — thread-count nondeterminism\n",

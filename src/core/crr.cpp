@@ -26,20 +26,29 @@ double crr_price(const CrrParams& p) {
                      : std::max(p.strike - s, 0.0);
   };
 
+  // The asset price at node (step, i) is spot * u^(step-i) * d^i.
+  // Tabulating both powers once multiplies the very pow() results a
+  // per-node evaluation would, so prices stay bit-identical while pow()
+  // runs 2*(steps+1) times instead of twice per node.
+  std::vector<double> up(p.steps + 1), down(p.steps + 1);
+  for (int k = 0; k <= p.steps; ++k) {
+    up[k] = std::pow(u, k);
+    down[k] = std::pow(d, k);
+  }
+  auto node_price = [&](int step, int i) {
+    return p.spot * up[step - i] * down[i];
+  };
+
   // Terminal layer.
   std::vector<double> values(p.steps + 1);
   for (int i = 0; i <= p.steps; ++i) {
-    const double s = p.spot * std::pow(u, p.steps - i) * std::pow(d, i);
-    values[i] = payoff(s);
+    values[i] = payoff(node_price(p.steps, i));
   }
   // Backward induction.
   for (int step = p.steps - 1; step >= 0; --step) {
     for (int i = 0; i <= step; ++i) {
       double v = discount * (q * values[i] + (1.0 - q) * values[i + 1]);
-      if (p.american) {
-        const double s = p.spot * std::pow(u, step - i) * std::pow(d, i);
-        v = std::max(v, payoff(s));
-      }
+      if (p.american) v = std::max(v, payoff(node_price(step, i)));
       values[i] = v;
     }
   }

@@ -18,7 +18,10 @@ struct CrrParams {
 };
 
 /// Prices the option by backward induction on the recombining binomial
-/// tree with u = exp(sigma * sqrt(dt)), d = 1/u.
+/// tree with u = exp(sigma * sqrt(dt)), d = 1/u. Cost: O(steps^2) node
+/// arithmetic over O(steps) pow() calls (the powers of u and d are
+/// tabulated once per call). Throws std::invalid_argument unless steps,
+/// expiry and volatility are positive and 0 < q < 1 (no arbitrage).
 double crr_price(const CrrParams& p);
 
 /// Premium estimate for a sore-loser escrow (paper §4): a counterparty who

@@ -166,6 +166,7 @@ TargetFuzzResult fuzz_target(const FuzzTarget& target,
 
   res.corpus_entries = corpus.size();
   res.unique_signatures = signatures.size();
+  res.instances = pool.size();
   res.corpus.reserve(corpus.size());
   for (const FuzzInput& in : corpus) res.corpus.push_back(in.str());
   return res;
@@ -176,7 +177,8 @@ std::string TargetFuzzResult::line() const {
                     std::to_string(unique_signatures) + " signatures, " +
                     std::to_string(corpus_entries) + " corpus entries, " +
                     std::to_string(violating_runs) + " violating runs, " +
-                    std::to_string(reproducers.size()) + " reproducers";
+                    std::to_string(reproducers.size()) + " reproducers, " +
+                    std::to_string(instances) + " instances";
   if (skipped_inputs > 0) {
     out += " (" + std::to_string(skipped_inputs) + " inputs skipped)";
   }
@@ -255,6 +257,7 @@ std::string fuzz_report_json(const FuzzReport& report,
            ",";
     out += "\n      \"skipped_inputs\": " + std::to_string(t.skipped_inputs) +
            ",";
+    out += "\n      \"instances\": " + std::to_string(t.instances) + ",";
     out += "\n      \"reproducers\": [";
     for (std::size_t r = 0; r < t.reproducers.size(); ++r) {
       const Reproducer& rep = t.reproducers[r];

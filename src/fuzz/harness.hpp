@@ -65,6 +65,11 @@ struct TargetFuzzResult {
   std::size_t violating_runs = 0;
   /// Inputs rejected before execution (schema-invalid mutants/seeds).
   std::size_t skipped_inputs = 0;
+  /// Instances the pool built: one per distinct override set x fault
+  /// environment, faultless twins included. Each build constructs an
+  /// adapter and its world, so a high count relative to `runs` marks a
+  /// target whose time goes to setup rather than execution.
+  std::size_t instances = 0;
   std::vector<Reproducer> reproducers;
   /// The evolved corpus (canonical texts) — what --corpus-out persists so
   /// the nightly soak resumes from the previous run's coverage frontier.
@@ -104,7 +109,7 @@ struct FuzzReport {
 ///     "violating_runs": N, "reproducers": N,
 ///     "targets": [ {"protocol": ..., "runs": N, "corpus_entries": N,
 ///                   "unique_signatures": N, "violating_runs": N,
-///                   "skipped_inputs": N,
+///                   "skipped_inputs": N, "instances": N,
 ///                   "reproducers": [ {"input": ..., "violation": ...,
 ///                                     "found_at_run": N,
 ///                                     "shrink_steps": N,

@@ -88,6 +88,8 @@ class InstancePool {
   RunOutcome run(const FuzzInput& in);
 
   const FuzzTarget& target() const { return target_; }
+  /// Instances built so far (faultless twins included).
+  std::size_t size() const { return instances_.size(); }
 
  private:
   const FuzzTarget& target_;

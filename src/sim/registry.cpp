@@ -194,9 +194,29 @@ ProtocolRegistry build_global() {
          }});
   r.add({"crr-ladder", "single-rung ladder with CRR-priced premiums (§4+§6)",
          crr_ladder_schema(), [](const ParamSet& p) {
-           return std::make_unique<BootstrapSwapAdapter>(
-               make_crr_ladder_adapter(crr_principals_from(p),
-                                       crr_market_from(p)));
+           core::BootstrapConfig principals = crr_principals_from(p);
+           const CrrMarket market = crr_market_from(p);
+           try {
+             return std::make_unique<BootstrapSwapAdapter>(
+                 make_crr_ladder_adapter(std::move(principals), market));
+           } catch (const std::invalid_argument& e) {
+             // Every market key is within its schema bound, yet CRR cannot
+             // price zero volatility, or a rate that outgrows the up move.
+             // That is an invalid configuration, not a sore-loser attack,
+             // so it fails like one.
+             std::string msg = "crr-ladder market";
+             for (const char* key :
+                  {"volatility", "rate", "ticks_per_year", "delta"}) {
+               msg += ' ';
+               msg += key;
+               msg += '=';
+               msg += p.value_str(key);
+             }
+             msg += " cannot be priced (";
+             msg += e.what();
+             msg += ')';
+             throw ParamError(msg);
+           }
          }});
   return r;
 }

@@ -96,7 +96,9 @@ core::BootstrapConfig bootstrap_config_from(const ParamSet& p);
 core::BridgeConfig bridge_config_from(const ParamSet& p,
                                       core::BridgeVariant variant);
 /// Principal/delta half of the crr-ladder schema (premium rungs are priced
-/// by the CRR market below).
+/// by the CRR market below). The crr-ladder factory rejects a market CRR
+/// cannot price (zero volatility, or a rate that outgrows the up move)
+/// with ParamError naming volatility, rate, ticks_per_year and delta.
 core::BootstrapConfig crr_principals_from(const ParamSet& p);
 CrrMarket crr_market_from(const ParamSet& p);
 

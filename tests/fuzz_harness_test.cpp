@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "fuzz/harness.hpp"
 #include "fuzz/selftest.hpp"
 #include "sim/registry.hpp"
@@ -78,8 +82,10 @@ TEST(FuzzHarness, ReplayOnlyRunsSeedsAndNothingElse) {
   o.seeds.push_back(FuzzInput::parse("protocol two-party\nplan 1 halt@0\n"));
   const TargetFuzzResult r =
       fuzz_target(FuzzTarget::from_registry("two-party"), o);
-  // Starter set (conforming + 2x halt + 2x boundary delay) + 1 seed.
+  // Starter set (conforming + 2x halt + 2x boundary delay) + 1 seed, all
+  // on the default-parameter instance.
   EXPECT_EQ(r.runs, 6u);
+  EXPECT_EQ(r.instances, 1u);
   EXPECT_EQ(r.violating_runs, 0u);
   EXPECT_TRUE(r.ok());
 }
@@ -99,16 +105,25 @@ TEST(FuzzHarness, RegistryProtocolsReplayTheirStarterSeedsClean) {
 }
 
 TEST(FuzzHarness, SchemaInvalidSeedsAreSkippedNotFatal) {
-  FuzzOptions o = bounded(1, 10'000);
-  o.replay_only = true;
-  o.seeds.push_back(
-      FuzzInput::parse("protocol broker\nset purchase_price=9999\n"));
-  const TargetFuzzResult r =
-      fuzz_target(FuzzTarget::from_registry("broker"), o);
-  // purchase_price > sale_price violates the §8 spread precondition: the
-  // input is rejected by canonicalization and counted, never executed.
-  EXPECT_GT(r.skipped_inputs, 0u);
-  EXPECT_EQ(r.violating_runs, 0u);
+  // Each seed passes its schema's per-key bounds but fails the factory:
+  // purchase_price > sale_price violates the §8 spread precondition, and
+  // CRR cannot price a zero-volatility market. The input is rejected by
+  // canonicalization and counted, never executed.
+  for (const auto& [protocol, text] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"broker", "protocol broker\nset purchase_price=9999\n"},
+           {"crr-ladder", "protocol crr-ladder\nset volatility=0\n"}}) {
+    FuzzOptions o = bounded(1, 10'000);
+    o.replay_only = true;
+    o.seeds.push_back(FuzzInput::parse(text));
+    const TargetFuzzResult r =
+        fuzz_target(FuzzTarget::from_registry(protocol), o);
+    EXPECT_EQ(r.skipped_inputs, 1u) << protocol;
+    EXPECT_GT(r.runs, 0u) << protocol;
+    // The failed build left no entry behind: only the defaults instance.
+    EXPECT_EQ(r.instances, 1u) << protocol;
+    EXPECT_EQ(r.violating_runs, 0u) << protocol;
+  }
 }
 
 TEST(FuzzReport, JsonShapeAndTotals) {
@@ -123,6 +138,11 @@ TEST(FuzzReport, JsonShapeAndTotals) {
   EXPECT_NE(json.find("\"protocol\": \"fuzz-selftest-trap\""),
             std::string::npos);
   EXPECT_NE(json.find("\"reproducers\": ["), std::string::npos);
+  // Fault mutations give the parameterless trap more than one instance.
+  const std::size_t instances = rep.targets.front().instances;
+  EXPECT_GT(instances, 1u);
+  EXPECT_NE(json.find("\"instances\": " + std::to_string(instances) + ","),
+            std::string::npos);
   // Violation text embeds newlines only in escaped form.
   EXPECT_EQ(json.find("halt@1\n\""), std::string::npos);
   EXPECT_EQ(rep.total_runs(), 400u);

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -174,6 +175,26 @@ TEST(Registry, OutOfBoundsParamsAreRejectedNotUB) {
   auction.set("bids", "100,frog");
   EXPECT_THROW(ProtocolRegistry::global().make("auction-open", auction),
                ParamError);
+  // So do crr-ladder markets CRR cannot price although every key is in
+  // bounds: zero volatility, and a one-year tick whose rate outgrows the
+  // up move. The error names the market.
+  for (const std::vector<std::pair<std::string, std::string>>& market :
+       {std::vector<std::pair<std::string, std::string>>{{"volatility", "0"}},
+        {{"rate", "1"}, {"ticks_per_year", "1"}, {"delta", "12"},
+         {"volatility", "0.4"}}}) {
+    ParamSet crr = ProtocolRegistry::global().defaults("crr-ladder");
+    for (const auto& [key, value] : market) crr.set(key, value);
+    try {
+      ProtocolRegistry::global().make("crr-ladder", crr);
+      ADD_FAILURE() << "expected ParamError for " << crr.overrides_str();
+    } catch (const ParamError& e) {
+      const std::string msg = e.what();
+      for (const char* key :
+           {"volatility=", "rate=", "ticks_per_year=", "delta="}) {
+        EXPECT_NE(msg.find(key), std::string::npos) << msg;
+      }
+    }
+  }
 }
 
 // Registry defaults must stay byte-identical to the historical hard-coded

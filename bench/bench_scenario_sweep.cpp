@@ -21,28 +21,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/json.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
-
-// Build stamps injected by CMake (configure-time git HEAD; CI configures
-// fresh per commit, so the stamp is exact there).
-#ifndef XCHAIN_GIT_COMMIT
-#define XCHAIN_GIT_COMMIT "unknown"
-#endif
-#ifndef XCHAIN_BUILD_TYPE
-#define XCHAIN_BUILD_TYPE "unknown"
-#endif
-#ifndef XCHAIN_COMPILER
-#define XCHAIN_COMPILER "unknown"
-#endif
 
 using namespace xchain;
 
@@ -119,32 +109,21 @@ double measure_total_rate(const std::vector<NamedAdapter>& adapters,
 // Deliberately measures with its own chrono loop instead of reusing the
 // BM_Sweep counters: the JSON must be emitted with stable methodology even
 // when benchmarks are filtered out or flags change their iteration counts.
-void write_json(const std::vector<NamedAdapter>& adapters,
-                const std::vector<unsigned>& thread_axis,
-                const std::string& json_path) {
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"scenario_sweep\",\n");
-  std::fprintf(f, "  \"unit\": \"schedules_per_second\",\n");
+std::string sweep_json(const std::vector<NamedAdapter>& adapters,
+                       const std::vector<unsigned>& thread_axis) {
+  using Layout = JsonWriter::Layout;
+  JsonWriter w;
+  w.field("benchmark", "scenario_sweep").field("unit", "schedules_per_second");
   // Provenance stamp: which commit/config produced this artifact, so the
   // CI regression gate (scripts/bench_compare.py) can refuse to compare
-  // apples to oranges.
-  std::fprintf(f, "  \"git_commit\": \"%s\",\n", XCHAIN_GIT_COMMIT);
-  std::fprintf(f, "  \"build_type\": \"%s\",\n", XCHAIN_BUILD_TYPE);
-  std::fprintf(f, "  \"compiler\": \"%s\",\n", XCHAIN_COMPILER);
-  // Recorded so per-commit artifact readers can interpret the scaling
-  // curve: an 8-thread speedup is only meaningful with >= 8 hardware
-  // threads behind it.
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"protocols\": [\n");
+  // apples to oranges. hardware_threads tells readers whether an 8-thread
+  // speedup had 8 hardware threads behind it.
+  build_stamp().write(w);
+  w.begin_array("protocols");
   std::size_t total_schedules = 0;
   double total_seconds = 0;
-  for (std::size_t i = 0; i < adapters.size(); ++i) {
-    sim::ScenarioRunner runner(*adapters[i].adapter);
+  for (const auto& [name, adapter] : adapters) {
+    sim::ScenarioRunner runner(*adapter);
     // One warm-up, then time enough repetitions for a stable figure.
     auto warm = runner.sweep();
     const int reps = 5;
@@ -164,16 +143,17 @@ void write_json(const std::vector<NamedAdapter>& adapters,
     // Tree-executor statistics are per-sweep deterministic: report the
     // warm-up run's (brute sweeps show nodes_executed == schedules and
     // zero dedup hits).
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"schedules\": %zu, "
-        "\"schedules_per_second\": %.1f, \"violations\": %zu, "
-        "\"nodes_executed\": %zu, \"dedup_hits\": %zu}%s\n",
-        adapters[i].name.c_str(), warm.schedules_run,
-        static_cast<double>(schedules) / secs, violations,
-        warm.nodes_executed, warm.dedup_hits,
-        i + 1 < adapters.size() ? "," : "");
+    w.begin_object(Layout::kOneLine)
+        .field("name", name)
+        .field("schedules", warm.schedules_run)
+        .field("schedules_per_second", static_cast<double>(schedules) / secs,
+               1)
+        .field("violations", violations)
+        .field("nodes_executed", warm.nodes_executed)
+        .field("dedup_hits", warm.dedup_hits)
+        .end();
   }
+  w.end();
   const double serial_rate =
       static_cast<double>(total_schedules) / total_seconds;
 
@@ -181,20 +161,19 @@ void write_json(const std::vector<NamedAdapter>& adapters,
   // thread count, plus the headline speedup at the top of the axis. The
   // speedup divides two rates from this same curve (axis entry 0 is always
   // threads = 1), never the differently-measured per-protocol figures.
-  std::fprintf(f, "  ],\n  \"parallel\": [\n");
+  w.begin_array("parallel");
   double base_rate = serial_rate;
   double top_rate = serial_rate;
   for (std::size_t i = 0; i < thread_axis.size(); ++i) {
     const double rate = measure_total_rate(adapters, thread_axis[i], 3);
     if (i == 0) base_rate = rate;
     if (i + 1 == thread_axis.size()) top_rate = rate;
-    std::fprintf(f,
-                 "    {\"threads\": %u, \"schedules_per_second\": %.1f}%s\n",
-                 thread_axis[i], rate,
-                 i + 1 < thread_axis.size() ? "," : "");
+    w.begin_object(Layout::kOneLine)
+        .field("threads", thread_axis[i])
+        .field("schedules_per_second", rate, 1)
+        .end();
   }
-  std::fprintf(f, "  ],\n  \"speedup_at_max_threads\": %.2f,\n",
-               top_rate / base_rate);
+  w.end().field("speedup_at_max_threads", top_rate / base_rate, 2);
 
   // The enlarged timing-griefing space (--strategies=late-delays in the
   // CLI): serial schedules/s over every adapter's capped late-delay space.
@@ -219,12 +198,14 @@ void write_json(const std::vector<NamedAdapter>& adapters,
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    std::fprintf(f,
-                 "  \"late_delays\": {\"schedules\": %zu, "
-                 "\"schedules_per_second\": %.1f, \"nodes_executed\": %zu, "
-                 "\"schedules_covered\": %zu, \"dedup_hits\": %zu},\n",
-                 schedules, static_cast<double>(schedules) / secs,
-                 nodes_executed, covered, dedup_hits);
+    w.begin_object("late_delays", Layout::kOneLine)
+        .field("schedules", schedules)
+        .field("schedules_per_second", static_cast<double>(schedules) / secs,
+               1)
+        .field("nodes_executed", nodes_executed)
+        .field("schedules_covered", covered)
+        .field("dedup_hits", dedup_hits)
+        .end();
     std::printf(
         "late-delay strategy space: %zu schedules at %.1f/s serial "
         "(%zu executed, %zu dedup hits)\n",
@@ -232,11 +213,10 @@ void write_json(const std::vector<NamedAdapter>& adapters,
         dedup_hits);
   }
 
-  std::fprintf(f, "  \"total_schedules_per_second\": %.1f\n}\n", serial_rate);
-  std::fclose(f);
-  std::printf("wrote %s (%.1f schedules/s serial, %.2fx at %u threads)\n",
-              json_path.c_str(), serial_rate, top_rate / base_rate,
-              thread_axis.back());
+  w.field("total_schedules_per_second", serial_rate, 1);
+  std::printf("%.1f schedules/s serial, %.2fx at %u threads\n", serial_rate,
+              top_rate / base_rate, thread_axis.back());
+  return w.finish();
 }
 
 }  // namespace
@@ -258,9 +238,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      char* end = nullptr;
-      const long n = std::strtol(argv[i] + 10, &end, 10);
-      if (end == argv[i] + 10 || *end != '\0' || n < 0) {
+      long long n = 0;
+      if (!parse_long(argv[i] + 10, 0, UINT_MAX, n)) {
         std::fprintf(stderr, "invalid %s (want --threads=N, N >= 0)\n",
                      argv[i]);
         return 1;
@@ -275,6 +254,11 @@ int main(int argc, char** argv) {
     }
   }
   argc = kept;
+
+  // Claim the artifact before measuring: a bad path fails here, not after
+  // the whole run.
+  const char* tool = "bench_scenario_sweep";
+  if (!write_file(tool, json_path, "")) return 1;
 
   auto adapters = make_adapters();
 
@@ -303,6 +287,9 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
-  write_json(adapters, thread_axis, json_path);
+  if (!write_file(tool, json_path, sweep_json(adapters, thread_axis))) {
+    return 1;
+  }
+  std::printf("wrote %s\n", json_path.c_str());
   return 0;
 }

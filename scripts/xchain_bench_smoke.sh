@@ -18,7 +18,8 @@
 #   * scripts/bench_compare.py passes an artifact against its --threads=4
 #     twin and hard-fails, even under --report-only, when a deterministic
 #     field drifts;
-#   * malformed flags and unknown mix protocols exit 2.
+#   * malformed flags, unknown mix protocols, an empty --json= path and a
+#     short artifact write (/dev/full) exit 2.
 set -euo pipefail
 
 bin="$1"
@@ -116,6 +117,11 @@ set +e
   >/dev/null 2>&1; [[ $? -eq 2 ]] || fail "unknown mix protocol should exit 2"
 "$bin" --users=5 --mix=two-party:0 >/dev/null 2>&1; [[ $? -eq 2 ]] || \
   fail "zero mix weight should exit 2"
+# A lost artifact is an error, never a clean exit.
+"$bin" --users=5 --json= >/dev/null 2>&1; [[ $? -eq 2 ]] || \
+  fail "empty --json= path should exit 2"
+"$bin" --users=5 --json=/dev/full >/dev/null 2>&1; [[ $? -eq 2 ]] || \
+  fail "short artifact write should exit 2"
 set -e
 
 rm -f "$work/t1.json" "$work/t4.json" "$work/bad.json" "$work/max.json" \

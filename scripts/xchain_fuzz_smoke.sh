@@ -5,7 +5,7 @@
 #
 # Asserts that:
 #   * --help exits 0 and names the corpus/replay/self-test flags; unknown
-#     flags and malformed values exit 2;
+#     flags, malformed values and a short --json write (/dev/full) exit 2;
 #   * --self-test finds the planted two-entry bug within a bounded budget
 #     and shrinks it to the pinned canonical reproducer (exit 0);
 #   * the seeded regression corpus replays clean (exit 0) and the JSON
@@ -42,6 +42,9 @@ rc=0; "$bin" --budget-runs=0 >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "--budget-runs=0 exited $rc (want 2)"
 rc=0; "$bin" --corpus=/no/such/dir >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "missing corpus dir exited $rc (want 2)"
+rc=0; "$bin" --protocol=two-party --budget-runs=10 --quiet \
+  --json=/dev/full >/dev/null 2>&1 || rc=$?
+[[ "$rc" -eq 2 ]] || fail "short --json write exited $rc (want 2)"
 
 # The planted-bug self-test: found, shrunk to the pinned canonical form.
 "$bin" --self-test --seed=1 --budget-runs=1000 --quiet \

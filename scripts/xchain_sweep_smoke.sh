@@ -12,7 +12,8 @@
 #   * --dry-run prints per-configuration schedule counts without running
 #     (halt-only two-party: 16; --strategies=late-delays enlarges it);
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
-#     JSON with the strategy space.
+#     JSON with the strategy space;
+#   * a short artifact write (/dev/full) exits 2.
 set -euo pipefail
 
 bin="$1"
@@ -91,5 +92,11 @@ rm -f "$json.late"
   fail "unknown param should exit non-zero"
 "$bin" --protocol=two-party --strategies=bogus >/dev/null 2>&1 && \
   fail "unknown strategy space should exit non-zero"
+
+# A short artifact write is a usage-class error (exit 2), never success.
+rc=0
+"$bin" --protocol=two-party --max-deviators=0 --json=/dev/full \
+  >/dev/null 2>&1 || rc=$?
+[[ $rc -eq 2 ]] || fail "short artifact write exited $rc (want 2)"
 
 echo "xchain_sweep_smoke: OK"

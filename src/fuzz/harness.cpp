@@ -1,10 +1,9 @@
 #include "fuzz/harness.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <set>
-#include <thread>
 
+#include "common/json.hpp"
 #include "fuzz/mutator.hpp"
 #include "fuzz/rng.hpp"
 #include "fuzz/shrink.hpp"
@@ -12,28 +11,6 @@
 namespace xchain::fuzz {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Starter corpus beyond the user-provided seeds: the conforming
 /// reference, every per-party sore-loser halt, every per-party boundary
@@ -226,59 +203,40 @@ std::string FuzzReport::str() const {
 }
 
 std::string fuzz_report_json(const FuzzReport& report,
-                             const sim::CampaignStamp& stamp) {
-  std::string out = "{\n";
-  out += "  \"benchmark\": \"fuzz\",\n";
-  out += "  \"git_commit\": \"" + json_escape(stamp.git_commit) + "\",\n";
-  out += "  \"build_type\": \"" + json_escape(stamp.build_type) + "\",\n";
-  out += "  \"compiler\": \"" + json_escape(stamp.compiler) + "\",\n";
-  out += "  \"hardware_threads\": " +
-         std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  out += "  \"seed\": " + std::to_string(report.seed) + ",\n";
-  out += "  \"budget_runs\": " + std::to_string(report.budget_runs) + ",\n";
-  out += std::string("  \"replay_only\": ") +
-         (report.replay_only ? "true" : "false") + ",\n";
-  out += "  \"runs\": " + std::to_string(report.total_runs()) + ",\n";
-  out += "  \"violating_runs\": " +
-         std::to_string(report.total_violating_runs()) + ",\n";
-  out += "  \"reproducers\": " + std::to_string(report.total_reproducers()) +
-         ",\n";
-  out += "  \"targets\": [";
-  for (std::size_t i = 0; i < report.targets.size(); ++i) {
-    const TargetFuzzResult& t = report.targets[i];
-    out += i ? ",\n    {" : "\n    {";
-    out += "\n      \"protocol\": \"" + json_escape(t.protocol) + "\",";
-    out += "\n      \"runs\": " + std::to_string(t.runs) + ",";
-    out += "\n      \"corpus_entries\": " + std::to_string(t.corpus_entries) +
-           ",";
-    out += "\n      \"unique_signatures\": " +
-           std::to_string(t.unique_signatures) + ",";
-    out += "\n      \"violating_runs\": " + std::to_string(t.violating_runs) +
-           ",";
-    out += "\n      \"skipped_inputs\": " + std::to_string(t.skipped_inputs) +
-           ",";
-    out += "\n      \"instances\": " + std::to_string(t.instances) + ",";
-    out += "\n      \"reproducers\": [";
-    for (std::size_t r = 0; r < t.reproducers.size(); ++r) {
-      const Reproducer& rep = t.reproducers[r];
-      out += r ? ",\n        {" : "\n        {";
-      out += "\n          \"input\": \"" + json_escape(rep.input) + "\",";
-      out += "\n          \"violation\": \"" + json_escape(rep.violation) +
-             "\",";
-      out += "\n          \"found_at_run\": " +
-             std::to_string(rep.found_at_run) + ",";
-      out += "\n          \"shrink_steps\": " +
-             std::to_string(rep.shrink_steps) + ",";
-      out += "\n          \"shrink_probes\": " +
-             std::to_string(rep.shrink_probes);
-      out += "\n        }";
+                             const BuildStamp& stamp) {
+  JsonWriter w;
+  w.field("benchmark", "fuzz");
+  stamp.write(w);
+  w.field("seed", report.seed)
+      .field("budget_runs", report.budget_runs)
+      .field("replay_only", report.replay_only)
+      .field("runs", report.total_runs())
+      .field("violating_runs", report.total_violating_runs())
+      .field("reproducers", report.total_reproducers())
+      .begin_array("targets");
+  for (const TargetFuzzResult& t : report.targets) {
+    w.begin_object()
+        .field("protocol", t.protocol)
+        .field("runs", t.runs)
+        .field("corpus_entries", t.corpus_entries)
+        .field("unique_signatures", t.unique_signatures)
+        .field("violating_runs", t.violating_runs)
+        .field("skipped_inputs", t.skipped_inputs)
+        .field("instances", t.instances)
+        .begin_array("reproducers");
+    for (const Reproducer& rep : t.reproducers) {
+      w.begin_object()
+          .field("input", rep.input)
+          .field("violation", rep.violation)
+          .field("found_at_run", rep.found_at_run)
+          .field("shrink_steps", rep.shrink_steps)
+          .field("shrink_probes", rep.shrink_probes)
+          .end();
     }
-    out += t.reproducers.empty() ? "]" : "\n      ]";
-    out += "\n    }";
+    w.end().end();
   }
-  out += report.targets.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
+  w.end();
+  return w.finish();
 }
 
 }  // namespace xchain::fuzz

@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "fuzz/input.hpp"
 #include "fuzz/target.hpp"
-#include "sim/campaign.hpp"
 
 namespace xchain::fuzz {
 
@@ -100,9 +100,10 @@ struct FuzzReport {
   std::string str() const;
 };
 
-/// FUZZ_report.json: the campaign-artifact stamp fields plus per-target
-/// rows and full reproducer texts. Deliberately carries NO timing fields,
-/// so deterministic runs serialize byte-identically. Schema:
+/// FUZZ_report.json: the build stamp fields (common/json.hpp) plus
+/// per-target rows and full reproducer texts. Deliberately carries NO
+/// timing fields, so deterministic runs serialize byte-identically. Every
+/// container is multi-line. Schema:
 ///   { "benchmark": "fuzz", "git_commit": ..., "build_type": ...,
 ///     "compiler": ..., "hardware_threads": N, "seed": N,
 ///     "budget_runs": N, "replay_only": true|false, "runs": N,
@@ -115,6 +116,6 @@ struct FuzzReport {
 ///                                     "shrink_steps": N,
 ///                                     "shrink_probes": N} ]} ] }
 std::string fuzz_report_json(const FuzzReport& report,
-                             const sim::CampaignStamp& stamp = {});
+                             const BuildStamp& stamp = build_stamp());
 
 }  // namespace xchain::fuzz

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <exception>
 #include <thread>
+
+#include "common/json.hpp"
 
 namespace xchain::sim {
 
@@ -18,28 +19,6 @@ struct PendingConfig {
   ParamSet params;
   std::unique_ptr<ProtocolAdapter> adapter;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -134,88 +113,52 @@ std::string CampaignReport::str() const {
   return out;
 }
 
-// GCC 12's libstdc++ trips -Wrestrict on inlined std::string operator+
-// chains (bogus "accessing 9223372036854775810 or more bytes" — GCC PR
-// 105651, fixed in GCC 13). The library builds with -Werror, so suppress
-// the false positive for just this function; new code builds such strings
-// append-only instead.
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-#endif
 std::string campaign_json(const CampaignReport& report,
-                          const CampaignStamp& stamp) {
-  std::string out = "{\n";
-  out += "  \"benchmark\": \"campaign\",\n";
-  out += "  \"git_commit\": \"" + json_escape(stamp.git_commit) + "\",\n";
-  out += "  \"build_type\": \"" + json_escape(stamp.build_type) + "\",\n";
-  out += "  \"compiler\": \"" + json_escape(stamp.compiler) + "\",\n";
-  out += "  \"hardware_threads\": " +
-         std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  out += "  \"strategies\": \"" + json_escape(report.strategies.name()) +
-         "\",\n";
+                          const BuildStamp& stamp) {
+  using Layout = JsonWriter::Layout;
+  JsonWriter w;
+  w.field("benchmark", "campaign");
+  stamp.write(w);
+  w.field("strategies", report.strategies.name());
   if (report.environment.active()) {
-    out += "  \"faults\": \"" + json_escape(report.environment.faults.str()) +
-           "\",\n";
-    out += "  \"resilience\": \"" +
-           json_escape(report.environment.resilience.str()) + "\",\n";
-    out += "  \"fault_caused\": " +
-           std::to_string(report.total_fault_caused()) + ",\n";
+    w.field("faults", report.environment.faults.str())
+        .field("resilience", report.environment.resilience.str())
+        .field("fault_caused", report.total_fault_caused());
   }
-  out += "  \"workers\": " + std::to_string(report.workers) + ",\n";
-  out += "  \"configurations\": " + std::to_string(report.configurations()) +
-         ",\n";
-  out += "  \"schedules_run\": " + std::to_string(report.total_schedules()) +
-         ",\n";
-  out += "  \"conforming_audited\": " +
-         std::to_string(report.total_conforming_audited()) + ",\n";
-  out += "  \"nodes_executed\": " +
-         std::to_string(report.total_nodes_executed()) + ",\n";
-  out += "  \"schedules_covered\": " +
-         std::to_string(report.total_schedules_covered()) + ",\n";
-  out += "  \"dedup_hits\": " + std::to_string(report.total_dedup_hits()) +
-         ",\n";
-  out +=
-      "  \"violations\": " + std::to_string(report.total_violations()) + ",\n";
-  out += "  \"truncations\": [";
-  bool first = true;
+  w.field("workers", report.workers)
+      .field("configurations", report.configurations())
+      .field("schedules_run", report.total_schedules())
+      .field("conforming_audited", report.total_conforming_audited())
+      .field("nodes_executed", report.total_nodes_executed())
+      .field("schedules_covered", report.total_schedules_covered())
+      .field("dedup_hits", report.total_dedup_hits())
+      .field("violations", report.total_violations());
+  w.begin_array("truncations");
   for (const std::string& t : report.truncations) {
-    if (t.empty()) continue;
-    out += first ? "\n" : ",\n";
-    out += "    \"" + json_escape(t) + "\"";
-    first = false;
+    if (!t.empty()) w.item(t);
   }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"configs\": [\n";
-  for (std::size_t i = 0; i < report.configs.size(); ++i) {
-    const ConfigResult& c = report.configs[i];
-    out += "    {\"protocol\": \"" + json_escape(c.protocol) + "\", ";
-    out += "\"params\": \"" + json_escape(c.params) + "\", ";
-    out += "\"adapter\": \"" + json_escape(c.report.protocol) + "\", ";
-    out += "\"schedules\": " + std::to_string(c.report.schedules_run) + ", ";
-    out += "\"conforming_audited\": " +
-           std::to_string(c.report.conforming_audited) + ", ";
-    out += "\"violations\": " + std::to_string(c.report.violations.size());
+  w.end().begin_array("configs");
+  for (const ConfigResult& c : report.configs) {
+    w.begin_object(Layout::kOneLine)
+        .field("protocol", c.protocol)
+        .field("params", c.params)
+        .field("adapter", c.report.protocol)
+        .field("schedules", c.report.schedules_run)
+        .field("conforming_audited", c.report.conforming_audited)
+        .field("violations", c.report.violations.size());
     if (report.environment.active()) {
-      out += ", \"fault_caused\": " + std::to_string(c.report.fault_caused);
+      w.field("fault_caused", c.report.fault_caused);
     }
     if (!c.report.violations.empty()) {
-      out += ", \"violation_details\": [";
-      for (std::size_t v = 0; v < c.report.violations.size(); ++v) {
-        if (v > 0) out += ", ";
-        out += "\"" + json_escape(c.report.violations[v].str()) + "\"";
-      }
-      out += "]";
+      w.begin_array("violation_details", Layout::kOneLine);
+      for (const Violation& v : c.report.violations) w.item(v.str());
+      w.end();
     }
-    out += "}";
-    out += i + 1 < report.configs.size() ? ",\n" : "\n";
+    w.end();
   }
-  out += "  ]\n}\n";
-  return out;
+  w.end();
+  return w.finish();
 }
-#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
-#pragma GCC diagnostic pop
-#endif
 
 namespace {
 

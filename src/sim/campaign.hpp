@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sim/param.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
@@ -117,34 +118,27 @@ struct CampaignReport {
   std::string str() const;
 };
 
-/// Build-provenance stamp for campaign JSON artifacts — the same fields
-/// BENCH_scenario_sweep.json carries, so per-commit CI artifacts from both
-/// pipelines are attributable the same way.
-struct CampaignStamp {
-  std::string git_commit = "unknown";
-  std::string build_type = "unknown";
-  std::string compiler = "unknown";
-};
-
-/// Serializes a report (plus stamp and hardware_threads) as JSON. Schema:
+/// Serializes a report, stamped with `stamp` (see common/json.hpp), as
+/// JSON. Schema:
 ///   { "benchmark": "campaign", "git_commit": ..., "build_type": ...,
 ///     "compiler": ..., "hardware_threads": N, "strategies": "halt-only" |
-///     "timely-delays" | "late-delays", "configurations": N,
+///     "timely-delays" | "late-delays", "workers": N, "configurations": N,
 ///     "schedules_run": N, "conforming_audited": N, "nodes_executed": N,
 ///     "schedules_covered": N, "dedup_hits": N, "violations": N,
 ///     "truncations": ["..."],
 ///     "configs": [ {"protocol": ..., "params": ..., "adapter": ...,
 ///                   "schedules": N, "conforming_audited": N,
 ///                   "violations": N, "violation_details": ["..."]} ] }
-/// `strategies` names the report's swept StrategySpace (delay menus and
-/// caps are documented in sim/strategy_space.hpp, `xchain-sweep --list`).
-/// When the campaign's chain environment is active the artifact addition-
-/// ally carries top-level "faults" / "resilience" strings, a top-level
-/// "fault_caused" total, and a per-config "fault_caused" count; all of
-/// them are omitted for fault-free campaigns so existing artifacts keep
-/// their exact bytes.
+/// Each config row is one line; "violation_details" appears only on rows
+/// with violations. `strategies` names the report's swept StrategySpace
+/// (delay menus and caps are documented in sim/strategy_space.hpp,
+/// `xchain-sweep --list`). When the campaign's chain environment is active
+/// the artifact additionally carries top-level "faults" / "resilience"
+/// strings, a top-level "fault_caused" total, and a per-config
+/// "fault_caused" count; all of them are omitted for fault-free campaigns
+/// so existing artifacts keep their exact bytes.
 std::string campaign_json(const CampaignReport& report,
-                          const CampaignStamp& stamp = {});
+                          const BuildStamp& stamp = build_stamp());
 
 /// Expands and runs one campaign. Configurations are distributed over
 /// `spec.sweep.threads` workers (0 = one per hardware thread), each worker

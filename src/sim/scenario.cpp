@@ -967,16 +967,19 @@ std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
       o.bound.goods_received = true;
       o.bound.spend_allowance = cfg_.bids[i];  // never pay above the bid
     } else if (variant != 0 && strat != core::AuctioneerStrategy::kNoSetup &&
-               !r.completed && cfg_.bids[i] > 0) {
+               !r.completed && cfg_.bids[i] > 0 &&
+               (!sealed_ || cfg_.bids[i] <= cfg_.collateral)) {
       // §9.2: a bidder locked its bid (the auctioneer did set up, so
       // bidding happened) and the deviant auctioneer killed the auction
       // without shipping it tickets — a conforming bidder is owed the
-      // premium p. The floor is attached whether or not the bidder itself
-      // conformed: the audit only reads conforming parties' bounds, and
-      // keeping every bound term path-determined (variant + run result +
-      // config, never the bidder's own plan) is what lets the tree
-      // executor serve cached outcomes to schedules differing only in
-      // never-consulted plan coordinates.
+      // premium p. A sealed bid above the collateral is owed nothing: the
+      // contract rejects its reveal and refunds the collateral, and only
+      // revealed bidders are paid premiums. The floor is attached whether
+      // or not the bidder itself conformed: the audit only reads
+      // conforming parties' bounds, and keeping every bound term
+      // path-determined (variant + run result + config, never the bidder's
+      // own plan) is what lets the tree executor serve cached outcomes to
+      // schedules differing only in never-consulted plan coordinates.
       o.bound.min_coin_delta = cfg_.premium_unit;
     }
     o.bound.completed = r.completed;

@@ -62,7 +62,7 @@ TEST(FuzzHarness, SameSeedSameReportByteForByte) {
   }
   // Fixed stamp: the report body must then be byte-identical — no timing,
   // no iteration-order, no address-derived content anywhere.
-  const sim::CampaignStamp stamp{"commit", "Release", "gcc"};
+  const BuildStamp stamp{"commit", "Release", "gcc"};
   EXPECT_EQ(fuzz_report_json(a, stamp), fuzz_report_json(b, stamp));
 }
 
@@ -131,8 +131,7 @@ TEST(FuzzReport, JsonShapeAndTotals) {
   rep.seed = 7;
   rep.budget_runs = 400;
   rep.targets.push_back(fuzz_target(selftest_target(), bounded(7, 400)));
-  const std::string json =
-      fuzz_report_json(rep, sim::CampaignStamp{"c", "b", "g"});
+  const std::string json = fuzz_report_json(rep, BuildStamp{"c", "b", "g"});
   EXPECT_NE(json.find("\"benchmark\": \"fuzz\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"protocol\": \"fuzz-selftest-trap\""),

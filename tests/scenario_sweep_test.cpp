@@ -3,6 +3,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/multi_party.hpp"
 #include "core/two_party.hpp"
@@ -105,6 +106,39 @@ TEST(ScenarioSweep, SealedAuctionBoundHoldsOnAllSchedules) {
   // 7 strategies x {conform, halt@0..2}^2 bidders.
   EXPECT_EQ(report.schedules_run, 112u);
   EXPECT_TRUE(report.ok()) << report.str();
+}
+
+// A sealed bid above the collateral has its reveal rejected and its
+// collateral refunded, and only revealed bidders are paid premiums, so a
+// killed auction owes that bidder nothing (the fuzz find in
+// tests/fuzz_corpus/auction_sealed_bid_over_collateral.fuzz).
+TEST(ScenarioSweep, SealedBidOverCollateralIsOwedNoPremium) {
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  ParamSet params = reg.defaults("auction-sealed");
+  params.set("bids", "100,80,121");
+  params.set("collateral", "110");
+  const auto adapter = reg.make("auction-sealed", params);
+  const auto report = ScenarioRunner(*adapter).sweep();
+  EXPECT_EQ(report.schedules_run, 448u);
+  EXPECT_TRUE(report.ok()) << report.str();
+
+  // Declare-loser against three conforming bidders. Bidder 1 keeps its
+  // premium floor and is paid it; bidder 2, the lowest revealed bid and so
+  // the declared winner, keeps its floor of tickets within its bid; bidder
+  // 3, whose bid exceeds the collateral, has no floor and loses nothing.
+  Schedule s;
+  s.plans.assign(4, DeviationPlan::conforming());
+  s.plans[0] = DeviationPlan::conforming().with_variant(3);
+  const std::vector<PartyOutcome> out = adapter->run(s);
+  ASSERT_EQ(out.size(), 4u);
+  const Amount premium = params.get_amount("premium_unit");
+  EXPECT_EQ(out[1].bound.min_coin_delta, premium);
+  EXPECT_GE(out[1].payoff.coin_delta, premium);
+  EXPECT_TRUE(out[2].bound.goods_received);
+  EXPECT_EQ(out[2].bound.spend_allowance, 80);
+  EXPECT_GE(out[2].payoff.coin_delta, -80);
+  EXPECT_EQ(out[3].bound.min_coin_delta, 0);
+  EXPECT_EQ(out[3].payoff.coin_delta, 0);
 }
 
 TEST(ScenarioSweep, BrokerHedgedBoundHoldsOnAllSchedules) {

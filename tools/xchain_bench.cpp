@@ -26,27 +26,17 @@
 // congestion), 1 = unattributed violations or scaling mismatch, 2 =
 // usage / parameter error.
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
+#include "common/json.hpp"
 #include "load/load_gen.hpp"
-
-#ifndef XCHAIN_GIT_COMMIT
-#define XCHAIN_GIT_COMMIT "unknown"
-#endif
-#ifndef XCHAIN_BUILD_TYPE
-#define XCHAIN_BUILD_TYPE "unknown"
-#endif
-#ifndef XCHAIN_COMPILER
-#define XCHAIN_COMPILER "unknown"
-#endif
 
 namespace {
 
@@ -81,15 +71,6 @@ void print_usage(std::FILE* to) {
       "bad usage.\n");
 }
 
-bool parse_long(const std::string& s, long long lo, long long hi,
-                long long& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE && out >= lo &&
-         out <= hi;
-}
-
 /// "proto:w,proto:w" -> mix entries (weight defaults to 1).
 bool parse_mix(const std::string& spec, std::vector<load::MixEntry>& out) {
   std::size_t at = 0;
@@ -114,28 +95,25 @@ bool parse_mix(const std::string& spec, std::vector<load::MixEntry>& out) {
   return !out.empty();
 }
 
-void json_latency(std::string& j, const char* key,
-                  const load::LatencyStats& s, double seconds_per_tick) {
-  char buf[256];
+/// One latency object: tick counts, or wall seconds when
+/// `seconds_per_tick` is positive.
+void json_latency(JsonWriter& w, const char* key, const load::LatencyStats& s,
+                  double seconds_per_tick) {
+  w.begin_object(key, JsonWriter::Layout::kOneLine);
   if (seconds_per_tick > 0) {
-    std::snprintf(buf, sizeof buf,
-                  "\"%s\": {\"p50\": %.6f, \"p95\": %.6f, \"p99\": %.6f, "
-                  "\"max\": %.6f, \"mean\": %.6f}",
-                  key, static_cast<double>(s.p50) * seconds_per_tick,
-                  static_cast<double>(s.p95) * seconds_per_tick,
-                  static_cast<double>(s.p99) * seconds_per_tick,
-                  static_cast<double>(s.max) * seconds_per_tick,
-                  s.mean * seconds_per_tick);
+    w.field("p50", static_cast<double>(s.p50) * seconds_per_tick, 6)
+        .field("p95", static_cast<double>(s.p95) * seconds_per_tick, 6)
+        .field("p99", static_cast<double>(s.p99) * seconds_per_tick, 6)
+        .field("max", static_cast<double>(s.max) * seconds_per_tick, 6)
+        .field("mean", s.mean * seconds_per_tick, 6);
   } else {
-    std::snprintf(buf, sizeof buf,
-                  "\"%s\": {\"p50\": %lld, \"p95\": %lld, \"p99\": %lld, "
-                  "\"max\": %lld, \"mean\": %.3f}",
-                  key, static_cast<long long>(s.p50),
-                  static_cast<long long>(s.p95),
-                  static_cast<long long>(s.p99),
-                  static_cast<long long>(s.max), s.mean);
+    w.field("p50", s.p50)
+        .field("p95", s.p95)
+        .field("p99", s.p99)
+        .field("max", s.max)
+        .field("mean", s.mean, 3);
   }
-  j += buf;
+  w.end();
 }
 
 struct ScalingPoint {
@@ -143,6 +121,79 @@ struct ScalingPoint {
   double wall_seconds = 0;
   double instances_per_second = 0;
 };
+
+/// `n` per wall second of `report` (0 when no time was measured).
+double per_second(const load::LoadReport& report, std::size_t n) {
+  return report.wall_seconds > 0
+             ? static_cast<double>(n) / report.wall_seconds
+             : 0.0;
+}
+
+/// BENCH_load.json. Everything above the wall-time block is a pure function
+/// of the configuration (byte-identical at any --threads); everything from
+/// "wall_seconds" down is measured. Consumers comparing artifacts across
+/// thread counts strip "threads" and the keys from there down.
+std::string load_json(const load::LoadConfig& cfg,
+                      const load::LoadReport& report,
+                      const std::vector<ScalingPoint>& curve) {
+  using Layout = JsonWriter::Layout;
+  JsonWriter w;
+  w.field("benchmark", "load");
+  build_stamp().write(w);
+  w.field("users", cfg.users)
+      .field("threads", cfg.threads)
+      .field("seed", cfg.seed)
+      .field("arrival_gap", cfg.arrival_gap)
+      .field("block_capacity", cfg.block_capacity)
+      .field("max_fee", cfg.max_fee)
+      .begin_array("mix", Layout::kOneLine);
+  for (const load::MixEntry& m : cfg.mix) {
+    w.begin_object(Layout::kOneLine)
+        .field("protocol", m.protocol)
+        .field("weight", m.weight)
+        .end();
+  }
+  w.end()
+      .field("instances", report.instances)
+      .field("txs_included", report.txs_included)
+      .field("chains", report.chains)
+      .field("ticks", report.ticks);
+  json_latency(w, "latency_ticks", report.latency, 0.0);
+  w.begin_array("protocols");
+  for (const load::ProtocolStats& p : report.per_protocol) {
+    w.begin_object(Layout::kOneLine)
+        .field("name", p.protocol)
+        .field("instances", p.instances)
+        .field("txs_included", p.txs_included)
+        .field("violations", p.violations)
+        .field("fault_caused", p.fault_caused);
+    json_latency(w, "latency_ticks", p.latency, 0.0);
+    w.end();
+  }
+  w.end()
+      .field("violations", report.violations.size())
+      .field("fault_caused", report.fault_caused)
+      .field("unattributed", report.unattributed)
+      .field("wall_seconds", report.wall_seconds, 6)
+      .field("instances_per_second", per_second(report, report.instances), 3)
+      .field("txs_per_second", per_second(report, report.txs_included), 3);
+  const double seconds_per_tick =
+      report.ticks > 0 ? report.wall_seconds / static_cast<double>(report.ticks)
+                       : 0.0;
+  json_latency(w, "latency_wall_seconds", report.latency, seconds_per_tick);
+  if (!curve.empty()) {
+    w.begin_array("scaling");
+    for (const ScalingPoint& p : curve) {
+      w.begin_object(Layout::kOneLine)
+          .field("threads", p.threads)
+          .field("wall_seconds", p.wall_seconds, 6)
+          .field("instances_per_second", p.instances_per_second, 3)
+          .end();
+    }
+    w.end();
+  }
+  return w.finish();
+}
 
 }  // namespace
 
@@ -236,6 +287,10 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = value_of("--json=");
+      if (json_path.empty()) {
+        std::fprintf(stderr, "xchain-bench: invalid --json= (want PATH)\n");
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "xchain-bench: unknown argument '%s'\n",
                    arg.c_str());
@@ -256,10 +311,7 @@ int main(int argc, char** argv) {
       load::LoadConfig scfg = cfg;
       scfg.threads = t;
       const load::LoadReport r = load::run_load(scfg);
-      curve.push_back({t, r.wall_seconds,
-                       r.wall_seconds > 0
-                           ? static_cast<double>(r.instances) / r.wall_seconds
-                           : 0.0});
+      curve.push_back({t, r.wall_seconds, per_second(r, r.instances)});
       if (!r.same_outcome(report)) {
         std::fprintf(stderr,
                      "xchain-bench: report at --threads=%u diverges from the "
@@ -273,24 +325,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const double seconds_per_tick =
-      report.ticks > 0 ? report.wall_seconds / static_cast<double>(report.ticks)
-                       : 0.0;
-
   if (!quiet) {
     std::printf(
         "load: %zu instances over %lld ticks on %zu shared chains "
         "(%zu txs, %u threads, %.3fs wall)\n",
         report.instances, static_cast<long long>(report.ticks), report.chains,
         report.txs_included, cfg.threads, report.wall_seconds);
-    std::printf(
-        "  throughput: %.0f instances/s, %.0f txs/s\n",
-        report.wall_seconds > 0
-            ? static_cast<double>(report.instances) / report.wall_seconds
-            : 0.0,
-        report.wall_seconds > 0
-            ? static_cast<double>(report.txs_included) / report.wall_seconds
-            : 0.0);
+    std::printf("  throughput: %.0f instances/s, %.0f txs/s\n",
+                per_second(report, report.instances),
+                per_second(report, report.txs_included));
     std::printf(
         "  completion latency: p50=%lld p95=%lld p99=%lld max=%lld ticks "
         "(mean %.1f)\n",
@@ -315,109 +358,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- JSON artifact -------------------------------------------------------
-  std::string j = "{\n";
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "  \"benchmark\": \"load\",\n"
-                "  \"git_commit\": \"%s\",\n"
-                "  \"build_type\": \"%s\",\n"
-                "  \"compiler\": \"%s\",\n"
-                "  \"hardware_threads\": %u,\n",
-                XCHAIN_GIT_COMMIT, XCHAIN_BUILD_TYPE, XCHAIN_COMPILER,
-                std::thread::hardware_concurrency());
-  j += buf;
-  std::snprintf(buf, sizeof buf,
-                "  \"users\": %zu,\n  \"threads\": %u,\n  \"seed\": %llu,\n"
-                "  \"arrival_gap\": %lld,\n  \"block_capacity\": %d,\n"
-                "  \"max_fee\": %lld,\n",
-                cfg.users, cfg.threads,
-                static_cast<unsigned long long>(cfg.seed),
-                static_cast<long long>(cfg.arrival_gap), cfg.block_capacity,
-                static_cast<long long>(cfg.max_fee));
-  j += buf;
-  j += "  \"mix\": [";
-  for (std::size_t m = 0; m < cfg.mix.size(); ++m) {
-    std::snprintf(buf, sizeof buf, "%s{\"protocol\": \"%s\", \"weight\": %d}",
-                  m ? ", " : "", cfg.mix[m].protocol.c_str(),
-                  cfg.mix[m].weight);
-    j += buf;
+  if (!write_file("xchain-bench", json_path, load_json(cfg, report, curve))) {
+    return 2;
   }
-  j += "],\n";
-  std::snprintf(buf, sizeof buf,
-                "  \"instances\": %zu,\n  \"txs_included\": %zu,\n"
-                "  \"chains\": %zu,\n  \"ticks\": %lld,\n",
-                report.instances, report.txs_included, report.chains,
-                static_cast<long long>(report.ticks));
-  j += buf;
-  j += "  ";
-  json_latency(j, "latency_ticks", report.latency, 0.0);
-  j += ",\n  \"protocols\": [\n";
-  for (std::size_t m = 0; m < report.per_protocol.size(); ++m) {
-    const load::ProtocolStats& p = report.per_protocol[m];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"name\": \"%s\", \"instances\": %zu, "
-                  "\"txs_included\": %zu, \"violations\": %zu, "
-                  "\"fault_caused\": %zu, ",
-                  p.protocol.c_str(), p.instances, p.txs_included,
-                  p.violations, p.fault_caused);
-    j += buf;
-    json_latency(j, "latency_ticks", p.latency, 0.0);
-    j += m + 1 < report.per_protocol.size() ? "},\n" : "}\n";
-  }
-  j += "  ],\n";
-  std::snprintf(buf, sizeof buf,
-                "  \"violations\": %zu,\n  \"fault_caused\": %zu,\n"
-                "  \"unattributed\": %zu,\n",
-                report.violations.size(), report.fault_caused,
-                report.unattributed);
-  j += buf;
-  // Wall-time block last: everything above is a pure function of the
-  // configuration (byte-identical at any --threads), everything below is
-  // measured. Consumers comparing artifacts across thread counts strip
-  // "threads" and the keys from here down.
-  std::snprintf(buf, sizeof buf,
-                "  \"wall_seconds\": %.6f,\n"
-                "  \"instances_per_second\": %.3f,\n"
-                "  \"txs_per_second\": %.3f,\n",
-                report.wall_seconds,
-                report.wall_seconds > 0
-                    ? static_cast<double>(report.instances) /
-                          report.wall_seconds
-                    : 0.0,
-                report.wall_seconds > 0
-                    ? static_cast<double>(report.txs_included) /
-                          report.wall_seconds
-                    : 0.0);
-  j += buf;
-  j += "  ";
-  json_latency(j, "latency_wall_seconds", report.latency, seconds_per_tick);
-  if (!curve.empty()) {
-    j += ",\n  \"scaling\": [\n";
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      std::snprintf(buf, sizeof buf,
-                    "    {\"threads\": %u, \"wall_seconds\": %.6f, "
-                    "\"instances_per_second\": %.3f}%s\n",
-                    curve[i].threads, curve[i].wall_seconds,
-                    curve[i].instances_per_second,
-                    i + 1 < curve.size() ? "," : "");
-      j += buf;
-    }
-    j += "  ]";
-  }
-  j += "\n}\n";
-
-  if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (!out) {
-      std::fprintf(stderr, "xchain-bench: cannot open %s for writing\n",
-                   json_path.c_str());
-      return 2;
-    }
-    std::fwrite(j.data(), 1, j.size(), out);
-    std::fclose(out);
-    if (!quiet) std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!quiet) std::printf("wrote %s\n", json_path.c_str());
 
   if (report.unattributed > 0) {
     std::fprintf(stderr,

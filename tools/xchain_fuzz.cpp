@@ -39,19 +39,10 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "fuzz/harness.hpp"
 #include "fuzz/selftest.hpp"
 #include "sim/registry.hpp"
-
-#ifndef XCHAIN_GIT_COMMIT
-#define XCHAIN_GIT_COMMIT "unknown"
-#endif
-#ifndef XCHAIN_BUILD_TYPE
-#define XCHAIN_BUILD_TYPE "unknown"
-#endif
-#ifndef XCHAIN_COMPILER
-#define XCHAIN_COMPILER "unknown"
-#endif
 
 namespace {
 
@@ -97,15 +88,6 @@ void print_usage(std::FILE* to) {
       "\n"
       "Exit: 0 clean / self-test passed, 1 violations / self-test failed,\n"
       "2 bad usage.\n");
-}
-
-bool parse_long(const std::string& s, long long lo, long long hi,
-                long long& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE && out >= lo &&
-         out <= hi;
 }
 
 bool parse_seed(const std::string& s, unsigned long long& out) {
@@ -164,29 +146,19 @@ bool load_corpus_dir(const std::string& dir,
   return true;
 }
 
-/// Writes `text` to dir/name, creating dir first. Returns false with a
-/// message on any I/O failure.
-bool write_file(const std::string& dir, const std::string& name,
-                const std::string& text, std::string& error) {
+/// Writes `text` to dir/name, creating dir first. Returns false, with the
+/// failure reported on stderr, on any I/O error.
+bool write_in_dir(const std::string& dir, const std::string& name,
+                  const std::string& text) {
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
-    error = "cannot create dir '" + dir + "': " + ec.message();
+    std::fprintf(stderr, "xchain-fuzz: cannot create dir '%s': %s\n",
+                 dir.c_str(), ec.message().c_str());
     return false;
   }
-  const std::string path = (fs::path(dir) / name).string();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    error = "cannot open '" + path + "'";
-    return false;
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  if (std::fclose(f) != 0 || written != text.size()) {
-    error = "short write to '" + path + "'";
-    return false;
-  }
-  return true;
+  return write_file("xchain-fuzz", (fs::path(dir) / name).string(), text);
 }
 
 /// "auction-open" -> "auction_open" for reproducer/corpus filenames.
@@ -359,11 +331,7 @@ int main(int argc, char** argv) {
         const std::string text = "# minimized by xchain-fuzz --seed=" +
                                  std::to_string(opts.seed) + "\n# violation: " +
                                  r.violation + "\n" + r.input;
-        std::string error;
-        if (!write_file(reproducers_dir, name, text, error)) {
-          std::fprintf(stderr, "xchain-fuzz: %s\n", error.c_str());
-          return 2;
-        }
+        if (!write_in_dir(reproducers_dir, name, text)) return 2;
       }
     }
   }
@@ -378,28 +346,13 @@ int main(int argc, char** argv) {
         std::snprintf(num, sizeof num, "%04zu", i);
         const std::string name =
             "corpus_" + file_stem(t.protocol) + "_" + num + ".fuzz";
-        std::string error;
-        if (!write_file(corpus_out, name, t.corpus[i], error)) {
-          std::fprintf(stderr, "xchain-fuzz: %s\n", error.c_str());
-          return 2;
-        }
+        if (!write_in_dir(corpus_out, name, t.corpus[i])) return 2;
       }
     }
   }
 
   if (!json_path.empty()) {
-    const sim::CampaignStamp stamp{XCHAIN_GIT_COMMIT, XCHAIN_BUILD_TYPE,
-                                   XCHAIN_COMPILER};
-    const std::string json = fuzz::fuzz_report_json(report, stamp);
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "xchain-fuzz: cannot open %s\n", json_path.c_str());
-      return 2;
-    }
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    if (std::fclose(f) != 0 || written != json.size()) {
-      std::fprintf(stderr, "xchain-fuzz: short write to %s\n",
-                   json_path.c_str());
+    if (!write_file("xchain-fuzz", json_path, fuzz::fuzz_report_json(report))) {
       return 2;
     }
     if (!quiet) std::printf("wrote %s\n", json_path.c_str());

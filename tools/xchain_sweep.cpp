@@ -22,30 +22,17 @@
 //   xchain-sweep --protocol=multi-party-ring --grid n=3,4,5
 //                --grid premium_unit=1,2 --threads=0 --json=out.json
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 
 #include "chain/fault.hpp"
+#include "common/cli.hpp"
 #include "sim/campaign.hpp"
 #include "sim/param.hpp"
 #include "sim/registry.hpp"
-
-// Build stamps injected by CMake (same provenance fields as the bench
-// artifacts, so campaign JSONs are attributable per commit too).
-#ifndef XCHAIN_GIT_COMMIT
-#define XCHAIN_GIT_COMMIT "unknown"
-#endif
-#ifndef XCHAIN_BUILD_TYPE
-#define XCHAIN_BUILD_TYPE "unknown"
-#endif
-#ifndef XCHAIN_COMPILER
-#define XCHAIN_COMPILER "unknown"
-#endif
 
 namespace {
 
@@ -144,17 +131,6 @@ bool split_kv(const std::string& arg, std::string& key, std::string& value) {
   key = arg.substr(0, eq);
   value = arg.substr(eq + 1);
   return true;
-}
-
-/// Parses a flag integer into [lo, hi]; overflow and trailing junk fail
-/// like any other bad value (no silent truncation to a different meaning).
-bool parse_long(const std::string& s, long long lo, long long hi,
-                long long& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE && out >= lo &&
-         out <= hi;
 }
 
 }  // namespace
@@ -332,19 +308,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    const sim::CampaignStamp stamp{XCHAIN_GIT_COMMIT, XCHAIN_BUILD_TYPE,
-                                   XCHAIN_COMPILER};
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "xchain-sweep: cannot open %s\n",
-                   json_path.c_str());
-      return 2;
-    }
-    const std::string json = sim::campaign_json(report, stamp);
-    const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    if (std::fclose(f) != 0 || written != json.size()) {
-      std::fprintf(stderr, "xchain-sweep: short write to %s\n",
-                   json_path.c_str());
+    if (!write_file("xchain-sweep", json_path, sim::campaign_json(report))) {
       return 2;
     }
     if (!quiet) std::printf("wrote %s\n", json_path.c_str());

@@ -26,11 +26,11 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "common/parallel.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
 
@@ -244,9 +244,7 @@ int main(int argc, char** argv) {
                      argv[i]);
         return 1;
       }
-      const unsigned top =
-          n == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                 : static_cast<unsigned>(n);
+      const unsigned top = resolve_threads(static_cast<unsigned>(n));
       thread_axis = top == 1 ? std::vector<unsigned>{1}  // no duplicate row
                              : std::vector<unsigned>{1, top};
     } else {

@@ -13,6 +13,10 @@
 #     (halt-only two-party: 16; --strategies=late-delays enlarges it);
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
 #     JSON with the strategy space;
+#   * a --max-deviators=2 late-delays broker sweep writes the same JSON at
+#     --threads=1 and --threads=4 apart from workers, nodes_executed and
+#     dedup_hits, and the serial one runs on the tree (fewer executed runs
+#     than schedules);
 #   * a short artifact write (/dev/full) exits 2.
 set -euo pipefail
 
@@ -83,6 +87,27 @@ grep -q '"strategies": "late-delays"' "$json.late" || \
 grep -q '^  "violations": 0,' "$json.late" || \
   fail "late-delays sweep reported violations"
 rm -f "$json.late"
+
+# A filtered sweep: serially the tree explores its deviator-set
+# sub-spaces, and over four workers the shards brute-replay. Only the
+# worker count and the executor statistics may differ.
+for t in 1 4; do
+  rm -f "$json.k2.t$t"
+  "$bin" --protocol=broker --strategies=late-delays --max-deviators=2 \
+    --threads="$t" --json="$json.k2.t$t" >/dev/null || \
+    fail "filtered sweep at --threads=$t exited $? (want 0)"
+done
+executor_free() {
+  grep -v -E '^  "(workers|nodes_executed|dedup_hits)": ' "$1"
+}
+diff <(executor_free "$json.k2.t1") <(executor_free "$json.k2.t4") || \
+  fail "filtered sweep JSON differs between --threads=1 and --threads=4"
+top_level() { sed -n "s/^  \"$1\": \([0-9]*\),\$/\1/p" "$2"; }
+nodes="$(top_level nodes_executed "$json.k2.t1")"
+runs="$(top_level schedules_run "$json.k2.t1")"
+[[ -n "$nodes" && -n "$runs" && "$nodes" -lt "$runs" ]] || \
+  fail "serial filtered sweep executed $nodes of $runs schedules (want fewer)"
+rm -f "$json.k2.t1" "$json.k2.t4"
 
 # Unknown protocols / params / strategy spaces must fail with usage
 # errors, not violations.

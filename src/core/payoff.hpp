@@ -29,6 +29,7 @@ struct PayoffDelta {
   Amount symbol_delta(const chain::Symbol& symbol) const;
 
   std::string str() const;
+  bool operator==(const PayoffDelta&) const = default;
 };
 
 /// Captures party balances across chains so deltas can be computed after a

@@ -5,11 +5,11 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "chain/blockchain.hpp"
 #include "chain/fault.hpp"
+#include "common/parallel.hpp"
 #include "core/binding.hpp"
 #include "crypto/rng.hpp"
 #include "sim/party.hpp"
@@ -201,30 +201,18 @@ LoadReport run_load(const LoadConfig& cfg) {
       ++next_arrival;
     }
 
-    // 2. Parallel tick phase: contiguous instance shards, one per worker.
-    // Actors only read chain state and fill their instance's private
-    // sink, so shards share nothing mutable.
-    const auto tick_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
+    // 2. Parallel tick phase: contiguous instance shards, one per worker
+    // from two instances per worker up. Actors only read chain state and
+    // fill their instance's private sink, so shards share nothing mutable.
+    const std::size_t shards = active.size() < 2 * threads ? 1 : threads;
+    parallel_for(threads, shards, [&](unsigned, std::size_t shard) {
+      const std::size_t hi = (shard + 1) * active.size() / shards;
+      for (std::size_t i = shard * active.size() / shards; i < hi; ++i) {
         for (sim::Party* actor : active[i]->bound->actors()) {
           actor->tick(chains, now);
         }
       }
-    };
-    if (threads == 1 || active.size() < 2 * threads) {
-      tick_range(0, active.size());
-    } else {
-      const std::size_t chunk = (active.size() + threads - 1) / threads;
-      std::vector<std::thread> pool;
-      pool.reserve(threads - 1);
-      for (unsigned t = 1; t < threads; ++t) {
-        const std::size_t lo = std::min(active.size(), t * chunk);
-        const std::size_t hi = std::min(active.size(), lo + chunk);
-        if (lo < hi) pool.emplace_back(tick_range, lo, hi);
-      }
-      tick_range(0, std::min(active.size(), chunk));
-      for (std::thread& th : pool) th.join();
-    }
+    });
 
     // 3. Serial drain in arrival order: mempool sequence numbers are
     // independent of thread count.

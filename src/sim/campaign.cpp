@@ -1,11 +1,9 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <thread>
 
 #include "common/json.hpp"
+#include "common/parallel.hpp"
 
 namespace xchain::sim {
 
@@ -196,18 +194,6 @@ std::vector<PendingConfig> expand_entries(
   return pending;
 }
 
-/// Folds per-configuration strategy-space truncation notices into the
-/// campaign-level list (prefixed with the configuration), in report order.
-void collect_strategy_truncations(CampaignReport& report) {
-  for (const ConfigResult& c : report.configs) {
-    for (const std::string& t : c.report.truncations) {
-      std::string head = c.protocol;
-      if (!c.params.empty()) head += "[" + c.params + "]";
-      report.truncations.push_back(head + ": " + t);
-    }
-  }
-}
-
 }  // namespace
 
 DryRunReport Campaign::dry_run() const {
@@ -248,70 +234,34 @@ CampaignReport Campaign::run() const {
 
   report.configs.resize(pending.size());
 
-  // Phase 2: sweep every configuration. A single configuration gets the
-  // whole thread budget via the sharded sweep; with several, whole
-  // configurations are the unit of work — one pool of workers is reused
-  // across all of them (results land at their pending index, so the report
-  // order is deterministic whatever the claiming order).
-  const auto sweep_one = [](const PendingConfig& cfg,
-                            const SweepOptions& opts) {
-    ConfigResult result;
-    result.protocol = cfg.protocol;
-    result.params = cfg.params.overrides_str();
-    result.report = ScenarioRunner(*cfg.adapter).sweep(opts);
-    return result;
-  };
-
-  unsigned threads = spec_.sweep.threads != 0
-                         ? spec_.sweep.threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  if (pending.size() == 1) {
-    report.configs[0] = sweep_one(pending[0], spec_.sweep);
-    report.workers = report.configs[0].report.workers;
-    collect_strategy_truncations(report);
-    return report;
-  }
-
-  // One worker per configuration, with any leftover thread budget pushed
-  // down into each configuration's sharded sweep (the parallel sweep is
-  // bit-identical to serial, so the report stays deterministic).
+  // Phase 2: sweep every configuration. Whole configurations are the unit
+  // of work, one worker each, and the thread budget left over is pushed
+  // down into each configuration's sharded sweep — so a single
+  // configuration gets the whole budget. Results land at their pending
+  // index, and the sharded sweep is bit-identical to serial, so the report
+  // is deterministic whatever the claiming order.
+  const unsigned threads = resolve_threads(spec_.sweep.threads);
   const unsigned outer = static_cast<unsigned>(
-      std::min<std::size_t>(threads, pending.size()));
-  const unsigned inner =
-      std::max(1u, threads / static_cast<unsigned>(pending.size()));
-  threads = outer;
-  report.workers = std::max(1u, threads);
-  const SweepOptions per_config{spec_.sweep.max_deviators, inner,
-                                spec_.sweep.strategies};
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      report.configs[i] = sweep_one(pending[i], per_config);
+      std::clamp<std::size_t>(pending.size(), 1, threads));
+  SweepOptions per_config = spec_.sweep;
+  per_config.threads = threads / outer;
+  parallel_for(outer, pending.size(), [&](unsigned, std::size_t i) {
+    ConfigResult& result = report.configs[i];
+    result.protocol = pending[i].protocol;
+    result.params = pending[i].params.overrides_str();
+    result.report = ScenarioRunner(*pending[i].adapter).sweep(per_config);
+  });
+  report.workers =
+      pending.size() == 1 ? report.configs[0].report.workers : outer;
+  // Strategy-space truncation notices, prefixed with their configuration,
+  // in report order.
+  for (const ConfigResult& c : report.configs) {
+    for (const std::string& t : c.report.truncations) {
+      std::string head = c.protocol;
+      if (!c.params.empty()) head += "[" + c.params + "]";
+      report.truncations.push_back(head + ": " + t);
     }
-    collect_strategy_truncations(report);
-    return report;
   }
-
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      try {
-        for (std::size_t i = next.fetch_add(1); i < pending.size();
-             i = next.fetch_add(1)) {
-          report.configs[i] = sweep_one(pending[i], per_config);
-        }
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& th : pool) th.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  collect_strategy_truncations(report);
   return report;
 }
 

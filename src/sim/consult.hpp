@@ -9,9 +9,8 @@
 // identical executions, even if they differ on coordinates the run never
 // reached (a dropped escrow makes the redeem ordinal moot, etc.). Each
 // executed run records its consultations here, in order; the executor
-// builds its memo-trie from the log and diffs a new schedule against the
-// last executed run's log to find the first divergent tick to resume
-// from.
+// builds its memo-trie from the log and branches at each logged consult,
+// resuming the next run from that consult's tick.
 
 #include <cstdint>
 #include <vector>

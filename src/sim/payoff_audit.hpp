@@ -38,6 +38,8 @@ struct HedgeBound {
   /// (lost_principal below). Set only by adapters whose parties trade one
   /// principal for one counter-asset: two-party, the ladders, the broker.
   bool principal_lost = false;
+
+  bool operator==(const HedgeBound&) const = default;
 };
 // The two flags sit in the tail padding after goods_received, so
 // PartyOutcome keeps its size: the tree executor caches one outcome vector
@@ -55,6 +57,8 @@ struct PartyOutcome {
   bool conforming = true;
   core::PayoffDelta payoff;
   HedgeBound bound;
+
+  bool operator==(const PartyOutcome&) const = default;
 };
 
 /// One failed check of audit_schedule. Floor breaches and asset-safety

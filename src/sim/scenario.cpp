@@ -1,16 +1,15 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "common/parallel.hpp"
 #include "core/crr.hpp"
 #include "sim/consult.hpp"
 
@@ -106,22 +105,20 @@ class ScheduleSpace {
   /// fill_label().
   bool make(std::size_t index, int max_deviators, Schedule& out,
             bool with_label) const {
-    std::size_t rest = index;
-    int deviators = 0;
+    // Under a deviator budget most raw indices are rejected: count before
+    // copying any plan.
+    if (max_deviators >= 0 && deviators(index) > max_deviators) return false;
     // Copy-assign into existing plan slots. A clear()-and-push_back loop
     // frees and reallocates every plan's modifier list on every decode;
     // with the tree executor serving most schedules straight from the
     // memo-trie, those per-decode allocations are a measurable slice of
     // the whole sweep loop.
     out.plans.resize(spaces_.size());
+    std::size_t rest = index;
     for (std::size_t p = 0; p < spaces_.size(); ++p) {
-      const auto& space = spaces_[p];
-      const DeviationPlan& plan = space[rest % space.size()];
-      rest /= space.size();
-      if (!plan.is_conforming()) ++deviators;
-      out.plans[p] = plan;
+      out.plans[p] = spaces_[p][rest % spaces_[p].size()];
+      rest /= spaces_[p].size();
     }
-    if (max_deviators >= 0 && deviators > max_deviators) return false;
 
     if (with_label) {
       fill_label(out);
@@ -129,6 +126,16 @@ class ScheduleSpace {
       out.label.clear();
     }
     return true;
+  }
+
+  /// Deviating parties (those off their reference plan) at raw `index`.
+  int deviators(std::size_t index) const {
+    int count = 0;
+    for (const auto& space : spaces_) {
+      if (!space[index % space.size()].is_conforming()) ++count;
+      index /= space.size();
+    }
+    return count;
   }
 
   /// Builds the human-readable label for a decoded schedule.
@@ -162,8 +169,11 @@ struct ShardResult {
   std::vector<std::size_t> violation_raw;
 };
 
-void sweep_range(const ProtocolAdapter& adapter, const ScheduleSpace& space,
-                 int max_deviators, std::size_t begin, std::size_t end,
+/// Audits every schedule of raw indices [begin, end) within the deviator
+/// budget, taking its outcomes from outcomes_of(raw index, schedule).
+template <class OutcomesOf>
+void sweep_range(const ScheduleSpace& space, int max_deviators,
+                 std::size_t begin, std::size_t end, OutcomesOf&& outcomes_of,
                  ShardResult& out) {
   Schedule s;
   for (std::size_t i = begin; i < end; ++i) {
@@ -171,7 +181,7 @@ void sweep_range(const ProtocolAdapter& adapter, const ScheduleSpace& space,
     // be a large fraction of the per-schedule cost, and the audit only
     // needs them on (rare) violations — fill them in after the fact.
     if (!space.make(i, max_deviators, s, /*with_label=*/false)) continue;
-    const std::vector<PartyOutcome> outcomes = adapter.run(s);
+    const std::vector<PartyOutcome>& outcomes = outcomes_of(i, s);
     const std::size_t before = out.violations.size();
     out.conforming_audited += audit_schedule(s.label, outcomes, out.violations);
     if (out.violations.size() != before) {
@@ -225,19 +235,21 @@ void attribute_faults(const ProtocolAdapter& adapter,
 
 /// Prefix-sharing schedule-tree executor (the serial sweep's default
 /// engine). One instance drives one adapter's TreeFrame through a whole
-/// sweep:
+/// sweep. explore() runs every execution up front, depth-first:
 ///
 ///   * every executed run logs the (party, ordinal) plan coordinates it
 ///     actually consulted (ConsultLog, recorded inside Party::act);
 ///   * finished runs are memoized in a trie keyed by (engine-variant
-///     vector, consulted decisions in consultation order) — a schedule
-///     whose trie walk reaches a leaf is, by determinism, guaranteed the
-///     cached outcomes without touching the world (a dedup hit);
-///   * a schedule that must execute is diffed against the last executed
-///     run's consult log: everything before the first divergent consult
-///     replays identically, so the executor rewinds the world (layered
-///     checkpoint stack, one slot per tick) to that tick and runs only the
-///     suffix.
+///     vector, consulted decisions in consultation order), and each leaf
+///     learns the raw schedule indices whose plans give its answers — by
+///     determinism, all of them share its outcomes;
+///   * every other answer a candidate plan gives to a consulted coordinate
+///     is a branch: the executor rewinds the world (layered checkpoint
+///     stack, one slot per tick) to that consult's tick and runs only the
+///     new suffix.
+///
+/// The sweep loop then serves every schedule from its leaf (outcomes()),
+/// never touching the world.
 ///
 /// Invariant: snapshot slot t holds the world state at the START of tick
 /// t, so snap_depth() == t+1 right after tick t's slot is pushed and
@@ -272,65 +284,43 @@ class TreeExecutor {
 
   std::size_t nodes_executed() const { return nodes_executed_; }
 
-  /// Produces the outcomes of the schedule with raw index `raw` (decoded
-  /// into `s` by the caller). Dedup hits are the common case and must
-  /// cost no allocations and no copies: conformance flags are patched in
-  /// place on the leaf's stored outcomes and a reference to them is
-  /// returned. After explore() the leaf comes from an O(1) table lookup;
-  /// otherwise (filtered sweeps) the memo-trie is walked and a miss
-  /// executes the (shared-prefix-skipping) run into `scratch`.
-  const std::vector<PartyOutcome>& run_one(std::size_t raw, const Schedule& s,
-                                           std::vector<PartyOutcome>& scratch) {
-    if (!leaf_of_.empty()) {
-      TrieNode* node = leaf_of_[raw];
-      patch_conformance(s, node->outcomes);
-      return node->outcomes;
+  /// The outcomes of the schedule with raw index `raw` (decoded into `s`
+  /// by the caller), served from its explored leaf. Conformance flags are
+  /// patched in place on the leaf's stored outcomes, so a lookup costs no
+  /// allocation and no copy. The sub-space partition says explore()
+  /// reached every in-budget index; a hole is a completeness bug, and
+  /// serving it silently would mis-attribute outcomes.
+  const std::vector<PartyOutcome>& outcomes(std::size_t raw,
+                                            const Schedule& s) {
+    TrieNode* const node = leaf_of_[raw];
+    if (node == nullptr) {
+      throw std::logic_error(
+          adapter_.name() +
+          ": tree exploration left part of the schedule space uncovered");
     }
-    key_.clear();
-    for (const DeviationPlan& p : s.plans) key_.push_back(p.variant());
-    TrieNode* node = &roots_[key_];
-    while (!node->leaf && node->party != kNoParty) {
-      const ActionPolicy pol = s.plans[node->party].policy(node->ordinal);
-      TrieNode* child = nullptr;
-      for (auto& e : node->edges) {
-        if (e.first == pol) {
-          child = e.second.get();
-          break;
-        }
-      }
-      if (!child) break;
-      node = child;
-    }
-    if (node->leaf) {
-      patch_conformance(s, node->outcomes);
-      return node->outcomes;
-    }
-
-    Tick resume = 0;
-    if (has_last_ && last_key_ == key_) resume = divergence_tick(s);
-    execute(s, resume);
-    ++nodes_executed_;
-    scratch = adapter_.tree_collect(s);
-    memoize(scratch);
-    return scratch;
+    patch_conformance(s, node->outcomes);
+    return node->outcomes;
   }
 
-  /// Pre-populates the trie by a depth-first walk of the schedule tree:
-  /// every distinct consulted-decision path executes exactly once, and
-  /// each path resumes from its branch point (rewind to the branch tick,
-  /// run only the new suffix) — so total tick work is proportional to the
-  /// size of the TREE, not leaves x horizon. After exploration every
-  /// run_one() is a trie hit. Only sound for unfiltered sweeps: a
-  /// deviator budget couples parties globally (the count of deviating
-  /// plans), which per-branch candidate sets cannot express — filtered
-  /// sweeps use the lazy run_one() path instead.
-  void explore(const std::vector<std::vector<DeviationPlan>>& lists) {
+  /// Populates the trie by a depth-first walk of the schedule tree within
+  /// the deviator budget (-1 = unbounded): every distinct consulted-
+  /// decision path executes once per sub-space, and each path resumes from
+  /// its branch point (rewind to the branch tick, run only the new suffix)
+  /// — so total tick work is proportional to the size of the TREE, not
+  /// leaves x horizon. A budget couples parties globally (the count of
+  /// deviating plans), which per-branch candidate sets cannot express, so
+  /// the space is split party by party into disjoint sub-spaces in which
+  /// every party takes either its reference plan or one of its others;
+  /// splitting stops once the remaining budget covers the remaining
+  /// parties.
+  void explore(const std::vector<std::vector<DeviationPlan>>& lists,
+               int max_deviators) {
     lists_ = &lists;
     const std::size_t n = lists.size();
     // Raw-index strides matching ScheduleSpace::make's decode (party 0 is
     // the fastest-varying digit). Every leaf learns the exact set of
     // plan-index combinations it covers, so leaf_of_ maps each raw index
-    // straight to its leaf and run_one() never walks the trie again.
+    // straight to its leaf.
     strides_.assign(n, 1);
     std::size_t total = 1;
     for (std::size_t p = 0; p < n; ++p) {
@@ -338,46 +328,8 @@ class TreeExecutor {
       total *= lists[p].size();
     }
     leaf_of_.assign(total, nullptr);
-    // Engine-variant classes per party, in first-seen (= enumeration)
-    // order. Variants steer engines outside the consultation mechanism,
-    // so each cross-product choice of classes is its own tree.
-    std::vector<std::vector<std::pair<int, std::vector<int>>>> classes(n);
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t i = 0; i < lists[p].size(); ++i) {
-        const int v = lists[p][i].variant();
-        auto it = std::find_if(classes[p].begin(), classes[p].end(),
-                               [v](const auto& c) { return c.first == v; });
-        if (it == classes[p].end()) {
-          classes[p].push_back({v, {}});
-          it = std::prev(classes[p].end());
-        }
-        it->second.push_back(static_cast<int>(i));
-      }
-    }
-    std::vector<std::size_t> pick(n, 0);
-    while (true) {
-      std::vector<std::vector<int>> cand(n);
-      for (std::size_t p = 0; p < n; ++p) {
-        cand[p] = classes[p][pick[p]].second;
-      }
-      dfs(cand, 0, -1);
-      std::size_t p = 0;
-      for (; p < n; ++p) {
-        if (++pick[p] < classes[p].size()) break;
-        pick[p] = 0;
-      }
-      if (p == n) break;
-    }
-    // The branch partition argument says the leaves' coverage sets tile
-    // the whole space; a hole here means a completeness bug, and serving
-    // it silently would mis-attribute outcomes.
-    for (const TrieNode* node : leaf_of_) {
-      if (node == nullptr) {
-        throw std::logic_error(
-            adapter_.name() +
-            ": tree exploration left part of the schedule space uncovered");
-      }
-    }
+    std::vector<std::vector<int>> cand(n);
+    explore_parties(n, max_deviators, cand);
   }
 
  private:
@@ -439,6 +391,45 @@ class TreeExecutor {
     }
   }
 
+  /// Explores every sub-space in which parties [0, open) are still to be
+  /// chosen and each later party q takes the plans in cand[q], with
+  /// `budget` deviators left (-1 = unbounded). The last open party splits
+  /// first, so party 0's choice varies fastest, as in the raw-index order.
+  /// A party splits by engine variant, in first-seen order: variants steer
+  /// engines outside the consultation mechanism, so each choice of
+  /// variants is its own tree. Under a binding budget each variant splits
+  /// again, into the reference plan (budget kept) and the rest (one spent).
+  void explore_parties(std::size_t open, int budget,
+                       std::vector<std::vector<int>>& cand) {
+    if (open == 0) {
+      dfs(cand, 0, -1);
+      return;
+    }
+    const std::size_t p = open - 1;
+    const std::vector<DeviationPlan>& plans = (*lists_)[p];
+    const bool split = budget >= 0 && static_cast<std::size_t>(budget) < open;
+    const int max_deviate = split && budget > 0 ? 1 : 0;
+    std::vector<int> variants;
+    for (const DeviationPlan& plan : plans) {
+      if (std::find(variants.begin(), variants.end(), plan.variant()) ==
+          variants.end()) {
+        variants.push_back(plan.variant());
+      }
+    }
+    for (const int v : variants) {
+      for (int deviate = 0; deviate <= max_deviate; ++deviate) {
+        cand[p].clear();
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          if (plans[i].variant() == v &&
+              (!split || plans[i].is_conforming() == (deviate == 0))) {
+            cand[p].push_back(static_cast<int>(i));
+          }
+        }
+        if (!cand[p].empty()) explore_parties(p, budget - deviate, cand);
+      }
+    }
+  }
+
   /// One depth-first exploration step. `cand[p]` lists the indices (into
   /// lists_[p]) of party p's plans compatible with the current path prefix;
   /// each party's representative — the first candidate — executes from tick
@@ -458,11 +449,9 @@ class TreeExecutor {
       s.plans.push_back(
           (*lists_)[p][static_cast<std::size_t>(cand[p].front())]);
     }
-    key_.clear();
-    for (const DeviationPlan& pl : s.plans) key_.push_back(pl.variant());
     execute(s, from);
     ++nodes_executed_;
-    TrieNode* const leaf = memoize(adapter_.tree_collect(s));
+    TrieNode* const leaf = memoize(s, adapter_.tree_collect(s));
 
     // Branch exploration rewrites log_, so walk a copy of this run's path.
     const std::vector<ConsultEntry> path = log_.entries();
@@ -479,9 +468,9 @@ class TreeExecutor {
 
     // This leaf serves exactly the cross-product of each party's
     // candidates that agree with the complete path — record it so
-    // run_one() resolves raw indices with one table load. (Distinct
-    // leaves differ at their first divergent consulted answer, so the
-    // sets written here never collide.)
+    // outcomes() resolves raw indices with one table load. (Within a
+    // sub-space distinct leaves differ at their first divergent consulted
+    // answer, and sub-spaces are disjoint, so no index is written twice.)
     {
       std::vector<std::vector<int>> covered(cand.size());
       for (std::size_t p = 0; p < cand.size(); ++p) {
@@ -547,17 +536,6 @@ class TreeExecutor {
     }
   }
 
-  /// First tick at which `s` answers a consulted coordinate differently
-  /// from the last executed run — the resume point. No divergence cannot
-  /// happen on a trie miss (identical consulted answers would have reached
-  /// the leaf); replay in full if it somehow does.
-  Tick divergence_tick(const Schedule& s) const {
-    for (const ConsultEntry& e : log_.entries()) {
-      if (s.plans[e.party].policy(e.ordinal) != e.pol) return e.tick;
-    }
-    return 0;
-  }
-
   void execute(const Schedule& s, Tick resume) {
     if (frame_.chains->snap_depth() > static_cast<std::size_t>(resume)) {
       rewind_to(resume, /*integrity_check=*/true);
@@ -568,7 +546,7 @@ class TreeExecutor {
     } else {
       // Entries before the resume tick stand: the restored state already
       // reflects those decisions (and their queued delayed actions), and
-      // their answers agree with `s` by choice of the resume point.
+      // their answers agree with `s`, which branches at the resume tick.
       log_.begin_resumed_run(resume);
     }
     const bool with_hash = verifying();
@@ -579,14 +557,16 @@ class TreeExecutor {
       for (Party* p : frame_.actors) p->tick(*frame_.chains, t);
       frame_.chains->produce_all(t);
     }
-    last_key_ = key_;
-    has_last_ = true;
   }
 
-  /// Records the just-executed run in the trie (returning its leaf),
-  /// verifying determinism: runs sharing a decision prefix must consult
-  /// the same coordinate next.
-  TrieNode* memoize(const std::vector<PartyOutcome>& out) {
+  /// Records the just-executed run of `s` in the trie (returning its
+  /// leaf), verifying determinism: runs sharing a decision prefix must
+  /// consult the same coordinate next, and a run reaching an existing leaf
+  /// — possible only across deviator-set sub-spaces — must reproduce its
+  /// outcomes, conformance flags aside.
+  TrieNode* memoize(const Schedule& s, std::vector<PartyOutcome> out) {
+    key_.clear();
+    for (const DeviationPlan& plan : s.plans) key_.push_back(plan.variant());
     TrieNode* node = &roots_[key_];
     for (const ConsultEntry& e : log_.entries()) {
       if (node->leaf ||
@@ -613,14 +593,16 @@ class TreeExecutor {
       }
       node = child;
     }
-    if (node->party != kNoParty || node->leaf) {
+    if (node->leaf) patch_conformance(s, node->outcomes);
+    if (node->party != kNoParty || (node->leaf && node->outcomes != out)) {
       throw std::logic_error(
           adapter_.name() +
-          ": tree executor run consulted a strict prefix of an earlier "
-          "run with equal answers — engine is not deterministic");
+          ": tree executor run consulted a prefix of an earlier run with "
+          "equal answers but ended differently — engine is not "
+          "deterministic");
     }
     node->leaf = true;
-    node->outcomes = out;
+    node->outcomes = std::move(out);
     return node;
   }
 
@@ -643,13 +625,11 @@ class TreeExecutor {
   ConsultLog log_;
   std::map<std::vector<int>, TrieNode> roots_;
   const std::vector<std::vector<DeviationPlan>>* lists_ = nullptr;
-  std::vector<TrieNode*> leaf_of_;  ///< raw index -> leaf, after explore()
+  std::vector<TrieNode*> leaf_of_;  ///< raw index -> leaf (null: unexplored)
   std::vector<std::size_t> strides_;  ///< raw-index stride per party
   std::vector<std::uint64_t> hashes_;  ///< world hash per snapshot slot
   std::size_t hashed_to_ = 0;  ///< leading slots whose hashes are fresh
-  std::vector<int> key_;               ///< current schedule's variant vector
-  std::vector<int> last_key_;          ///< last executed run's variant vector
-  bool has_last_ = false;
+  std::vector<int> key_;       ///< memoize()'s scratch: the run's variants
   std::size_t nodes_executed_ = 0;
 };
 
@@ -715,9 +695,8 @@ std::size_t ScenarioRunner::schedule_count(
   }
   if (opts.max_deviators < 0) return space.raw_size();
   std::size_t count = 0;
-  Schedule s;
   for (std::size_t i = 0; i < space.raw_size(); ++i) {
-    if (space.make(i, opts.max_deviators, s, /*with_label=*/false)) ++count;
+    if (space.deviators(i) <= opts.max_deviators) ++count;
   }
   return count;
 }
@@ -733,17 +712,6 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
 
   const ScheduleSpace space(adapter_, opts.strategies);
   report.truncations = space.truncations();
-  unsigned threads = opts.threads != 0
-                         ? opts.threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  // Spawning a worker only pays for itself over a batch of schedules:
-  // clamp so each worker gets at least ~16, degrading small spaces toward
-  // the serial path instead of paying thread/clone overhead for microwork.
-  constexpr std::size_t kMinSchedulesPerWorker = 16;
-  threads = static_cast<unsigned>(std::min<std::size_t>(
-      threads,
-      std::max<std::size_t>(space.raw_size() / kMinSchedulesPerWorker, 1)));
-  report.workers = threads;
 
   // An active chain environment forces the brute executor: faults carry
   // mempool contents across blocks, and the tree executor's layered
@@ -761,99 +729,59 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
         "SweepOptions.executor = kTree, but adapter '" + adapter_.name() +
         "' is not tree-capable (it has no engine world)");
   }
-  const bool use_tree =
-      opts.executor == SweepExecutor::kTree ||
-      (opts.executor == SweepExecutor::kAuto && threads <= 1 && tree_capable);
-
-  if (use_tree) {
+  // Spawning a worker only pays for itself over a batch of schedules:
+  // clamp so each worker gets at least ~16, degrading small spaces toward
+  // the serial path instead of paying thread/clone overhead for microwork.
+  constexpr std::size_t kMinSchedulesPerWorker = 16;
+  unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
+      resolve_threads(opts.threads),
+      std::max<std::size_t>(space.raw_size() / kMinSchedulesPerWorker, 1)));
+  std::optional<TreeExecutor> tree;
+  if (opts.executor == SweepExecutor::kTree ||
+      (opts.executor == SweepExecutor::kAuto && workers <= 1 &&
+       tree_capable)) {
     // The tree executor is inherently serial (one world, one snapshot
-    // stack); kTree overrides any thread request.
-    report.workers = 1;
-    TreeExecutor exec(adapter_, *adapter_.tree_frame());
-    // Unfiltered sweeps pre-populate the trie depth-first (each distinct
-    // decision path executes once, from its branch point); the schedule
-    // loop below then only audits trie hits. A deviator budget couples
-    // parties globally, so filtered sweeps skip exploration and let
-    // run_one() execute lazily instead.
-    if (opts.max_deviators < 0 && space.raw_size() > 0) {
-      exec.explore(space.plan_lists());
-    }
-    Schedule s;
-    std::vector<PartyOutcome> scratch;
-    for (std::size_t i = 0; i < space.raw_size(); ++i) {
-      if (!space.make(i, opts.max_deviators, s, /*with_label=*/false)) {
-        continue;
-      }
-      const std::vector<PartyOutcome>& outcomes = exec.run_one(i, s, scratch);
-      const std::size_t before = report.violations.size();
-      report.conforming_audited +=
-          audit_schedule(s.label, outcomes, report.violations);
-      if (report.violations.size() != before) {
-        space.fill_label(s);
-        for (std::size_t v = before; v < report.violations.size(); ++v) {
-          report.violations[v].schedule = s.label;
-        }
-      }
-      ++report.schedules_run;
-    }
-    report.nodes_executed = exec.nodes_executed();
-    report.dedup_hits = report.schedules_run - report.nodes_executed;
-    report.schedules_covered = report.schedules_run;
-    return report;
+    // stack); kTree overrides any thread request. Exploration runs every
+    // execution up front, so the shard loop below only audits leaves.
+    workers = 1;
+    tree.emplace(adapter_, *adapter_.tree_frame());
+    tree->explore(space.plan_lists(), opts.max_deviators);
   }
-
-  if (threads <= 1) {
-    ShardResult all;
-    sweep_range(adapter_, space, opts.max_deviators, 0, space.raw_size(),
-                all);
-    report.schedules_run = all.schedules_run;
-    report.conforming_audited = all.conforming_audited;
-    report.violations = std::move(all.violations);
-    report.nodes_executed = report.schedules_run;
-    report.schedules_covered = report.schedules_run;
-    if (env_active) {
-      attribute_faults(adapter_, space, all.violation_raw, report);
-    }
-    return report;
-  }
+  report.workers = workers;
 
   // Contiguous raw-index shards, several per worker so uneven
-  // per-schedule run costs balance out; workers claim shards through an
-  // atomic cursor and decode each index on the fly (constant memory).
-  // Merging in shard order reproduces the serial enumeration order
-  // exactly, so the report is bit-identical to the serial path's whatever
-  // the thread count or claiming order.
+  // per-schedule run costs balance out; workers claim shards in order and
+  // decode each index on the fly (constant memory). Merging in shard order
+  // reproduces the serial enumeration order exactly, so the report is
+  // bit-identical whatever the worker count or claiming order.
   const std::size_t shard_count =
-      std::min(space.raw_size(), static_cast<std::size_t>(threads) * 8);
+      std::min(space.raw_size(), static_cast<std::size_t>(workers) * 8);
   std::vector<ShardResult> shards(shard_count);
-  std::atomic<std::size_t> next_shard{0};
-  std::vector<std::exception_ptr> errors(threads);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      try {
-        // A private engine per worker: chains built by run() are stateful,
-        // and a future adapter may keep per-run scratch state on itself.
-        const std::unique_ptr<ProtocolAdapter> engine = adapter_.clone();
-        const ScheduleSpace worker_space(*engine, opts.strategies);
-        for (std::size_t shard = next_shard.fetch_add(1);
-             shard < shard_count; shard = next_shard.fetch_add(1)) {
-          const std::size_t begin = shard * space.raw_size() / shard_count;
-          const std::size_t end =
-              (shard + 1) * space.raw_size() / shard_count;
-          sweep_range(*engine, worker_space, opts.max_deviators, begin, end,
-                      shards[shard]);
-        }
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& th : pool) th.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  // Worker 0 brute-replays on the caller's adapter, every other worker on
+  // a private clone: chains built by run() are stateful.
+  std::vector<std::unique_ptr<ProtocolAdapter>> clones(workers);
+  parallel_for(workers, shard_count, [&](unsigned worker, std::size_t shard) {
+    const std::size_t begin = shard * space.raw_size() / shard_count;
+    const std::size_t end = (shard + 1) * space.raw_size() / shard_count;
+    if (tree) {
+      sweep_range(
+          space, opts.max_deviators, begin, end,
+          [&](std::size_t raw, const Schedule& s) -> const auto& {
+            return tree->outcomes(raw, s);
+          },
+          shards[shard]);
+      return;
+    }
+    if (worker > 0 && !clones[worker]) clones[worker] = adapter_.clone();
+    const ProtocolAdapter& engine = worker > 0 ? *clones[worker] : adapter_;
+    std::vector<PartyOutcome> outcomes;
+    sweep_range(
+        space, opts.max_deviators, begin, end,
+        [&](std::size_t, const Schedule& s) -> const auto& {
+          return outcomes = engine.run(s);
+        },
+        shards[shard]);
+  });
 
   std::vector<std::size_t> violation_raw;
   for (ShardResult& shard : shards) {
@@ -865,8 +793,10 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
     violation_raw.insert(violation_raw.end(), shard.violation_raw.begin(),
                          shard.violation_raw.end());
   }
-  report.nodes_executed = report.schedules_run;
+  report.nodes_executed =
+      tree ? tree->nodes_executed() : report.schedules_run;
   report.schedules_covered = report.schedules_run;
+  report.dedup_hits = report.schedules_run - report.nodes_executed;
   if (env_active) {
     // The twin runs serially on the caller's adapter clone: violations are
     // rare, and a deterministic single-threaded pass keeps the report

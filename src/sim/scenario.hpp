@@ -45,29 +45,28 @@
 // instead of replaying every schedule from tick 0. It drives the same
 // frame, snapshotting the whole world — ledgers, contracts, actors — at
 // every tick boundary onto the layered checkpoint stack
-// (Blockchain::snap_push / snap_rewind, chain/snapshot.hpp), logs which
-// (party, ordinal) plan coordinates each run actually consulted
-// (sim/consult.hpp), and memoizes finished runs in a trie keyed by those
-// consulted decisions. A new schedule first walks the trie: reaching a
-// leaf means some already-executed schedule made identical consulted
-// decisions under the same engine variants, so by determinism the outcome
-// is the cached one (a dedup hit — only the conforming flags, which depend
-// on unconsulted plan coordinates, are recomputed). Otherwise the executor
-// diffs the schedule against the last executed run's consult log and
-// resumes from the first divergent tick via the snapshot stack, executing
-// only the un-shared suffix. Rewinds are integrity-checked by a 64-bit
-// state hash recorded at each push: a contract or actor whose state_tie()
-// misses a mutable member fails loudly instead of silently corrupting the
-// sweep. The tree report is identical, schedule for schedule, to the
-// brute-force replay's (pinned by tests/tree_equivalence_test.cpp);
-// SweepOptions.executor forces either engine.
+// (Blockchain::snap_push / snap_rewind, chain/snapshot.hpp), and logs
+// which (party, ordinal) plan coordinates each run actually consulted
+// (sim/consult.hpp). Before any schedule is audited it explores the
+// schedule tree depth-first: each distinct consulted-decision path
+// executes once, resuming from its branch tick, and its memo leaf serves
+// every schedule whose plans give the same answers under the same engine
+// variants (a dedup hit — only the conforming flags, which depend on
+// unconsulted plan coordinates, are recomputed). A deviator budget is
+// explored as disjoint deviator-set sub-spaces. Rewinds are
+// integrity-checked by a 64-bit state hash: a contract or actor whose
+// state_tie() misses a mutable member fails loudly instead of silently
+// corrupting the sweep. The tree report is identical, schedule for
+// schedule, to the brute-force replay's (pinned by
+// tests/tree_equivalence_test.cpp); SweepOptions.executor forces either.
 //
-// Sweeps are parallelizable: sweep(SweepOptions{.threads = N}) partitions
-// the enumerated schedule space into contiguous shards, runs the shards on
-// a worker pool (each worker drives its own adapter clone so per-run chain
-// state never crosses threads), and merges the per-shard results in shard
-// order — the merged report is identical, schedule for schedule, to the
-// serial sweep's, whatever the strategy space.
+// Every sweep runs one shard loop: contiguous raw-index shards claimed
+// through parallel_for (common/parallel.hpp) and merged in shard order.
+// The tree runs it on one worker; brute replay on up to
+// SweepOptions.threads, the caller driving the adapter itself and every
+// other worker its own clone, so per-run chain state never crosses
+// threads. The merged report is identical, schedule for schedule,
+// whatever the worker count.
 //
 // Adapters for all the protocol families — two-party hedged swap (§5),
 // multi-party ARC swap (§7), ticket auction open + sealed (§9), the
@@ -187,10 +186,10 @@ class ProtocolAdapter {
   }
 
   /// An independent adapter driving the same protocol with the same
-  /// parameters. Parallel sweeps give every worker thread its own clone:
-  /// adapters cache a reusable world (stateful chains) on themselves, so
-  /// workers must never share one instance. Cloning copies configuration
-  /// only — each clone builds its own world on first run().
+  /// parameters. Parallel sweeps give every worker thread but the caller's
+  /// its own clone: adapters cache a reusable world (stateful chains) on
+  /// themselves, so workers must never share one instance. Cloning copies
+  /// configuration only — each clone builds its own world on first run().
   virtual std::unique_ptr<ProtocolAdapter> clone() const = 0;
 
   virtual std::vector<PartyOutcome> run(const Schedule& s) const = 0;
@@ -412,10 +411,10 @@ struct SweepReport {
 
 /// Which engine executes a sweep's schedules.
 enum class SweepExecutor {
-  /// Serial sweeps of tree-capable adapters use the schedule-tree
-  /// executor; everything else (parallel shards, adapters without tree
-  /// support, active chain environments) brute-force replays every
-  /// schedule.
+  /// Every serial sweep of a tree-capable adapter on an inactive
+  /// environment, deviator budget or not, uses the schedule-tree executor;
+  /// everything else (parallel shards, adapters without tree support,
+  /// active chain environments) brute-force replays every schedule.
   kAuto,
   /// Force the schedule-tree executor (always serial). Throws
   /// std::invalid_argument when the adapter is not tree-capable.

@@ -364,6 +364,33 @@ TEST(Campaign, SingleConfigurationUsesTheShardedSweep) {
   EXPECT_TRUE(report.ok()) << report.str();
 }
 
+// Every configuration of a multi-configuration campaign sweeps with the
+// campaign's options, the forced executor included: brute replays every
+// schedule, and a forced tree stays serial under a thread request.
+TEST(Campaign, ForcedExecutorReachesEveryConfiguration) {
+  CampaignSpec spec;
+  spec.entries.push_back({"two-party", {}, {}});
+  spec.entries.push_back({"broker", {}, {}});
+  spec.sweep.executor = SweepExecutor::kBrute;
+  const CampaignReport brute = Campaign(spec).run();
+  ASSERT_EQ(brute.configurations(), 2u);
+  for (const ConfigResult& c : brute.configs) {
+    SCOPED_TRACE(c.line());
+    EXPECT_EQ(c.report.nodes_executed, c.report.schedules_run);
+    EXPECT_EQ(c.report.dedup_hits, 0u);
+  }
+
+  spec.sweep.executor = SweepExecutor::kTree;
+  spec.sweep.threads = 4;
+  const CampaignReport tree = Campaign(spec).run();
+  ASSERT_EQ(tree.configurations(), 2u);
+  for (const ConfigResult& c : tree.configs) {
+    SCOPED_TRACE(c.line());
+    EXPECT_EQ(c.report.workers, 1u);
+    EXPECT_LT(c.report.nodes_executed, c.report.schedules_run);
+  }
+}
+
 TEST(Campaign, UnknownProtocolFailsBeforeAnySweep) {
   CampaignSpec spec;
   spec.entries.push_back({"no-such-protocol", {}, {}});

@@ -101,6 +101,48 @@ TEST(TreeEquivalence, MatchesBruteOnEveryAdapterAndStrategySpace) {
   EXPECT_LT(total_nodes, total_schedules);
 }
 
+// A deviator budget is explored as disjoint deviator-set sub-spaces, whose
+// leaves may share consulted paths. Forced tree and brute must still agree
+// schedule for schedule on every registry protocol, in halt-only and in
+// late-delays at a 1M-schedule budget, for budgets 0, 1 and 2; and kAuto
+// must pick the tree for a serial filtered sweep.
+TEST(TreeEquivalence, FilteredSweepsMatchBrute) {
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  SweepOptions opts;
+  opts.strategies.max_schedules = 1'000'000;
+  for (const StrategySpace::Kind kind :
+       {StrategySpace::Kind::kHaltOnly, StrategySpace::Kind::kLateDelays}) {
+    opts.strategies.kind = kind;
+    for (const std::string& name : reg.names()) {
+      const auto adapter = reg.make(name);
+      ScenarioRunner runner(*adapter);
+      for (const int k : {0, 1, 2}) {
+        SCOPED_TRACE(name + " / " + StrategySpace::kind_name(kind) +
+                     " / max_deviators " + std::to_string(k));
+        opts.max_deviators = k;
+        // The brute reference runs sharded to keep Debug runs short: serial
+        // and sharded brute are one shard loop at two worker counts, pinned
+        // equal in parallel_sweep_test.cpp.
+        opts.executor = SweepExecutor::kBrute;
+        opts.threads = 4;
+        const SweepReport brute = runner.sweep(opts);
+        opts.executor = SweepExecutor::kTree;
+        opts.threads = 1;
+        const SweepReport tree = runner.sweep(opts);
+        expect_identical(brute, tree);
+        expect_stats_invariants(brute, tree);
+      }
+    }
+  }
+
+  const auto broker = reg.make("broker");
+  opts.max_deviators = 2;
+  opts.executor = SweepExecutor::kAuto;
+  const SweepReport auto_serial = ScenarioRunner(*broker).sweep(opts);
+  EXPECT_EQ(auto_serial.workers, 1u);
+  EXPECT_LT(auto_serial.nodes_executed, auto_serial.schedules_run);
+}
+
 // kAuto on a serial sweep of a tree-capable adapter selects the tree; the
 // report must still match a forced brute run, and the statistics must show
 // the tree ran (the default path the whole historical suite now exercises).

@@ -31,11 +31,11 @@
 #include <cstring>
 #include <exception>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "common/parallel.hpp"
 #include "load/load_gen.hpp"
 
 namespace {
@@ -229,8 +229,7 @@ int main(int argc, char** argv) {
                      arg.c_str());
         return 2;
       }
-      cfg.threads = v == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                           : static_cast<unsigned>(v);
+      cfg.threads = resolve_threads(static_cast<unsigned>(v));
     } else if (arg.rfind("--seed=", 0) == 0) {
       if (!parse_long(value_of("--seed="), 0, LLONG_MAX, v)) {
         std::fprintf(stderr, "xchain-bench: invalid %s (want --seed=N)\n",

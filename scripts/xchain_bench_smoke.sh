@@ -18,8 +18,9 @@
 #   * scripts/bench_compare.py passes an artifact against its --threads=4
 #     twin and hard-fails, even under --report-only, when a deterministic
 #     field drifts;
-#   * malformed flags, unknown mix protocols, an empty --json= path and a
-#     short artifact write (/dev/full) exit 2.
+#   * malformed flags (an empty or comma-truncated --scaling= or --mix=
+#     list, a signed or space-padded number), unknown mix protocols, an
+#     empty --json= path and a short artifact write (/dev/full) exit 2.
 set -euo pipefail
 
 bin="$1"
@@ -117,6 +118,13 @@ set +e
   >/dev/null 2>&1; [[ $? -eq 2 ]] || fail "unknown mix protocol should exit 2"
 "$bin" --users=5 --mix=two-party:0 >/dev/null 2>&1; [[ $? -eq 2 ]] || \
   fail "zero mix weight should exit 2"
+# Every comma-separated item must parse: an empty list or a stray comma is
+# malformed, not a shorter list.
+for bad in --scaling= --scaling=1, --scaling=,1 --scaling=1,,4 \
+           --scaling=+1 --mix=two-party:1, --threads=' 1'; do
+  "$bin" --users=5 "$bad" --json="$work/bad.json" >/dev/null 2>&1
+  [[ $? -eq 2 ]] || fail "$bad should exit 2"
+done
 # A lost artifact is an error, never a clean exit.
 "$bin" --users=5 --json= >/dev/null 2>&1; [[ $? -eq 2 ]] || \
   fail "empty --json= path should exit 2"

@@ -5,7 +5,9 @@
 #
 # Asserts that:
 #   * --help exits 0 and names the corpus/replay/self-test flags; unknown
-#     flags, malformed values and a short --json write (/dev/full) exit 2;
+#     flags, malformed values (a negative, signed, space-padded or
+#     overflowing --seed among them) and a short --json write (/dev/full)
+#     exit 2;
 #   * --self-test finds the planted two-entry bug within a bounded budget
 #     and shrinks it to the pinned canonical reproducer (exit 0);
 #   * the seeded regression corpus replays clean (exit 0) and the JSON
@@ -36,8 +38,14 @@ done
 "$bin" --no-such-flag >/dev/null 2>&1 && fail "unknown flag should exit 2"
 rc=0; "$bin" --no-such-flag >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "unknown flag exited $rc (want 2)"
-rc=0; "$bin" --seed=notanumber >/dev/null 2>&1 || rc=$?
-[[ "$rc" -eq 2 ]] || fail "bad --seed exited $rc (want 2)"
+# A seed is plain digits: strtoull would wrap -1 to 2^64-1, and skip a
+# leading space or '+'.
+for seed in notanumber -1 ' 1' +1 18446744073709551616; do
+  rc=0; "$bin" --seed="$seed" --protocol=two-party --budget-runs=10 --quiet \
+    --json="$work/bad_seed.json" >/dev/null 2>&1 || rc=$?
+  [[ "$rc" -eq 2 ]] || fail "--seed='$seed' exited $rc (want 2)"
+done
+[[ ! -e "$work/bad_seed.json" ]] || fail "a rejected --seed wrote JSON"
 rc=0; "$bin" --budget-runs=0 >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "--budget-runs=0 exited $rc (want 2)"
 rc=0; "$bin" --corpus=/no/such/dir >/dev/null 2>&1 || rc=$?

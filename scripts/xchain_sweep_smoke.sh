@@ -17,7 +17,11 @@
 #     --threads=1 and --threads=4 apart from workers, nodes_executed and
 #     dedup_hits, and the serial one runs on the tree (fewer executed runs
 #     than schedules);
-#   * a short artifact write (/dev/full) exits 2.
+#   * so do both bridges' late-delays sweeps at the default budget, whose
+#     serial runs explore one witness ordering per permutation and execute
+#     under a quarter of their schedules;
+#   * a fee-escalation base above its ceiling and a short artifact write
+#     (/dev/full) exit 2.
 set -euo pipefail
 
 bin="$1"
@@ -109,6 +113,28 @@ runs="$(top_level schedules_run "$json.k2.t1")"
   fail "serial filtered sweep executed $nodes of $runs schedules (want fewer)"
 rm -f "$json.k2.t1" "$json.k2.t4"
 
+# The bridges' witnesses are interchangeable: serially the tree explores
+# one witness ordering per permutation and serves the others permuted,
+# over four workers every schedule is brute-replayed. Only the worker
+# count and the executor statistics may differ, and the serial run must
+# execute under a quarter of its schedules.
+for protocol in bridge-transfer bridge-account-create; do
+  for t in 1 4; do
+    rm -f "$json.$protocol.t$t"
+    "$bin" --protocol="$protocol" --strategies=late-delays --threads="$t" \
+      --json="$json.$protocol.t$t" >/dev/null || \
+      fail "$protocol late-delays at --threads=$t exited $? (want 0)"
+  done
+  diff <(executor_free "$json.$protocol.t1") \
+       <(executor_free "$json.$protocol.t4") || \
+    fail "$protocol JSON differs between --threads=1 and --threads=4"
+  nodes="$(top_level nodes_executed "$json.$protocol.t1")"
+  runs="$(top_level schedules_run "$json.$protocol.t1")"
+  [[ -n "$nodes" && -n "$runs" && $((4 * nodes)) -lt "$runs" ]] || \
+    fail "$protocol executed $nodes of $runs schedules (want under a quarter)"
+  rm -f "$json.$protocol.t1" "$json.$protocol.t4"
+done
+
 # Unknown protocols / params / strategy spaces must fail with usage
 # errors, not violations.
 "$bin" --protocol=no-such-protocol >/dev/null 2>&1 && \
@@ -117,6 +143,11 @@ rm -f "$json.k2.t1" "$json.k2.t4"
   fail "unknown param should exit non-zero"
 "$bin" --protocol=two-party --strategies=bogus >/dev/null 2>&1 && \
   fail "unknown strategy space should exit non-zero"
+# A fee-escalation base above its ceiling would never be paid.
+rc=0
+"$bin" --protocol=two-party --max-deviators=0 \
+  --resilience=fee-escalate:5,1,2 >/dev/null 2>&1 || rc=$?
+[[ $rc -eq 2 ]] || fail "--resilience=fee-escalate:5,1,2 exited $rc (want 2)"
 
 # A short artifact write is a usage-class error (exit 2), never success.
 rc=0

@@ -323,6 +323,14 @@ ResiliencePolicy ResiliencePolicy::parse(const std::string& text) {
               "resilience: default knobs are implicit, write 'fee-escalate' "
               "instead of '" + text + "'");
         }
+        if (p.base_fee > p.max_fee) {
+          // fee_at() clamps to the ceiling, so the first submission would
+          // pay max_fee rather than the base the spec names.
+          throw std::invalid_argument(
+              "resilience: base fee " + std::to_string(p.base_fee) +
+              " exceeds the max fee " + std::to_string(p.max_fee) + " in '" +
+              text + "'");
+        }
         return p;
       }
     }

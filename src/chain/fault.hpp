@@ -167,7 +167,8 @@ struct ResiliencePolicy {
   }
 
   /// Parses "naive", "rebroadcast", or "fee-escalate[:base,step,max]";
-  /// throws std::invalid_argument otherwise.
+  /// throws std::invalid_argument otherwise, and for a base above the max
+  /// (the first submission would pay the max, not the base).
   static ResiliencePolicy parse(const std::string& text);
 
   /// Canonical text; parse/str round-trips ("fee-escalate" keeps its

@@ -251,6 +251,14 @@ void attribute_faults(const ProtocolAdapter& adapter,
 /// The sweep loop then serves every schedule from its leaf (outcomes()),
 /// never touching the world.
 ///
+/// An adapter's interchangeable parties (ProtocolAdapter::
+/// interchangeable_parties) shrink the walk: a schedule is *canonical*
+/// when the range's plan indices are non-decreasing, and only branches
+/// and sub-spaces whose candidate product holds a canonical schedule are
+/// explored, each from a canonical representative. A schedule left without
+/// a leaf is served from its sorted twin's, with the range's outcomes
+/// permuted back; sampled permuted serves are re-executed as a guard.
+///
 /// Invariant: snapshot slot t holds the world state at the START of tick
 /// t, so snap_depth() == t+1 right after tick t's slot is pushed and
 /// rewinding to slot t resumes execution at tick t. Rewinds are
@@ -287,19 +295,71 @@ class TreeExecutor {
   /// The outcomes of the schedule with raw index `raw` (decoded into `s`
   /// by the caller), served from its explored leaf. Conformance flags are
   /// patched in place on the leaf's stored outcomes, so a lookup costs no
-  /// allocation and no copy. The sub-space partition says explore()
-  /// reached every in-budget index; a hole is a completeness bug, and
-  /// serving it silently would mis-attribute outcomes.
+  /// allocation and no copy. A schedule without a leaf of its own is
+  /// served from its sorted twin's leaf, permuted into one reused scratch
+  /// vector. The sub-space partition says explore() reached every
+  /// in-budget canonical index; a hole is a completeness bug, and serving
+  /// it silently would mis-attribute outcomes.
   const std::vector<PartyOutcome>& outcomes(std::size_t raw,
                                             const Schedule& s) {
-    TrieNode* const node = leaf_of_[raw];
+    if (TrieNode* const node = leaf_of_[raw]) {
+      patch_conformance(s, node->outcomes);
+      return node->outcomes;
+    }
+    // The sorted twin: stable-sort the range's plan indices. order_[j] is
+    // the range position holding the j-th smallest, so the twin's j-th
+    // range party plays that position's plan.
+    const std::size_t first = sym_.first;
+    const std::size_t k = sym_.size();
+    std::size_t twin = raw;
+    for (std::size_t j = 0; j < k; ++j) {
+      digits_[j] = raw / strides_[first + j] % lists()[first + j].size();
+      twin -= digits_[j] * strides_[first + j];
+      std::size_t i = j;
+      for (; i > 0 && digits_[order_[i - 1]] > digits_[j]; --i) {
+        order_[i] = order_[i - 1];
+      }
+      order_[i] = j;
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      twin += digits_[order_[j]] * strides_[first + j];
+    }
+    const TrieNode* const node = twin == raw ? nullptr : leaf_of_[twin];
     if (node == nullptr) {
       throw std::logic_error(
           adapter_.name() +
           ": tree exploration left part of the schedule space uncovered");
     }
-    patch_conformance(s, node->outcomes);
-    return node->outcomes;
+    // Names stay with their positions; payoffs and bounds follow plans.
+    const std::vector<PartyOutcome>& from = node->outcomes;
+    permuted_.resize(from.size());
+    for (std::size_t q = 0; q < from.size(); ++q) {
+      if (q < first || q >= first + k) permuted_[q] = from[q];
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      PartyOutcome& to = permuted_[first + order_[j]];
+      to.name = from[first + order_[j]].name;
+      to.payoff = from[first + j].payoff;
+      to.bound = from[first + j].bound;
+    }
+    patch_conformance(s, permuted_);
+    if (verifying_serve()) {
+      // Re-execute on the brute path (run(): rewind to slot 0, plain
+      // play). The actors still log their consultations, so start a fresh
+      // log for them.
+      log_.begin_run(frame_.actors.size());
+      if (adapter_.run(s) != permuted_) {
+        Schedule labelled = s;
+        space_->fill_label(labelled);
+        throw std::logic_error(
+            adapter_.name() + ": permuted serve of " + labelled.label +
+            " differs from its re-execution — parties [" +
+            std::to_string(sym_.first) + ", " + std::to_string(sym_.last) +
+            ") are declared interchangeable but are not");
+      }
+    }
+    ++permuted_serves_;
+    return permuted_;
   }
 
   /// Populates the trie by a depth-first walk of the schedule tree within
@@ -312,11 +372,25 @@ class TreeExecutor {
   /// the space is split party by party into disjoint sub-spaces in which
   /// every party takes either its reference plan or one of its others;
   /// splitting stops once the remaining budget covers the remaining
-  /// parties.
-  void explore(const std::vector<std::vector<DeviationPlan>>& lists,
-               int max_deviators) {
-    lists_ = &lists;
+  /// parties. Throws std::logic_error when the adapter's interchangeable
+  /// parties do not all exist or do not share one plan list.
+  void explore(const ScheduleSpace& space, int max_deviators) {
+    space_ = &space;
+    const std::vector<std::vector<DeviationPlan>>& lists = space.plan_lists();
     const std::size_t n = lists.size();
+    sym_ = adapter_.interchangeable_parties();
+    if (sym_.size() > 0 &&
+        (sym_.last > n ||
+         std::any_of(lists.begin() + sym_.first, lists.begin() + sym_.last,
+                     [&](const auto& l) { return l != lists[sym_.first]; }))) {
+      throw std::logic_error(
+          adapter_.name() + ": parties [" + std::to_string(sym_.first) +
+          ", " + std::to_string(sym_.last) +
+          ") are declared interchangeable but do not share one plan list");
+    }
+    if (sym_.size() < 2) sym_ = {};
+    digits_.assign(sym_.size(), 0);
+    order_.assign(sym_.size(), 0);
     // Raw-index strides matching ScheduleSpace::make's decode (party 0 is
     // the fastest-varying digit). Every leaf learns the exact set of
     // plan-index combinations it covers, so leaf_of_ maps each raw index
@@ -347,6 +421,11 @@ class TreeExecutor {
     std::vector<std::pair<ActionPolicy, std::unique_ptr<TrieNode>>> edges;
   };
 
+  /// The bounded per-party plan lists explore() walks.
+  const std::vector<std::vector<DeviationPlan>>& lists() const {
+    return space_->plan_lists();
+  }
+
   std::uint64_t world_hash() const {
     std::uint64_t h = frame_.chains->state_hash();
     for (const Party* p : frame_.actors) p->state_hash(h);
@@ -365,6 +444,16 @@ class TreeExecutor {
 
   bool verifying() const {
     return nodes_executed_ < 2 || nodes_executed_ % kVerifyEvery == 0;
+  }
+
+  /// Permuted serves are sampled the same way (every one in Debug): a
+  /// sampled serve re-executes its schedule and compares.
+  bool verifying_serve() const {
+#ifdef NDEBUG
+    return permuted_serves_ < 2 || permuted_serves_ % kVerifyEvery == 0;
+#else
+    return true;
+#endif
   }
 
   void push_slot(Tick t, bool with_hash) {
@@ -402,11 +491,11 @@ class TreeExecutor {
   void explore_parties(std::size_t open, int budget,
                        std::vector<std::vector<int>>& cand) {
     if (open == 0) {
-      dfs(cand, 0, -1);
+      if (canonical(cand, nullptr)) dfs(cand, 0, -1);
       return;
     }
     const std::size_t p = open - 1;
-    const std::vector<DeviationPlan>& plans = (*lists_)[p];
+    const std::vector<DeviationPlan>& plans = lists()[p];
     const bool split = budget >= 0 && static_cast<std::size_t>(budget) < open;
     const int max_deviate = split && budget > 0 ? 1 : 0;
     std::vector<int> variants;
@@ -430,24 +519,52 @@ class TreeExecutor {
     }
   }
 
+  /// Whether cand's product holds a canonical schedule, one whose
+  /// interchangeable parties' plan indices are non-decreasing (always,
+  /// without such parties). Candidate lists are ascending, so a greedy walk
+  /// decides it: each range party takes its least candidate not below its
+  /// predecessor's. With `pick`, the least canonical schedule is written
+  /// there, every other party at its first candidate.
+  bool canonical(const std::vector<std::vector<int>>& cand,
+                 std::vector<int>* pick) const {
+    if (pick) {
+      pick->resize(cand.size());
+      for (std::size_t p = 0; p < cand.size(); ++p) {
+        (*pick)[p] = cand[p].front();
+      }
+    }
+    int floor = 0;
+    for (std::size_t p = sym_.first; p < sym_.last; ++p) {
+      const auto it = std::lower_bound(cand[p].begin(), cand[p].end(), floor);
+      if (it == cand[p].end()) return false;
+      floor = *it;
+      if (pick) (*pick)[p] = floor;
+    }
+    return true;
+  }
+
   /// One depth-first exploration step. `cand[p]` lists the indices (into
-  /// lists_[p]) of party p's plans compatible with the current path prefix;
-  /// each party's representative — the first candidate — executes from tick
-  /// `from` (the world holds the prefix state; positions <= from_pos of the
-  /// consult log are the prefix and belong to ancestor frames). The run is
-  /// memoized, then its NEW consult positions are walked deepest-first: at
-  /// each, the consulted party's still-viable candidates are partitioned by
-  /// their answer, and every class other than the taken one becomes a child
-  /// branch — rewind to the consult's tick, re-run with a representative of
-  /// the class, recurse. Deepest-first order keeps every rewind target
-  /// inside the shared prefix of the snapshot stack.
+  /// lists()[p]) of party p's plans compatible with the current path
+  /// prefix; a representative — each party's first candidate, the
+  /// interchangeable ones' least canonical choice, so every executed leaf
+  /// serves a canonical schedule — executes from tick `from` (the world
+  /// holds the prefix state; positions <= from_pos of the consult log are
+  /// the prefix and belong to ancestor frames). The run is memoized, then
+  /// its NEW consult positions are walked deepest-first: at each, the
+  /// consulted party's still-viable candidates are partitioned by their
+  /// answer, and every class other than the taken one holding a canonical
+  /// schedule becomes a child branch — rewind to the consult's tick,
+  /// re-run with a representative of the class, recurse. Deepest-first
+  /// order keeps every rewind target inside the shared prefix of the
+  /// snapshot stack.
   void dfs(const std::vector<std::vector<int>>& cand, Tick from,
            std::ptrdiff_t from_pos) {
+    std::vector<int> pick;
+    canonical(cand, &pick);
     Schedule s;
     s.plans.reserve(cand.size());
     for (std::size_t p = 0; p < cand.size(); ++p) {
-      s.plans.push_back(
-          (*lists_)[p][static_cast<std::size_t>(cand[p].front())]);
+      s.plans.push_back(lists()[p][static_cast<std::size_t>(pick[p])]);
     }
     execute(s, from);
     ++nodes_executed_;
@@ -476,7 +593,7 @@ class TreeExecutor {
       for (std::size_t p = 0; p < cand.size(); ++p) {
         for (const int idx : cand[p]) {
           if (viable(static_cast<PartyId>(p),
-                     (*lists_)[p][static_cast<std::size_t>(idx)],
+                     lists()[p][static_cast<std::size_t>(idx)],
                      path.size())) {
             covered[p].push_back(idx);
           }
@@ -500,7 +617,7 @@ class TreeExecutor {
     for (std::size_t i = path.size(); i-- > 0;) {
       if (static_cast<std::ptrdiff_t>(i) <= from_pos) break;
       const ConsultEntry& e = path[i];
-      const auto& plans = (*lists_)[e.party];
+      const auto& plans = lists()[e.party];
       std::vector<int> pool;
       for (const int idx : cand[e.party]) {
         if (viable(e.party, plans[static_cast<std::size_t>(idx)], i)) {
@@ -525,13 +642,15 @@ class TreeExecutor {
           } else {
             for (const int qi : cand[q]) {
               if (viable(static_cast<PartyId>(q),
-                         (*lists_)[q][static_cast<std::size_t>(qi)], i)) {
+                         lists()[q][static_cast<std::size_t>(qi)], i)) {
                 nc[q].push_back(qi);
               }
             }
           }
         }
-        dfs(nc, e.tick, static_cast<std::ptrdiff_t>(i));
+        if (canonical(nc, nullptr)) {
+          dfs(nc, e.tick, static_cast<std::ptrdiff_t>(i));
+        }
       }
     }
   }
@@ -624,13 +743,20 @@ class TreeExecutor {
   TreeFrame& frame_;
   ConsultLog log_;
   std::map<std::vector<int>, TrieNode> roots_;
-  const std::vector<std::vector<DeviationPlan>>* lists_ = nullptr;
+  const ScheduleSpace* space_ = nullptr;
   std::vector<TrieNode*> leaf_of_;  ///< raw index -> leaf (null: unexplored)
   std::vector<std::size_t> strides_;  ///< raw-index stride per party
   std::vector<std::uint64_t> hashes_;  ///< world hash per snapshot slot
   std::size_t hashed_to_ = 0;  ///< leading slots whose hashes are fresh
   std::vector<int> key_;       ///< memoize()'s scratch: the run's variants
   std::size_t nodes_executed_ = 0;
+  PartyRange sym_;  ///< interchangeable parties (empty: no reduction)
+  /// outcomes()'s scratch for permuted serves: the range's plan indices,
+  /// their stable sort order, and the served outcomes.
+  std::vector<std::size_t> digits_;
+  std::vector<std::size_t> order_;
+  std::vector<PartyOutcome> permuted_;
+  std::size_t permuted_serves_ = 0;
 };
 
 }  // namespace
@@ -745,7 +871,7 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
     // execution up front, so the shard loop below only audits leaves.
     workers = 1;
     tree.emplace(adapter_, *adapter_.tree_frame());
-    tree->explore(space.plan_lists(), opts.max_deviators);
+    tree->explore(space, opts.max_deviators);
   }
   report.workers = workers;
 

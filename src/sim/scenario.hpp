@@ -53,7 +53,14 @@
 // every schedule whose plans give the same answers under the same engine
 // variants (a dedup hit — only the conforming flags, which depend on
 // unconsulted plan coordinates, are recomputed). A deviator budget is
-// explored as disjoint deviator-set sub-spaces. Rewinds are
+// explored as disjoint deviator-set sub-spaces. An adapter may declare a
+// range of interchangeable parties (ProtocolAdapter::
+// interchangeable_parties, the bridge's witnesses); then only the paths
+// of *canonical* schedules, whose plan indices in that range are
+// non-decreasing, are explored, and every other schedule is served from
+// its sorted twin's leaf with the range's outcomes permuted back. A sample
+// of the permuted serves (all of them in Debug) is re-executed and
+// compared whole, like the rewinds below. Rewinds are
 // integrity-checked by a 64-bit state hash: a contract or actor whose
 // state_tie() misses a mutable member fails loudly instead of silently
 // corrupting the sweep. The tree report is identical, schedule for
@@ -133,6 +140,15 @@ class LoadInstance {
   virtual std::vector<PartyOutcome> collect() const = 0;
 };
 
+/// A half-open party range [first, last).
+struct PartyRange {
+  PartyId first = 0;
+  PartyId last = 0;
+
+  std::size_t size() const { return last > first ? last - first : 0; }
+  bool operator==(const PartyRange&) const = default;
+};
+
 /// How ScenarioRunner talks to one protocol engine. run() must execute the
 /// schedule on clean state so schedules never contaminate each other.
 /// Every registry protocol derives from WorldAdapter below, whose run()
@@ -184,6 +200,14 @@ class ProtocolAdapter {
     (void)p;
     return plan.str();
   }
+
+  /// Parties that are interchangeable up to relabelling: swapping two of
+  /// their plans swaps their outcomes (payoff and bound), and nothing
+  /// else changes. The tree executor then explores only the schedules
+  /// whose plans in this range are in plan-list order and serves the rest
+  /// permuted; it refuses (std::logic_error) a range whose parties'
+  /// bounded plan lists differ. Empty by default: no reduction.
+  virtual PartyRange interchangeable_parties() const { return {}; }
 
   /// An independent adapter driving the same protocol with the same
   /// parameters. Parallel sweeps give every worker thread but the caller's
@@ -381,14 +405,17 @@ struct SweepReport {
   /// and campaign JSON export these fields instead.
   ///
   /// Schedules the executor actually ran on a world. Tree sweeps run one
-  /// per distinct consulted-decision path; brute sweeps run every
-  /// schedule, so nodes_executed == schedules_run there.
+  /// per distinct consulted-decision path (for an adapter with
+  /// interchangeable parties, one per path some canonical schedule takes;
+  /// the sampled re-executions of permuted serves are not counted); brute
+  /// sweeps run every schedule, so nodes_executed == schedules_run there.
   std::size_t nodes_executed = 0;
   /// Schedules whose outcomes were produced and audited (executed plus
   /// dedup-served) — always equal to schedules_run; reported separately so
   /// JSON consumers need not know the identity.
   std::size_t schedules_covered = 0;
-  /// Schedules served from a memo-trie leaf without touching the world
+  /// Schedules served from a memo-trie leaf without touching the world,
+  /// their own leaf's or, permuted, their sorted twin's
   /// (== schedules_run - nodes_executed; 0 on the brute path).
   std::size_t dedup_hits = 0;
 
@@ -419,7 +446,8 @@ enum class SweepExecutor {
   /// Force the schedule-tree executor (always serial). Throws
   /// std::invalid_argument when the adapter is not tree-capable.
   kTree,
-  /// Force brute-force replay of every schedule.
+  /// Force brute-force replay of every schedule: the unreduced reference
+  /// (no prefix sharing, no interchangeable-party serves).
   kBrute,
 };
 
@@ -677,6 +705,10 @@ class BootstrapSwapAdapter final : public WorldAdapter<core::BootstrapWorld> {
 /// the forfeited bonds); a conforming witness nets at least its
 /// attestation cost — the reward on a completed transfer, break-even
 /// otherwise. Both flavors run under every executor and under load.
+/// The witnesses are interchangeable k-of-n attesters (the door and claim
+/// contracts count them in bit masks, and every witness gets the same plan
+/// list), so the tree executor explores one witness ordering per
+/// permutation of their plans.
 class BridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
  public:
   explicit BridgeAdapter(core::BridgeConfig cfg) : cfg_(cfg) {}
@@ -693,6 +725,10 @@ class BridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
     return p == 0 ? cfg_.user_actions() : cfg_.witness_actions();
   }
   Tick delta() const override { return cfg_.delta; }
+  /// The witnesses, parties [1, 1 + n_witnesses).
+  PartyRange interchangeable_parties() const override {
+    return {1, static_cast<PartyId>(1 + cfg_.n_witnesses)};
+  }
   std::unique_ptr<ProtocolAdapter> clone() const override {
     return std::make_unique<BridgeAdapter>(*this);
   }

@@ -104,6 +104,13 @@ TEST(FaultGrammar, ResilienceRoundTripsAndRejects) {
   EXPECT_THROW(
       ResiliencePolicy::parse("fee-escalate:0,1,99999999999999999999999"),
       std::invalid_argument);
+  // A base above the ceiling would never be paid: fee_at() clamps the
+  // first submission to the max. The default ceiling counts too.
+  EXPECT_THROW(ResiliencePolicy::parse("fee-escalate:5,1,2"),
+               std::invalid_argument);
+  EXPECT_THROW(ResiliencePolicy::parse("fee-escalate:65"),
+               std::invalid_argument);
+  EXPECT_EQ(ResiliencePolicy::parse("fee-escalate:2,1,2").fee_at(0, 0), 2);
 
   const ResiliencePolicy esc = ResiliencePolicy::parse("fee-escalate:2,3,9");
   EXPECT_EQ(esc.fee_at(5, 5), 2);   // no wait -> base fee

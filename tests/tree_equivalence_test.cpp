@@ -4,17 +4,22 @@
 // notice for truncation notice — to the brute-force replay's. These tests
 // pin that equivalence across the full reference-protocol registry, the
 // executor-statistics invariants that distinguish the two engines, the
-// kTree capability check (every registry protocol passes it), and report
+// kTree capability check (every registry protocol passes it), report
 // stability across repeated sweeps on one runner (including a dirty world
-// left behind by interleaved run() calls).
+// left behind by interleaved run() calls), and the witness-permutation
+// reduction: bridges explore one witness ordering per permutation, still
+// report what full replay reports, and a false symmetry claim is caught.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "chain/fault.hpp"
+#include "core/bridge.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
 
@@ -262,6 +267,195 @@ TEST(TreeEquivalence, DefaultHooksThrowLogicError) {
   s.plans.assign(2, DeviationPlan::conforming());
   EXPECT_THROW((void)adapter.tree_set_plans(s), std::logic_error);
   EXPECT_THROW((void)adapter.tree_collect(s), std::logic_error);
+}
+
+// The witness reduction against full replay, schedule for schedule: both
+// bridge variants, all three strategy spaces, 3 and 5 witnesses, three
+// deviator budgets, hedged and unhedged. The unhedged transfer violates
+// its floors thousands of times, so the violation labels and party names
+// are compared where permuted serves make them differ if anything does.
+// Debug builds re-execute every permuted serve, so the unbounded
+// 5-witness spaces are capped at 4,096 schedules, four plans per party;
+// under a deviator budget they keep the default cap, five plans per party,
+// so the hedged delay spaces sweep a delay plan there too.
+TEST(TreeEquivalence, WitnessSymmetryMatchesFullReplay) {
+  std::size_t violations = 0;
+  for (const core::BridgeVariant variant :
+       {core::BridgeVariant::kTransfer, core::BridgeVariant::kAccountCreate}) {
+    for (const int n : {3, 5}) {
+      for (const Amount premium : {Amount{2}, Amount{0}}) {
+        core::BridgeConfig cfg;
+        cfg.variant = variant;
+        cfg.n_witnesses = n;
+        cfg.quorum = n == 3 ? 2 : 3;
+        cfg.premium_unit = premium;
+        const BridgeAdapter adapter(cfg);
+        ASSERT_EQ(adapter.interchangeable_parties(),
+                  (PartyRange{1, static_cast<PartyId>(1 + n)}));
+        ScenarioRunner runner(adapter);
+        for (const StrategySpace::Kind kind :
+             {StrategySpace::Kind::kHaltOnly,
+              StrategySpace::Kind::kTimelyDelays,
+              StrategySpace::Kind::kLateDelays}) {
+          for (const int k : {-1, 1, 2}) {
+            SCOPED_TRACE(adapter.name() + " n=" + std::to_string(n) +
+                         " premium=" + std::to_string(premium) + " / " +
+                         StrategySpace::kind_name(kind) +
+                         " / max_deviators " + std::to_string(k));
+            SweepOptions opts;
+            opts.strategies.kind = kind;
+            if (n == 5 && k < 0) opts.strategies.max_schedules = 4096;
+            opts.max_deviators = k;
+            opts.executor = SweepExecutor::kBrute;
+            opts.threads = 4;
+            const SweepReport brute = runner.sweep(opts);
+            opts.executor = SweepExecutor::kTree;
+            opts.threads = 1;
+            const SweepReport tree = runner.sweep(opts);
+            expect_identical(brute, tree);
+            expect_stats_invariants(brute, tree);
+            violations += brute.violations.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(violations, 1000u);
+}
+
+// A bridge adapter whose declared interchangeable range is a lie: it pays
+// witness-1 one coin more than the engine did, or declares a range whose
+// parties' plan lists differ. The executor must refuse to reduce either.
+class LopsidedBridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
+ public:
+  LopsidedBridgeAdapter(core::BridgeConfig cfg, PartyRange range,
+                        Amount witness1_bonus)
+      : cfg_(cfg), range_(range), bonus_(witness1_bonus) {}
+
+  std::string name() const override { return "lopsided-bridge"; }
+  std::size_t party_count() const override {
+    return static_cast<std::size_t>(cfg_.party_count());
+  }
+  int action_count(PartyId p) const override {
+    return p == 0 ? cfg_.user_actions() : cfg_.witness_actions();
+  }
+  Tick delta() const override { return cfg_.delta; }
+  PartyRange interchangeable_parties() const override { return range_; }
+  std::unique_ptr<ProtocolAdapter> clone() const override {
+    return std::make_unique<LopsidedBridgeAdapter>(*this);
+  }
+
+ private:
+  std::unique_ptr<core::BridgeWorld> make_world(
+      const core::WorldBinding& binding) const override {
+    return std::make_unique<core::BridgeWorld>(cfg_, binding);
+  }
+  std::vector<PartyOutcome> outcomes_from(const core::BridgeResult& r,
+                                          const Schedule& s) const override {
+    std::vector<PartyOutcome> out;
+    for (std::size_t p = 0; p < s.plans.size(); ++p) {
+      out.push_back({p == 0 ? "user" : "witness-" + std::to_string(p),
+                     s.plans[p].conforms_within(cfg_.delta), r.payoffs[p],
+                     {}});
+    }
+    out[1].payoff.coin_delta += bonus_;
+    return out;
+  }
+
+  core::BridgeConfig cfg_;
+  PartyRange range_;
+  Amount bonus_;
+};
+
+TEST(TreeEquivalence, WitnessSymmetryGuardCatchesFalseClaims) {
+  SweepOptions opts;
+  opts.executor = SweepExecutor::kTree;
+  // The refusal names the adapter (and, from a permuted serve, the
+  // schedule) and says which claim failed.
+  const auto expect_refused = [&](const ProtocolAdapter& adapter,
+                                  const std::string& names) {
+    SCOPED_TRACE(names);
+    try {
+      (void)ScenarioRunner(adapter).sweep(opts);
+      ADD_FAILURE() << "sweep should have thrown std::logic_error";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(names), std::string::npos) << what;
+      EXPECT_NE(what.find("interchangeable"), std::string::npos) << what;
+    }
+  };
+
+  // Witness-1's extra coin follows its position, not its plan, so a
+  // permuted serve hands it to whichever witness took witness-1's plan,
+  // and the re-executed serve differs.
+  const core::BridgeConfig transfer;
+  expect_refused(LopsidedBridgeAdapter(transfer, {1, 4}, 1),
+                 "lopsided-bridge[");
+  // Without the bonus the same range is a true claim: the reduced sweep
+  // reports what full replay does (violations included, since this
+  // adapter sets no floors), and executes what the real bridge does.
+  const LopsidedBridgeAdapter fair(transfer, {1, 4}, 0);
+  const SweepReport reduced = ScenarioRunner(fair).sweep(opts);
+  SweepOptions brute_opts;
+  brute_opts.executor = SweepExecutor::kBrute;
+  expect_identical(ScenarioRunner(fair).sweep(brute_opts), reduced);
+  EXPECT_EQ(reduced.nodes_executed,
+            ScenarioRunner(BridgeAdapter(transfer)).sweep(opts).nodes_executed);
+
+  // The account-create user has one action fewer than a witness, so a
+  // range taking it in covers parties with different plan lists.
+  core::BridgeConfig account_create;
+  account_create.variant = core::BridgeVariant::kAccountCreate;
+  expect_refused(LopsidedBridgeAdapter(account_create, {0, 4}, 0),
+                 "lopsided-bridge");
+  // So does a range reaching past the last party.
+  expect_refused(LopsidedBridgeAdapter(transfer, {1, 5}, 0),
+                 "lopsided-bridge");
+}
+
+// An active chain environment never reaches the tree, so it never
+// reduces: under a squeeze fee ties fall to submission order, which
+// follows witness id, and the witnesses stop being interchangeable.
+TEST(TreeEquivalence, WitnessSymmetryNeverReducesUnderFaults) {
+  const auto adapter = ProtocolRegistry::global().make("bridge-transfer");
+  adapter->set_environment(
+      {chain::FaultPlan::parse("issuing:squeeze@3-8,cap=1,spam=2,fee=1"),
+       chain::ResiliencePolicy::parse("fee-escalate")});
+  ScenarioRunner runner(*adapter);
+  const SweepReport faulted = runner.sweep();
+  EXPECT_EQ(faulted.nodes_executed, faulted.schedules_run);
+  EXPECT_EQ(faulted.dedup_hits, 0u);
+  SweepOptions opts;
+  opts.executor = SweepExecutor::kTree;
+  EXPECT_THROW((void)runner.sweep(opts), std::invalid_argument);
+}
+
+// Only the bridges declare interchangeable parties; every other registry
+// protocol keeps the empty range and executes exactly the late-delays tree
+// it did before the reduction existed.
+TEST(TreeEquivalence, OnlyBridgesDeclareInterchangeableParties) {
+  const std::map<std::string, std::size_t> nodes = {
+      {"two-party", 641},      {"multi-party-ring", 808},
+      {"multi-party-fig3a", 1075}, {"auction-open", 1015},
+      {"auction-sealed", 5578}, {"broker", 2435},
+      {"bootstrap", 737},      {"crr-ladder", 641},
+  };
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  SweepOptions opts;
+  opts.strategies.kind = StrategySpace::Kind::kLateDelays;
+  opts.executor = SweepExecutor::kTree;
+  for (const std::string& name : reg.names()) {
+    SCOPED_TRACE(name);
+    const auto adapter = reg.make(name);
+    const auto it = nodes.find(name);
+    if (it == nodes.end()) {
+      EXPECT_EQ(adapter->interchangeable_parties(), (PartyRange{1, 4}));
+      continue;
+    }
+    EXPECT_EQ(adapter->interchangeable_parties().size(), 0u);
+    EXPECT_EQ(ScenarioRunner(*adapter).sweep(opts).nodes_executed,
+              it->second);
+  }
 }
 
 }  // namespace

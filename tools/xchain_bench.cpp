@@ -73,11 +73,7 @@ void print_usage(std::FILE* to) {
 
 /// "proto:w,proto:w" -> mix entries (weight defaults to 1).
 bool parse_mix(const std::string& spec, std::vector<load::MixEntry>& out) {
-  std::size_t at = 0;
-  while (at < spec.size()) {
-    std::size_t comma = spec.find(',', at);
-    if (comma == std::string::npos) comma = spec.size();
-    std::string item = spec.substr(at, comma - at);
+  for (const std::string& item : split_list(spec)) {
     load::MixEntry entry;
     const std::size_t colon = item.find(':');
     if (colon == std::string::npos) {
@@ -90,7 +86,6 @@ bool parse_mix(const std::string& spec, std::vector<load::MixEntry>& out) {
     }
     if (entry.protocol.empty()) return false;
     out.push_back(std::move(entry));
-    at = comma + 1;
   }
   return !out.empty();
 }
@@ -269,20 +264,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg.rfind("--scaling=", 0) == 0) {
-      std::string spec = value_of("--scaling=");
-      std::size_t at = 0;
+      const std::vector<std::string> items = split_list(value_of("--scaling="));
       scaling.clear();
-      while (at < spec.size()) {
-        std::size_t comma = spec.find(',', at);
-        if (comma == std::string::npos) comma = spec.size();
-        if (!parse_long(spec.substr(at, comma - at), 1, 1024, v)) {
-          std::fprintf(stderr,
-                       "xchain-bench: invalid %s (want --scaling=N,N,...)\n",
-                       arg.c_str());
-          return 2;
-        }
+      for (const std::string& item : items) {
+        if (!parse_long(item, 1, 1024, v)) break;
         scaling.push_back(static_cast<unsigned>(v));
-        at = comma + 1;
+      }
+      if (items.empty() || scaling.size() != items.size()) {
+        std::fprintf(stderr,
+                     "xchain-bench: invalid %s (want --scaling=N,N,...)\n",
+                     arg.c_str());
+        return 2;
       }
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = value_of("--json=");

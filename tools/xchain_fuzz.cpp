@@ -90,13 +90,6 @@ void print_usage(std::FILE* to) {
       "2 bad usage.\n");
 }
 
-bool parse_seed(const std::string& s, unsigned long long& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE;
-}
-
 bool parse_seconds(const std::string& s, double& out) {
   errno = 0;
   char* end = nullptr;
@@ -198,7 +191,7 @@ int main(int argc, char** argv) {
       protocols.push_back(value_of("--protocol="));
     } else if (arg.rfind("--seed=", 0) == 0) {
       unsigned long long v = 0;
-      if (!parse_seed(value_of("--seed="), v)) {
+      if (!parse_ulong(value_of("--seed="), v)) {
         std::fprintf(stderr, "xchain-fuzz: invalid %s (want --seed=N)\n",
                      arg.c_str());
         return 2;

@@ -25,6 +25,9 @@ Two artifact schemas are understood, selected by the top-level
     (instances, txs_included, chains, ticks, latency_ticks, the
     per-protocol rows, violations, fault_caused) is report drift: a
     behaviour change, and a hard failure even under --report-only.
+    `peak_live_instances` (instances holding a bound world at once) is
+    deterministic too but only printed: the committed baseline predates
+    it.
 
 --report-only prints the same comparison but always exits 0 — CI uses it
 on shared 1-core runners, where absolute throughput is too noisy to gate
@@ -134,7 +137,9 @@ def compare_scenario_sweep(base, cand, args, failures):
 
 
 # What a load report is a function of, and what it reports deterministically
-# (everything but wall time, thread count and the build stamp).
+# (everything but wall time, thread count and the build stamp) and gates on.
+# peak_live_instances is deterministic as well, but printed only: the
+# committed baseline predates it.
 LOAD_CONFIG = ("users", "seed", "mix", "arrival_gap", "block_capacity",
                "max_fee")
 LOAD_REPORT = ("instances", "txs_included", "chains", "ticks",
@@ -186,6 +191,10 @@ def compare_load(base, cand, args, failures):
         print(f"  {'violations':<22} {cand.get('violations', 0)}"
               f" ({cand.get('fault_caused', 0)} [chain-fault],"
               f" {cand.get('unattributed', 0)} unattributed)")
+    if "peak_live_instances" in cand:
+        print(f"  {'peak live instances':<22}"
+              f" {base.get('peak_live_instances', '?')} ->"
+              f" {cand['peak_live_instances']}")
 
     base_total = base["instances_per_second"]
     cand_total = cand["instances_per_second"]

@@ -8,7 +8,7 @@
 #   * a small shared-chain load (200 users, default mix) exits 0 and
 #     writes a BENCH_load JSON artifact with the expected shape (every
 #     instance completed, latency percentiles present, 0 unattributed
-#     violations);
+#     violations, a positive peak_live_instances no larger than users);
 #   * the --threads=1 and --threads=4 artifacts are identical modulo the
 #     wall-time/stamp fields (the load loop's determinism contract);
 #   * --scaling=1,4 exits 0: its re-runs match the primary report in every
@@ -18,6 +18,8 @@
 #   * scripts/bench_compare.py passes an artifact against its --threads=4
 #     twin and hard-fails, even under --report-only, when a deterministic
 #     field drifts;
+#   * --seed= takes the whole unsigned 64-bit range: 2^64-1 runs, and
+#     2^64, a sign or a leading space exit 2 without writing the artifact;
 #   * malformed flags (an empty or comma-truncated --scaling= or --mix=
 #     list, a signed or space-padded number), unknown mix protocols, an
 #     empty --json= path and a short artifact write (/dev/full) exit 2.
@@ -57,6 +59,7 @@ for path in sys.argv[1:3]:
         set(doc["latency_ticks"]), doc["latency_ticks"]
     assert sum(p["instances"] for p in doc["protocols"]) == 200, \
         doc["protocols"]
+    assert 0 < doc["peak_live_instances"] <= 200, doc["peak_live_instances"]
     docs.append({k: v for k, v in doc.items() if k not in WALL})
 assert docs[0] == docs[1], "threads=1 vs threads=4 reports differ"
 EOF
@@ -64,6 +67,8 @@ else
   grep -q '"benchmark": "load"' "$work/t1.json" || fail "JSON lacks benchmark"
   grep -q '"instances": 200' "$work/t1.json" || fail "JSON lacks instances"
   grep -q '"unattributed": 0' "$work/t1.json" || fail "unattributed != 0"
+  grep -q '"peak_live_instances": [1-9]' "$work/t1.json" \
+    || fail "JSON lacks peak_live_instances"
   # Determinism: the tick-latency line must agree across thread counts.
   t1_lat="$(grep '"latency_ticks"' "$work/t1.json" | head -1)"
   t4_lat="$(grep '"latency_ticks"' "$work/t4.json" | head -1)"
@@ -110,8 +115,21 @@ EOF
   [[ $rc -eq 1 ]] || fail "bench_compare passed a drifted ticks field ($rc)"
 fi
 
+# The seed is a full unsigned 64-bit value, as LoadConfig::seed is.
+rm -f "$work/seed.json"
+"$bin" --users=2 --seed=18446744073709551615 --json="$work/seed.json" \
+  --quiet || fail "--seed=2^64-1 exited $? (want 0)"
+grep -q '"seed": 18446744073709551615,' "$work/seed.json" \
+  || fail "JSON lacks the 2^64-1 seed"
+
 # Usage errors exit 2, never 0/1.
 set +e
+for bad in 18446744073709551616 -1 +1 ' 1'; do
+  rm -f "$work/bad.json"
+  "$bin" --users=2 --seed="$bad" --json="$work/bad.json" >/dev/null 2>&1
+  [[ $? -eq 2 ]] || fail "--seed='$bad' should exit 2"
+  [[ ! -e "$work/bad.json" ]] || fail "--seed='$bad' wrote an artifact"
+done
 "$bin" --users=0 >/dev/null 2>&1; [[ $? -eq 2 ]] || fail "--users=0 should exit 2"
 "$bin" --no-such-flag >/dev/null 2>&1; [[ $? -eq 2 ]] || fail "unknown flag should exit 2"
 "$bin" --users=5 --mix=no-such-protocol:1 --json="$work/bad.json" \
@@ -133,5 +151,5 @@ done
 set -e
 
 rm -f "$work/t1.json" "$work/t4.json" "$work/bad.json" "$work/max.json" \
-  "$work/drift.json" "$work/scaling.json"
+  "$work/drift.json" "$work/scaling.json" "$work/seed.json"
 echo "xchain_bench_smoke: OK"

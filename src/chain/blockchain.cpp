@@ -87,6 +87,59 @@ void Blockchain::record_status(const Transaction& tx, TxStatus status) {
   tx_status_.emplace(it, tx.seq, status);
 }
 
+const Contract& Blockchain::contract_at(std::size_t i) const {
+  const Contract* c = contracts_.at(i).get();
+  if (!c) {
+    std::string what = "Blockchain::contract_at: contract ";
+    what += std::to_string(i);
+    what += " on chain '";
+    what += name_;
+    what += "' is retired";
+    throw std::logic_error(what);
+  }
+  return *c;
+}
+
+void Blockchain::retire(ContractId first, ContractId last) {
+  if (first > last || last > contracts_.size()) {
+    // Append-only string building (GCC 12 -Wrestrict, PR 105651).
+    std::string what = "Blockchain::retire: contract range [";
+    what += std::to_string(first);
+    what += ", ";
+    what += std::to_string(last);
+    what += ") is out of range";
+    throw std::out_of_range(what);
+  }
+  if (snap_depth() > 0) {
+    throw std::logic_error(
+        "Blockchain::retire: a snapshot is stacked, and no rewind could "
+        "restore a retired contract");
+  }
+  for (ContractId c = first; c < last; ++c) {
+    if (contracts_[c]) {
+      contracts_[c].reset();
+      ++retired_;
+    }
+  }
+}
+
+bool Blockchain::has_pending(PartyId first, PartyId last) const {
+  return std::any_of(mempool_.begin(), mempool_.end(),
+                     [&](const Transaction& tx) {
+                       return tx.sender >= first && tx.sender < last;
+                     });
+}
+
+void Blockchain::require_no_retired(const char* op) const {
+  if (retired_ == 0) return;
+  std::string what = "Blockchain::";
+  what += op;
+  what += ": chain '";
+  what += name_;
+  what += "' holds retired contracts";
+  throw std::logic_error(what);
+}
+
 void Blockchain::register_contract(std::unique_ptr<Contract> c) {
   c->id_ = contracts_.size();
   c->chain_ = id_;
@@ -153,16 +206,20 @@ void Blockchain::run_timeouts(Tick now) {
   }
   TxContext sweep(*this, kNoParty, now);
 #ifdef NDEBUG
-  for (const ContractId c : due_) contracts_[c]->on_block(sweep);
+  for (const ContractId c : due_) {
+    if (contracts_[c]) contracts_[c]->on_block(sweep);
+  }
 #else
-  // Safety net for timeouts() under-declaring: visit every contract, as an
-  // unindexed sweep would, and require each call the index skips to leave
-  // the contract's state and the event log untouched.
+  // Safety net for timeouts() under-declaring: visit every live contract,
+  // as an unindexed sweep would, and require each call the index skips to
+  // leave the contract's state and the event log untouched.
   auto next = due_.begin();
   for (ContractId c = 0; c < contracts_.size(); ++c) {
+    const bool due = next != due_.end() && *next == c;
+    if (due) ++next;
+    if (!contracts_[c]) continue;  // retired: its wake entries are skipped
     Contract& contract = *contracts_[c];
-    if (next != due_.end() && *next == c) {
-      ++next;
+    if (due) {
       contract.on_block(sweep);
       continue;
     }
@@ -327,6 +384,8 @@ void Blockchain::snap_push() {
         "Blockchain::snap_push: checkpoints stack only at tick boundaries "
         "of traceless chains");
   }
+  // Every slot is live from here on: retire() refuses a stacked snapshot.
+  require_no_retired("snap_push");
   const std::size_t depth = ledger_.snap_depth();
   ledger_.snap_push();
   if (depth < snap_counters_.size()) {
@@ -364,6 +423,7 @@ void Blockchain::snap_rewind(std::size_t depth) {
 }
 
 void Blockchain::state_hash(std::uint64_t& h) const {
+  require_no_retired("state_hash");
   ledger_.state_hash(h);
   state_hash_mix(h, static_cast<std::uint64_t>(height_));
   state_hash_mix(h, applied_tx_count_);

@@ -257,8 +257,26 @@ class Blockchain {
   }
 
   /// Deployed-contract introspection (Scheduler::validate_deadlines).
+  /// contract_count() counts every slot ever deployed, retired ones
+  /// included; contract_at() throws std::out_of_range past the last slot
+  /// and std::logic_error on a retired one.
   std::size_t contract_count() const { return contracts_.size(); }
-  const Contract& contract_at(std::size_t i) const { return *contracts_.at(i); }
+  const Contract& contract_at(std::size_t i) const;
+
+  /// Frees the contracts with ids [first, last): the load generator
+  /// retires a finished instance's contracts this way. Their slots stay
+  /// as tombstones, so every id stays stable; their escrow rows keep
+  /// their balances; their timeouts never run again (the deadline index
+  /// skips them and drops them as its cursor passes). The caller
+  /// guarantees that nothing references them any more: no pending
+  /// transaction's effect and no live actor. Throws std::logic_error
+  /// while a snapshot is stacked, since no rewind could restore them, and
+  /// std::out_of_range unless first <= last <= contract_count().
+  void retire(ContractId first, ContractId last);
+
+  /// True when a mempool transaction was signed by an account in
+  /// [first, last): an instance's range still has traffic in flight.
+  bool has_pending(PartyId first, PartyId last) const;
 
   /// Deploys a contract; returns a stable reference. Deployment happens at
   /// protocol setup (parties pre-agree on contracts, paper §4); funding
@@ -289,13 +307,17 @@ class Blockchain {
   /// pushes one slot per executed tick. Callable only at a tick boundary
   /// on a traceless chain: the mempool must be empty (block production
   /// consumed it) and the event log stays empty under TraceMode::kOff, so
-  /// neither is part of a snapshot.
+  /// neither is part of a snapshot. A chain holding a retired contract
+  /// refuses snap_push (std::logic_error), and retire() refuses a chain
+  /// with a snapshot stacked, so retirement and rollback never meet.
   void snap_push();
   void snap_rewind(std::size_t depth);
   std::size_t snap_depth() const { return ledger_.snap_depth(); }
 
   /// Order-sensitive hash of the live chain state (ledger + height + tx
-  /// count + contracts) — the rewind integrity check.
+  /// count + contracts) — the rewind integrity check. Throws
+  /// std::logic_error on a chain holding a retired contract, like
+  /// snap_push().
   void state_hash(std::uint64_t& h) const;
 
  private:
@@ -311,9 +333,12 @@ class Blockchain {
   /// Applies batch_ as the block at `now`, then runs the timeout sweep.
   void apply_batch(Tick now);
 
-  /// The timeout sweep of block `now`: on_block for every contract with a
-  /// wake tick in (height_ before this block, now], in id order.
+  /// The timeout sweep of block `now`: on_block for every live contract
+  /// with a wake tick in (height_ before this block, now], in id order.
   void run_timeouts(Tick now);
+
+  /// Throws std::logic_error naming `op` when a contract is retired.
+  void require_no_retired(const char* op) const;
 
   /// Records `status` for tx if it is tracked.
   void record_status(const Transaction& tx, TxStatus status);
@@ -327,7 +352,9 @@ class Blockchain {
   Tick height_ = -1;
   std::vector<Transaction> mempool_;
   std::vector<Transaction> batch_;  ///< produce_block scratch, capacity reused
+  /// Indexed by contract id; a retired contract's slot is null.
   std::vector<std::unique_ptr<Contract>> contracts_;
+  std::size_t retired_ = 0;  ///< null slots in contracts_
   /// Deadline index: one (wake tick, contract id) per declared timeout,
   /// sorted, where the wake tick is the first block past the deadline.
   /// wakes_[0, wake_cursor_) have wake tick <= height_, i.e. have fired;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "chain/blockchain.hpp"
@@ -21,9 +22,11 @@ namespace xchain::load {
 namespace {
 
 /// One arrived protocol instance: the bound world plus the scheduler's
-/// bookkeeping. Never destroyed before the run ends — mempools may carry
-/// crowded-out transactions whose effects reference the instance's
-/// contracts and actors long after it ended.
+/// bookkeeping. Once audited, the instance drains: mempools may still
+/// carry crowded-out transactions whose effects reference its contracts.
+/// When none is left, run_load retires it — destroys the bound world and
+/// sink and frees its contracts on the shared chains — and keeps only
+/// this record, whose inclusion counts feed the report.
 struct Instance {
   std::size_t idx = 0;    ///< arrival index (the "#<idx>" of its tag)
   std::size_t proto = 0;  ///< mix index
@@ -31,11 +34,34 @@ struct Instance {
   PartyId base_end = 0;   ///< one past the last account id
   Tick start = 0;         ///< arrival tick
   Tick end = 0;           ///< exclusive end tick (LoadInstance::end_tick)
-  std::unique_ptr<sim::LoadInstance> bound;
+  std::unique_ptr<sim::LoadInstance> bound;  ///< null once retired
   sim::TxSink sink;            ///< this tick's deferred submissions
+  /// Its transactions sitting in a mempool: every one is submitted
+  /// through the sink and, on load chains, which squeeze but never drop,
+  /// evict or stall, leaves only by inclusion. Had one left another way,
+  /// the count would stay positive and the instance would never retire.
+  std::size_t pending = 0;
   Tick last_inclusion = -1;    ///< newest block holding one of its txs
   std::size_t txs = 0;         ///< its included transactions
 };
+
+#ifndef NDEBUG
+/// Debug cross-check of the pending count before `inst` retires: no
+/// mempool on any chain may hold a transaction from its account range.
+void require_drained(const chain::MultiChain& chains, const Instance& inst,
+                     const std::string& tag) {
+  for (ChainId c = 0; c < chains.count(); ++c) {
+    if (!chains.at(c).has_pending(inst.base, inst.base_end)) continue;
+    // Append-only string building (GCC 12 -Wrestrict, PR 105651).
+    std::string what = "load: retiring ";
+    what += tag;
+    what += " with a transaction still pending on chain '";
+    what += chains.at(c).name();
+    what += '\'';
+    throw std::logic_error(what);
+  }
+}
+#endif
 
 /// Nearest-rank percentile over sorted latencies: index p*(n-1)/100.
 Tick percentile(const std::vector<Tick>& sorted, int p) {
@@ -70,9 +96,11 @@ sim::Schedule conforming_schedule(std::size_t parties, std::string label) {
 
 bool LoadReport::same_outcome(const LoadReport& o) const {
   return instances == o.instances && txs_included == o.txs_included &&
-         chains == o.chains && ticks == o.ticks && latency == o.latency &&
-         per_protocol == o.per_protocol && violations == o.violations &&
-         fault_caused == o.fault_caused && unattributed == o.unattributed;
+         chains == o.chains && ticks == o.ticks &&
+         peak_live_instances == o.peak_live_instances &&
+         latency == o.latency && per_protocol == o.per_protocol &&
+         violations == o.violations && fault_caused == o.fault_caused &&
+         unattributed == o.unattributed;
 }
 
 LoadReport run_load(const LoadConfig& cfg) {
@@ -166,14 +194,19 @@ LoadReport run_load(const LoadConfig& cfg) {
     if (sender >= inst.base_end) return;
     inst.last_inclusion = std::max(inst.last_inclusion, height);
     ++inst.txs;
+    --inst.pending;
   });
+  const auto tag_of = [&](const Instance& inst) {
+    return mix[inst.proto].protocol + "#" + std::to_string(inst.idx);
+  };
 
   LoadReport report;
   const auto t0 = std::chrono::steady_clock::now();
 
   PartyId next_base = 0;
   std::size_t next_arrival = 0;
-  std::vector<Instance*> active;  // arrival order — the drain order
+  std::vector<Instance*> active;    // arrival order — the drain order
+  std::vector<Instance*> draining;  // audited, transactions still pending
   Tick now = 0;
   while (next_arrival < instances.size() || !active.empty()) {
     // 1. Serial arrivals: bind every instance due this tick.
@@ -189,8 +222,7 @@ LoadReport run_load(const LoadConfig& cfg) {
       binding.chains = &chains;
       binding.party_base = inst.base;
       binding.start = inst.start;
-      binding.tag =
-          mix[inst.proto].protocol + "#" + std::to_string(inst.idx);
+      binding.tag = tag_of(inst);
       inst.bound = adapter.bind_instance(binding);
       inst.end = inst.bound->end_tick();
       for (sim::Party* actor : inst.bound->actors()) {
@@ -200,6 +232,8 @@ LoadReport run_load(const LoadConfig& cfg) {
       active.push_back(&inst);
       ++next_arrival;
     }
+    report.peak_live_instances = std::max(report.peak_live_instances,
+                                          active.size() + draining.size());
 
     // 2. Parallel tick phase: contiguous instance shards, one per worker
     // from two instances per worker up. Actors only read chain state and
@@ -216,7 +250,7 @@ LoadReport run_load(const LoadConfig& cfg) {
 
     // 3. Serial drain in arrival order: mempool sequence numbers are
     // independent of thread count.
-    for (Instance* inst : active) inst->sink.drain();
+    for (Instance* inst : active) inst->pending += inst->sink.drain();
 
     // 4. One fee-ordered bounded block per chain over the whole tick.
     chains.produce_all(now);
@@ -228,11 +262,34 @@ LoadReport run_load(const LoadConfig& cfg) {
         active[kept++] = inst;
         continue;
       }
-      sim::audit_schedule(
-          mix[inst->proto].protocol + "#" + std::to_string(inst->idx),
-          inst->bound->collect(), report.violations);
+      sim::audit_schedule(tag_of(*inst), inst->bound->collect(),
+                          report.violations);
+      draining.push_back(inst);
     }
     active.resize(kept);
+
+    // Retirement: an audited instance with no transaction left in any
+    // mempool frees its world, then its contracts. Nothing can reach them
+    // any more: effects reference only their own world, and no actor is
+    // left to submit.
+    kept = 0;
+    for (Instance* inst : draining) {
+      if (inst->pending > 0) {
+        draining[kept++] = inst;
+        continue;
+      }
+#ifndef NDEBUG
+      require_drained(chains, *inst, tag_of(*inst));
+#endif
+      const std::vector<sim::ContractRange> contracts =
+          inst->bound->contracts();
+      inst->bound.reset();
+      inst->sink = sim::TxSink();
+      for (const sim::ContractRange& r : contracts) {
+        chains.at(r.chain).retire(r.first, r.last);
+      }
+    }
+    draining.resize(kept);
     ++now;
   }
 

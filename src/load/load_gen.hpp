@@ -29,6 +29,15 @@
 // transactions back to instances through their disjoint account-id
 // ranges.
 //
+// An audited instance may still have crowded-out transactions in the
+// mempools, whose effects reference its contracts. Once the last of them
+// is included, the instance retires: its bound world (actors, sink,
+// signing and verify caches, adapter clone) is destroyed and its
+// contracts are freed on the shared chains (Blockchain::retire). Memory
+// therefore follows the instances alive at once
+// (LoadReport::peak_live_instances), plus about 1 KB per instance ever
+// run: its ledger rows, its tracked-tx statuses and its latency record.
+//
 // Violations are attributed after the run: each violating protocol is
 // re-run solo on a faultless private world under the same all-conforming
 // schedule. A clean twin proves the loss came from congestion, not the
@@ -112,6 +121,10 @@ struct LoadReport {
   std::size_t txs_included = 0;  ///< transactions applied across all chains
   std::size_t chains = 0;        ///< distinct shared chains created
   Tick ticks = 0;                ///< simulated ticks until the last end tick
+  /// The most instances holding a bound world at once: active ones plus
+  /// audited ones not yet retired because a transaction of theirs was
+  /// still pending. Memory follows this, not `instances`.
+  std::size_t peak_live_instances = 0;
   double wall_seconds = 0.0;     ///< measured wall time of the tick loop
 
   LatencyStats latency;                      ///< across all instances
@@ -128,9 +141,9 @@ struct LoadReport {
 
   bool ok() const { return unattributed == 0; }
 
-  /// True when every field but wall_seconds matches `o`: the counts, every
-  /// latency stat, the per-protocol rows, and each violation with its
-  /// attribution.
+  /// True when every field but wall_seconds matches `o`: the counts
+  /// (peak_live_instances included), every latency stat, the per-protocol
+  /// rows, and each violation with its attribution.
   bool same_outcome(const LoadReport& o) const;
 };
 

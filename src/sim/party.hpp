@@ -37,7 +37,8 @@ class TxSink {
   bool empty() const { return submits_.empty() && bumps_.empty(); }
 
   /// Applies every recorded mutation in record order, then clears.
-  void drain();
+  /// Returns the number of transactions it submitted.
+  std::size_t drain();
 
  private:
   friend class Party;
@@ -363,7 +364,8 @@ class Party {
   chain::TieStack<std::vector<Outstanding>> outstanding_stack_;
 };
 
-inline void TxSink::drain() {
+inline std::size_t TxSink::drain() {
+  const std::size_t submitted = submits_.size();
   for (DeferredSubmit& s : submits_) {
     const std::uint64_t id = s.bc->submit(std::move(s.tx));
     if (s.party) s.party->resolve_submission(s.slot, id);
@@ -374,6 +376,7 @@ inline void TxSink::drain() {
     b.bc->bump_fee(b.id, b.fee);
   }
   clear();
+  return submitted;
 }
 
 }  // namespace xchain::sim

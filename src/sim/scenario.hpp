@@ -118,6 +118,15 @@ struct Schedule {
   std::string label;
 };
 
+/// The contracts with ids [first, last) on one chain.
+struct ContractRange {
+  ChainId chain = 0;
+  ContractId first = 0;
+  ContractId last = 0;
+
+  bool operator==(const ContractRange&) const = default;
+};
+
 /// One protocol instance bound into a shared MultiChain — what
 /// ProtocolAdapter::bind_instance returns and the load generator
 /// (src/load/) drives. The instance owns its (bound) world; the load
@@ -125,6 +134,12 @@ struct Schedule {
 /// end_tick(), collects the per-party outcomes for the payoff audit. All
 /// plans are conforming: under load, every violation is the substrate's
 /// fault, never a party's.
+///
+/// Its contracts belong to the shared chains, not to the instance: the
+/// destructor frees the world (actors, caches, adapter clone) and never
+/// touches a chain. Freeing the contracts is an explicit
+/// Blockchain::retire over contracts(), once no pending transaction can
+/// reach them.
 class LoadInstance {
  public:
   virtual ~LoadInstance() = default;
@@ -138,6 +153,11 @@ class LoadInstance {
 
   /// End-of-run outcomes under the all-conforming schedule.
   virtual std::vector<PartyOutcome> collect() const = 0;
+
+  /// The contracts its world deployed, one range per chain, in chain-id
+  /// order. Binds are serial and deploy only at setup, so each range is
+  /// contiguous.
+  virtual const std::vector<ContractRange>& contracts() const = 0;
 };
 
 /// A half-open party range [first, last).
@@ -308,16 +328,28 @@ class WorldAdapter : public ProtocolAdapter {
 
   std::unique_ptr<LoadInstance> bind_instance(
       const core::WorldBinding& binding) const override {
+    std::vector<std::size_t> before;  // contract count per existing chain
+    if (binding.chains) {
+      for (ChainId c = 0; c < binding.chains->count(); ++c) {
+        before.push_back(binding.chains->at(c).contract_count());
+      }
+    }
     std::unique_ptr<W> w = make_world(binding);
     if (w->frame().chains != binding.chains) {
       throw std::logic_error(name() + ": bind_instance not implemented");
+    }
+    std::vector<ContractRange> deployed;
+    for (ChainId c = 0; c < binding.chains->count(); ++c) {
+      const ContractId first = c < before.size() ? before[c] : 0;
+      const ContractId last = binding.chains->at(c).contract_count();
+      if (first < last) deployed.push_back({c, first, last});
     }
     Schedule s;
     s.plans.assign(party_count(), DeviationPlan::conforming());
     s.label = binding.tag;
     w->set_plans(s.plans);
     return std::make_unique<BoundInstance>(std::move(w), clone(),
-                                           std::move(s));
+                                           std::move(s), std::move(deployed));
   }
 
   TreeFrame* tree_frame() const override { return &world().frame(); }
@@ -349,9 +381,10 @@ class WorldAdapter : public ProtocolAdapter {
   class BoundInstance final : public LoadInstance {
    public:
     BoundInstance(std::unique_ptr<W> world,
-                  std::unique_ptr<ProtocolAdapter> owner, Schedule s)
+                  std::unique_ptr<ProtocolAdapter> owner, Schedule s,
+                  std::vector<ContractRange> contracts)
         : world_(std::move(world)), owner_(std::move(owner)),
-          s_(std::move(s)) {}
+          s_(std::move(s)), contracts_(std::move(contracts)) {}
 
     const std::vector<Party*>& actors() const override {
       return world_->frame().actors;
@@ -361,11 +394,15 @@ class WorldAdapter : public ProtocolAdapter {
       return static_cast<const WorldAdapter&>(*owner_).outcomes_from(
           world_->collect(), s_);
     }
+    const std::vector<ContractRange>& contracts() const override {
+      return contracts_;
+    }
 
    private:
     std::unique_ptr<W> world_;
     std::unique_ptr<ProtocolAdapter> owner_;
     Schedule s_;
+    std::vector<ContractRange> contracts_;
   };
 
   /// The cached private world, built on first use with this adapter's

@@ -9,13 +9,19 @@
 //     (modulo wall time) and for repeated runs of one seed;
 //   * the audit contract — an uncongested load is violation-free, and a
 //     congested one attributes every violation to the chain faults
-//     (unattributed == 0, the xchain-bench gate).
+//     (unattributed == 0, the xchain-bench gate);
+//   * CI's report — every deterministic field of the 1000-user CI load,
+//     so report drift fails in every build type;
+//   * retirement — binds record their contract ranges, and the worlds
+//     bound at once stay near the active set, not the user count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <climits>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "chain/blockchain.hpp"
@@ -142,6 +148,43 @@ TEST(LoadInstanceNamespacing, StaggeredArrivalMatchesSoloPayoffs) {
   }
 }
 
+TEST(LoadInstanceNamespacing, BindRecordsContractRanges) {
+  // Each bind records the contract ids its world deployed, per chain; the
+  // instance's destructor leaves them on the chains, and only an explicit
+  // retire frees them.
+  const auto adapter = sim::ProtocolRegistry::global().make("two-party");
+  chain::MultiChain chains;
+  chains.set_trace(chain::TraceMode::kOff);
+  core::WorldBinding b0;
+  b0.chains = &chains;
+  b0.tag = "two-party#0";
+  core::WorldBinding b1 = b0;
+  b1.party_base = 2;
+  b1.tag = "two-party#1";
+  auto i0 = adapter->bind_instance(b0);
+  const auto i1 = adapter->bind_instance(b1);
+  EXPECT_EQ(i0->contracts(),
+            (std::vector<sim::ContractRange>{{0, 0, 1}, {1, 0, 1}}));
+  EXPECT_EQ(i1->contracts(),
+            (std::vector<sim::ContractRange>{{0, 1, 2}, {1, 1, 2}}));
+
+  const std::vector<sim::ContractRange> ranges = i0->contracts();
+  i0.reset();
+  for (const sim::ContractRange& r : ranges) {
+    EXPECT_EQ(chains.at(r.chain).contract_at(r.first).id(), r.first);
+    chains.at(r.chain).retire(r.first, r.last);
+    EXPECT_THROW(chains.at(r.chain).contract_at(r.first), std::logic_error);
+  }
+
+  // The surviving instance runs to completion beside the retired slots.
+  sim::TxSink sink;
+  for (sim::Party* p : i1->actors()) p->set_tx_sink(&sink);
+  drive(chains, {i1.get()}, {&sink});
+  std::vector<sim::Violation> violations;
+  sim::audit_schedule("two-party#1", i1->collect(), violations);
+  EXPECT_TRUE(violations.empty());
+}
+
 TEST(LoadGenerator, UncongestedLoadIsViolationFree) {
   load::LoadConfig cfg;
   cfg.users = 60;
@@ -232,6 +275,99 @@ TEST(LoadGenerator, CongestedViolationsAllAttributed) {
         return v.party == "<all>" &&
                v.detail == "all-conforming run did not complete";
       }));
+}
+
+/// CI's load shape (the bench job's `xchain-bench --users=1000`).
+load::LoadConfig ci_shape(std::size_t users, unsigned threads) {
+  load::LoadConfig cfg;
+  cfg.users = users;
+  cfg.threads = threads;
+  cfg.seed = 1;
+  cfg.mix = {{"two-party", 2}, {"broker", 1}, {"bridge-transfer", 1}};
+  cfg.arrival_gap = 1;
+  cfg.block_capacity = 4;
+  cfg.max_fee = 64;
+  return cfg;
+}
+
+/// 64-bit FNV-1a over every violation's str() line, in report order.
+std::uint64_t violation_digest(const load::LoadReport& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const sim::Violation& v : r.violations) {
+    for (const char c : v.str() + "\n") {
+      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+void expect_latency(const load::LatencyStats& s, Tick p50, Tick p95, Tick p99,
+                    Tick max, double sum, double n) {
+  EXPECT_EQ(s.p50, p50);
+  EXPECT_EQ(s.p95, p95);
+  EXPECT_EQ(s.p99, p99);
+  EXPECT_EQ(s.max, max);
+  EXPECT_DOUBLE_EQ(s.mean, sum / n);
+}
+
+TEST(LoadGenerator, GoldenReportAtCiShape) {
+  // The load report-drift gate as a test: every deterministic field of
+  // CI's 1000-user report, at one and four threads. The per-protocol rows
+  // equal bench/baselines/BENCH_load.json; the violation digest pins each
+  // violation line and its attribution.
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const load::LoadReport r = load::run_load(ci_shape(1000, threads));
+    EXPECT_EQ(r.instances, 1000u);
+    EXPECT_EQ(r.txs_included, 9097u);
+    EXPECT_EQ(r.chains, 6u);
+    EXPECT_EQ(r.ticks, 506);
+    expect_latency(r.latency, 7, 14, 18, 75, 8570, 1000);
+
+    ASSERT_EQ(r.per_protocol.size(), 3u);
+    const load::ProtocolStats& two = r.per_protocol[0];
+    EXPECT_EQ(two.protocol, "two-party");
+    EXPECT_EQ(two.instances, 497u);
+    EXPECT_EQ(two.txs_included, 2967u);
+    EXPECT_EQ(two.violations, 4u);
+    EXPECT_EQ(two.fault_caused, 4u);
+    expect_latency(two.latency, 7, 10, 11, 12, 3441, 497);
+    const load::ProtocolStats& broker = r.per_protocol[1];
+    EXPECT_EQ(broker.protocol, "broker");
+    EXPECT_EQ(broker.instances, 247u);
+    EXPECT_EQ(broker.txs_included, 3686u);
+    EXPECT_EQ(broker.violations, 255u);
+    EXPECT_EQ(broker.fault_caused, 255u);
+    expect_latency(broker.latency, 12, 17, 33, 75, 3230, 247);
+    const load::ProtocolStats& bridge = r.per_protocol[2];
+    EXPECT_EQ(bridge.protocol, "bridge-transfer");
+    EXPECT_EQ(bridge.instances, 256u);
+    EXPECT_EQ(bridge.txs_included, 2444u);
+    EXPECT_EQ(bridge.violations, 92u);
+    EXPECT_EQ(bridge.fault_caused, 92u);
+    expect_latency(bridge.latency, 7, 10, 11, 12, 1899, 256);
+
+    EXPECT_EQ(r.violations.size(), 351u);
+    EXPECT_EQ(r.fault_caused, 351u);
+    EXPECT_EQ(r.unattributed, 0u);
+    EXPECT_EQ(violation_digest(r), 4991670443556678796u);
+  }
+}
+
+TEST(LoadGenerator, RetirementBoundsLiveInstances) {
+  // Retired instances free their worlds, so the worlds held at once stay
+  // near the active set, whatever the user count; the count is part of
+  // the deterministic report.
+  const load::LoadReport serial = load::run_load(ci_shape(2000, 1));
+  const load::LoadReport parallel = load::run_load(ci_shape(2000, 4));
+  EXPECT_EQ(serial.peak_live_instances, parallel.peak_live_instances);
+  EXPECT_GT(serial.peak_live_instances, 0u);
+  EXPECT_LE(serial.peak_live_instances, 100u);
+  EXPECT_TRUE(serial.same_outcome(parallel));
+
+  load::LoadReport other = serial;
+  ++other.peak_live_instances;
+  EXPECT_FALSE(serial.same_outcome(other));
 }
 
 TEST(LoadGenerator, SameSeedSameReport) {

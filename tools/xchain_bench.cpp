@@ -169,6 +169,7 @@ std::string load_json(const load::LoadConfig& cfg,
       .field("violations", report.violations.size())
       .field("fault_caused", report.fault_caused)
       .field("unattributed", report.unattributed)
+      .field("peak_live_instances", report.peak_live_instances)
       .field("wall_seconds", report.wall_seconds, 6)
       .field("instances_per_second", per_second(report, report.instances), 3)
       .field("txs_per_second", per_second(report, report.txs_included), 3);
@@ -226,12 +227,13 @@ int main(int argc, char** argv) {
       }
       cfg.threads = resolve_threads(static_cast<unsigned>(v));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!parse_long(value_of("--seed="), 0, LLONG_MAX, v)) {
+      unsigned long long seed = 0;
+      if (!parse_ulong(value_of("--seed="), seed)) {
         std::fprintf(stderr, "xchain-bench: invalid %s (want --seed=N)\n",
                      arg.c_str());
         return 2;
       }
-      cfg.seed = static_cast<std::uint64_t>(v);
+      cfg.seed = seed;
     } else if (arg.rfind("--gap=", 0) == 0) {
       if (!parse_long(value_of("--gap="), 0, 1'000'000, v)) {
         std::fprintf(stderr, "xchain-bench: invalid %s (want --gap=N >= 0)\n",
@@ -343,6 +345,8 @@ int main(int argc, char** argv) {
     std::printf("  violations: %zu (%zu [chain-fault], %zu unattributed)\n",
                 report.violations.size(), report.fault_caused,
                 report.unattributed);
+    std::printf("  live instances: at most %zu bound at once\n",
+                report.peak_live_instances);
     for (const ScalingPoint& p : curve) {
       std::printf("  scaling: %2u threads  %.3fs  %.0f instances/s\n",
                   p.threads, p.wall_seconds, p.instances_per_second);

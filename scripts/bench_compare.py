@@ -1,46 +1,37 @@
 #!/usr/bin/env python3
-"""Compare two bench artifacts of the same schema and gate regressions.
+"""Compare two shared-chain load artifacts and gate regressions.
 
 Usage:
     scripts/bench_compare.py BASELINE.json CANDIDATE.json
         [--max-regression 0.20] [--report-only]
 
-Two artifact schemas are understood, selected by the top-level
-"benchmark" key (baseline and candidate must agree):
-
-  scenario_sweep  (bench/bench_scenario_sweep.cpp) — exits non-zero when
-    the candidate's serial `total_schedules_per_second` regresses by more
-    than --max-regression (default 20%) relative to the baseline, and
-    likewise for the enlarged `late_delays` space when both artifacts
-    carry that key (older baselines predate it).
-
-  load  (tools/xchain_bench.cpp, BENCH_load.json) — exits non-zero when
-    `instances_per_second` regresses by more than --max-regression, or
-    when the candidate reports any *unattributed* hedging violation (a
-    correctness failure, not a perf question). Completion-latency
-    percentiles (ticks — deterministic, not wall time) are reported per
-    protocol and in aggregate for context. The report is a pure function
-    of its configuration, so when both artifacts share users, seed, mix,
-    gap, cap and max_fee, any difference in a deterministic field
-    (instances, txs_included, chains, ticks, latency_ticks, the
-    per-protocol rows, violations, fault_caused) is report drift: a
-    behaviour change, and a hard failure even under --report-only.
-    `peak_live_instances` (instances holding a bound world at once) is
-    deterministic too but only printed: the committed baseline predates
-    it.
+Both artifacts must carry the load schema ("benchmark": "load", written
+by tools/xchain_bench.cpp as BENCH_load.json); any other schema exits
+non-zero. The comparison exits non-zero when `instances_per_second`
+regresses by more than --max-regression (default 20%) relative to the
+baseline, or when the candidate reports any *unattributed* hedging
+violation (a correctness failure, not a perf question). Completion-latency
+percentiles (ticks — deterministic, not wall time) are reported per
+protocol and in aggregate for context. The report is a pure function of
+its configuration, so when both artifacts share users, seed, mix, gap, cap
+and max_fee, any difference in a deterministic field (instances,
+txs_included, chains, ticks, latency_ticks, the per-protocol rows,
+violations, fault_caused) is report drift: a behaviour change, and a hard
+failure even under --report-only. `peak_live_instances` (instances holding
+a bound world at once) is deterministic too but only printed: the
+committed baseline predates it.
 
 --report-only prints the same comparison but always exits 0 — CI uses it
 on shared 1-core runners, where absolute throughput is too noisy to gate
-on (the committed baselines were measured on a dedicated host; see
-bench/baselines/). A `hardware_threads` mismatch between baseline and
+on (the committed baseline was measured on a dedicated host; see
+scripts/baselines/). A `hardware_threads` mismatch between baseline and
 candidate is a hard FAILURE unless --report-only is passed: absolute
 throughput only compares meaningfully between like-for-like hosts, and a
 silent degrade here previously let every cross-host run self-disarm the
 gate — the caller must now say explicitly that it only wants the report.
 
-Per-protocol rates and the parallel scaling curve are reported for
-context but never gated: small schedule spaces amortize world setup over
-few runs and are noisy by construction.
+Per-protocol rows and the thread-scaling curve are reported for context
+but never gated: they are noisy on shared runners.
 """
 
 import argparse
@@ -64,76 +55,6 @@ def fmt_latency(doc):
     lat = doc.get("latency_ticks", {})
     return (f"p50={lat.get('p50', '?')} p95={lat.get('p95', '?')}"
             f" p99={lat.get('p99', '?')} ticks")
-
-
-def compare_scenario_sweep(base, cand, args, failures):
-    """The sweep-throughput schema: gate total and late-delays rates."""
-    for doc, path in ((base, args.baseline), (cand, args.candidate)):
-        if "total_schedules_per_second" not in doc:
-            sys.exit(f"bench_compare: {path} lacks total_schedules_per_second")
-
-    # Per-protocol context (never gated).
-    base_protocols = {p["name"]: p for p in base.get("protocols", [])}
-    for p in cand.get("protocols", []):
-        b = base_protocols.get(p["name"])
-        if b is None:
-            print(f"  {p['name']:<22} {fmt_rate(p['schedules_per_second']):>14}"
-                  f"  (new protocol)")
-            continue
-        ratio = p["schedules_per_second"] / max(b["schedules_per_second"], 1e-9)
-        print(
-            f"  {p['name']:<22} {fmt_rate(b['schedules_per_second']):>14} ->"
-            f" {fmt_rate(p['schedules_per_second']):>14}  ({ratio:5.2f}x)"
-        )
-        if p.get("violations", 0) != 0:
-            sys.exit(
-                f"bench_compare: candidate reports {p['violations']} hedging"
-                f" violations in {p['name']} — a correctness failure, not a"
-                " perf question"
-            )
-
-    base_total = base["total_schedules_per_second"]
-    cand_total = cand["total_schedules_per_second"]
-    ratio = cand_total / max(base_total, 1e-9)
-    print(
-        f"  {'TOTAL (serial)':<22} {fmt_rate(base_total):>14} ->"
-        f" {fmt_rate(cand_total):>14}  ({ratio:5.2f}x)"
-    )
-
-    floor = 1.0 - args.max_regression
-    if ratio < floor:
-        failures.append(
-            f"total_schedules_per_second fell to {ratio:.2f}x of baseline"
-            f" (floor {floor:.2f}x)"
-        )
-
-    # The enlarged timing-griefing space, gated the same way when both
-    # artifacts carry it (older baselines predate the key). The executor
-    # statistics ride along for context: dedup_hits / nodes_executed shows
-    # how much of the space the tree executor served from shared prefixes.
-    if "late_delays" in base and "late_delays" in cand:
-        b, c = base["late_delays"], cand["late_delays"]
-        late_ratio = c["schedules_per_second"] / max(
-            b["schedules_per_second"], 1e-9
-        )
-        stats = ""
-        if "dedup_hits" in c:
-            stats = (
-                f"  [{c.get('nodes_executed', '?')} executed,"
-                f" {c.get('dedup_hits', '?')} dedup hits]"
-            )
-        print(
-            f"  {'late-delays (serial)':<22}"
-            f" {fmt_rate(b['schedules_per_second']):>14} ->"
-            f" {fmt_rate(c['schedules_per_second']):>14}"
-            f"  ({late_ratio:5.2f}x){stats}"
-        )
-        if late_ratio < floor:
-            failures.append(
-                f"late_delays schedules_per_second fell to {late_ratio:.2f}x"
-                f" of baseline (floor {floor:.2f}x)"
-            )
-    return ratio
 
 
 # What a load report is a function of, and what it reports deterministically
@@ -232,8 +153,8 @@ def main():
         "--max-regression",
         type=float,
         default=0.20,
-        help="maximum tolerated fractional drop in the schema's headline"
-        " throughput (default 0.20)",
+        help="maximum tolerated fractional drop in instances_per_second"
+        " (default 0.20)",
     )
     ap.add_argument(
         "--report-only",
@@ -245,15 +166,10 @@ def main():
     base = load(args.baseline)
     cand = load(args.candidate)
 
-    schema = base.get("benchmark")
-    if schema not in ("scenario_sweep", "load"):
-        sys.exit(f"bench_compare: {args.baseline} has unknown benchmark"
-                 f" schema {schema!r}")
-    if cand.get("benchmark") != schema:
-        sys.exit(
-            f"bench_compare: schema mismatch — baseline is {schema!r},"
-            f" candidate is {cand.get('benchmark')!r}"
-        )
+    for doc, path in ((base, args.baseline), (cand, args.candidate)):
+        if doc.get("benchmark") != "load":
+            sys.exit(f"bench_compare: {path} has unknown benchmark"
+                     f" schema {doc.get('benchmark')!r}")
 
     print(
         f"baseline : {args.baseline} "
@@ -288,10 +204,7 @@ def main():
         print(msg + " [report-only]", file=sys.stderr)
 
     failures = []
-    if schema == "scenario_sweep":
-        ratio = compare_scenario_sweep(base, cand, args, failures)
-    else:
-        ratio = compare_load(base, cand, args, failures)
+    ratio = compare_load(base, cand, args, failures)
 
     floor = 1.0 - args.max_regression
     if failures:

@@ -11,7 +11,7 @@ if [[ "${1:-}" == "--clean" ]]; then
   rm -rf build
 fi
 
-# -Werror everywhere (tests, benches, tools): a clean build prints no
+# -Werror everywhere (tests, tools, examples): a clean build prints no
 # warnings, and a new one fails the check.
 cmake -B build -S . -DXCHAIN_WERROR=ON
 cmake --build build -j

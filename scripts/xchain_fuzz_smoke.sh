@@ -6,8 +6,9 @@
 # Asserts that:
 #   * --help exits 0 and names the corpus/replay/self-test flags; unknown
 #     flags, malformed values (a negative, signed, space-padded or
-#     overflowing --seed among them) and a short --json write (/dev/full)
-#     exit 2;
+#     overflowing --seed among them), an empty --corpus-out= or
+#     --reproducers= directory (rejected before any run, so no report is
+#     written) and a short --json write (/dev/full) exit 2;
 #   * --self-test finds the planted two-entry bug within a bounded budget
 #     and shrinks it to the pinned canonical reproducer (exit 0);
 #   * the seeded regression corpus replays clean (exit 0) and the JSON
@@ -53,6 +54,14 @@ rc=0; "$bin" --corpus=/no/such/dir >/dev/null 2>&1 || rc=$?
 rc=0; "$bin" --protocol=two-party --budget-runs=10 --quiet \
   --json=/dev/full >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "short --json write exited $rc (want 2)"
+# An empty output directory would silently persist nothing.
+for flag in --corpus-out= --reproducers=; do
+  rm -f "$work/empty_dir.json"
+  rc=0; "$bin" --self-test --seed=1 --budget-runs=50 --quiet "$flag" \
+    --json="$work/empty_dir.json" >/dev/null 2>&1 || rc=$?
+  [[ "$rc" -eq 2 ]] || fail "empty $flag exited $rc (want 2)"
+  [[ ! -e "$work/empty_dir.json" ]] || fail "empty $flag wrote JSON"
+done
 
 # The planted-bug self-test: found, shrunk to the pinned canonical form.
 "$bin" --self-test --seed=1 --budget-runs=1000 --quiet \

@@ -10,7 +10,8 @@
 #   * the emitted JSON parses (python3 when available, grep fallback) and
 #     reports 2 configurations with 0 violations;
 #   * --dry-run prints per-configuration schedule counts without running
-#     (halt-only two-party: 16; --strategies=late-delays enlarges it);
+#     (halt-only two-party: 16; --strategies=late-delays enlarges it), and
+#     exits 2 without writing when asked for a --json= report it has not;
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
 #     JSON with the strategy space;
 #   * a --max-deviators=2 late-delays broker sweep writes the same JSON at
@@ -80,6 +81,12 @@ late_count="$(sed -n 's/^two-party: \([0-9]*\) schedules$/\1/p' \
   <<<"$late_dry_out")"
 [[ -n "$late_count" && "$late_count" -gt 48 ]] || \
   fail "late-delays dry-run should enlarge the space: $late_dry_out"
+rm -f "$json.dry"
+rc=0
+"$bin" --protocol=two-party --dry-run --json="$json.dry" >/dev/null 2>&1 || \
+  rc=$?
+[[ $rc -eq 2 ]] || fail "--dry-run --json= exited $rc (want 2)"
+[[ ! -e "$json.dry" ]] || fail "--dry-run --json= wrote $json.dry"
 
 # A bounded late-delays sweep must run clean and stamp the JSON.
 rm -f "$json.late"

@@ -313,7 +313,7 @@ void expect_latency(const load::LatencyStats& s, Tick p50, Tick p95, Tick p99,
 TEST(LoadGenerator, GoldenReportAtCiShape) {
   // The load report-drift gate as a test: every deterministic field of
   // CI's 1000-user report, at one and four threads. The per-protocol rows
-  // equal bench/baselines/BENCH_load.json; the violation digest pins each
+  // equal scripts/baselines/BENCH_load.json; the violation digest pins each
   // violation line and its attribution.
   for (const unsigned threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

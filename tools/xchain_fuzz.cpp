@@ -231,8 +231,18 @@ int main(int argc, char** argv) {
       corpus_dirs.push_back(value_of("--corpus="));
     } else if (arg.rfind("--corpus-out=", 0) == 0) {
       corpus_out = value_of("--corpus-out=");
+      if (corpus_out.empty()) {
+        std::fprintf(stderr,
+                     "xchain-fuzz: invalid --corpus-out= (want DIR)\n");
+        return 2;
+      }
     } else if (arg.rfind("--reproducers=", 0) == 0) {
       reproducers_dir = value_of("--reproducers=");
+      if (reproducers_dir.empty()) {
+        std::fprintf(stderr,
+                     "xchain-fuzz: invalid --reproducers= (want DIR)\n");
+        return 2;
+      }
     } else if (arg.rfind("--json=", 0) == 0) {
       json_path = value_of("--json=");
       if (json_path.empty()) {

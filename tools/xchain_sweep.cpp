@@ -74,8 +74,9 @@ void print_usage(std::FILE* to) {
       "run on the brute executor and re-attribute each violation against a\n"
       "faultless twin world ('[chain-fault]' in the details). --json=PATH\n"
       "writes the campaign report as JSON. --dry-run prints\n"
-      "per-configuration schedule counts without running. Exit: 0 clean,\n"
-      "1 violations, 2 bad usage.\n");
+      "per-configuration schedule counts without running (it writes no\n"
+      "report, so it takes no --json=). Exit: 0 clean, 1 violations,\n"
+      "2 bad usage.\n");
 }
 
 void print_list() {
@@ -284,6 +285,13 @@ int main(int argc, char** argv) {
   }
 
   if (dry_run) {
+    // A dry run has no campaign report to write, and a requested artifact
+    // that never appears is an error, not a silent success.
+    if (!json_path.empty()) {
+      std::fprintf(stderr,
+                   "xchain-sweep: --dry-run writes no report; drop --json=\n");
+      return 2;
+    }
     try {
       const sim::DryRunReport preview =
           sim::Campaign(std::move(spec)).dry_run();

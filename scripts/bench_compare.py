@@ -21,9 +21,10 @@ failure even under --report-only. `peak_live_instances` (instances holding
 a bound world at once) is deterministic too but only printed: the
 committed baseline predates it.
 
---report-only prints the same comparison but always exits 0 — CI uses it
-on shared 1-core runners, where absolute throughput is too noisy to gate
-on (the committed baseline was measured on a dedicated host; see
+--report-only prints the same comparison but never fails on throughput;
+the unattributed and drift checks above still fail. CI passes it on every
+run: absolute throughput is too noisy to gate on across hosts (the
+committed baseline was measured on a dedicated host; see
 scripts/baselines/). A `hardware_threads` mismatch between baseline and
 candidate is a hard FAILURE unless --report-only is passed: absolute
 throughput only compares meaningfully between like-for-like hosts, and a
@@ -159,7 +160,8 @@ def main():
     ap.add_argument(
         "--report-only",
         action="store_true",
-        help="print the comparison but always exit 0 (noisy shared runners)",
+        help="print the comparison but never fail on throughput (noisy"
+        " shared runners); unattributed violations and drift still fail",
     )
     args = ap.parse_args()
 

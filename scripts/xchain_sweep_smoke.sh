@@ -5,7 +5,8 @@
 #
 # Asserts that:
 #   * --list names every registered reference protocol and the strategy
-#     spaces;
+#     spaces, and without a --protocol exits 2 without writing when asked
+#     for a --json= report it has not;
 #   * a small two-party grid campaign (premium_a=1,2) exits 0;
 #   * the emitted JSON parses (python3 when available, grep fallback) and
 #     reports 2 configurations with 0 violations;
@@ -39,6 +40,11 @@ done
 for space in halt-only timely-delays late-delays; do
   grep -q "$space" <<<"$list_out" || fail "--list is missing '$space'"
 done
+rm -f "$json.list"
+rc=0
+"$bin" --list --json="$json.list" >/dev/null 2>&1 || rc=$?
+[[ $rc -eq 2 ]] || fail "--list --json= exited $rc (want 2)"
+[[ ! -e "$json.list" ]] || fail "--list --json= wrote $json.list"
 
 # A tiny grid campaign must run clean and write JSON.
 rm -f "$json"

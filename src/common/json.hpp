@@ -2,12 +2,12 @@
 
 // The one JSON writer behind every artifact the tools emit, and the build
 // stamp every artifact carries: campaign sweeps (sim/campaign.hpp), fuzz
-// reports (fuzz/harness.hpp), the load report (tools/xchain_bench.cpp) and
-// the sweep bench. CI and the smoke scripts match these artifacts' exact
-// layout (`^  "violations": 0,`), so the writer owns it: a multi-line
-// container puts each member on its own line, indented two spaces per
-// nesting level, and closes on a line of its own; a single-line container
-// joins its members with ", ". An empty container is [] or {} either way.
+// reports (fuzz/harness.hpp) and the load report (tools/xchain_bench.cpp).
+// CI and the smoke scripts match these artifacts' exact layout
+// (`^  "violations": 0,`), so the writer owns it: a multi-line container
+// puts each member on its own line, indented two spaces per nesting
+// level, and closes on a line of its own; a single-line container joins
+// its members with ", ". An empty container is [] or {} either way.
 // Strings escape quote, backslash, \n and \t by name and every other
 // control character as \u00XX.
 

@@ -1,5 +1,7 @@
 #include "sim/payoff_audit.hpp"
 
+#include <stdexcept>
+
 namespace xchain::sim {
 
 std::string Violation::str() const {
@@ -37,27 +39,7 @@ std::size_t audit_schedule(const std::string& schedule_label,
     completed = completed && o.bound.completed;
     if (!o.conforming) continue;
     ++audited;
-
-    Amount floor = o.bound.min_coin_delta;
-    if (o.bound.goods_received) {
-      floor -= o.bound.spend_allowance;
-    }
-    if (o.payoff.coin_delta < floor) {
-      out.push_back({schedule_label, o.name, o.payoff.coin_delta, floor,
-                     o.bound.goods_received
-                         ? "spent more than allowance over premium floor"
-                         : "lost more than earned premiums"});
-    } else if (!o.bound.goods_received && o.payoff.coin_delta < 0) {
-      // A conforming party that received nothing must never end coin-
-      // negative, whatever floor the adapter computed (defence in depth
-      // against adapters under-reporting entitlements).
-      out.push_back({schedule_label, o.name, o.payoff.coin_delta, 0,
-                     "coin-negative without goods"});
-    }
-    if (o.bound.principal_lost) {
-      out.push_back({schedule_label, o.name, o.payoff.coin_delta, floor,
-                     "lost principal without the counter-asset"});
-    }
+    audit_party(schedule_label, o, out);
   }
   if (check_conservation && total != 0) {
     out.push_back({schedule_label, "<all>", total, 0,
@@ -68,6 +50,53 @@ std::size_t audit_schedule(const std::string& schedule_label,
                    "all-conforming run did not complete"});
   }
   return audited;
+}
+
+std::size_t audit_party(const std::string& schedule_label,
+                        const PartyOutcome& o, std::vector<Violation>& out) {
+  const std::size_t before = out.size();
+  Amount floor = o.bound.min_coin_delta;
+  if (o.bound.goods_received) {
+    floor -= o.bound.spend_allowance;
+  }
+  if (o.payoff.coin_delta < floor) {
+    out.push_back({schedule_label, o.name, o.payoff.coin_delta, floor,
+                   o.bound.goods_received
+                       ? "spent more than allowance over premium floor"
+                       : "lost more than earned premiums"});
+  } else if (!o.bound.goods_received && o.payoff.coin_delta < 0) {
+    // A conforming party that received nothing must never end coin-
+    // negative, whatever floor the adapter computed (defence in depth
+    // against adapters under-reporting entitlements).
+    out.push_back({schedule_label, o.name, o.payoff.coin_delta, 0,
+                   "coin-negative without goods"});
+  }
+  if (o.bound.principal_lost) {
+    out.push_back({schedule_label, o.name, o.payoff.coin_delta, floor,
+                   "lost principal without the counter-asset"});
+  }
+  return out.size() - before;
+}
+
+AuditVerdict audit_verdict(const std::vector<PartyOutcome>& outcomes) {
+  if (outcomes.size() > 64) {
+    throw std::invalid_argument(
+        "audit_verdict: " + std::to_string(outcomes.size()) +
+        " parties do not fit a 64-bit conformance mask");
+  }
+  AuditVerdict v;
+  Amount total = 0;
+  std::vector<Violation> scratch;
+  for (std::size_t p = 0; p < outcomes.size(); ++p) {
+    const PartyOutcome& o = outcomes[p];
+    total += o.payoff.coin_delta;
+    v.completed = v.completed && o.bound.completed;
+    if (audit_party({}, o, scratch) > 0) {
+      v.fails_if_conforming |= std::uint64_t{1} << p;
+    }
+  }
+  v.conserved = total == 0;
+  return v;
 }
 
 }  // namespace xchain::sim

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -84,17 +85,51 @@ struct Violation {
   bool operator==(const Violation&) const = default;
 };
 
-/// Audits one schedule's outcomes. Each conforming party must end at or
-/// above its HedgeBound floor, never coin-negative without goods, and
-/// without principal_lost (asset safety). When every party conforms, every
-/// outcome must be `completed` (liveness: one "<all>" violation per run).
-/// With `check_conservation`, native-coin flows must be zero-sum across
-/// parties (premiums only move between parties; contracts never strand
-/// coins). Appends any violations to `out` and returns the number of
-/// conforming parties audited.
+/// Audits one schedule's outcomes. Each conforming party must pass
+/// audit_party's checks. When every party conforms, every outcome must be
+/// `completed` (liveness: one "<all>" violation per run). With
+/// `check_conservation`, native-coin flows must be zero-sum across parties
+/// (premiums only move between parties; contracts never strand coins).
+/// Appends any violations to `out` and returns the number of conforming
+/// parties audited.
 std::size_t audit_schedule(const std::string& schedule_label,
                            const std::vector<PartyOutcome>& outcomes,
                            std::vector<Violation>& out,
                            bool check_conservation = true);
+
+/// The per-party checks audit_schedule applies to a conforming party: it
+/// ends at or above its HedgeBound floor, never coin-negative without
+/// goods, and without principal_lost (asset safety). They read the party's
+/// payoff and bound only, never its conforming flag. Appends the party's
+/// violations under `schedule_label` to `out` and returns how many (0, 1
+/// or 2).
+std::size_t audit_party(const std::string& schedule_label,
+                        const PartyOutcome& o, std::vector<Violation>& out);
+
+/// What audit_schedule (conservation checked) decides about one outcome
+/// vector under every conformance pattern at once. A pattern is a mask
+/// with bit p set when party p conforms; the outcomes' own conforming
+/// flags play no part. The schedule-tree executor keeps one verdict per
+/// memo leaf and answers most schedules from it.
+struct AuditVerdict {
+  /// Bit p: party p fails audit_party's checks, so it breaches whenever it
+  /// conforms.
+  std::uint64_t fails_if_conforming = 0;
+  /// Native-coin flows sum to zero across the parties.
+  bool conserved = true;
+  /// Every outcome is `completed`.
+  bool completed = true;
+
+  /// Whether the audit reports a violation when exactly the parties in
+  /// `conforming` conform; `all` has a bit for every party.
+  bool violates(std::uint64_t conforming, std::uint64_t all) const {
+    return !conserved || (fails_if_conforming & conforming) != 0 ||
+           (!completed && conforming == all);
+  }
+};
+
+/// The verdict on `outcomes`. Throws std::invalid_argument past 64
+/// parties, which a mask cannot hold.
+AuditVerdict audit_verdict(const std::vector<PartyOutcome>& outcomes);
 
 }  // namespace xchain::sim

@@ -1,6 +1,7 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -16,6 +17,15 @@
 namespace xchain::sim {
 
 namespace {
+
+/// Debug builds check every shortcut the sweep takes: they audit each
+/// verdict-served schedule the exact way as well, and re-execute every
+/// permuted serve.
+#ifdef NDEBUG
+constexpr bool kCheckShortcuts = false;
+#else
+constexpr bool kCheckShortcuts = true;
+#endif
 
 /// Mixed-radix view of one adapter's raw schedule space (party 0's plan
 /// least significant — exactly the order the serial enumeration visits).
@@ -86,11 +96,19 @@ class ScheduleSpace {
     for (const auto& space : spaces_) raw_size_ *= space.size();
   }
 
+  /// A plan's or a schedule's conformance mask (bit p set when party p's
+  /// plan conforms within Δ; meaningless past 64 parties) and deviator
+  /// count (plans off the reference plan).
+  struct Bits {
+    std::uint64_t conforming = 0;
+    int deviators = 0;
+  };
+
   /// Raw combination count, before any max_deviators filtering.
   std::size_t raw_size() const { return raw_size_; }
 
-  /// The bounded per-party plan lists (index-decoded by make()); the tree
-  /// executor's depth-first exploration walks these directly.
+  /// The bounded per-party plan lists (index-decoded by decode()); the
+  /// tree executor's depth-first exploration walks these directly.
   const std::vector<std::vector<DeviationPlan>>& plan_lists() const {
     return spaces_;
   }
@@ -98,44 +116,67 @@ class ScheduleSpace {
   /// Truncation notices from the strategy-space bounds ([] when whole).
   const std::vector<std::string>& truncations() const { return truncations_; }
 
-  /// Decodes raw index `index` into `out`, reusing out's plan storage.
-  /// Returns false (leaving `out` unspecified) when the combination
-  /// exceeds the deviator budget. Labels are built separately (and only
-  /// when needed — per schedule they would dominate the decode cost) via
-  /// fill_label().
-  bool make(std::size_t index, int max_deviators, Schedule& out,
-            bool with_label) const {
-    // Under a deviator budget most raw indices are rejected: count before
-    // copying any plan.
-    if (max_deviators >= 0 && deviators(index) > max_deviators) return false;
-    // Copy-assign into existing plan slots. A clear()-and-push_back loop
-    // frees and reallocates every plan's modifier list on every decode;
-    // with the tree executor serving most schedules straight from the
-    // memo-trie, those per-decode allocations are a measurable slice of
-    // the whole sweep loop.
-    out.plans.resize(spaces_.size());
-    std::size_t rest = index;
+  /// Calls visit(raw index, plan indices, bits) for every schedule of raw
+  /// indices [begin, end) within the deviator budget, in raw order. An
+  /// odometer over the per-party plan indices stands in for decoding, and
+  /// a per-(party, plan) table gives each schedule's bits, so the walk
+  /// needs no division and no plan copy.
+  template <class Visit>
+  void for_each(std::size_t begin, std::size_t end, int max_deviators,
+                Visit&& visit) const {
+    // Party p's plan d is table[at[p] + d].
+    const Tick delta = adapter_.delta();
+    std::vector<Bits> table;
+    std::vector<std::size_t> at;
     for (std::size_t p = 0; p < spaces_.size(); ++p) {
-      out.plans[p] = spaces_[p][rest % spaces_[p].size()];
-      rest /= spaces_[p].size();
+      at.push_back(table.size());
+      for (const DeviationPlan& plan : spaces_[p]) {
+        table.push_back(
+            {p < 64 && plan.conforms_within(delta) ? std::uint64_t{1} << p
+                                                   : 0,
+             plan.is_conforming() ? 0 : 1});
+      }
     }
-
-    if (with_label) {
-      fill_label(out);
-    } else {
-      out.label.clear();
+    std::vector<std::size_t> digit = digits(begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      Bits b;
+      for (std::size_t p = 0; p < digit.size(); ++p) {
+        b.conforming |= table[at[p] + digit[p]].conforming;
+        b.deviators += table[at[p] + digit[p]].deviators;
+      }
+      if (max_deviators < 0 || b.deviators <= max_deviators) {
+        visit(i, digit, b);
+      }
+      for (std::size_t p = 0; p < digit.size(); ++p) {
+        if (++digit[p] < spaces_[p].size()) break;
+        digit[p] = 0;
+      }
     }
-    return true;
   }
 
-  /// Deviating parties (those off their reference plan) at raw `index`.
-  int deviators(std::size_t index) const {
-    int count = 0;
-    for (const auto& space : spaces_) {
-      if (!space[index % space.size()].is_conforming()) ++count;
-      index /= space.size();
+  /// Raw index `index` as one plan index per party, party 0's least
+  /// significant.
+  std::vector<std::size_t> digits(std::size_t index) const {
+    std::vector<std::size_t> digit(spaces_.size());
+    for (std::size_t p = 0; p < spaces_.size(); ++p) {
+      digit[p] = index % spaces_[p].size();
+      index /= spaces_[p].size();
     }
-    return count;
+    return digit;
+  }
+
+  /// Decodes the schedule whose plan indices are `digit` into `out`,
+  /// reusing out's plan storage, and clears its label. Labels are built
+  /// separately, and only when needed (per schedule they would dominate
+  /// the decode cost), via fill_label().
+  void decode(const std::vector<std::size_t>& digit, Schedule& out) const {
+    // Copy-assign into existing plan slots: a clear()-and-push_back loop
+    // frees and reallocates every plan's modifier list on every decode.
+    out.plans.resize(spaces_.size());
+    for (std::size_t p = 0; p < spaces_.size(); ++p) {
+      out.plans[p] = spaces_[p][digit[p]];
+    }
+    out.label.clear();
   }
 
   /// Builds the human-readable label for a decoded schedule.
@@ -169,30 +210,56 @@ struct ShardResult {
   std::vector<std::size_t> violation_raw;
 };
 
+/// What a sweep engine knows about one schedule before it is audited.
+enum class Verdict {
+  kClean,     ///< audits clean: count its conforming parties, nothing more
+  kViolates,  ///< audits with violations: take the exact path
+  kUnknown,   ///< take the exact path
+};
+
 /// Audits every schedule of raw indices [begin, end) within the deviator
-/// budget, taking its outcomes from outcomes_of(raw index, schedule).
-template <class OutcomesOf>
+/// budget. verdict_of(raw index, plan indices, conformance mask) settles a
+/// clean schedule with its audited count alone; any other takes the exact
+/// path — decode, take its outcomes from outcomes_of(raw index, schedule),
+/// audit_schedule, and label its violations.
+template <class VerdictOf, class OutcomesOf>
 void sweep_range(const ScheduleSpace& space, int max_deviators,
-                 std::size_t begin, std::size_t end, OutcomesOf&& outcomes_of,
-                 ShardResult& out) {
+                 std::size_t begin, std::size_t end, VerdictOf&& verdict_of,
+                 OutcomesOf&& outcomes_of, ShardResult& out) {
   Schedule s;
-  for (std::size_t i = begin; i < end; ++i) {
-    // Decode without the label: on a reused world the label strings would
-    // be a large fraction of the per-schedule cost, and the audit only
-    // needs them on (rare) violations — fill them in after the fact.
-    if (!space.make(i, max_deviators, s, /*with_label=*/false)) continue;
+  space.for_each(begin, end, max_deviators,
+                 [&](std::size_t i, const std::vector<std::size_t>& digit,
+                     const ScheduleSpace::Bits& bits) {
+    ++out.schedules_run;
+    const std::size_t conforming =
+        static_cast<std::size_t>(std::popcount(bits.conforming));
+    const Verdict verdict = verdict_of(i, digit, bits.conforming);
+    if (verdict == Verdict::kClean && !kCheckShortcuts) {
+      out.conforming_audited += conforming;
+      return;
+    }
+    // Labels are built only for (rare) violations: per schedule they
+    // would be a large fraction of the cost.
+    space.decode(digit, s);
     const std::vector<PartyOutcome>& outcomes = outcomes_of(i, s);
     const std::size_t before = out.violations.size();
-    out.conforming_audited += audit_schedule(s.label, outcomes, out.violations);
-    if (out.violations.size() != before) {
-      space.fill_label(s);
-      for (std::size_t v = before; v < out.violations.size(); ++v) {
-        out.violations[v].schedule = s.label;
-        out.violation_raw.push_back(i);
-      }
+    const std::size_t audited =
+        audit_schedule(s.label, outcomes, out.violations);
+    out.conforming_audited += audited;
+    const bool violates = out.violations.size() != before;
+    const bool disagrees =
+        verdict != Verdict::kUnknown &&
+        (violates != (verdict == Verdict::kViolates) || audited != conforming);
+    if (violates || disagrees) space.fill_label(s);
+    if (disagrees) {
+      throw std::logic_error("tree executor: the leaf verdict on " + s.label +
+                             " differs from its exact audit");
     }
-    ++out.schedules_run;
-  }
+    for (std::size_t v = before; v < out.violations.size(); ++v) {
+      out.violations[v].schedule = s.label;
+      out.violation_raw.push_back(i);
+    }
+  });
 }
 
 /// Fault-attribution pass: every violating schedule re-runs on a
@@ -216,7 +283,7 @@ void attribute_faults(const ProtocolAdapter& adapter,
     const std::size_t raw = violation_raw.at(v);
     if (raw != last_raw) {
       twin_violations.clear();
-      space.make(raw, /*max_deviators=*/-1, s, /*with_label=*/false);
+      space.decode(space.digits(raw), s);
       audit_schedule(s.label, twin->run(s), twin_violations);
       last_raw = raw;
     }
@@ -248,8 +315,11 @@ void attribute_faults(const ProtocolAdapter& adapter,
 ///     stack, one slot per tick) to that consult's tick and runs only the
 ///     new suffix.
 ///
-/// The sweep loop then serves every schedule from its leaf (outcomes()),
-/// never touching the world.
+/// Each new leaf gets a dense id and its AuditVerdict, computed once. The
+/// sweep loop then answers most schedules from their leaf's verdict under
+/// their conformance mask (verdict()), and serves the rest — violating
+/// schedules, sampled permuted serves — from their leaf's outcomes
+/// (outcomes()), never touching the world.
 ///
 /// An adapter's interchangeable parties (ProtocolAdapter::
 /// interchangeable_parties) shrink the walk: a schedule is *canonical*
@@ -292,6 +362,43 @@ class TreeExecutor {
 
   std::size_t nodes_executed() const { return nodes_executed_; }
 
+  /// The shard loop's fast path for the schedule with raw index `raw`,
+  /// plan indices `digit` and conformance mask `conforming`: its leaf's
+  /// verdict under that mask. A schedule without a leaf of its own is a
+  /// permuted serve, answered from its sorted twin's verdict under the
+  /// twin's mask: a permutation moves each range party's outcome and
+  /// conformance together, so the set of breaching checks and the audited
+  /// count stay the same. kUnknown sends the schedule down the exact path:
+  /// an adapter past 64 parties, a sampled permuted serve (outcomes()
+  /// re-executes it), or a hole (outcomes() throws). Every permuted serve
+  /// is counted once, here when it is settled clean and in outcomes()
+  /// otherwise.
+  Verdict verdict(std::size_t raw, const std::vector<std::size_t>& digit,
+                  std::uint64_t conforming) {
+    if (!verdicts_on_) return Verdict::kUnknown;
+    std::uint32_t id = leaf_of_[raw];
+    if (id == kNoLeaf) {
+      if (verifying_serve()) return Verdict::kUnknown;
+      const std::size_t first = sym_.first;
+      std::copy_n(digit.begin() + static_cast<std::ptrdiff_t>(first),
+                  sym_.size(), digits_.begin());
+      const std::size_t twin = sorted_twin(raw);
+      id = twin == raw ? kNoLeaf : leaf_of_[twin];
+      if (id == kNoLeaf) return Verdict::kUnknown;
+      conforming &= ~sym_mask_;
+      for (std::size_t j = 0; j < sym_.size(); ++j) {
+        if (sym_conforms_[digits_[order_[j]]]) {
+          conforming |= std::uint64_t{1} << (first + j);
+        }
+      }
+      if (verdicts_[id].violates(conforming, all_)) return Verdict::kViolates;
+      ++permuted_serves_;
+      return Verdict::kClean;
+    }
+    return verdicts_[id].violates(conforming, all_) ? Verdict::kViolates
+                                                    : Verdict::kClean;
+  }
+
   /// The outcomes of the schedule with raw index `raw` (decoded into `s`
   /// by the caller), served from its explored leaf. Conformance flags are
   /// patched in place on the leaf's stored outcomes, so a lookup costs no
@@ -302,36 +409,24 @@ class TreeExecutor {
   /// it silently would mis-attribute outcomes.
   const std::vector<PartyOutcome>& outcomes(std::size_t raw,
                                             const Schedule& s) {
-    if (TrieNode* const node = leaf_of_[raw]) {
-      patch_conformance(s, node->outcomes);
-      return node->outcomes;
+    if (const std::uint32_t id = leaf_of_[raw]; id != kNoLeaf) {
+      patch_conformance(s, leaf_outcomes_[id]);
+      return leaf_outcomes_[id];
     }
-    // The sorted twin: stable-sort the range's plan indices. order_[j] is
-    // the range position holding the j-th smallest, so the twin's j-th
-    // range party plays that position's plan.
     const std::size_t first = sym_.first;
     const std::size_t k = sym_.size();
-    std::size_t twin = raw;
     for (std::size_t j = 0; j < k; ++j) {
       digits_[j] = raw / strides_[first + j] % lists()[first + j].size();
-      twin -= digits_[j] * strides_[first + j];
-      std::size_t i = j;
-      for (; i > 0 && digits_[order_[i - 1]] > digits_[j]; --i) {
-        order_[i] = order_[i - 1];
-      }
-      order_[i] = j;
     }
-    for (std::size_t j = 0; j < k; ++j) {
-      twin += digits_[order_[j]] * strides_[first + j];
-    }
-    const TrieNode* const node = twin == raw ? nullptr : leaf_of_[twin];
-    if (node == nullptr) {
+    const std::size_t twin = sorted_twin(raw);
+    const std::uint32_t id = twin == raw ? kNoLeaf : leaf_of_[twin];
+    if (id == kNoLeaf) {
       throw std::logic_error(
           adapter_.name() +
           ": tree exploration left part of the schedule space uncovered");
     }
     // Names stay with their positions; payoffs and bounds follow plans.
-    const std::vector<PartyOutcome>& from = node->outcomes;
+    const std::vector<PartyOutcome>& from = leaf_outcomes_[id];
     permuted_.resize(from.size());
     for (std::size_t q = 0; q < from.size(); ++q) {
       if (q < first || q >= first + k) permuted_[q] = from[q];
@@ -391,7 +486,20 @@ class TreeExecutor {
     if (sym_.size() < 2) sym_ = {};
     digits_.assign(sym_.size(), 0);
     order_.assign(sym_.size(), 0);
-    // Raw-index strides matching ScheduleSpace::make's decode (party 0 is
+    sym_mask_ = 0;
+    sym_conforms_.clear();
+    for (std::size_t p = sym_.first; p < sym_.last && p < 64; ++p) {
+      sym_mask_ |= std::uint64_t{1} << p;
+    }
+    if (sym_.size() > 0) {
+      for (const DeviationPlan& plan : lists[sym_.first]) {
+        sym_conforms_.push_back(plan.conforms_within(adapter_.delta()));
+      }
+    }
+    // Verdicts need a conformance mask, one bit per party.
+    verdicts_on_ = n <= 64;
+    all_ = n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    // Raw-index strides matching ScheduleSpace::digits (party 0 is
     // the fastest-varying digit). Every leaf learns the exact set of
     // plan-index combinations it covers, so leaf_of_ maps each raw index
     // straight to its leaf.
@@ -401,23 +509,26 @@ class TreeExecutor {
       strides_[p] = total;
       total *= lists[p].size();
     }
-    leaf_of_.assign(total, nullptr);
+    leaf_of_.assign(total, kNoLeaf);
     std::vector<std::vector<int>> cand(n);
     explore_parties(n, max_deviators, cand);
   }
 
  private:
+  static constexpr std::uint32_t kNoLeaf =
+      std::numeric_limits<std::uint32_t>::max();
+
   /// One memo-trie node: the question "which policy does `party`'s plan
-  /// give ordinal `ordinal`?", one edge per answer seen so far. Leaves
-  /// carry the outcomes of the run that ended there. Roots live in a map
-  /// keyed by the schedule's variant vector: variants steer engines
-  /// outside the consultation mechanism (the auctioneer's declaration
-  /// strategy), so runs under different variants never share nodes.
+  /// give ordinal `ordinal`?", one edge per answer seen so far. A leaf's
+  /// id indexes the outcomes of the run that ended there and their
+  /// verdict. Roots live in a map keyed by the schedule's variant vector:
+  /// variants steer engines outside the consultation mechanism (the
+  /// auctioneer's declaration strategy), so runs under different variants
+  /// never share nodes.
   struct TrieNode {
     PartyId party = kNoParty;
     int ordinal = -1;
-    bool leaf = false;
-    std::vector<PartyOutcome> outcomes;
+    std::uint32_t leaf = kNoLeaf;  ///< dense leaf id, once a run ends here
     std::vector<std::pair<ActionPolicy, std::unique_ptr<TrieNode>>> edges;
   };
 
@@ -449,11 +560,29 @@ class TreeExecutor {
   /// Permuted serves are sampled the same way (every one in Debug): a
   /// sampled serve re-executes its schedule and compares.
   bool verifying_serve() const {
-#ifdef NDEBUG
-    return permuted_serves_ < 2 || permuted_serves_ % kVerifyEvery == 0;
-#else
-    return true;
-#endif
+    return kCheckShortcuts || permuted_serves_ < 2 ||
+           permuted_serves_ % kVerifyEvery == 0;
+  }
+
+  /// The raw index of `raw`'s sorted twin, from the range's plan indices
+  /// in digits_: a stable sort of them, with order_[j] the range position
+  /// holding the j-th smallest, so the twin's j-th range party plays that
+  /// position's plan.
+  std::size_t sorted_twin(std::size_t raw) {
+    const std::size_t first = sym_.first;
+    std::size_t twin = raw;
+    for (std::size_t j = 0; j < sym_.size(); ++j) {
+      twin -= digits_[j] * strides_[first + j];
+      std::size_t i = j;
+      for (; i > 0 && digits_[order_[i - 1]] > digits_[j]; --i) {
+        order_[i] = order_[i - 1];
+      }
+      order_[i] = j;
+    }
+    for (std::size_t j = 0; j < sym_.size(); ++j) {
+      twin += digits_[order_[j]] * strides_[first + j];
+    }
+    return twin;
   }
 
   void push_slot(Tick t, bool with_hash) {
@@ -568,7 +697,7 @@ class TreeExecutor {
     }
     execute(s, from);
     ++nodes_executed_;
-    TrieNode* const leaf = memoize(s, adapter_.tree_collect(s));
+    const std::uint32_t leaf = memoize(s, adapter_.tree_collect(s));
 
     // Branch exploration rewrites log_, so walk a copy of this run's path.
     const std::vector<ConsultEntry> path = log_.entries();
@@ -584,8 +713,8 @@ class TreeExecutor {
     };
 
     // This leaf serves exactly the cross-product of each party's
-    // candidates that agree with the complete path — record it so
-    // outcomes() resolves raw indices with one table load. (Within a
+    // candidates that agree with the complete path — record it so the
+    // sweep loop resolves raw indices with one table load. (Within a
     // sub-space distinct leaves differ at their first divergent consulted
     // answer, and sub-spaces are disjoint, so no index is written twice.)
     {
@@ -678,17 +807,18 @@ class TreeExecutor {
     }
   }
 
-  /// Records the just-executed run of `s` in the trie (returning its
-  /// leaf), verifying determinism: runs sharing a decision prefix must
+  /// Records the just-executed run of `s` in the trie and returns its
+  /// leaf id, verifying determinism: runs sharing a decision prefix must
   /// consult the same coordinate next, and a run reaching an existing leaf
   /// — possible only across deviator-set sub-spaces — must reproduce its
-  /// outcomes, conformance flags aside.
-  TrieNode* memoize(const Schedule& s, std::vector<PartyOutcome> out) {
+  /// outcomes, conformance flags aside. A new leaf gets the next id and
+  /// its audit verdict.
+  std::uint32_t memoize(const Schedule& s, std::vector<PartyOutcome> out) {
     key_.clear();
     for (const DeviationPlan& plan : s.plans) key_.push_back(plan.variant());
     TrieNode* node = &roots_[key_];
     for (const ConsultEntry& e : log_.entries()) {
-      if (node->leaf ||
+      if (node->leaf != kNoLeaf ||
           (node->party != kNoParty &&
            (node->party != e.party || node->ordinal != e.ordinal))) {
         throw std::logic_error(
@@ -712,17 +842,27 @@ class TreeExecutor {
       }
       node = child;
     }
-    if (node->leaf) patch_conformance(s, node->outcomes);
-    if (node->party != kNoParty || (node->leaf && node->outcomes != out)) {
+    if (node->leaf != kNoLeaf) {
+      patch_conformance(s, leaf_outcomes_[node->leaf]);
+    }
+    if (node->party != kNoParty ||
+        (node->leaf != kNoLeaf && leaf_outcomes_[node->leaf] != out)) {
       throw std::logic_error(
           adapter_.name() +
           ": tree executor run consulted a prefix of an earlier run with "
           "equal answers but ended differently — engine is not "
           "deterministic");
     }
-    node->leaf = true;
-    node->outcomes = std::move(out);
-    return node;
+    if (node->leaf == kNoLeaf) {
+      if (leaf_outcomes_.size() == kNoLeaf) {
+        throw std::length_error(adapter_.name() +
+                                ": tree executor ran out of leaf ids");
+      }
+      node->leaf = static_cast<std::uint32_t>(leaf_outcomes_.size());
+      if (verdicts_on_) verdicts_.push_back(audit_verdict(out));
+      leaf_outcomes_.push_back(std::move(out));
+    }
+    return node->leaf;
   }
 
   /// Conformance flags depend on plan coordinates a run may never consult
@@ -744,15 +884,24 @@ class TreeExecutor {
   ConsultLog log_;
   std::map<std::vector<int>, TrieNode> roots_;
   const ScheduleSpace* space_ = nullptr;
-  std::vector<TrieNode*> leaf_of_;  ///< raw index -> leaf (null: unexplored)
+  /// Raw index -> leaf id (kNoLeaf: unexplored); leaf id -> the outcomes
+  /// of the run that ended there, and -> their verdict (none past 64
+  /// parties).
+  std::vector<std::uint32_t> leaf_of_;
+  std::vector<std::vector<PartyOutcome>> leaf_outcomes_;
+  std::vector<AuditVerdict> verdicts_;
+  bool verdicts_on_ = false;
+  std::uint64_t all_ = 0;  ///< conformance mask of every party
   std::vector<std::size_t> strides_;  ///< raw-index stride per party
   std::vector<std::uint64_t> hashes_;  ///< world hash per snapshot slot
   std::size_t hashed_to_ = 0;  ///< leading slots whose hashes are fresh
   std::vector<int> key_;       ///< memoize()'s scratch: the run's variants
   std::size_t nodes_executed_ = 0;
   PartyRange sym_;  ///< interchangeable parties (empty: no reduction)
-  /// outcomes()'s scratch for permuted serves: the range's plan indices,
-  /// their stable sort order, and the served outcomes.
+  std::uint64_t sym_mask_ = 0;  ///< their conformance bits
+  std::vector<bool> sym_conforms_;  ///< per plan of their shared list
+  /// Scratch for permuted serves: the range's plan indices, their stable
+  /// sort order, and the served outcomes.
   std::vector<std::size_t> digits_;
   std::vector<std::size_t> order_;
   std::vector<PartyOutcome> permuted_;
@@ -802,12 +951,12 @@ std::vector<Schedule> ScenarioRunner::enumerate(
   validate_sweep_options(opts);
   const ScheduleSpace space(adapter_, opts.strategies);
   std::vector<Schedule> schedules;
-  Schedule s;
-  for (std::size_t i = 0; i < space.raw_size(); ++i) {
-    if (space.make(i, opts.max_deviators, s, /*with_label=*/true)) {
-      schedules.push_back(std::move(s));
-    }
-  }
+  space.for_each(0, space.raw_size(), opts.max_deviators,
+                 [&](std::size_t, const std::vector<std::size_t>& digit,
+                     const ScheduleSpace::Bits&) {
+                   space.decode(digit, schedules.emplace_back());
+                   space.fill_label(schedules.back());
+                 });
   return schedules;
 }
 
@@ -821,9 +970,9 @@ std::size_t ScenarioRunner::schedule_count(
   }
   if (opts.max_deviators < 0) return space.raw_size();
   std::size_t count = 0;
-  for (std::size_t i = 0; i < space.raw_size(); ++i) {
-    if (space.deviators(i) <= opts.max_deviators) ++count;
-  }
+  space.for_each(0, space.raw_size(), opts.max_deviators,
+                 [&](std::size_t, const std::vector<std::size_t>&,
+                     const ScheduleSpace::Bits&) { ++count; });
   return count;
 }
 
@@ -868,7 +1017,7 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
        tree_capable)) {
     // The tree executor is inherently serial (one world, one snapshot
     // stack); kTree overrides any thread request. Exploration runs every
-    // execution up front, so the shard loop below only audits leaves.
+    // execution up front, so the shard loop below only reads leaves.
     workers = 1;
     tree.emplace(adapter_, *adapter_.tree_frame());
     tree->explore(space, opts.max_deviators);
@@ -892,6 +1041,10 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
     if (tree) {
       sweep_range(
           space, opts.max_deviators, begin, end,
+          [&](std::size_t raw, const std::vector<std::size_t>& digit,
+              std::uint64_t conforming) {
+            return tree->verdict(raw, digit, conforming);
+          },
           [&](std::size_t raw, const Schedule& s) -> const auto& {
             return tree->outcomes(raw, s);
           },
@@ -903,6 +1056,9 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
     std::vector<PartyOutcome> outcomes;
     sweep_range(
         space, opts.max_deviators, begin, end,
+        [](std::size_t, const std::vector<std::size_t>&, std::uint64_t) {
+          return Verdict::kUnknown;
+        },
         [&](std::size_t, const Schedule& s) -> const auto& {
           return outcomes = engine.run(s);
         },

@@ -60,7 +60,20 @@
 // non-decreasing, are explored, and every other schedule is served from
 // its sorted twin's leaf with the range's outcomes permuted back. A sample
 // of the permuted serves (all of them in Debug) is re-executed and
-// compared whole, like the rewinds below. Rewinds are
+// compared whole, like the rewinds below.
+//
+// Each leaf's audit verdict (payoff_audit.hpp AuditVerdict: which parties
+// breach if they conform, whether coins are conserved, whether the run
+// completed) is computed once, when the leaf is made. The audit loop then
+// walks raw indices with an odometer over the per-party plan indices and
+// answers a clean schedule from its leaf's verdict under its conformance
+// mask: a leaf-id load and one mask test, no decode and no outcome
+// vector. A permuted serve is answered from its twin's verdict under the
+// twin's mask. Only violating schedules and sampled permuted serves are
+// decoded and audited from their leaf's outcomes, in raw order, and Debug
+// builds audit every verdict-served schedule that way too and throw on
+// any difference. Adapters past 64 parties, which a mask cannot hold, are
+// audited the exact way throughout. Rewinds are
 // integrity-checked by a 64-bit state hash: a contract or actor whose
 // state_tie() misses a mutable member fails loudly instead of silently
 // corrupting the sweep. The tree report is identical, schedule for
@@ -453,7 +466,9 @@ struct SweepReport {
   std::size_t schedules_covered = 0;
   /// Schedules served from a memo-trie leaf without touching the world,
   /// their own leaf's or, permuted, their sorted twin's
-  /// (== schedules_run - nodes_executed; 0 on the brute path).
+  /// (== schedules_run - nodes_executed; 0 on the brute path). Clean ones
+  /// are answered from the leaf's audit verdict under their conformance
+  /// mask; violating ones are audited from the leaf's outcomes.
   std::size_t dedup_hits = 0;
 
   /// Violations attributed to the injected chain faults rather than any

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -451,6 +454,86 @@ TEST(PayoffAudit, ConservationCheckCatchesStrandedCoins) {
   audit_schedule("test", {a}, violations, /*check_conservation=*/true);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].party, "<all>");
+}
+
+// The tree executor answers most swept schedules from one AuditVerdict per
+// memo leaf instead of auditing them. Over every conformance mask of
+// outcome vectors that exercise every check, audit_party plus the
+// verdict's conservation and liveness bits must give audit_schedule's
+// audited count and violation count, and the verdict must say whether the
+// audit reports anything.
+TEST(PayoffAudit, VerdictMatchesAuditUnderEveryConformanceMask) {
+  // One party per per-party check, one failing two of them, one clean.
+  PartyOutcome floor{"below-floor", true, {}, {}};
+  floor.payoff.coin_delta = 1;
+  floor.bound.min_coin_delta = 2;
+  PartyOutcome allowance{"over-allowance", true, {}, {}};
+  allowance.payoff.coin_delta = -6;
+  allowance.bound.goods_received = true;
+  allowance.bound.spend_allowance = 5;
+  PartyOutcome negative{"coin-negative", true, {}, {}};
+  negative.payoff.coin_delta = -1;
+  negative.bound.min_coin_delta = -3;
+  PartyOutcome lost{"lost-principal", true, {}, {}};
+  lost.payoff.coin_delta = 4;
+  lost.bound.principal_lost = true;
+  PartyOutcome floor_and_lost{"below-floor-and-lost", true, {}, {}};
+  floor_and_lost.bound.min_coin_delta = 1;
+  floor_and_lost.bound.principal_lost = true;
+  PartyOutcome clean{"clean", true, {}, {}};
+  clean.payoff.coin_delta = 2;
+
+  // Zero-sum and complete; then incomplete; then stranding a coin; then
+  // both, with no per-party failure left to hide behind.
+  const std::vector<PartyOutcome> conserving = {
+      floor, allowance, negative, lost, floor_and_lost, clean};
+  std::vector<PartyOutcome> incomplete = conserving;
+  incomplete[5].bound.completed = false;
+  std::vector<PartyOutcome> stranding = conserving;
+  stranding[5].payoff.coin_delta = 3;
+  PartyOutcome incomplete_clean = clean;
+  incomplete_clean.bound.completed = false;
+  const std::vector<PartyOutcome> incomplete_stranding = {clean,
+                                                          incomplete_clean};
+
+  std::set<std::string> details;
+  for (std::vector<PartyOutcome> outcomes :
+       {conserving, incomplete, stranding, incomplete_stranding}) {
+    const AuditVerdict verdict = audit_verdict(outcomes);
+    const std::uint64_t all = (std::uint64_t{1} << outcomes.size()) - 1;
+    for (std::uint64_t mask = 0; mask <= all; ++mask) {
+      SCOPED_TRACE(outcomes.size());
+      SCOPED_TRACE(mask);
+      std::size_t expected = 0;
+      std::vector<Violation> scratch;
+      for (std::size_t p = 0; p < outcomes.size(); ++p) {
+        outcomes[p].conforming = (mask >> p & 1) != 0;
+        const std::size_t failed = audit_party("test", outcomes[p], scratch);
+        EXPECT_EQ((verdict.fails_if_conforming >> p & 1) != 0, failed > 0);
+        if (outcomes[p].conforming) expected += failed;
+      }
+      if (!verdict.conserved) ++expected;
+      if (!verdict.completed && mask == all) ++expected;
+
+      std::vector<Violation> violations;
+      EXPECT_EQ(audit_schedule("test", outcomes, violations),
+                static_cast<std::size_t>(std::popcount(mask)));
+      EXPECT_EQ(violations.size(), expected);
+      EXPECT_EQ(verdict.violates(mask, all), !violations.empty());
+      for (const Violation& v : violations) details.insert(v.detail);
+    }
+  }
+  EXPECT_EQ(details, (std::set<std::string>{
+                         "lost more than earned premiums",
+                         "spent more than allowance over premium floor",
+                         "coin-negative without goods",
+                         "lost principal without the counter-asset",
+                         "native-coin flows not zero-sum across parties",
+                         "all-conforming run did not complete"}));
+
+  // A conformance mask holds 64 parties.
+  EXPECT_THROW((void)audit_verdict(std::vector<PartyOutcome>(65)),
+               std::invalid_argument);
 }
 
 // The base (unhedged) multi-party protocol is the paper's counterexample:

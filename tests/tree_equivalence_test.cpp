@@ -413,6 +413,116 @@ TEST(TreeEquivalence, WitnessSymmetryGuardCatchesFalseClaims) {
                  "lopsided-bridge");
 }
 
+// A bridge whose audit bounds make leaf verdicts depend on who conforms.
+// All of them are path-determined, and none tells one witness from
+// another. A commit that never completes sets the floor of every party it
+// left no worse off a coin above its payoff, so it breaches exactly those
+// of them that conform. A completed transfer owes each witness its reward,
+// as on the real bridge: a witness left unpaid would breach if it
+// conformed, so a permuted serve audits clean only under its twin's mask.
+// A completed transfer also counts as incomplete, so it fails liveness
+// only when every party conforms. When every witness bonded and the user
+// still never committed, the user is paid a coin from nowhere, which
+// breaks conservation whoever conforms.
+class MaskSensitiveBridgeAdapter final
+    : public WorldAdapter<core::BridgeWorld> {
+ public:
+  MaskSensitiveBridgeAdapter(core::BridgeConfig cfg, PartyRange range)
+      : cfg_(cfg), range_(range) {}
+
+  std::string name() const override { return "mask-sensitive-bridge"; }
+  std::size_t party_count() const override {
+    return static_cast<std::size_t>(cfg_.party_count());
+  }
+  int action_count(PartyId p) const override {
+    return p == 0 ? cfg_.user_actions() : cfg_.witness_actions();
+  }
+  Tick delta() const override { return cfg_.delta; }
+  PartyRange interchangeable_parties() const override { return range_; }
+  std::unique_ptr<ProtocolAdapter> clone() const override {
+    return std::make_unique<MaskSensitiveBridgeAdapter>(*this);
+  }
+
+ private:
+  std::unique_ptr<core::BridgeWorld> make_world(
+      const core::WorldBinding& binding) const override {
+    return std::make_unique<core::BridgeWorld>(cfg_, binding);
+  }
+  std::vector<PartyOutcome> outcomes_from(const core::BridgeResult& r,
+                                          const Schedule& s) const override {
+    std::vector<PartyOutcome> out;
+    for (std::size_t p = 0; p < s.plans.size(); ++p) {
+      PartyOutcome o{p == 0 ? "user" : "witness-" + std::to_string(p),
+                     s.plans[p].conforms_within(cfg_.delta), r.payoffs[p],
+                     {}};
+      if (r.committed && !r.transfer_completed && o.payoff.coin_delta >= 0) {
+        o.bound.min_coin_delta = o.payoff.coin_delta + 1;
+      }
+      if (p > 0 && r.transfer_completed) {
+        o.bound.min_coin_delta = cfg_.witness_reward;
+      }
+      o.bound.completed = !r.transfer_completed;
+      out.push_back(std::move(o));
+    }
+    if (!r.committed && r.bonds_posted == cfg_.n_witnesses) {
+      out[0].payoff.coin_delta += 1;
+    }
+    return out;
+  }
+
+  core::BridgeConfig cfg_;
+  PartyRange range_;
+};
+
+// Forced tree and brute must report identically on verdicts that depend
+// on the conformance mask: stats, violations in order with their labels
+// and details, and conforming-party audits. With the witnesses declared
+// interchangeable, violating permuted serves take the exact path and must
+// name each witness at its own position.
+TEST(TreeEquivalence, MaskSensitiveVerdictsMatchBrute) {
+  for (const PartyRange range : {PartyRange{}, PartyRange{1, 4}}) {
+    const MaskSensitiveBridgeAdapter adapter(core::BridgeConfig{}, range);
+    ScenarioRunner runner(adapter);
+    std::map<std::string, std::size_t> kinds;
+    std::size_t schedules = 0;
+    std::size_t nodes = 0;
+    for (const StrategySpace::Kind kind :
+         {StrategySpace::Kind::kHaltOnly, StrategySpace::Kind::kLateDelays}) {
+      for (const int k : {-1, 1}) {
+        SCOPED_TRACE("range [" + std::to_string(range.first) + ", " +
+                     std::to_string(range.last) + ") / " +
+                     StrategySpace::kind_name(kind) + " / max_deviators " +
+                     std::to_string(k));
+        SweepOptions opts;
+        opts.strategies.kind = kind;
+        opts.strategies.max_schedules = 1296;
+        opts.max_deviators = k;
+        opts.executor = SweepExecutor::kBrute;
+        const SweepReport brute = runner.sweep(opts);
+        opts.executor = SweepExecutor::kTree;
+        const SweepReport tree = runner.sweep(opts);
+        expect_identical(brute, tree);
+        expect_stats_invariants(brute, tree);
+        EXPECT_TRUE(tree.violations == brute.violations);
+        for (const Violation& v : brute.violations) {
+          ++kinds[v.party == "<all>" ? v.detail : v.party];
+        }
+        schedules += tree.schedules_run;
+        nodes += tree.nodes_executed;
+      }
+    }
+    // Every kind of verdict came up, for every witness.
+    EXPECT_EQ(kinds.size(), 6u);
+    for (const char* what :
+         {"all-conforming run did not complete",
+          "native-coin flows not zero-sum across parties", "user",
+          "witness-1", "witness-2", "witness-3"}) {
+      EXPECT_GT(kinds[what], 0u) << what;
+    }
+    EXPECT_LT(nodes, schedules);
+  }
+}
+
 // An active chain environment never reaches the tree, so it never
 // reduces: under a squeeze fee ties fall to submission order, which
 // follows witness id, and the witnesses stop being interchangeable.

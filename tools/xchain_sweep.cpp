@@ -75,8 +75,8 @@ void print_usage(std::FILE* to) {
       "faultless twin world ('[chain-fault]' in the details). --json=PATH\n"
       "writes the campaign report as JSON. --dry-run prints\n"
       "per-configuration schedule counts without running (it writes no\n"
-      "report, so it takes no --json=). Exit: 0 clean, 1 violations,\n"
-      "2 bad usage.\n");
+      "report, so it takes no --json=; nor does --list without a\n"
+      "--protocol). Exit: 0 clean, 1 violations, 2 bad usage.\n");
 }
 
 void print_list() {
@@ -276,6 +276,14 @@ int main(int argc, char** argv) {
   }
 
   if (list) {
+    // A bare --list runs nothing, so it has no campaign report to write:
+    // a requested artifact that never appears is an error.
+    if (spec.entries.empty() && !json_path.empty()) {
+      std::fprintf(stderr,
+                   "xchain-sweep: --list alone writes no report; drop "
+                   "--json=\n");
+      return 2;
+    }
     print_list();
     if (spec.entries.empty()) return 0;
   }

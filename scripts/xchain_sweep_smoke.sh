@@ -13,6 +13,8 @@
 #   * --dry-run prints per-configuration schedule counts without running
 #     (halt-only two-party: 16; --strategies=late-delays enlarges it), and
 #     exits 2 without writing when asked for a --json= report it has not;
+#   * a halt-only count past 64 bits exits 2 instead of wrapping (38
+#     auction bidders: exactly 7 * 3^38 schedules; 39: too many);
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
 #     JSON with the strategy space;
 #   * a --max-deviators=2 late-delays broker sweep writes the same JSON at
@@ -87,6 +89,19 @@ late_count="$(sed -n 's/^two-party: \([0-9]*\) schedules$/\1/p' \
   <<<"$late_dry_out")"
 [[ -n "$late_count" && "$late_count" -gt 48 ]] || \
   fail "late-delays dry-run should enlarge the space: $late_dry_out"
+# Halt-only spaces are never trimmed, so a count past 64 bits is an error
+# (exit 2), not a wrapped number: 38 auction bidders give exactly 7 * 3^38
+# schedules, and 39 give 7 * 3^39.
+bids=1
+for _ in $(seq 37); do bids="$bids,1"; done
+dry38="$("$bin" --protocol=auction-open --set "bids=$bids" --dry-run)" || \
+  fail "38-bidder --dry-run exited $? (want 0)"
+grep -q ": 9455962023710944623 schedules$" <<<"$dry38" || \
+  fail "38-bidder --dry-run count wrong: $dry38"
+rc=0
+"$bin" --protocol=auction-open --set "bids=$bids,1" --dry-run >/dev/null \
+  2>&1 || rc=$?
+[[ $rc -eq 2 ]] || fail "39-bidder --dry-run exited $rc (want 2)"
 rm -f "$json.dry"
 rc=0
 "$bin" --protocol=two-party --dry-run --json="$json.dry" >/dev/null 2>&1 || \

@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "contracts/auction.hpp"
-#include "contracts/sealed_auction.hpp"
 #include "crypto/hashkey.hpp"
 #include "crypto/secret.hpp"
 #include "sim/party.hpp"
@@ -32,10 +31,9 @@ struct Setup {
 
 class Auctioneer : public chain::SnapshotState<Auctioneer, sim::Party> {
  public:
-  Auctioneer(const Setup& s, AuctioneerStrategy strategy,
-             const std::vector<Amount>& bids)
+  Auctioneer(const Setup& s, AuctioneerStrategy strategy)
       : chain::SnapshotState<Auctioneer, sim::Party>(kAlice, "alice"), s_(s),
-        strategy_(strategy), bids_(bids) {}
+        strategy_(strategy) {}
 
   /// Tree executor: the strategy is schedule configuration (part of the
   /// trie's variant root), not run state — it is swapped per schedule and
@@ -61,28 +59,19 @@ class Auctioneer : public chain::SnapshotState<Auctioneer, sim::Party> {
       const auto win = s_.coin->winner();
       if (!win) return;  // no bids visible (yet): nothing to declare
       declared_ = true;
+      // Each chain gets the winner's key, or the lowest bidder's (the
+      // winner's when it bid alone): on both chains for declare-loser, on
+      // the ticket chain for split. Coin-only and ticket-only skip a chain.
       const std::size_t lose = lowest_bidder().value_or(*win);
-      switch (strategy_) {
-        case AuctioneerStrategy::kHonest:
-          publish(chains, *win, s_.coin_chain);
-          publish(chains, *win, s_.ticket_chain);
-          break;
-        case AuctioneerStrategy::kDeclareLoser:
-          publish(chains, lose, s_.coin_chain);
-          publish(chains, lose, s_.ticket_chain);
-          break;
-        case AuctioneerStrategy::kCoinOnly:
-          publish(chains, *win, s_.coin_chain);
-          break;
-        case AuctioneerStrategy::kTicketOnly:
-          publish(chains, *win, s_.ticket_chain);
-          break;
-        case AuctioneerStrategy::kSplit:
-          publish(chains, *win, s_.coin_chain);
-          publish(chains, lose, s_.ticket_chain);
-          break;
-        default:
-          break;
+      const bool loser = strategy_ == AuctioneerStrategy::kDeclareLoser;
+      if (strategy_ != AuctioneerStrategy::kTicketOnly) {
+        publish(chains, s_.coin_chain, s_.coin, "declare on coin chain",
+                loser ? lose : *win);
+      }
+      if (strategy_ != AuctioneerStrategy::kCoinOnly) {
+        publish(chains, s_.ticket_chain, s_.ticket, "declare on ticket chain",
+                loser || strategy_ == AuctioneerStrategy::kSplit ? lose
+                                                                  : *win);
       }
     }
   }
@@ -90,34 +79,27 @@ class Auctioneer : public chain::SnapshotState<Auctioneer, sim::Party> {
  private:
   std::optional<std::size_t> lowest_bidder() const {
     std::optional<std::size_t> low;
-    for (std::size_t i = 0; i < bids_.size(); ++i) {
+    for (std::size_t i = 0; i < s_.secrets.size(); ++i) {
       const auto b = s_.coin->bid_of(i);
       if (b && (!low || *b < *s_.coin->bid_of(*low))) low = i;
     }
     return low;
   }
 
-  void publish(chain::MultiChain& chains, std::size_t bidder_index,
-               ChainId chain) {
+  template <class Contract>
+  void publish(chain::MultiChain& chains, ChainId chain, Contract* contract,
+               const char* what, std::size_t bidder_index) {
     // The cached hashkey outlives the run: closures take it by reference.
     const crypto::Hashkey& key = s_.sign_cache->leader_hashkey(
         bidder_index, s_.secrets[bidder_index].value(), kAlice, keys());
-    if (chain == s_.coin_chain) {
-      submit(chains, chain, "declare on coin chain",
-             [c = s_.coin, bidder_index, &key](chain::TxContext& ctx) {
-               c->present_hashkey(ctx, bidder_index, key);
-             });
-    } else {
-      submit(chains, chain, "declare on ticket chain",
-             [c = s_.ticket, bidder_index, &key](chain::TxContext& ctx) {
-               c->present_hashkey(ctx, bidder_index, key);
-             });
-    }
+    submit(chains, chain, what,
+           [contract, bidder_index, &key](chain::TxContext& ctx) {
+             contract->present_hashkey(ctx, bidder_index, key);
+           });
   }
 
   const Setup& s_;
   AuctioneerStrategy strategy_;
-  std::vector<Amount> bids_;
   bool did_setup_ = false;
   bool declared_ = false;
 
@@ -125,28 +107,57 @@ class Auctioneer : public chain::SnapshotState<Auctioneer, sim::Party> {
   friend chain::SnapshotState<Auctioneer, sim::Party>;
 };
 
+/// A bidder's scheduled actions are its bid intake, then the challenge-
+/// phase forwarding: open 0 = bid, 1 = forward; sealed 0 = commit,
+/// 1 = reveal, 2 = forward.
 class Bidder : public chain::SnapshotState<Bidder, sim::Party> {
  public:
   Bidder(PartyId id, const Setup& s, sim::DeviationPlan plan, Amount bid)
       : chain::SnapshotState<Bidder, sim::Party>(
             id, "bidder-" + std::to_string(id), plan),
-        s_(s), bid_(bid), forwarded_(s.secrets.size(), 0) {}
+        s_(s), bid_(bid),
+        nonce_(s.coin->sealed()
+                   ? crypto::Secret::from_label("nonce-" + name()).value()
+                   : crypto::Bytes{}),
+        forwarded_(s.secrets.size(), 0) {}
 
   void step(chain::MultiChain& chains, Tick now) override {
-    // Ordinal 0: bid once the auctioneer's setup (tickets + premium) is
-    // visible.
-    if (!did_bid_ && s_.ticket->escrowed() && s_.coin->premium_endowed() &&
+    const bool sealed = s_.coin->sealed();
+    // A budget-less sealed bidder has no protocol role at all: it neither
+    // commits nor forwards. A budget-less open bidder still forwards.
+    if (sealed && bid_ <= 0) return;
+    // Ordinal 0: bid (open) or commit (sealed) once the auctioneer's setup
+    // (tickets + premium) is visible.
+    if (!entered_ && s_.ticket->escrowed() && s_.coin->premium_endowed() &&
         bid_ > 0) {
-      did_bid_ = true;
-      act(chains, now, 0, [this](chain::MultiChain& ch) {
-        submit(ch, s_.coin_chain, "place bid",
-               [c = s_.coin, amount = bid_](chain::TxContext& ctx) {
-                 c->place_bid(ctx, amount);
-               });
+      entered_ = true;
+      act(chains, now, 0, [this, sealed](chain::MultiChain& ch) {
+        if (sealed) {
+          const auto digest = CoinAuctionContract::commitment_of(bid_, nonce_);
+          submit(ch, s_.coin_chain, "commit bid",
+                 [c = s_.coin, digest](chain::TxContext& ctx) {
+                   c->commit_bid(ctx, digest);
+                 });
+        } else {
+          submit(ch, s_.coin_chain, "place bid",
+                 [c = s_.coin, amount = bid_](chain::TxContext& ctx) {
+                   c->place_bid(ctx, amount);
+                 });
+        }
       });
     }
-    // Ordinal 1, challenge phase (Lemma 7): a hashkey on one contract but
-    // not the other gets extended and forwarded.
+    // Ordinal 1 (sealed): reveal once the commit phase has closed.
+    if (sealed && !revealed_ && entered_ &&
+        now > s_.coin->params().terms.bid_deadline) {
+      revealed_ = true;
+      act(chains, now, 1, [this](chain::MultiChain& ch) {
+        submit(ch, s_.coin_chain, "reveal bid",
+               [c = s_.coin, b = bid_, nn = nonce_](
+                   chain::TxContext& ctx) { c->reveal_bid(ctx, b, nn); });
+      });
+    }
+    // Ordinal 1 (open) or 2 (sealed), challenge phase (Lemma 7): a hashkey
+    // on one contract but not the other gets extended and forwarded.
     for (std::size_t i = 0; i < s_.secrets.size(); ++i) {
       if (forwarded_[i]) continue;
       const bool on_coin = s_.coin->hashkey_received(i);
@@ -164,7 +175,7 @@ class Bidder : public chain::SnapshotState<Bidder, sim::Party> {
       // submission captures a stable reference.
       const crypto::Hashkey& extended =
           s_.sign_cache->extended_hashkey(i, seen, id(), keys());
-      act(chains, now, 1,
+      act(chains, now, sealed ? 2 : 1,
           [this, i, on_coin, &extended](chain::MultiChain& ch) {
             if (on_coin) {
               submit(ch, s_.ticket_chain, "forward hashkey",
@@ -184,195 +195,26 @@ class Bidder : public chain::SnapshotState<Bidder, sim::Party> {
  private:
   const Setup& s_;
   Amount bid_;
-  bool did_bid_ = false;
+  crypto::Bytes nonce_;  ///< sealed only: opens the commitment
+  bool entered_ = false;   ///< bid placed (open) or committed (sealed)
+  bool revealed_ = false;  ///< sealed only
   std::vector<char> forwarded_;
 
-  auto state_tie() { return std::tie(did_bid_, forwarded_); }
+  auto state_tie() { return std::tie(entered_, revealed_, forwarded_); }
   friend chain::SnapshotState<Bidder, sim::Party>;
-};
-
-// ---------------------------------------------------------------------------
-// Sealed-bid variant (footnote 8 extension)
-// ---------------------------------------------------------------------------
-
-struct SealedSetup {
-  contracts::SealedCoinAuctionContract* coin = nullptr;
-  contracts::TicketAuctionContract* ticket = nullptr;
-  ChainId coin_chain = 0;
-  ChainId ticket_chain = 0;
-  std::vector<crypto::Secret> secrets;
-  crypto::SigningCache* sign_cache = nullptr;
-  Tick declaration_start = 0;
-  Tick reveal_deadline = 0;
-};
-
-class SealedAuctioneer
-    : public chain::SnapshotState<SealedAuctioneer, sim::Party> {
- public:
-  SealedAuctioneer(const SealedSetup& s, AuctioneerStrategy strategy)
-      : chain::SnapshotState<SealedAuctioneer, sim::Party>(kAlice, "alice"),
-        s_(s), strategy_(strategy) {}
-
-  void set_strategy(AuctioneerStrategy strategy) { strategy_ = strategy; }
-
-  void step(chain::MultiChain& chains, Tick now) override {
-    if (strategy_ == AuctioneerStrategy::kNoSetup) return;
-    if (!did_setup_) {
-      did_setup_ = true;
-      submit(chains, s_.ticket_chain, "escrow tickets",
-             [c = s_.ticket](chain::TxContext& ctx) {
-               c->escrow_tickets(ctx);
-             });
-      submit(chains, s_.coin_chain, "endow premium",
-             [c = s_.coin](chain::TxContext& ctx) { c->endow_premium(ctx); });
-    }
-    if (strategy_ == AuctioneerStrategy::kAbandon) return;
-    if (!declared_ && now >= s_.declaration_start) {
-      const auto win = s_.coin->winner();
-      if (!win) return;
-      declared_ = true;
-      const std::size_t target = strategy_ == AuctioneerStrategy::kDeclareLoser
-                                     ? lowest_revealed().value_or(*win)
-                                     : *win;
-      const bool to_coin = strategy_ != AuctioneerStrategy::kTicketOnly;
-      const bool to_ticket = strategy_ != AuctioneerStrategy::kCoinOnly;
-      if (to_coin) {
-        const crypto::Hashkey& key = s_.sign_cache->leader_hashkey(
-            target, s_.secrets[target].value(), kAlice, keys());
-        submit(chains, s_.coin_chain, "declare (coin)",
-               [c = s_.coin, target, &key](chain::TxContext& ctx) {
-                 c->present_hashkey(ctx, target, key);
-               });
-      }
-      if (to_ticket) {
-        const std::size_t t =
-            strategy_ == AuctioneerStrategy::kSplit
-                ? lowest_revealed().value_or(target)
-                : target;
-        const crypto::Hashkey& tk = s_.sign_cache->leader_hashkey(
-            t, s_.secrets[t].value(), kAlice, keys());
-        submit(chains, s_.ticket_chain, "declare (ticket)",
-               [c = s_.ticket, t, &tk](chain::TxContext& ctx) {
-                 c->present_hashkey(ctx, t, tk);
-               });
-      }
-    }
-  }
-
- private:
-  std::optional<std::size_t> lowest_revealed() const {
-    std::optional<std::size_t> low;
-    for (std::size_t i = 0; i < s_.secrets.size(); ++i) {
-      const auto b = s_.coin->revealed_bid(i);
-      if (b && (!low || *b < *s_.coin->revealed_bid(*low))) low = i;
-    }
-    return low;
-  }
-
-  const SealedSetup& s_;
-  AuctioneerStrategy strategy_;
-  bool did_setup_ = false;
-  bool declared_ = false;
-
-  auto state_tie() { return std::tie(did_setup_, declared_); }
-  friend chain::SnapshotState<SealedAuctioneer, sim::Party>;
-};
-
-class SealedBidder : public chain::SnapshotState<SealedBidder, sim::Party> {
- public:
-  SealedBidder(PartyId id, const SealedSetup& s, sim::DeviationPlan plan,
-               Amount bid)
-      : chain::SnapshotState<SealedBidder, sim::Party>(
-            id, "bidder-" + std::to_string(id), plan),
-        s_(s), bid_(bid),
-        nonce_(crypto::Secret::from_label("nonce-" + name()).value()),
-        forwarded_(s.secrets.size(), 0) {}
-
-  void step(chain::MultiChain& chains, Tick now) override {
-    // A budget-less bidder has no protocol role at all (historical
-    // sealed-variant behaviour: it neither commits nor forwards).
-    if (bid_ <= 0) return;
-    // Ordinal 0: commit once the auctioneer's setup is visible.
-    if (!committed_ && s_.ticket->escrowed() && s_.coin->premium_endowed()) {
-      committed_ = true;
-      act(chains, now, 0, [this](chain::MultiChain& ch) {
-        const auto digest =
-            contracts::SealedCoinAuctionContract::commitment_of(bid_, nonce_);
-        submit(ch, s_.coin_chain, "commit bid",
-               [c = s_.coin, digest](chain::TxContext& ctx) {
-                 c->commit_bid(ctx, digest);
-               });
-      });
-    }
-    // Ordinal 1: reveal once the commit phase has closed.
-    if (!revealed_ && committed_ &&
-        now > s_.coin->params().terms.bid_deadline) {
-      revealed_ = true;
-      act(chains, now, 1, [this](chain::MultiChain& ch) {
-        submit(ch, s_.coin_chain, "reveal bid",
-               [c = s_.coin, b = bid_, nn = nonce_](
-                   chain::TxContext& ctx) { c->reveal_bid(ctx, b, nn); });
-      });
-    }
-    // Ordinal 2: challenge-phase forwarding.
-    for (std::size_t i = 0; i < s_.secrets.size(); ++i) {
-      if (forwarded_[i]) continue;
-      const bool on_coin = s_.coin->hashkey_received(i);
-      const bool on_ticket = s_.ticket->hashkey_received(i);
-      if (on_coin == on_ticket) continue;
-      const crypto::Hashkey& seen = on_coin
-                                        ? *s_.coin->presented_hashkey(i)
-                                        : *s_.ticket->presented_hashkey(i);
-      if (std::find(seen.path.begin(), seen.path.end(), id()) !=
-          seen.path.end()) {
-        continue;
-      }
-      forwarded_[i] = 1;
-      const crypto::Hashkey& ext =
-          s_.sign_cache->extended_hashkey(i, seen, id(), keys());
-      act(chains, now, 2, [this, i, on_coin, &ext](chain::MultiChain& ch) {
-        if (on_coin) {
-          submit(ch, s_.ticket_chain, "forward",
-                 [c = s_.ticket, i, &ext](chain::TxContext& ctx) {
-                   c->present_hashkey(ctx, i, ext);
-                 });
-        } else {
-          submit(ch, s_.coin_chain, "forward",
-                 [c = s_.coin, i, &ext](chain::TxContext& ctx) {
-                   c->present_hashkey(ctx, i, ext);
-                 });
-        }
-      });
-    }
-  }
-
- private:
-  const SealedSetup& s_;
-  Amount bid_;
-  crypto::Bytes nonce_;
-  bool committed_ = false;
-  bool revealed_ = false;
-  std::vector<char> forwarded_;
-
-  auto state_tie() { return std::tie(committed_, revealed_, forwarded_); }
-  friend chain::SnapshotState<SealedBidder, sim::Party>;
 };
 
 }  // namespace
 
 struct AuctionWorld::Impl {
   AuctionConfig cfg;
-  bool sealed = false;
   chain::MultiChain chains;
   crypto::SigningCache sign_cache;
-  Setup s;         ///< open variant
-  SealedSetup ss;  ///< sealed variant
+  Setup s;
   std::unique_ptr<PayoffTracker> tracker;
-  // Persistent actors (one variant populated, per `sealed`).
+  // Persistent actors.
   std::unique_ptr<Auctioneer> alice;
   std::vector<std::unique_ptr<Bidder>> bidders;
-  std::unique_ptr<SealedAuctioneer> sealed_alice;
-  std::vector<std::unique_ptr<SealedBidder>> sealed_bidders;
   sim::TreeFrame frame;
 };
 
@@ -381,7 +223,6 @@ AuctionWorld::AuctionWorld(const AuctionConfig& cfg, bool sealed,
     : impl_(std::make_unique<Impl>()) {
   Impl& w = *impl_;
   w.cfg = cfg;
-  w.sealed = sealed;
   const std::size_t n = cfg.bids.size();
   const Tick d = cfg.delta;
 
@@ -405,104 +246,59 @@ AuctionWorld::AuctionWorld(const AuctionConfig& cfg, bool sealed,
   terms.party_keys = keys;
   terms.delta = d;
 
-  if (sealed) {
-    SealedSetup& s = w.ss;
-    s.ticket_chain = ticket_chain.id();
-    s.coin_chain = coin_chain.id();
-    // Declare only once the reveals are FINAL: the reveal deadline is
-    // inclusive (a reveal submitted at 2Δ still lands in block 2Δ), so the
-    // earliest tick the declaration can be based on complete information is
-    // 2Δ + 1. Declaring at 2Δ — as the eager schedule used to — silently
-    // relied on every bidder revealing early; a timely-but-last-moment
-    // reveal would arrive after an honest declaration and settle the coin
-    // contract for a different winner, costing the HONEST auctioneer her
-    // premium endowment. The |q|·Δ hashkey timeouts (counted from the
-    // contract's declaration_start = 2Δ) still accommodate the shift.
-    s.declaration_start = 2 * d + 1;
-    s.reveal_deadline = 2 * d;
-    s.secrets = std::move(secrets);
-    s.sign_cache = &w.sign_cache;
+  // The bid intake takes Δ (open: bids) or 2Δ (sealed: commit, then
+  // reveal); §9's declaration (Δ), challenge (3Δ) and commit follow it.
+  const Tick intake_end = sealed ? 2 * d : d;
+  terms.bid_deadline = d;
+  terms.declaration_start = intake_end;
+  terms.commit_time = intake_end + 4 * d;
 
-    terms.bid_deadline = d;  // commit phase
-    terms.declaration_start = 2 * d;
-    terms.commit_time = 6 * d;
+  Setup& s = w.s;
+  s.ticket_chain = ticket_chain.id();
+  s.coin_chain = coin_chain.id();
+  // Declare only once the bids are FINAL: the intake deadline is inclusive
+  // (a bid or reveal submitted at its deadline still lands in that block),
+  // so the earliest tick the declaration can be based on complete
+  // information is one past it. Declaring at the deadline silently relied
+  // on every bidder acting early; a timely-but-last-moment bid would
+  // arrive after an honest declaration and settle the coin contract for a
+  // different winner, costing the HONEST auctioneer her premium endowment.
+  // The |q|·Δ hashkey timeouts (counted from the contract's
+  // declaration_start) still accommodate the shift.
+  s.declaration_start = intake_end + 1;
+  s.secrets = std::move(secrets);
+  s.sign_cache = &w.sign_cache;
 
-    s.coin = &coin_chain.deploy<contracts::SealedCoinAuctionContract>(
-        contracts::SealedCoinAuctionContract::Params{
-            terms, cfg.premium_unit, cfg.collateral, s.reveal_deadline});
-    s.ticket = &ticket_chain.deploy<contracts::TicketAuctionContract>(
-        contracts::TicketAuctionContract::Params{terms, "ticket",
-                                                 cfg.ticket_count});
+  std::optional<CoinAuctionContract::Sealed> sealed_intake;
+  if (sealed) sealed_intake = {cfg.collateral, /*reveal_deadline=*/2 * d};
+  s.coin = &coin_chain.deploy<CoinAuctionContract>(
+      CoinAuctionContract::Params{terms, cfg.premium_unit}, sealed_intake);
+  s.ticket = &ticket_chain.deploy<TicketAuctionContract>(
+      TicketAuctionContract::Params{terms, "ticket", cfg.ticket_count});
 
-    ticket_chain.ledger_for_setup().mint(chain::Address::party(kAlice),
-                                         "ticket", cfg.ticket_count);
+  ticket_chain.ledger_for_setup().mint(chain::Address::party(kAlice),
+                                       "ticket", cfg.ticket_count);
+  coin_chain.ledger_for_setup().mint(
+      chain::Address::party(kAlice), coin_chain.native(),
+      cfg.premium_unit * static_cast<Amount>(n));
+  for (std::size_t i = 0; i < n; ++i) {
     coin_chain.ledger_for_setup().mint(
-        chain::Address::party(kAlice), coin_chain.native(),
-        cfg.premium_unit * static_cast<Amount>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      coin_chain.ledger_for_setup().mint(
-          chain::Address::party(static_cast<PartyId>(i + 1)),
-          coin_chain.native(), cfg.collateral);
-    }
-  } else {
-    Setup& s = w.s;
-    s.ticket_chain = ticket_chain.id();
-    s.coin_chain = coin_chain.id();
-    // Declare only once the bids are FINAL (inclusive bid deadline Δ + one
-    // tick of visibility — see the sealed variant's comment; at Δ = 1 this
-    // matches the old effective behaviour, where the auctioneer found no
-    // visible bid at tick Δ and declared at Δ + 1 anyway).
-    s.declaration_start = d + 1;
-    s.secrets = std::move(secrets);
-    s.sign_cache = &w.sign_cache;
-
-    terms.bid_deadline = d;
-    terms.declaration_start = d;
-    terms.commit_time = 5 * d;
-
-    s.coin = &coin_chain.deploy<CoinAuctionContract>(
-        CoinAuctionContract::Params{terms, cfg.premium_unit});
-    s.ticket = &ticket_chain.deploy<TicketAuctionContract>(
-        TicketAuctionContract::Params{terms, "ticket", cfg.ticket_count});
-
-    ticket_chain.ledger_for_setup().mint(chain::Address::party(kAlice),
-                                         "ticket", cfg.ticket_count);
-    coin_chain.ledger_for_setup().mint(
-        chain::Address::party(kAlice), coin_chain.native(),
-        cfg.premium_unit * static_cast<Amount>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      coin_chain.ledger_for_setup().mint(
-          chain::Address::party(static_cast<PartyId>(i + 1)),
-          coin_chain.native(), cfg.bids[i]);
-    }
+        chain::Address::party(static_cast<PartyId>(i + 1)),
+        coin_chain.native(), sealed ? cfg.collateral : cfg.bids[i]);
   }
 
   w.tracker = std::make_unique<PayoffTracker>(w.chains, n + 1);
 
   w.frame.chains = &w.chains;
-  if (sealed) {
-    w.sealed_alice =
-        std::make_unique<SealedAuctioneer>(w.ss, AuctioneerStrategy::kHonest);
-    w.frame.actors.push_back(w.sealed_alice.get());
-    for (std::size_t i = 0; i < n; ++i) {
-      w.sealed_bidders.push_back(std::make_unique<SealedBidder>(
-          static_cast<PartyId>(i + 1), w.ss, sim::DeviationPlan::conforming(),
-          cfg.bids[i]));
-      w.frame.actors.push_back(w.sealed_bidders.back().get());
-    }
-    w.frame.horizon = 6 * d + 2;
-  } else {
-    w.alice = std::make_unique<Auctioneer>(w.s, AuctioneerStrategy::kHonest,
-                                           cfg.bids);
-    w.frame.actors.push_back(w.alice.get());
-    for (std::size_t i = 0; i < n; ++i) {
-      w.bidders.push_back(std::make_unique<Bidder>(
-          static_cast<PartyId>(i + 1), w.s, sim::DeviationPlan::conforming(),
-          cfg.bids[i]));
-      w.frame.actors.push_back(w.bidders.back().get());
-    }
-    w.frame.horizon = 5 * d + 2;
+  w.alice = std::make_unique<Auctioneer>(w.s, AuctioneerStrategy::kHonest);
+  w.frame.actors.push_back(w.alice.get());
+  for (std::size_t i = 0; i < n; ++i) {
+    w.bidders.push_back(std::make_unique<Bidder>(
+        static_cast<PartyId>(i + 1), w.s, sim::DeviationPlan::conforming(),
+        cfg.bids[i]));
+    w.frame.actors.push_back(w.bidders.back().get());
   }
+  w.frame.horizon = terms.commit_time + 2;
   sim::debug_validate_deadlines(w.chains, d);
 }
 
@@ -537,17 +333,9 @@ sim::TreeFrame& AuctionWorld::frame() { return impl_->frame; }
 
 void AuctionWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   Impl& w = *impl_;
-  const AuctioneerStrategy alice = auctioneer_of(plans.at(0).variant());
-  if (w.sealed) {
-    w.sealed_alice->set_strategy(alice);
-    for (std::size_t i = 0; i < w.sealed_bidders.size(); ++i) {
-      w.sealed_bidders[i]->set_plan(plans.at(i + 1));
-    }
-  } else {
-    w.alice->set_strategy(alice);
-    for (std::size_t i = 0; i < w.bidders.size(); ++i) {
-      w.bidders[i]->set_plan(plans.at(i + 1));
-    }
+  w.alice->set_strategy(auctioneer_of(plans.at(0).variant()));
+  for (std::size_t i = 0; i < w.bidders.size(); ++i) {
+    w.bidders[i]->set_plan(plans.at(i + 1));
   }
 }
 
@@ -556,13 +344,8 @@ AuctionResult AuctionWorld::collect() const {
   const std::size_t n = w.cfg.bids.size();
 
   AuctionResult out;
-  if (w.sealed) {
-    out.completed = w.ss.coin->completed_cleanly();
-    out.tickets_to = w.ss.ticket->awarded_to().value_or(kAlice);
-  } else {
-    out.completed = w.s.coin->completed_cleanly();
-    out.tickets_to = w.s.ticket->awarded_to().value_or(kAlice);
-  }
+  out.completed = w.s.coin->completed_cleanly();
+  out.tickets_to = w.s.ticket->awarded_to().value_or(kAlice);
   out.auctioneer = w.tracker->delta(w.chains, kAlice);
   for (std::size_t i = 0; i < n; ++i) {
     out.bidders.push_back(

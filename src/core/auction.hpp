@@ -52,7 +52,9 @@ struct AuctionConfig {
   Amount premium_unit = 2;  ///< p; the auctioneer endows n * p
   Tick delta = 2;
   /// Sealed variant only: the uniform collateral M escrowed with each
-  /// commitment (hides the bid; must cover the largest bid).
+  /// commitment (it hides the bid). A bid above it is accepted as a
+  /// commitment but refused at reveal: its collateral comes back at
+  /// settlement, and it is owed nothing.
   Amount collateral = 150;
 };
 

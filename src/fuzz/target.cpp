@@ -80,10 +80,10 @@ RunOutcome InstancePool::run(const FuzzInput& in) {
   sig_mix(out.signature, fnv1a(inst.overrides_label));
   if (out.violations.empty()) return out;
 
-  // Fault attribution (the fuzz-side mirror of ScenarioRunner::sweep's
-  // pass): replay the same schedule on a faultless twin instance and keep
-  // only the violations that reproduce there — those are deviation bugs
-  // even on a reliable substrate. Fault-only violations are what the
+  // Fault attribution (sim::attribute_fault, as in ScenarioRunner::sweep):
+  // replay the same schedule on a faultless twin instance and keep only
+  // the violations whose party violates there too — those are deviation
+  // bugs even on a reliable substrate. Fault-only violations are what the
   // fault layer is DESIGNED to produce (e.g. a naive party starved by a
   // squeeze), so reporting them as fuzz findings would bury real signal.
   FuzzInput bare = in;
@@ -94,14 +94,7 @@ RunOutcome InstancePool::run(const FuzzInput& in) {
       schedule_of(bare, *twin.adapter, twin.overrides_label));
   std::vector<sim::Violation> kept;
   for (sim::Violation& v : out.violations) {
-    bool on_twin = false;
-    for (const sim::Violation& tv : clean.violations) {
-      if (tv.party == v.party) {
-        on_twin = true;
-        break;
-      }
-    }
-    if (on_twin) {
+    if (!sim::attribute_fault(v, clean.violations)) {
       kept.push_back(std::move(v));
     }
   }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -201,6 +202,9 @@ LoadReport run_load(const LoadConfig& cfg) {
   };
 
   LoadReport report;
+  // The mix index of each violation's protocol (aligned with
+  // report.violations), for the attribution pass.
+  std::vector<std::size_t> violation_mix;
   const auto t0 = std::chrono::steady_clock::now();
 
   PartyId next_base = 0;
@@ -264,6 +268,7 @@ LoadReport run_load(const LoadConfig& cfg) {
       }
       sim::audit_schedule(tag_of(*inst), inst->bound->collect(),
                           report.violations);
+      violation_mix.resize(report.violations.size(), inst->proto);
       draining.push_back(inst);
     }
     active.resize(kept);
@@ -323,40 +328,29 @@ LoadReport run_load(const LoadConfig& cfg) {
     report.per_protocol[m].latency = latency_stats(std::move(proto_lats[m]));
   }
 
-  // Fault attribution: a violating protocol re-runs solo, all-conforming,
-  // on a faultless private world. All load instances of one protocol are
-  // identical modulo binding, so one twin per protocol decides them all.
-  std::vector<int> twin_clean(mix.size(), -1);  // -1 unknown, 0/1 decided
-  for (sim::Violation& v : report.violations) {
-    const std::size_t m = [&] {
-      const std::string proto = v.schedule.substr(0, v.schedule.find('#'));
-      for (std::size_t i = 0; i < mix.size(); ++i) {
-        if (mix[i].protocol == proto) return i;
-      }
-      return mix.size();
-    }();
-    if (m == mix.size()) {
-      ++report.unattributed;
-      continue;
-    }
-    if (twin_clean[m] < 0) {
+  // Fault attribution (sim::attribute_fault): a violating protocol re-runs
+  // solo, all-conforming, on a faultless private world. All load instances
+  // of one protocol are identical modulo binding, so one twin per protocol
+  // decides them all.
+  std::vector<std::optional<std::vector<sim::Violation>>> twins(mix.size());
+  for (std::size_t v = 0; v < report.violations.size(); ++v) {
+    const std::size_t m = violation_mix[v];
+    if (!twins[m]) {
       const std::unique_ptr<sim::ProtocolAdapter> twin =
           registry.make(mix[m].protocol);
-      std::vector<sim::Violation> scratch;
       sim::audit_schedule(
           "twin",
           twin->run(conforming_schedule(twin->party_count(), "twin")),
-          scratch);
-      twin_clean[m] = scratch.empty() ? 1 : 0;
+          twins[m].emplace());
     }
-    v.fault_caused = twin_clean[m] == 1;
-    if (v.fault_caused) {
+    ProtocolStats& stats = report.per_protocol[m];
+    ++stats.violations;
+    if (sim::attribute_fault(report.violations[v], *twins[m])) {
       ++report.fault_caused;
-      ++report.per_protocol[m].fault_caused;
+      ++stats.fault_caused;
     } else {
       ++report.unattributed;
     }
-    ++report.per_protocol[m].violations;
   }
 
   return report;

@@ -40,10 +40,10 @@
 //
 // Violations are attributed after the run: each violating protocol is
 // re-run solo on a faultless private world under the same all-conforming
-// schedule. A clean twin proves the loss came from congestion, not the
-// protocol — the violation is marked fault_caused (the [chain-fault]
-// attribution of sim/scenario.hpp); anything else stays unattributed and
-// fails the bench.
+// schedule. A violation whose party is clean on that twin came from
+// congestion, not the protocol — it is marked fault_caused by the rule
+// sweeps and fuzzing use (sim::attribute_fault, the [chain-fault] label);
+// anything else stays unattributed and fails the bench.
 
 #include <cstddef>
 #include <cstdint>

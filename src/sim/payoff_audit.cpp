@@ -1,5 +1,6 @@
 #include "sim/payoff_audit.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace xchain::sim {
@@ -20,6 +21,14 @@ std::string Violation::str() const {
   }
   if (fault_caused) out += " [chain-fault]";
   return out;
+}
+
+bool attribute_fault(Violation& v,
+                     const std::vector<Violation>& twin_violations) {
+  v.fault_caused = std::none_of(
+      twin_violations.begin(), twin_violations.end(),
+      [&v](const Violation& tv) { return tv.party == v.party; });
+  return v.fault_caused;
 }
 
 bool lost_principal(const core::PayoffDelta& d, const std::string& principal,

@@ -73,8 +73,8 @@ struct Violation {
   std::string detail;
 
   /// True when the loss is attributed to the injected chain faults rather
-  /// than any party's deviation: the same schedule re-audits clean on a
-  /// faultless twin world (ScenarioRunner::sweep's attribution pass).
+  /// than any party's deviation: the party re-audits clean on a faultless
+  /// twin world (attribute_fault).
   /// Within the fault plan's tolerance envelope this still breaches the
   /// paper's guarantee — the substrate stayed inside the slack the
   /// deadlines are provisioned for — so fault-caused violations keep
@@ -84,6 +84,13 @@ struct Violation {
   std::string str() const;
   bool operator==(const Violation&) const = default;
 };
+
+/// The fault-attribution rule of sweeps, fuzzing and load: a violation
+/// was caused by the injected chain faults when its party has no violation
+/// on the faultless twin, the same schedule re-run on a reliable world.
+/// Sets `v.fault_caused` to the answer and returns it.
+bool attribute_fault(Violation& v,
+                     const std::vector<Violation>& twin_violations);
 
 /// Audits one schedule's outcomes. Each conforming party must pass
 /// audit_party's checks. When every party conforms, every outcome must be

@@ -92,8 +92,22 @@ class ScheduleSpace {
 
     spaces_.reserve(raw.size());
     for (PartyPlanSpace& r : raw) spaces_.push_back(std::move(r.plans));
+    // Halt-only spaces are never trimmed, so enough parties overflow the
+    // count (7 * 3^39 auction schedules with 39 bidders).
     raw_size_ = 1;
-    for (const auto& space : spaces_) raw_size_ *= space.size();
+    for (const auto& space : spaces_) {
+      if (raw_size_ != 0 &&
+          space.size() > std::numeric_limits<std::size_t>::max() / raw_size_) {
+        std::string what = adapter.name();
+        what += ": strategy space '";
+        what += strategies.name();
+        what += "' has more schedules than a 64-bit count holds (";
+        what += std::to_string(n);
+        what += " parties)";
+        throw std::invalid_argument(what);
+      }
+      raw_size_ *= space.size();
+    }
   }
 
   /// A plan's or a schedule's conformance mask (bit p set when party p's
@@ -266,9 +280,9 @@ void sweep_range(const ScheduleSpace& space, int max_deviators,
 /// *faultless twin* — a clone of the adapter with the environment removed
 /// (same config, fresh reliable world). A violation whose party audits
 /// clean on the twin was caused by the injected chain faults, not by any
-/// deviation, and is flagged fault_caused (it still fails the sweep; see
-/// Violation::fault_caused). Violations are rare, so the twin's extra
-/// runs are noise next to the sweep itself.
+/// deviation, and is flagged fault_caused (attribute_fault; it still fails
+/// the sweep, see Violation::fault_caused). Violations are rare, so the
+/// twin's extra runs are noise next to the sweep itself.
 void attribute_faults(const ProtocolAdapter& adapter,
                       const ScheduleSpace& space,
                       const std::vector<std::size_t>& violation_raw,
@@ -287,16 +301,9 @@ void attribute_faults(const ProtocolAdapter& adapter,
       audit_schedule(s.label, twin->run(s), twin_violations);
       last_raw = raw;
     }
-    Violation& violation = report.violations[v];
-    bool on_twin = false;
-    for (const Violation& tv : twin_violations) {
-      if (tv.party == violation.party) {
-        on_twin = true;
-        break;
-      }
+    if (attribute_fault(report.violations[v], twin_violations)) {
+      ++report.fault_caused;
     }
-    violation.fault_caused = !on_twin;
-    if (violation.fault_caused) ++report.fault_caused;
   }
 }
 
@@ -1166,11 +1173,22 @@ std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
     const core::AuctionResult& r, const Schedule& s) const {
   const int variant = s.plans[0].variant();
   const core::AuctioneerStrategy strat = core::auctioneer_of(variant);
+  // A bid can count when it is positive and, sealed, within the collateral
+  // (the contract refuses a larger reveal). Config only, so every bound
+  // term below stays path-determined.
+  const auto admissible = [this](Amount bid) {
+    return bid > 0 && (!sealed_ || bid <= cfg_.collateral);
+  };
+  // Liveness: an auction in which no bid can count has no winner to settle
+  // for, so its refund-everything settlement is its completion.
+  const bool completed =
+      r.completed ||
+      std::none_of(cfg_.bids.begin(), cfg_.bids.end(), admissible);
   std::vector<PartyOutcome> outcomes;
   outcomes.push_back(
       {"auctioneer", s.plans[0].conforms_within(cfg_.delta), r.auctioneer,
        {}});
-  outcomes.back().bound.completed = r.completed;
+  outcomes.back().bound.completed = completed;
   for (std::size_t i = 0; i + 1 < s.plans.size(); ++i) {
     PartyOutcome o{"bidder-" + std::to_string(i + 1),
                    s.plans[i + 1].conforms_within(cfg_.delta), r.bidders[i],
@@ -1179,8 +1197,7 @@ std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
       o.bound.goods_received = true;
       o.bound.spend_allowance = cfg_.bids[i];  // never pay above the bid
     } else if (variant != 0 && strat != core::AuctioneerStrategy::kNoSetup &&
-               !r.completed && cfg_.bids[i] > 0 &&
-               (!sealed_ || cfg_.bids[i] <= cfg_.collateral)) {
+               !r.completed && admissible(cfg_.bids[i])) {
       // §9.2: a bidder locked its bid (the auctioneer did set up, so
       // bidding happened) and the deviant auctioneer killed the auction
       // without shipping it tickets — a conforming bidder is owed the
@@ -1194,7 +1211,7 @@ std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
       // schedules differing only in never-consulted plan coordinates.
       o.bound.min_coin_delta = cfg_.premium_unit;
     }
-    o.bound.completed = r.completed;
+    o.bound.completed = completed;
     outcomes.push_back(std::move(o));
   }
   return outcomes;

@@ -64,6 +64,25 @@ TEST(ScenarioEnumeration, AuctionVariantsMultiply) {
   EXPECT_EQ(runner.enumerate(1).size(), 11u);
 }
 
+// Halt-only spaces are never trimmed, so the product of per-party plan
+// counts must not wrap: 38 bidders give exactly 7 * 3^38 schedules, and
+// the 7 * 3^39 of 39 bidders exceed a 64-bit count.
+TEST(ScenarioEnumeration, ScheduleCountRefusesToOverflow) {
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  const auto adapter_with = [&](std::size_t bidders) {
+    std::string bids = "1";
+    for (std::size_t i = 1; i < bidders; ++i) bids += ",1";
+    ParamSet params = reg.defaults("auction-open");
+    params.set("bids", bids);
+    return reg.make("auction-open", params);
+  };
+  EXPECT_EQ(ScenarioRunner(*adapter_with(38)).schedule_count(SweepOptions{}),
+            std::size_t{9455962023710944623u});
+  EXPECT_THROW(
+      ScenarioRunner(*adapter_with(39)).schedule_count(SweepOptions{}),
+      std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // The tentpole property: the hedging bound holds on EVERY schedule.
 // ---------------------------------------------------------------------------
@@ -142,6 +161,48 @@ TEST(ScenarioSweep, SealedBidOverCollateralIsOwedNoPremium) {
   EXPECT_GE(out[2].payoff.coin_delta, -80);
   EXPECT_EQ(out[3].bound.min_coin_delta, 0);
   EXPECT_EQ(out[3].payoff.coin_delta, 0);
+}
+
+// An auction in which no bid can count (no open budget above zero, or
+// every sealed bid above the collateral) settles by refunding everyone, so
+// its all-conforming run completes (the fuzz find in
+// tests/fuzz_corpus/auction_sealed_no_admissible_bid.fuzz). One admissible
+// bid puts the contract's own settlement verdict back in charge.
+TEST(ScenarioSweep, AuctionWithNoAdmissibleBidCompletes) {
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  struct Case {
+    const char* protocol;
+    const char* bids;
+    std::size_t schedules;
+  };
+  for (const Case& c : {Case{"auction-open", "0,0", 63},
+                        Case{"auction-sealed", "100,100", 112}}) {
+    ParamSet params = reg.defaults(c.protocol);
+    params.set("bids", c.bids);
+    params.set("collateral", "97");
+    const auto adapter = reg.make(c.protocol, params);
+    const auto report = ScenarioRunner(*adapter).sweep();
+    EXPECT_EQ(report.schedules_run, c.schedules) << c.protocol;
+    EXPECT_TRUE(report.ok()) << report.str();
+
+    Schedule s;
+    s.plans.assign(3, DeviationPlan::conforming());
+    for (const PartyOutcome& o : adapter->run(s)) {
+      EXPECT_TRUE(o.bound.completed) << c.protocol << ' ' << o.name;
+      EXPECT_EQ(o.payoff.coin_delta, 0) << c.protocol << ' ' << o.name;
+    }
+  }
+
+  ParamSet params = reg.defaults("auction-sealed");
+  params.set("bids", "100,90");
+  params.set("collateral", "97");
+  const auto adapter = reg.make("auction-sealed", params);
+  Schedule s;
+  s.plans.assign(3, DeviationPlan::conforming());
+  s.plans[0] = DeviationPlan::conforming().with_variant(2);  // abandon
+  for (const PartyOutcome& o : adapter->run(s)) {
+    EXPECT_FALSE(o.bound.completed) << o.name;
+  }
 }
 
 TEST(ScenarioSweep, BrokerHedgedBoundHoldsOnAllSchedules) {
@@ -454,6 +515,24 @@ TEST(PayoffAudit, ConservationCheckCatchesStrandedCoins) {
   audit_schedule("test", {a}, violations, /*check_conservation=*/true);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].party, "<all>");
+}
+
+// Sweeps, fuzzing and load share one attribution rule: a violation is the
+// faults' doing exactly when its party is clean on the faultless twin,
+// whatever the twin reports for other parties.
+TEST(PayoffAudit, FaultAttributionMatchesTheTwinByParty) {
+  const std::vector<Violation> twin = {{"twin", "bob", -1, 0, "x"},
+                                       {"twin", "<all>", 0, 0, "y"}};
+  Violation alice{"s", "alice", -2, 0, "z"};
+  Violation bob{"s", "bob", -2, 0, "z"};
+  Violation all{"s", "<all>", 0, 0, "z"};
+  EXPECT_TRUE(attribute_fault(alice, twin));
+  EXPECT_TRUE(alice.fault_caused);
+  EXPECT_FALSE(attribute_fault(bob, twin));
+  EXPECT_FALSE(bob.fault_caused);
+  EXPECT_FALSE(attribute_fault(all, twin));
+  EXPECT_TRUE(attribute_fault(all, {}));
+  EXPECT_NE(all.str().find("[chain-fault]"), std::string::npos);
 }
 
 // The tree executor answers most swept schedules from one AuditVerdict per

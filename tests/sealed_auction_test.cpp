@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "contracts/sealed_auction.hpp"
+#include "contracts/auction.hpp"
 #include "core/auction.hpp"
 #include "crypto/secret.hpp"
 
@@ -22,12 +22,12 @@ std::vector<BidderStrategy> conform(std::size_t n) {
 }
 
 TEST(SealedAuction, CommitmentDigestBindsBidAndNonce) {
-  using contracts::SealedCoinAuctionContract;
+  using contracts::CoinAuctionContract;
   const auto nonce = crypto::Secret::from_label("n").value();
-  const auto c1 = SealedCoinAuctionContract::commitment_of(100, nonce);
-  EXPECT_EQ(c1, SealedCoinAuctionContract::commitment_of(100, nonce));
-  EXPECT_NE(c1, SealedCoinAuctionContract::commitment_of(101, nonce));
-  EXPECT_NE(c1, SealedCoinAuctionContract::commitment_of(
+  const auto c1 = CoinAuctionContract::commitment_of(100, nonce);
+  EXPECT_EQ(c1, CoinAuctionContract::commitment_of(100, nonce));
+  EXPECT_NE(c1, CoinAuctionContract::commitment_of(101, nonce));
+  EXPECT_NE(c1, CoinAuctionContract::commitment_of(
                     100, crypto::Secret::from_label("m").value()));
 }
 

@@ -87,6 +87,60 @@ TEST(StrategySweep, HaltOnlyReproducesTheReferenceReportsByteIdentically) {
   EXPECT_EQ(total, 1107u);
 }
 
+// Both auctions' delay sweeps at the registry defaults and the CLI's
+// 1,000,000-schedule budget, pinned report line, tree statistics and
+// truncation notices included: the open and sealed variants share one
+// contract and one actor set, and each keeps its own schedule space.
+TEST(StrategySweep, AuctionDelaySweepsArePinned) {
+  struct Pin {
+    const char* protocol;
+    StrategySpace::Kind kind;
+    const char* line;
+    std::size_t nodes_executed;
+    std::size_t dedup_hits;
+    std::size_t truncated_parties;
+  };
+  const Pin kPinned[] = {
+      {"auction-open", StrategySpace::Kind::kTimelyDelays,
+       "ticket-auction: 567 schedules, 585 conforming-party audits, "
+       "0 violations",
+       215, 352, 0},
+      {"auction-open", StrategySpace::Kind::kLateDelays,
+       "ticket-auction: 4375 schedules, 2025 conforming-party audits, "
+       "0 violations",
+       1015, 3360, 0},
+      {"auction-sealed", StrategySpace::Kind::kTimelyDelays,
+       "sealed-ticket-auction: 5103 schedules, 3753 conforming-party audits, "
+       "0 violations",
+       1511, 3592, 0},
+      {"auction-sealed", StrategySpace::Kind::kLateDelays,
+       "sealed-ticket-auction: 28672 schedules, 11264 conforming-party "
+       "audits, 0 violations",
+       6755, 21917, 2},
+  };
+  for (const Pin& pin : kPinned) {
+    const auto adapter = ProtocolRegistry::global().make(pin.protocol);
+    SweepOptions opts = with_strategies(pin.kind);
+    opts.strategies.max_schedules = 1000000;
+    const SweepReport report = ScenarioRunner(*adapter).sweep(opts);
+    SCOPED_TRACE(pin.line);
+    EXPECT_EQ(report.line(), pin.line);
+    EXPECT_EQ(report.nodes_executed, pin.nodes_executed);
+    EXPECT_EQ(report.dedup_hits, pin.dedup_hits);
+    ASSERT_EQ(report.truncations.size(), pin.truncated_parties);
+    for (std::size_t i = 0; i < pin.truncated_parties; ++i) {
+      // Appended in steps (GCC 12 -Wrestrict, PR 105651).
+      std::string notice =
+          "sealed-ticket-auction: strategy space 'late-delays' truncated: "
+          "party ";
+      notice += std::to_string(i + 1);
+      notice += " sweeping 64 of 125 plans (caps: 64 plans/party, 1000000 "
+                "schedules)";
+      EXPECT_EQ(report.truncations[i], notice);
+    }
+  }
+}
+
 TEST(StrategySweep, SweepReportLineFormatIsPinned) {
   SweepReport r;
   r.protocol = "demo";

@@ -14,7 +14,9 @@
 #     (halt-only two-party: 16; --strategies=late-delays enlarges it), and
 #     exits 2 without writing when asked for a --json= report it has not;
 #   * a halt-only count past 64 bits exits 2 instead of wrapping (38
-#     auction bidders: exactly 7 * 3^38 schedules; 39: too many);
+#     auction bidders: exactly 7 * 3^38 schedules; 39: too many), and so
+#     does a dry-run total past 64 bits (two 38-bidder configurations),
+#     with and without --quiet;
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
 #     JSON with the strategy space;
 #   * a --max-deviators=2 late-delays broker sweep writes the same JSON at
@@ -102,6 +104,16 @@ rc=0
 "$bin" --protocol=auction-open --set "bids=$bids,1" --dry-run >/dev/null \
   2>&1 || rc=$?
 [[ $rc -eq 2 ]] || fail "39-bidder --dry-run exited $rc (want 2)"
+# Two 38-bidder configurations each fit, but their total does not: the
+# dry run exits 2 instead of printing a wrapped sum, with --quiet too.
+for quiet in "" --quiet; do
+  rc=0
+  "$bin" --protocol=auction-open --set "bids=$bids" \
+    --protocol=auction-open --set "bids=$bids" --dry-run $quiet \
+    >/dev/null 2>&1 || rc=$?
+  [[ $rc -eq 2 ]] || \
+    fail "two 38-bidder configurations --dry-run $quiet exited $rc (want 2)"
+done
 rm -f "$json.dry"
 rc=0
 "$bin" --protocol=two-party --dry-run --json="$json.dry" >/dev/null 2>&1 || \

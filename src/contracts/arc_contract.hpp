@@ -1,68 +1,50 @@
 #pragma once
 
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "chain/blockchain.hpp"
 #include "common/types.hpp"
+#include "contracts/hedged_arc.hpp"
 #include "crypto/hashkey.hpp"
-#include "crypto/secret.hpp"
 #include "graph/digraph.hpp"
 
 namespace xchain::contracts {
 
 /// Escrow contract for one arc (u, v) of a hedged multi-party swap (paper
-/// §7). It lives on the chain holding u's asset and manages:
+/// §7). It lives on the chain holding u's asset and is one HedgedArc
+/// (contracts/hedged_arc.hpp) plus that asset:
 ///
-///  * the principal: u's asset, redeemed to v when ALL leaders' hashkeys
-///    have been presented in time, refunded to u otherwise;
-///  * the escrow premium E(u, v) (Equation 2): deposited by u, *activated*
-///    once every redemption premium has arrived on this arc, then awarded
-///    to v if the asset is not escrowed in time (refunded to u the moment
-///    the asset is escrowed, or if never activated);
-///  * one redemption premium R_i(q, u) per leader (Equation 1): deposited
-///    by v with a signature-authenticated path q (v = q.front(), leader =
-///    q.back()); refunded to v when v presents leader i's hashkey on this
-///    arc, awarded to u if that hashkey does not appear by the path's
-///    deadline.
+///  * the principal: u's asset, escrowed by the arc's per-arc deadline,
+///    redeemed to v when ALL leaders' hashkeys have been presented in
+///    time, refunded to u after the longest hashkey deadline otherwise;
+///  * the escrow premium E(u, v) (Equation 2) is the arc premium: deposited
+///    by u until escrow_deadline, refunded to u the moment the asset is
+///    escrowed, and at escrow_deadline awarded to v if activated (every
+///    redemption premium arrived on this arc) and refunded to u if not;
+///  * one redemption premium R_i(q, u) per leader (Equation 1) and one
+///    hashkey slot per leader, with the §7.1 per-path deadlines.
 ///
-/// Hashkey and premium-path timeouts follow the paper's rule: a path of
-/// length |q| expires at hashkey_base + (diam(G) + |q|) * Delta, where
-/// hashkey_base is the start of the hashkey-release phase (the paper
-/// measures from protocol start; with premium phases prepended, the engine
-/// rebases — see DESIGN.md).
-///
-/// The contract enforces well-formedness everywhere (§3.2): premium
-/// amounts must match Equation 1 exactly, paths must be real paths of G,
-/// signatures must verify. This is what confines Byzantine parties to
-/// sore-loser behaviour.
+/// A hashkey with path |q| expires at hashkey_base + (diam(G) + |q|) *
+/// Delta. The paper measures that from protocol start; with the two
+/// premium phases prepended, core/multi_party.cpp rebases it to the start
+/// of the hashkey phase, hashkey_base = t4, and premium_base = t2 likewise.
 ///
 /// All deadlines are inclusive.
 class MultiPartyArcContract
     : public chain::SnapshotState<MultiPartyArcContract> {
  public:
-  struct Hashlock {
-    PartyId leader = kNoParty;
-    crypto::Digest digest{};
-  };
+  using Hashlock = contracts::Hashlock;
 
-  struct Params {
-    graph::Digraph g;
+  /// The shared lattice terms (g, premium_unit, hashlocks, party_keys,
+  /// delta, premium_base, redemption_premium_deadline, hashkey_base) plus
+  /// this arc's own.
+  struct Params : LatticeTerms {
     graph::Arc arc{};               ///< (u, v): u escrows for v
     chain::Symbol asset_symbol;
     Amount asset_amount = 0;
-    Amount premium_unit = 0;        ///< p in Equations 1 and 2
     Amount escrow_premium = 0;      ///< E(u, v) from Equation 2
-    std::vector<Hashlock> hashlocks;
-    std::vector<crypto::PublicKey> party_keys;  ///< indexed by PartyId
-    Tick delta = 1;
-    /// Start of premium phase 2: a redemption premium with path |q| is
-    /// timely until premium_base + |q| * delta (§7.1). 0 means "flat
-    /// redemption_premium_deadline only" (direct constructions).
-    Tick premium_base = 0;
-    Tick redemption_premium_deadline = 0;  ///< end of premium phase 2
-    Tick escrow_deadline = 0;              ///< end of base phase 1
+    Tick escrow_deadline = 0;       ///< end of base phase 1
     /// Per-arc asset-escrow deadline: base-phase-one start + (depth of the
     /// escrowing party in the leader-rooted escrow cascade + 1) * delta.
     /// The paper's phase-one schedule has the party at cascade depth k
@@ -73,7 +55,6 @@ class MultiPartyArcContract
     /// deadline). 0 means "fall back to escrow_deadline" (tests that
     /// construct arcs directly keep the old flat behaviour).
     Tick asset_escrow_deadline = 0;
-    Tick hashkey_base = 0;                 ///< start of base phase 2
   };
 
   explicit MultiPartyArcContract(Params p);
@@ -83,7 +64,9 @@ class MultiPartyArcContract
   /// u deposits E(u, v) (native coin). Timely until escrow_deadline (the
   /// engine's schedule has leaders deposit within Delta; the contract only
   /// needs a horizon after which deposits are pointless).
-  void deposit_escrow_premium(chain::TxContext& ctx);
+  void deposit_escrow_premium(chain::TxContext& ctx) {
+    arc_.deposit_premium(ctx);
+  }
 
   /// v deposits the redemption premium for `leader_index` with path `q`
   /// and a signature over (leader_index, q). The amount is dictated by
@@ -91,7 +74,9 @@ class MultiPartyArcContract
   void deposit_redemption_premium(chain::TxContext& ctx,
                                   std::size_t leader_index,
                                   const graph::Path& q,
-                                  const crypto::Signature& path_sig);
+                                  const crypto::Signature& path_sig) {
+    arc_.deposit_redemption_premium(ctx, leader_index, q, path_sig);
+  }
 
   /// u escrows the principal. Refunds the escrow premium to u at the same
   /// moment (its purpose — compensating v if u never escrows — is spent).
@@ -107,34 +92,36 @@ class MultiPartyArcContract
   /// Timeout sweep: premium refunds/awards and the final asset refund.
   void on_block(chain::TxContext& ctx) override;
   /// The escrow deadline and path_deadline(len) for every path length.
-  std::vector<Tick> timeouts() const override;
+  std::vector<Tick> timeouts() const override {
+    return arc_.with_path_deadlines({p_.escrow_deadline});
+  }
 
   // -- Public state -----------------------------------------------------------
 
   const Params& params() const { return p_; }
+  /// The arc's premiums and hashkeys (what relaying parties read).
+  const HedgedArc& hedged() const { return arc_; }
 
-  bool escrow_premium_deposited() const { return ep_deposited_.has_value(); }
+  bool escrow_premium_deposited() const { return arc_.premium_deposited(); }
   /// Activation (paper §7.1): all redemption premiums present on this arc.
-  bool escrow_premium_activated() const;
-  bool escrow_premium_refunded() const { return ep_refunded_; }
-  bool escrow_premium_awarded() const { return ep_awarded_; }
+  bool escrow_premium_activated() const { return arc_.activated(); }
+  bool escrow_premium_refunded() const { return arc_.premium_refunded(); }
+  bool escrow_premium_awarded() const { return arc_.premium_awarded(); }
 
   bool redemption_premium_deposited(std::size_t leader_index) const {
-    return rp_[leader_index].deposited_at.has_value();
+    return arc_.redemption_premium_deposited(leader_index);
   }
   bool redemption_premium_refunded(std::size_t leader_index) const {
-    return rp_[leader_index].refunded;
+    return arc_.redemption_premium_refunded(leader_index);
   }
   bool redemption_premium_awarded(std::size_t leader_index) const {
-    return rp_[leader_index].awarded;
+    return arc_.redemption_premium_awarded(leader_index);
   }
   Amount redemption_premium_amount(std::size_t leader_index) const {
-    return rp_[leader_index].amount;
+    return arc_.redemption_premium_amount(leader_index);
   }
-  /// The deposit's (public) path — what downstream parties extend when
-  /// relaying the premium backward through the digraph.
   const graph::Path& redemption_premium_path(std::size_t leader_index) const {
-    return rp_[leader_index].path;
+    return arc_.redemption_premium_path(leader_index);
   }
 
   bool escrowed() const { return escrowed_at_.has_value(); }
@@ -144,65 +131,31 @@ class MultiPartyArcContract
   std::optional<Tick> asset_resolved_at() const { return asset_resolved_at_; }
 
   bool hashlock_open(std::size_t leader_index) const {
-    return hashkeys_[leader_index].has_value();
+    return arc_.hashlock_open(leader_index);
   }
-  /// The hashkey that opened hashlock i, once presented — this is how the
-  /// next party down the digraph learns the secret and its path.
   const std::optional<crypto::Hashkey>& presented_hashkey(
       std::size_t leader_index) const {
-    return hashkeys_[leader_index];
+    return arc_.presented_hashkey(leader_index);
   }
 
   /// Deadline for a path of length `len` (paper: (diam + |q|) * Delta).
   Tick path_deadline(std::size_t len) const {
-    return p_.hashkey_base +
-           static_cast<Tick>(diam_ + len) * p_.delta;
+    return arc_.path_deadline(len);
   }
 
  private:
-  struct RedemptionPremium {
-    Amount amount = 0;
-    graph::Path path;
-    std::optional<Tick> deposited_at;
-    bool refunded = false;
-    bool awarded = false;
-
-    void state_hash_into(std::uint64_t& h) const {
-      chain::state_hash_values(h, amount, path, deposited_at, refunded,
-                               awarded);
-    }
-  };
-
-  PartyId sender_of_arc() const { return p_.arc.from; }      // u
-  PartyId recipient_of_arc() const { return p_.arc.to; }     // v
-  bool all_hashlocks_open() const;
-  void refund_escrow_premium(chain::TxContext& ctx, PartyId to, bool award);
-
   Params p_;
   SymbolId sym_ = SymbolTable::intern(p_.asset_symbol);
-  std::size_t diam_;
-  /// Memoized signature verification: reused worlds re-see the same
-  /// deterministic hashkeys/path signatures every schedule.
-  crypto::VerifyCache vcache_;
-  /// Equation 1 amounts per deposit path (pure in (g, p), so it survives
-  /// rewinds like the signature memo).
-  std::map<graph::Path, Amount> rp_amount_memo_;
-  std::optional<Tick> ep_deposited_;
-  bool ep_refunded_ = false;
-  bool ep_awarded_ = false;
-  std::vector<RedemptionPremium> rp_;
+  HedgedArc arc_;
   std::optional<Tick> escrowed_at_;
   std::optional<Tick> asset_resolved_at_;
   bool redeemed_ = false;
   bool refunded_ = false;
-  std::vector<std::optional<crypto::Hashkey>> hashkeys_;
 
-  /// Every mutable member (the signature and Equation-1 memos cache pure
-  /// computation and are deliberately absent).
+  /// Every mutable member.
   auto state_tie() {
-    return std::tie(ep_deposited_, ep_refunded_, ep_awarded_, rp_,
-                    escrowed_at_, asset_resolved_at_, redeemed_, refunded_,
-                    hashkeys_);
+    return std::tie(arc_.state(), escrowed_at_, asset_resolved_at_,
+                    redeemed_, refunded_);
   }
   friend chain::SnapshotState<MultiPartyArcContract>;
 };

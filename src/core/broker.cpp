@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "contracts/broker.hpp"
+#include "core/hedged_relay.hpp"
 #include "core/premiums.hpp"
 #include "crypto/hashkey.hpp"
 #include "crypto/secret.hpp"
@@ -33,11 +34,24 @@ graph::Digraph broker_digraph() {
   return g;
 }
 
-/// One arc as hosted by a contract, with its role.
+/// One arc as hosted by a contract, with its role: a party's handle for
+/// the shared relays (core/hedged_relay.hpp).
 struct HostedArc {
   BrokerChainContract* contract = nullptr;
   Which which = Which::kEscrowArc;
-  graph::Arc arc{};
+
+  ChainId chain_id() const { return contract->chain_id(); }
+  const contracts::HedgedArc& hedged() const {
+    return contract->hedged(which);
+  }
+  void deposit(chain::TxContext& ctx, std::size_t i, const graph::Path& q,
+               const crypto::Signature& sig) const {
+    contract->deposit_redemption_premium(ctx, which, i, q, sig);
+  }
+  void present(chain::TxContext& ctx, std::size_t i,
+               const crypto::Hashkey& key) const {
+    contract->present_hashkey(ctx, which, i, key);
+  }
 };
 
 struct Setup {
@@ -48,36 +62,30 @@ struct Setup {
   std::vector<HostedArc> arcs;          ///< all four arcs
   crypto::SigningCache* sign_cache = nullptr;
   Tick hashkey_base = 0;
-
-  std::vector<HostedArc> incoming(PartyId v) const {
-    std::vector<HostedArc> out;
-    for (const HostedArc& a : arcs) {
-      if (a.arc.to == v) out.push_back(a);
-    }
-    return out;
-  }
-  std::vector<HostedArc> outgoing(PartyId v) const {
-    std::vector<HostedArc> out;
-    for (const HostedArc& a : arcs) {
-      if (a.arc.from == v) out.push_back(a);
-    }
-    return out;
-  }
 };
 
 /// Shared relay behaviour plus per-role protocol actions.
-class BrokerParty : public sim::Party {
+class BrokerParty : public HedgedRelayParty<HostedArc> {
  public:
   BrokerParty(PartyId id, std::string name, const Setup& s,
               sim::DeviationPlan plan)
-      : sim::Party(id, std::move(name), plan), s_(s), relayed_(3, 0) {}
+      : HedgedRelayParty<HostedArc>(id, std::move(name), std::move(plan), s.g,
+                                    *s.sign_cache, 3, id),
+        s_(s) {
+    for (const HostedArc& a : s.arcs) {
+      if (a.hedged().arc().to == id) in_.push_back(a);
+      if (a.hedged().arc().from == id) out_.push_back(a);
+    }
+  }
 
   void step(chain::MultiChain& chains, Tick now) override {
     simple_premiums(chains, now);
     redemption_premiums(chains, now);
     principal_moves(chains, now);
-    release_own_key(chains, now);
-    relay_keys(chains, now);
+    if (owes_own_key() && now >= s_.hashkey_base && ready_to_release(now)) {
+      release_own_key(chains, now, 3, s_.secrets[id()].value());
+    }
+    relay_keys(chains, now, 3);
   }
 
  protected:
@@ -103,96 +111,11 @@ class BrokerParty : public sim::Party {
   /// the late-delay/selective-drop sweeps falsified the burst shortcut.)
   void redemption_premiums(chain::MultiChain& chains, Tick now) {
     if (!all_simple_premiums_deposited()) return;
-    if (!did_own_premium_) {
-      did_own_premium_ = true;
-      act(chains, now, 1, [this](chain::MultiChain& ch) {
-        deposit_premium_on_incoming(ch, id(), graph::Path{id()});
-      });
-    }
-    for (PartyId leader = 0; leader < 3; ++leader) {
-      if (leader == id() || premium_relayed_[leader]) continue;
-      for (const HostedArc& a : s_.outgoing(id())) {
-        if (!a.contract->redemption_premium_deposited(a.which, leader)) {
-          continue;
-        }
-        premium_relayed_[leader] = 1;
-        const graph::Path vq = graph::concat(
-            id(), a.contract->redemption_premium_path(a.which, leader));
-        if (s_.g.is_path(vq)) {
-          act(chains, now, 1, [this, leader, vq](chain::MultiChain& ch) {
-            deposit_premium_on_incoming(ch, leader, vq);
-          });
-        }
-        break;
-      }
-    }
-  }
-
-  void deposit_premium_on_incoming(chain::MultiChain& chains, PartyId leader,
-                                   const graph::Path& q) {
-    for (const HostedArc& a : s_.incoming(id())) {
-      const crypto::Signature& sig =
-          s_.sign_cache->premium_path_sig(keys(), id(), leader, q);
-      submit(chains, a.contract->chain_id(), "redemption premium",
-             [c = a.contract, w = a.which, leader, q,
-              sig](chain::TxContext& ctx) {
-               c->deposit_redemption_premium(ctx, w, leader, q, sig);
-             });
-    }
-  }
-
-  void release_own_key(chain::MultiChain& chains, Tick now) {
-    if (released_ || now < s_.hashkey_base || !ready_to_release(now)) return;
-    released_ = true;
-    act(chains, now, 3, [this](chain::MultiChain& ch) {
-      const crypto::Hashkey& key = s_.sign_cache->leader_hashkey(
-          id(), s_.secrets[id()].value(), id(), keys());
-      present_on_incoming(ch, id(), key);
-    });
-  }
-
-  void relay_keys(chain::MultiChain& chains, Tick now) {
-    for (PartyId leader = 0; leader < 3; ++leader) {
-      if (relayed_[leader]) continue;
-      for (const HostedArc& a : s_.outgoing(id())) {
-        if (!a.contract->hashlock_open(a.which, leader)) continue;
-        const crypto::Hashkey& seen =
-            *a.contract->presented_hashkey(a.which, leader);
-        if (std::find(seen.path.begin(), seen.path.end(), id()) !=
-            seen.path.end()) {
-          continue;
-        }
-        relayed_[leader] = 1;
-        // The extended key lives in the world's SigningCache, so the
-        // (possibly delayed) submission captures a stable reference.
-        const crypto::Hashkey& ext =
-            s_.sign_cache->extended_hashkey(leader, seen, id(), keys());
-        act(chains, now, 3, [this, leader, &ext](chain::MultiChain& ch) {
-          present_on_incoming(ch, leader, ext);
-        });
-        break;
-      }
-    }
-  }
-
-  /// `key` lives in the world's SigningCache (stable across the run), so
-  /// the closures capture it by reference.
-  void present_on_incoming(chain::MultiChain& chains, PartyId leader,
-                           const crypto::Hashkey& key) {
-    for (const HostedArc& a : s_.incoming(id())) {
-      submit(chains, a.contract->chain_id(), "present hashkey",
-             [c = a.contract, w = a.which, leader,
-              &key](chain::TxContext& ctx) {
-               c->present_hashkey(ctx, w, leader, key);
-             });
-    }
+    if (owes_own_premium()) start_own_premium(chains, now, 1);
+    relay_premiums(chains, now, 1);
   }
 
   const Setup& s_;
-  bool did_own_premium_ = false;
-  bool released_ = false;
-  std::vector<char> premium_relayed_ = std::vector<char>(3, 0);  ///< per leader
-  std::vector<char> relayed_;  ///< per leader (hashkeys)
 };
 
 /// Alice: trading premiums, the two trades, releases k_A after both.
@@ -252,8 +175,9 @@ class AliceBroker : public chain::SnapshotState<AliceBroker, BrokerParty> {
   bool traded_coins_ = false;
 
   auto state_tie() {
-    return std::tie(did_own_premium_, released_, premium_relayed_, relayed_,
-                    did_trading_premiums_, traded_tickets_, traded_coins_);
+    return std::tuple_cat(relay_tie(), std::tie(did_trading_premiums_,
+                                                traded_tickets_,
+                                                traded_coins_));
   }
   friend chain::SnapshotState<AliceBroker, BrokerParty>;
 };
@@ -307,8 +231,8 @@ class SellerBroker : public chain::SnapshotState<SellerBroker, BrokerParty> {
   bool did_escrow_ = false;
 
   auto state_tie() {
-    return std::tie(did_own_premium_, released_, premium_relayed_, relayed_,
-                    did_escrow_premium_, did_escrow_);
+    return std::tuple_cat(relay_tie(),
+                          std::tie(did_escrow_premium_, did_escrow_));
   }
   friend chain::SnapshotState<SellerBroker, BrokerParty>;
 };
@@ -431,10 +355,10 @@ BrokerWorld::BrokerWorld(const BrokerConfig& cfg, const WorldBinding& binding,
   s.coin = &coin_chain.deploy<BrokerChainContract>(cp);
 
   s.arcs = {
-      {s.ticket, Which::kEscrowArc, {kBob, kAlice}},
-      {s.ticket, Which::kTradingArc, {kAlice, kCarol}},
-      {s.coin, Which::kEscrowArc, {kCarol, kAlice}},
-      {s.coin, Which::kTradingArc, {kAlice, kBob}},
+      {s.ticket, Which::kEscrowArc},   // (B, A)
+      {s.ticket, Which::kTradingArc},  // (A, C)
+      {s.coin, Which::kEscrowArc},     // (C, A)
+      {s.coin, Which::kTradingArc},    // (A, B)
   };
 
   // Endowments: assets plus ample premium coin on both chains.

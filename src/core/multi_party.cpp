@@ -1,11 +1,13 @@
 #include "core/multi_party.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <tuple>
 
 #include "contracts/arc_contract.hpp"
+#include "core/hedged_relay.hpp"
 #include "core/premiums.hpp"
 #include "crypto/hashkey.hpp"
 #include "crypto/secret.hpp"
@@ -50,16 +52,37 @@ struct Setup {
   }
 };
 
+/// A party's handle on one arc contract, for the shared relays
+/// (core/hedged_relay.hpp).
+struct SwapArc {
+  MultiPartyArcContract* c = nullptr;
+
+  ChainId chain_id() const { return c->chain_id(); }
+  const contracts::HedgedArc& hedged() const { return c->hedged(); }
+  void deposit(chain::TxContext& ctx, std::size_t i, const graph::Path& q,
+               const crypto::Signature& sig) const {
+    c->deposit_redemption_premium(ctx, i, q, sig);
+  }
+  void present(chain::TxContext& ctx, std::size_t i,
+               const crypto::Hashkey& key) const {
+    c->present_hashkey(ctx, i, key);
+  }
+};
+
+using SwapRelay = HedgedRelayParty<SwapArc>;
+
 /// One swap participant, leader or follower, running the four phases with
 /// compliance conditions from §7 (and the truncations from Lemmas 2-5).
-class SwapParty : public chain::SnapshotState<SwapParty, sim::Party> {
+class SwapParty : public chain::SnapshotState<SwapParty, SwapRelay> {
  public:
   SwapParty(PartyId id, const Setup& s, sim::DeviationPlan plan)
-      : chain::SnapshotState<SwapParty, sim::Party>(
-            id, "party-" + std::to_string(id), plan),
-        s_(s),
-        premium_seen_(s.leaders.size(), 0),
-        hashkey_done_(s.leaders.size(), 0) {}
+      : chain::SnapshotState<SwapParty, SwapRelay>(
+            id, "party-" + std::to_string(id), std::move(plan), s.cfg->g,
+            *s.sign_cache, s.leaders.size(), own_index(s, id)),
+        s_(s) {
+    for (Vertex u : g().in_neighbors(id)) in_.push_back({&s.at(u, id)});
+    for (Vertex w : g().out_neighbors(id)) out_.push_back({&s.at(id, w)});
+  }
 
   void step(chain::MultiChain& chains, Tick now) override {
     const bool hedged = s_.cfg->hedged;
@@ -80,13 +103,17 @@ class SwapParty : public chain::SnapshotState<SwapParty, sim::Party> {
   }
 
  private:
+  static std::size_t own_index(const Setup& s, PartyId id) {
+    const int i = s.leader_index_of(id);
+    return i >= 0 ? static_cast<std::size_t>(i) : kNotLeader;
+  }
+
   const Digraph& g() const { return s_.cfg->g; }
 
   bool all_incoming_escrow_premiums() const {
-    for (Vertex u : g().in_neighbors(id())) {
-      if (!s_.at(u, id()).escrow_premium_deposited()) return false;
-    }
-    return true;
+    return std::all_of(in_.begin(), in_.end(), [](const SwapArc& a) {
+      return a.c->escrow_premium_deposited();
+    });
   }
 
   // Ordinals of this party's scheduled actions (base runs only the last
@@ -102,169 +129,79 @@ class SwapParty : public chain::SnapshotState<SwapParty, sim::Party> {
     if (!s_.is_leader(id()) && !all_incoming_escrow_premiums()) return;
     did_escrow_premiums_ = true;
     act(chains, now, 0, [this](chain::MultiChain& ch) {
-      for (Vertex w : g().out_neighbors(id())) {
-        MultiPartyArcContract& c = s_.at(id(), w);
-        submit(ch, c.chain_id(), "escrow premium",
-               [&c](chain::TxContext& ctx) { c.deposit_escrow_premium(ctx); });
+      for (const SwapArc& a : out_) {
+        submit(ch, a.chain_id(), "escrow premium",
+               [c = a.c](chain::TxContext& ctx) {
+                 c->deposit_escrow_premium(ctx);
+               });
       }
     });
   }
 
   // Phase 2: a leader whose phase 1 succeeded starts the backward flow for
-  // its own hashkey (path (L) on every incoming arc); every party relays
-  // the first premium for hashkey i seen on an outgoing arc.
+  // its own hashkey; every party relays the first premium for each other
+  // leader's hashkey seen on an outgoing arc.
   void phase2_redemption_premiums(chain::MultiChain& chains, Tick now) {
-    const int own = s_.leader_index_of(id());
-    if (own >= 0 && !started_own_premiums_ && all_incoming_escrow_premiums()) {
-      started_own_premiums_ = true;
-      act(chains, now, premium_relay_ordinal(),
-          [this, own](chain::MultiChain& ch) {
-            deposit_premiums_on_incoming(ch, static_cast<std::size_t>(own),
-                                         graph::Path{id()});
-          });
+    if (owes_own_premium() && all_incoming_escrow_premiums()) {
+      start_own_premium(chains, now, premium_relay_ordinal());
     }
-    for (std::size_t i = 0; i < s_.leaders.size(); ++i) {
-      if (premium_seen_[i]) continue;
-      // First premium for k_i on any outgoing arc (deterministic order);
-      // later sightings are ignored, per §7.1.
-      for (Vertex w : g().out_neighbors(id())) {
-        const MultiPartyArcContract& c = s_.at(id(), w);
-        if (!c.redemption_premium_deposited(i)) continue;
-        premium_seen_[i] = 1;
-        // The deposit's (public) path starts at w; prepend this vertex:
-        // "if v || q is a path, then deposits premium R_i(v || q, u) on
-        // every incoming arc".
-        const graph::Path vq =
-            graph::concat(id(), c.redemption_premium_path(i));
-        if (g().is_path(vq)) {
-          act(chains, now, premium_relay_ordinal(),
-              [this, i, vq](chain::MultiChain& ch) {
-                deposit_premiums_on_incoming(ch, i, vq);
-              });
-        }
-        break;
-      }
-    }
-  }
-
-  void deposit_premiums_on_incoming(chain::MultiChain& chains, std::size_t i,
-                                    const graph::Path& path) {
-    for (Vertex u : g().in_neighbors(id())) {
-      MultiPartyArcContract& c = s_.at(u, id());
-      const crypto::Signature& sig =
-          s_.sign_cache->premium_path_sig(keys(), id(), i, path);
-      submit(chains, c.chain_id(), "redemption premium",
-             [&c, i, path, sig](chain::TxContext& ctx) {
-               c.deposit_redemption_premium(ctx, i, path, sig);
-             });
-    }
+    relay_premiums(chains, now, premium_relay_ordinal());
   }
 
   // Phase 3 (base phase one): leaders escrow on activated outgoing arcs;
   // followers wait for all incoming assets first.
   void phase3_escrow_assets(chain::MultiChain& chains, Tick now) {
     if (did_escrow_assets_) return;
-    if (!s_.is_leader(id())) {
-      for (Vertex u : g().in_neighbors(id())) {
-        if (!s_.at(u, id()).escrowed()) return;
-      }
-    }
+    if (!s_.is_leader(id()) && !all_incoming_escrowed()) return;
     did_escrow_assets_ = true;
     act(chains, now, escrow_ordinal(), [this](chain::MultiChain& ch) {
-      for (Vertex w : g().out_neighbors(id())) {
-        MultiPartyArcContract& c = s_.at(id(), w);
+      for (const SwapArc& a : out_) {
         // Hedged runs escrow only where the premium protection is active
         // (Lemma 3: "the leader v escrows assets on the outgoing arcs whose
         // escrow premiums are activated").
-        if (s_.cfg->hedged && !c.escrow_premium_activated()) continue;
-        submit(ch, c.chain_id(), "escrow asset",
-               [&c](chain::TxContext& ctx) { c.escrow_asset(ctx); });
+        if (s_.cfg->hedged && !a.c->escrow_premium_activated()) continue;
+        submit(ch, a.chain_id(), "escrow asset",
+               [c = a.c](chain::TxContext& ctx) { c->escrow_asset(ctx); });
       }
     });
+  }
+
+  bool all_incoming_escrowed() const {
+    return std::all_of(in_.begin(), in_.end(),
+                       [](const SwapArc& a) { return a.c->escrowed(); });
   }
 
   // Phase 4 (base phase two): leaders whose incoming arcs all carry assets
   // release their hashkey there; everyone relays the first sighting of
   // each hashkey from an outgoing arc to all incoming arcs.
   void phase4_hashkeys(chain::MultiChain& chains, Tick now) {
-    const int own = s_.leader_index_of(id());
-    if (own >= 0 && !released_own_key_) {
-      bool all_in = true;
-      for (Vertex u : g().in_neighbors(id())) {
-        if (!s_.at(u, id()).escrowed()) all_in = false;
-      }
+    if (owes_own_key()) {
       // Normal release: every incoming arc carries an asset. Recovery
       // release (§7: "truncated versions of the base protocol phases to
       // recover their premiums", Lemma 4): if this leader escrowed
       // nothing — certain once the escrow deadline has passed — releasing
       // the secret is free and refunds its redemption premium deposits.
-      bool escrowed_none = now > s_.t4;  // escrow deadline == t4
-      for (Vertex w : g().out_neighbors(id())) {
-        if (s_.at(id(), w).escrowed()) escrowed_none = false;
-      }
-      if (all_in || escrowed_none) {
-        released_own_key_ = true;
-        act(chains, now, hashkey_ordinal(),
-            [this, own](chain::MultiChain& ch) {
-              const crypto::Hashkey& key = s_.sign_cache->leader_hashkey(
-                  static_cast<std::size_t>(own), s_.secrets[own].value(),
-                  id(), keys());
-              present_on_incoming(ch, static_cast<std::size_t>(own), key);
-            });
+      const bool escrowed_none =
+          now > s_.t4 &&  // escrow deadline == t4
+          std::none_of(out_.begin(), out_.end(),
+                       [](const SwapArc& a) { return a.c->escrowed(); });
+      if (all_incoming_escrowed() || escrowed_none) {
+        release_own_key(chains, now, hashkey_ordinal(),
+                        s_.secrets[s_.leader_index_of(id())].value());
       }
     }
-    for (std::size_t i = 0; i < s_.leaders.size(); ++i) {
-      if (hashkey_done_[i]) continue;
-      for (Vertex w : g().out_neighbors(id())) {
-        const MultiPartyArcContract& c = s_.at(id(), w);
-        if (!c.hashlock_open(i)) continue;
-        const crypto::Hashkey& seen = *c.presented_hashkey(i);
-        // Extend only if this vertex is not already on the path.
-        if (std::find(seen.path.begin(), seen.path.end(), id()) !=
-            seen.path.end()) {
-          continue;
-        }
-        hashkey_done_[i] = 1;
-        // The extended key lives in the world's SigningCache, so the
-        // (possibly delayed) submission captures a stable reference.
-        const crypto::Hashkey& ext =
-            s_.sign_cache->extended_hashkey(i, seen, id(), keys());
-        act(chains, now, hashkey_ordinal(),
-            [this, i, &ext](chain::MultiChain& ch) {
-              present_on_incoming(ch, i, ext);
-            });
-        break;
-      }
-    }
-  }
-
-  void present_on_incoming(chain::MultiChain& chains, std::size_t i,
-                           const crypto::Hashkey& key) {
-    // `key` lives in the world's SigningCache (stable for the world's
-    // lifetime), so the closures capture it by reference.
-    for (Vertex u : g().in_neighbors(id())) {
-      MultiPartyArcContract& c = s_.at(u, id());
-      submit(chains, c.chain_id(), "present hashkey",
-             [&c, i, &key](chain::TxContext& ctx) {
-               c.present_hashkey(ctx, i, key);
-             });
-    }
+    relay_keys(chains, now, hashkey_ordinal());
   }
 
   const Setup& s_;
   bool did_escrow_premiums_ = false;
-  bool started_own_premiums_ = false;
   bool did_escrow_assets_ = false;
-  bool released_own_key_ = false;
-  std::vector<char> premium_seen_;   ///< per leader index
-  std::vector<char> hashkey_done_;   ///< per leader index
 
   auto state_tie() {
-    return std::tie(did_escrow_premiums_, started_own_premiums_,
-                    did_escrow_assets_, released_own_key_, premium_seen_,
-                    hashkey_done_);
+    return std::tuple_cat(relay_tie(),
+                          std::tie(did_escrow_premiums_, did_escrow_assets_));
   }
-  friend chain::SnapshotState<SwapParty, sim::Party>;
+  friend chain::SnapshotState<SwapParty, SwapRelay>;
 };
 
 }  // namespace

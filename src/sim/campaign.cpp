@@ -1,6 +1,8 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "common/json.hpp"
 #include "common/parallel.hpp"
@@ -202,6 +204,7 @@ DryRunReport Campaign::dry_run() const {
     throw ParamError("campaign spec has no entries");
   }
   DryRunReport report;
+  std::size_t total = 0;
   for (PendingConfig& cfg :
        expand_entries(spec_, registry_, report.truncations)) {
     DryRunConfig row;
@@ -210,6 +213,14 @@ DryRunReport Campaign::dry_run() const {
     std::vector<std::string> truncations;
     row.schedules =
         ScenarioRunner(*cfg.adapter).schedule_count(spec_.sweep, &truncations);
+    // Each count fits 64 bits (ScheduleSpace checks that); their sum is
+    // checked here, so total_schedules() never wraps.
+    if (row.schedules > std::numeric_limits<std::size_t>::max() - total) {
+      throw std::invalid_argument(
+          "campaign: the configurations' schedules add up to more than a "
+          "64-bit count holds");
+    }
+    total += row.schedules;
     std::string head = row.protocol;
     if (!row.params.empty()) head += "[" + row.params + "]";
     for (const std::string& t : truncations) {

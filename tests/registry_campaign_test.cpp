@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -401,6 +402,19 @@ TEST(Campaign, UnknownProtocolFailsBeforeAnySweep) {
   bad_override.entries.push_back(
       {"two-party", {{"no_such_param", "1"}}, {}});
   EXPECT_THROW(Campaign(bad_override).run(), ParamError);
+}
+
+TEST(Campaign, DryRunTotalRefusesToOverflow) {
+  // 38 auction bidders give 7 * 3^38 halt-only schedules, which fits 64
+  // bits; two such configurations together do not.
+  std::string bids = "1";
+  for (int i = 1; i < 38; ++i) bids += ",1";
+  CampaignSpec spec;
+  spec.entries.push_back({"auction-open", {{"bids", bids}}, {}});
+  EXPECT_EQ(Campaign(spec).dry_run().total_schedules(),
+            std::size_t{9455962023710944623u});
+  spec.entries.push_back({"auction-open", {{"bids", bids}}, {}});
+  EXPECT_THROW(Campaign(spec).dry_run(), std::invalid_argument);
 }
 
 TEST(Campaign, GridCapReportsTruncation) {

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "chain/fault.hpp"
 #include "core/broker.hpp"
 #include "core/two_party.hpp"
 #include "sim/campaign.hpp"
@@ -137,6 +138,101 @@ TEST(StrategySweep, AuctionDelaySweepsArePinned) {
       notice += " sweeping 64 of 125 plans (caps: 64 plans/party, 1000000 "
                 "schedules)";
       EXPECT_EQ(report.truncations[i], notice);
+    }
+  }
+}
+
+// The §7 premium lattice's protocols, pinned the same way: the ARC swap on
+// the 3-ring and on Figure 3a, the §8 broker, and the unhedged ring. Each
+// hedged one is truncated to 64 of its 256 late-delay plans per party.
+// Under a cap-1 squeeze on every chain the halt-only broker and Figure 3a
+// sweeps breach (ROADMAP item 7): those runs exercise the premium award
+// paths, so their violations are pinned verbatim.
+TEST(StrategySweep, ArcLatticeSweepsArePinned) {
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  struct Pin {
+    const char* protocol;
+    bool hedged;
+    const char* line;
+    std::size_t nodes_executed;
+    std::size_t dedup_hits;
+  };
+  const Pin kLateDelays[] = {
+      {"multi-party-ring", true,
+       "hedged-multi-party-n3: 262144 schedules, 12288 conforming-party "
+       "audits, 0 violations",
+       1195, 260949},
+      {"multi-party-fig3a", true,
+       "hedged-multi-party-n3: 262144 schedules, 12288 conforming-party "
+       "audits, 0 violations",
+       1638, 260506},
+      {"broker", true,
+       "hedged-broker: 262144 schedules, 12288 conforming-party audits, "
+       "0 violations",
+       3219, 258925},
+      {"multi-party-ring", false,
+       "base-multi-party-n3: 4096 schedules, 768 conforming-party audits, "
+       "0 violations",
+       205, 3891},
+  };
+  for (const Pin& pin : kLateDelays) {
+    ParamSet params = reg.defaults(pin.protocol);
+    if (!pin.hedged) params.set("hedged", "0");
+    const auto adapter = reg.make(pin.protocol, params);
+    SweepOptions opts = with_strategies(StrategySpace::Kind::kLateDelays);
+    opts.strategies.max_schedules = 1000000;
+    const SweepReport report = ScenarioRunner(*adapter).sweep(opts);
+    SCOPED_TRACE(pin.line);
+    EXPECT_EQ(report.line(), pin.line);
+    EXPECT_EQ(report.nodes_executed, pin.nodes_executed);
+    EXPECT_EQ(report.dedup_hits, pin.dedup_hits);
+    ASSERT_EQ(report.truncations.size(), pin.hedged ? 3u : 0u);
+    for (std::size_t i = 0; i < report.truncations.size(); ++i) {
+      // Appended in steps (a GCC 12 -Wrestrict false positive, bug 105651).
+      std::string notice = adapter->name();
+      notice += ": strategy space 'late-delays' truncated: party ";
+      notice += std::to_string(i);
+      notice += " sweeping 64 of 256 plans (caps: 64 plans/party, 1000000 "
+                "schedules)";
+      EXPECT_EQ(report.truncations[i], notice);
+    }
+  }
+
+  struct FaultPin {
+    const char* protocol;
+    const char* line;
+    std::vector<std::string> violations;
+  };
+  const FaultPin kSqueezed[] = {
+      {"broker",
+       "hedged-broker: 125 schedules, 75 conforming-party audits, "
+       "3 violations",
+       {"hedged-broker[conform,conform,conform]: bob ended at -1 coins, "
+        "floor 0 (lost more than earned premiums) [chain-fault]",
+        "hedged-broker[conform,conform,conform]: carol ended at -1 coins, "
+        "floor 0 (lost more than earned premiums) [chain-fault]",
+        "hedged-broker[conform,conform,conform]: <all> ended at 0 coins, "
+        "floor 0 (all-conforming run did not complete) [chain-fault]"}},
+      {"multi-party-fig3a",
+       "hedged-multi-party-n3: 125 schedules, 75 conforming-party audits, "
+       "1 violations",
+       {"hedged-multi-party-n3[conform,conform,conform]: <all> ended at 0 "
+        "coins, floor 0 (all-conforming run did not complete) "
+        "[chain-fault]"}},
+  };
+  for (const FaultPin& pin : kSqueezed) {
+    const auto adapter = reg.make(pin.protocol);
+    adapter->set_environment(
+        {chain::FaultPlan::parse("*:squeeze@0-1000,cap=1"),
+         chain::ResiliencePolicy::parse("fee-escalate")});
+    const SweepReport report = ScenarioRunner(*adapter).sweep();
+    SCOPED_TRACE(pin.line);
+    EXPECT_EQ(report.line(), pin.line);
+    EXPECT_EQ(report.nodes_executed, 125u);
+    EXPECT_EQ(report.dedup_hits, 0u);
+    ASSERT_EQ(report.violations.size(), pin.violations.size());
+    for (std::size_t i = 0; i < pin.violations.size(); ++i) {
+      EXPECT_EQ(report.violations[i].str(), pin.violations[i]);
     }
   }
 }

@@ -13,7 +13,9 @@
 #     and shrinks it to the pinned canonical reproducer (exit 0);
 #   * the seeded regression corpus replays clean (exit 0) and the JSON
 #     report parses (python3 when available, grep fallback) with 0
-#     violating runs;
+#     violating runs, and (python3 only) two-party and bridge-transfer,
+#     whose faulted seeds share their default-parameter world, report one
+#     instance each;
 #   * two same-seed bounded runs emit byte-identical JSON bodies modulo
 #     the build-stamp fields (the determinism contract CI relies on);
 #   * a violating run (--self-test without the pass condition: a plain
@@ -91,6 +93,11 @@ assert doc["runs"] > 0, doc
 names = {t["protocol"] for t in doc["targets"]}
 assert {"two-party", "broker", "auction-open"} <= names, names
 assert all(t["violating_runs"] == 0 for t in doc["targets"]), doc
+# Each of these replays a faulted seed beside its default-parameter ones;
+# a fault environment runs on its override set's world, so one world each.
+instances = {t["protocol"]: t["instances"] for t in doc["targets"]}
+for name in ("two-party", "bridge-transfer"):
+    assert instances[name] == 1, (name, instances[name])
 EOF
 else
   grep -q '"benchmark": "fuzz"' "$json" || fail "JSON lacks benchmark"

@@ -98,19 +98,19 @@ void Sha256::update(const std::uint8_t* data, std::size_t len) {
 }
 
 Digest Sha256::finish() {
-  const std::uint64_t total_bits = bit_count_;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(&zero, 1);
+  // Padding: one 0x80 byte, zeros up to byte 56 of a block, then the
+  // 64-bit big-endian message length. A buffer with no room left for the
+  // length (more than 55 bytes) spills into one extra all-padding block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    process_block(buffer_);
+    buffer_len_ = 0;
   }
-  std::uint8_t len_bytes[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(total_bits >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  // Bypass update() so the appended length does not perturb bit_count_.
-  std::memcpy(buffer_ + buffer_len_, len_bytes, 8);
   process_block(buffer_);
 
   Digest out;

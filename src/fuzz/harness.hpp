@@ -65,10 +65,11 @@ struct TargetFuzzResult {
   std::size_t violating_runs = 0;
   /// Inputs rejected before execution (schema-invalid mutants/seeds).
   std::size_t skipped_inputs = 0;
-  /// Instances the pool built: one per distinct override set x fault
-  /// environment, faultless twins included. Each build constructs an
-  /// adapter and its world, so a high count relative to `runs` marks a
-  /// target whose time goes to setup rather than execution.
+  /// Instances the pool built: one per distinct override set. Fault
+  /// environments and faultless twins run on their override set's world
+  /// and add none. Each build constructs an adapter and its world, so a
+  /// high count relative to `runs` marks a target whose time goes to
+  /// setup rather than execution.
   std::size_t instances = 0;
   std::vector<Reproducer> reproducers;
   /// The evolved corpus (canonical texts) — what --corpus-out persists so

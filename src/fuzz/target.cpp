@@ -1,6 +1,7 @@
 #include "fuzz/target.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "fuzz/rng.hpp"
 #include "sim/strategy_space.hpp"
@@ -19,24 +20,17 @@ FuzzTarget FuzzTarget::from_registry(const std::string& name,
 
 Instance& InstancePool::instance_for(const FuzzInput& in) {
   // Key by the schema-normalized override string so "delta=2" on a
-  // delta-2-default protocol shares the defaults instance — plus the
-  // canonical environment text, since faults change the world itself.
+  // delta-2-default protocol shares the defaults instance. The environment
+  // is no part of the key: run() installs it per run.
   const sim::ParamSet params = in.params(target_.schema);
-  const chain::ChainEnvironment env = in.environment();
   std::string key = params.overrides_str();
-  if (env.active()) {
-    if (!key.empty()) key += ' ';
-    key += env.str();
-  }
   auto it = instances_.find(key);
   if (it != instances_.end()) return *it->second;
 
   auto inst = std::make_unique<Instance>();
   inst->params = params;
   inst->overrides_label = key;
-  inst->env = env;
   inst->adapter = target_.factory(params);
-  if (env.active()) inst->adapter->set_environment(env);
   inst->delta = inst->adapter->delta();
   const std::size_t n = inst->adapter->party_count();
   inst->action_counts.resize(n);
@@ -71,27 +65,34 @@ FuzzInput InstancePool::canonical(const FuzzInput& in) {
 
 RunOutcome InstancePool::run(const FuzzInput& in) {
   Instance& inst = instance_for(in);
-  RunOutcome out = inst.executor->run(
-      schedule_of(in, *inst.adapter, inst.overrides_label));
-  if (!inst.env.active()) return out;
+  chain::ChainEnvironment env = in.environment();
+  const bool faulted = env.active();
+  // The label keeps the environment text, so a violation names the
+  // substrate it ran on.
+  std::string label = inst.overrides_label;
+  if (faulted) {
+    if (!label.empty()) label += ' ';
+    label += env.str();
+  }
+  inst.adapter->set_environment(std::move(env));
+  RunOutcome out = inst.executor->run(schedule_of(in, *inst.adapter, label));
+  if (!faulted) return out;
   // A fault run whose consult path matches the bare run's must not
   // collide with it in coverage space: the substrate behaved differently
   // even if the parties consulted the same decisions.
-  sig_mix(out.signature, fnv1a(inst.overrides_label));
+  sig_mix(out.signature, fnv1a(label));
   if (out.violations.empty()) return out;
 
   // Fault attribution (sim::attribute_fault, as in ScenarioRunner::sweep):
-  // replay the same schedule on a faultless twin instance and keep only
-  // the violations whose party violates there too — those are deviation
-  // bugs even on a reliable substrate. Fault-only violations are what the
-  // fault layer is DESIGNED to produce (e.g. a naive party starved by a
-  // squeeze), so reporting them as fuzz findings would bury real signal.
-  FuzzInput bare = in;
-  bare.faults = {};
-  bare.resilience = {};
-  Instance& twin = instance_for(bare);
-  const RunOutcome clean = twin.executor->run(
-      schedule_of(bare, *twin.adapter, twin.overrides_label));
+  // replay the same schedule on the same world under the empty
+  // environment, the faultless twin, and keep only the violations whose
+  // party violates there too — those are deviation bugs even on a
+  // reliable substrate. Fault-only violations are what the fault layer is
+  // DESIGNED to produce (e.g. a naive party starved by a squeeze), so
+  // reporting them as fuzz findings would bury real signal.
+  inst.adapter->set_environment({});
+  const RunOutcome clean = inst.executor->run(
+      schedule_of(in, *inst.adapter, inst.overrides_label));
   std::vector<sim::Violation> kept;
   for (sim::Violation& v : out.violations) {
     if (!sim::attribute_fault(v, clean.violations)) {

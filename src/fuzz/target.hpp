@@ -12,8 +12,12 @@
 // expensive reusable world) depends on the input's override set. The
 // InstancePool caches one Instance — adapter + ScheduleExecutor + the
 // shape facts mutation needs (action counts, Δ, variant universes) — per
-// distinct canonical override string. Plan-only mutation dominates fuzzing,
-// so almost every run hits the pooled default-parameter instance.
+// distinct canonical override string. The input's chain environment (its
+// `fault` and `resilience` lines) is a per-run input instead: run() sets
+// it on the instance's adapter, whose one world switches environments
+// between runs, and a faulted run's faultless twin runs on that same
+// world. Plan-only mutation dominates fuzzing, so almost every run hits
+// the pooled default-parameter instance.
 
 #include <cstddef>
 #include <functional>
@@ -49,11 +53,9 @@ struct FuzzTarget {
 /// and the shape facts the mutator and canonicalizer need.
 struct Instance {
   sim::ParamSet params;
-  std::string overrides_label;  ///< params.overrides_str() (+ environment)
-  /// The input's chain environment, installed on the adapter before its
-  /// world was built. Part of the cache key: the same overrides under
-  /// different fault plans are different worlds.
-  chain::ChainEnvironment env;
+  /// params.overrides_str(): the pool key, and the schedule-label suffix a
+  /// run extends with its environment text.
+  std::string overrides_label;
   std::unique_ptr<sim::ProtocolAdapter> adapter;
   std::unique_ptr<ScheduleExecutor> executor;
   Tick delta = 1;
@@ -78,17 +80,18 @@ class InstancePool {
   /// Canonicalizes `in` against its own instance.
   FuzzInput canonical(const FuzzInput& in);
 
-  /// Builds `in`'s schedule and executes it on its instance. When `in`
-  /// injects faults and the run violates, each violation is re-checked on
-  /// a faultless twin instance (same overrides, no environment): a
-  /// violation that vanishes there was caused by the injected fault, not
-  /// the deviation schedule, and is dropped as expected substrate damage
-  /// (the within-envelope guarantees are pinned by dedicated tests, not
-  /// the fuzzer).
+  /// Builds `in`'s schedule and executes it on its instance under `in`'s
+  /// chain environment. When that environment is active and the run
+  /// violates, the schedule re-runs on the same instance under the empty
+  /// environment, its faultless twin: a violation that vanishes there was
+  /// caused by the injected fault, not the deviation schedule, and is
+  /// dropped as expected substrate damage (the within-envelope guarantees
+  /// are pinned by dedicated tests, not the fuzzer).
   RunOutcome run(const FuzzInput& in);
 
   const FuzzTarget& target() const { return target_; }
-  /// Instances built so far (faultless twins included).
+  /// Instances (worlds) built so far: one per distinct override set,
+  /// whatever environments its inputs ran under.
   std::size_t size() const { return instances_.size(); }
 
  private:

@@ -197,9 +197,13 @@ class ProtocolAdapter {
 
   /// Chain-side execution environment (chain/fault.hpp): the fault plan
   /// injected into this adapter's chains and the resilience policy its
-  /// parties follow. Installed on the world when it is built, so set it
-  /// before the first run; the default inactive environment keeps the
-  /// substrate byte-identical to the historical reliable one. Active
+  /// parties follow. A per-run input: WorldAdapter installs the current
+  /// environment on its one cached world whenever it hands that world out
+  /// (run(), tree_frame() and the tree hooks), so it may change between
+  /// runs, and each run reports what a fresh world built under it would
+  /// (pinned by tests/sweep_equivalence_test.cpp). Never change it while
+  /// a tree sweep is exploring. The default inactive environment keeps
+  /// the substrate byte-identical to the historical reliable one. Active
   /// environments are brute-executor only — carried-over mempool entries
   /// break the tree executor's tick-boundary snapshot invariant — and
   /// clone() copies the environment, so parallel shards inject
@@ -320,10 +324,10 @@ class WorldCache {
 /// (core/*World) exposes its TreeFrame, set_plans(plans) and collect();
 /// this base drives all of them through that frame:
 ///   * run() rewinds the cached private world to snapshot slot 0 (its
-///     post-setup state), then plays the schedule to the horizon
-///     (sim::play) and maps the result through outcomes_from() — the path
-///     brute sweep shards, fault sweeps, attribution twins, the fuzzer and
-///     load twins all share;
+///     post-setup state) under the adapter's current environment, then
+///     plays the schedule to the horizon (sim::play) and maps the result
+///     through outcomes_from() — the path brute sweep shards, fault
+///     sweeps, attribution twins, the fuzzer and load twins all share;
 ///   * the tree hooks hand the same world to the schedule-tree executor;
 ///   * bind_instance() builds the world bound onto shared chains.
 /// A concrete adapter supplies its identity, plan space, make_world() and
@@ -418,16 +422,23 @@ class WorldAdapter : public ProtocolAdapter {
     std::vector<ContractRange> contracts_;
   };
 
-  /// The cached private world, built on first use with this adapter's
-  /// environment installed and its post-setup state pushed as snapshot
-  /// slot 0, the state every run() rewinds to.
+  /// The cached private world, built on first use with its post-setup
+  /// state pushed as snapshot slot 0, the state every run() rewinds to,
+  /// and carrying this adapter's current environment. No world depends on
+  /// its environment: setup runs before any is installed, and a slot-0
+  /// rewind forgets all fault runtime (Blockchain::snap_rewind), so
+  /// switching environments between runs equals building afresh.
   W& world() const {
-    return world_.ensure([this] {
-      std::unique_ptr<W> w = make_world(core::WorldBinding{});
-      w->frame().chains->set_environment(environment());
-      w->frame().snap_push();
-      return w;
+    W& w = world_.ensure([this] {
+      std::unique_ptr<W> built = make_world(core::WorldBinding{});
+      built->frame().snap_push();
+      return built;
     });
+    chain::MultiChain& chains = *w.frame().chains;
+    if (chains.environment() != environment()) {
+      chains.set_environment(environment());
+    }
+    return w;
   }
 
   WorldCache<W> world_;

@@ -255,7 +255,7 @@ TEST(ArtifactGolden, FuzzReportJson) {
       "unique_signatures": 128,
       "violating_runs": 20,
       "skipped_inputs": 0,
-      "instances": 41,
+      "instances": 1,
       "reproducers": [
         {
           "input": "protocol fuzz-selftest-trap\nplan 1 x0\nplan 2 halt@1\n",

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "crypto/bytes.hpp"
 #include "crypto/hashkey.hpp"
 #include "crypto/rng.hpp"
@@ -50,6 +53,26 @@ TEST(Sha256, PaddingBoundaries) {
     Sha256 h;
     h.update(msg);
     EXPECT_EQ(to_hex(h.finish()), to_hex(sha256(msg))) << "len=" << len;
+  }
+}
+
+TEST(Sha256, KnownDigestsAtPaddingBoundaries) {
+  // PaddingBoundaries compares two paths through the same finish(); these
+  // pin finish() itself against reference digests of n 'a' bytes, on both
+  // sides of the 55/56-byte edge where the length spills into an extra
+  // block, and at one and two full blocks.
+  const std::pair<std::size_t, const char*> kCases[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119,
+       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120,
+       "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [len, digest] : kCases) {
+    EXPECT_EQ(to_hex(sha256(std::string(len, 'a'))), digest) << "len=" << len;
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include "fuzz/harness.hpp"
 #include "fuzz/selftest.hpp"
+#include "fuzz/target.hpp"
 #include "sim/registry.hpp"
 
 namespace xchain::fuzz {
@@ -126,6 +127,53 @@ TEST(FuzzHarness, SchemaInvalidSeedsAreSkippedNotFatal) {
   }
 }
 
+TEST(InstancePool, FaultEnvironmentsShareTheOverrideSetsWorld) {
+  // The chain environment is a per-run input: a bare input, the same input
+  // under a squeeze with naive and then fee-escalating parties, and the
+  // bare input again all run on the one defaults-instance world, the
+  // faulted runs' faultless twins included.
+  const FuzzTarget target = FuzzTarget::from_registry("two-party");
+  InstancePool pool(target);
+  const std::string squeeze =
+      "protocol two-party\n"
+      "fault banana squeeze@4-10,cap=1,spam=2,fee=3\n";
+  const FuzzInput bare = FuzzInput::parse("protocol two-party\n");
+  const FuzzInput naive = FuzzInput::parse(squeeze + "resilience naive\n");
+  const FuzzInput escalate =
+      FuzzInput::parse(squeeze + "resilience fee-escalate\n");
+
+  const RunOutcome first = pool.run(bare);
+  EXPECT_FALSE(first.violating());
+  EXPECT_EQ(pool.size(), 1u);
+
+  // FaultSweep.NaiveConformingPartyBreachesUnderSqueeze's breach: the
+  // spam starves Alice's fee-0 banana traffic past her deadline. Her
+  // floor breach and the liveness failure are fault-only, so the twin,
+  // re-run on the same world under the empty environment, drops both.
+  const RunOutcome starved = pool.run(naive);
+  ASSERT_EQ(starved.outcomes.size(), 2u);
+  EXPECT_EQ(starved.outcomes[0].name, "alice");
+  EXPECT_TRUE(starved.outcomes[0].conforming);
+  EXPECT_EQ(starved.outcomes[0].payoff.coin_delta, -2);
+  EXPECT_EQ(starved.outcomes[0].bound.min_coin_delta, 1);
+  EXPECT_FALSE(starved.violating());
+  EXPECT_NE(starved.signature, first.signature);
+  EXPECT_EQ(pool.size(), 1u);
+
+  // Escalation outbids the spam, so the same world now audits clean.
+  const RunOutcome escalated = pool.run(escalate);
+  EXPECT_NE(escalated.outcomes, starved.outcomes);
+  EXPECT_FALSE(escalated.violating());
+  EXPECT_EQ(pool.size(), 1u);
+
+  // Back on the reliable substrate, the world reports what it first did.
+  const RunOutcome again = pool.run(bare);
+  EXPECT_EQ(again.outcomes, first.outcomes);
+  EXPECT_EQ(again.signature, first.signature);
+  EXPECT_FALSE(again.violating());
+  EXPECT_EQ(pool.size(), 1u);
+}
+
 TEST(FuzzReport, JsonShapeAndTotals) {
   FuzzReport rep;
   rep.seed = 7;
@@ -137,9 +185,9 @@ TEST(FuzzReport, JsonShapeAndTotals) {
   EXPECT_NE(json.find("\"protocol\": \"fuzz-selftest-trap\""),
             std::string::npos);
   EXPECT_NE(json.find("\"reproducers\": ["), std::string::npos);
-  // Fault mutations give the parameterless trap more than one instance.
+  // The parameterless trap's fault mutations all share its one world.
   const std::size_t instances = rep.targets.front().instances;
-  EXPECT_GT(instances, 1u);
+  EXPECT_EQ(instances, 1u);
   EXPECT_NE(json.find("\"instances\": " + std::to_string(instances) + ","),
             std::string::npos);
   // Violation text embeds newlines only in escaped form.

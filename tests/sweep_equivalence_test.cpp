@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "chain/fault.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
 
@@ -146,6 +147,46 @@ TEST(SweepEquivalence, LateDelayReportsIdenticalAcrossWorldModes) {
     SCOPED_TRACE(adapter->name());
     expect_same_report(fresh_world_report(*adapter, opts),
                        ScenarioRunner(*adapter).sweep(opts));
+  }
+}
+
+// The chain environment is a per-run input of the one cached world: an
+// adapter rotating through four environments per schedule must report,
+// run for run, what a fresh clone given the same environment before its
+// first run reports. Cleared again, its default (tree) sweep must report
+// what a fresh adapter's does.
+TEST(SweepEquivalence, EnvironmentSwitchMatchesFreshWorld) {
+  using chain::ChainEnvironment;
+  using chain::FaultPlan;
+  using chain::ResiliencePolicy;
+  const std::vector<ChainEnvironment> envs = {
+      {},
+      {FaultPlan::parse("*:squeeze@2-12,cap=1,spam=2,fee=3"),
+       ResiliencePolicy::parse("fee-escalate")},
+      {FaultPlan::parse("*:outage@3-5"), {}},
+      {FaultPlan::parse("*:drop@0-1000,p=300,seed=7"),
+       ResiliencePolicy::parse("rebroadcast")},
+  };
+  for (const auto& adapter : reference_adapters()) {
+    SCOPED_TRACE(adapter->name());
+    const auto switched = adapter->clone();
+    for (const Schedule& s : ScenarioRunner(*adapter).enumerate()) {
+      for (const ChainEnvironment& env : envs) {
+        const auto fresh = adapter->clone();
+        fresh->set_environment(env);
+        switched->set_environment(env);
+        expect_same_outcomes(fresh->run(s), switched->run(s),
+                             s.label + " under '" + env.str() + "'");
+      }
+    }
+    switched->set_environment({});
+    const SweepReport reused = ScenarioRunner(*switched).sweep();
+    const SweepReport fresh = ScenarioRunner(*adapter->clone()).sweep();
+    EXPECT_EQ(reused.str(), fresh.str());
+    EXPECT_EQ(reused.schedules_run, fresh.schedules_run);
+    EXPECT_EQ(reused.conforming_audited, fresh.conforming_audited);
+    EXPECT_EQ(reused.nodes_executed, fresh.nodes_executed);
+    EXPECT_EQ(reused.dedup_hits, fresh.dedup_hits);
   }
 }
 

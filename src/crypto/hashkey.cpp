@@ -1,6 +1,6 @@
 #include "crypto/hashkey.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "crypto/sha256.hpp"
 
@@ -35,9 +35,10 @@ bool verify_hashkey(const Hashkey& key, const Digest& hashlock,
   if (key.path.empty() || key.path.size() != key.sigs.size()) return false;
   if (sha256(key.secret) != hashlock) return false;
 
-  std::unordered_set<PartyId> seen;
-  for (PartyId p : key.path) {
-    if (!seen.insert(p).second) return false;  // paths are simple
+  // Paths are simple. A path holds at most the digraph's vertex count, so
+  // scanning each vertex's predecessors in place beats building a set.
+  for (auto it = key.path.begin(); it != key.path.end(); ++it) {
+    if (std::find(key.path.begin(), it, *it) != it) return false;
   }
 
   // Innermost link: the leader signs the secret itself.
@@ -59,6 +60,7 @@ namespace {
 Bytes encode_premium_path(std::uint64_t tag,
                           const std::vector<PartyId>& path) {
   Bytes msg;
+  msg.reserve(8 * (2 + path.size()));
   append_u64(msg, tag);
   append_u64(msg, path.size());
   for (PartyId p : path) append_u64(msg, p);

@@ -1,10 +1,12 @@
 #include "crypto/schnorr.hpp"
 
+#include <bit>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
+#include "crypto/modexp.hpp"
 #include "crypto/sha256.hpp"
 
 namespace xchain::crypto {
@@ -76,10 +78,130 @@ std::uint64_t digest_to_scalar(const Digest& d, std::uint64_t mod) {
   return v % mod;
 }
 
+void store_u64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+  }
+}
+
+/// Arithmetic mod p in Montgomery form with R = 2^64: a is held as aR mod
+/// p, so a product costs three 64-bit multiplies instead of a 128-bit
+/// division. Every operand is below p < 2^62, so a product stays below pR.
+struct Montgomery {
+  std::uint64_t p;
+  std::uint64_t p_inv;  ///< p^-1 mod 2^64
+  std::uint64_t one;    ///< R mod p, the Montgomery form of 1
+  std::uint64_t r2;     ///< R^2 mod p, which converts into the form
+
+  explicit Montgomery(std::uint64_t modulus)
+      : p(modulus),
+        p_inv(inverse_mod_2_64(modulus)),
+        one((0 - modulus) % modulus),
+        r2(mulmod(one, one, modulus)) {}
+
+  static std::uint64_t inverse_mod_2_64(std::uint64_t odd) {
+    std::uint64_t inv = odd;  // right to 3 bits; each Newton step doubles it
+    for (int i = 0; i < 5; ++i) inv *= 2 - odd * inv;
+    return inv;
+  }
+
+  /// t / R mod p for t < pR: subtracting m * p, with m chosen so the low
+  /// words cancel, leaves hi(t) - hi(m * p), which lies in (-p, p).
+  std::uint64_t reduce(unsigned __int128 t) const {
+    const auto hi = static_cast<std::uint64_t>(t >> 64);
+    const std::uint64_t m = static_cast<std::uint64_t>(t) * p_inv;
+    const auto mp_hi = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(m) * p) >> 64);
+    return hi >= mp_hi ? hi - mp_hi : hi - mp_hi + p;
+  }
+  std::uint64_t mul(std::uint64_t a, std::uint64_t b) const {
+    return reduce(static_cast<unsigned __int128>(a) * b);
+  }
+  std::uint64_t to_form(std::uint64_t a) const { return mul(a % p, r2); }
+  std::uint64_t from_form(std::uint64_t a) const { return reduce(a); }
+};
+
+/// The group's Montgomery context plus its fixed-base table: row i holds
+/// g^(j * 16^i) for j = 0..15 in Montgomery form, so g^e for any 64-bit e
+/// is one table entry per nibble of e multiplied together (2 KB).
+struct Kernels {
+  Montgomery mont;
+  std::uint64_t table[16][16] = {};
+
+  explicit Kernels(const GroupParams& gp) : mont(gp.p) {
+    std::uint64_t step = mont.to_form(gp.g);  // g^(16^i)
+    for (auto& row : table) {
+      row[0] = mont.one;
+      for (int j = 1; j < 16; ++j) row[j] = mont.mul(row[j - 1], step);
+      step = mont.mul(row[15], step);
+    }
+  }
+};
+
+const Kernels& kernels() {
+  static const Kernels k(group());
+  return k;
+}
+
+/// g^e in Montgomery form.
+std::uint64_t pow_generator_form(const Kernels& k, std::uint64_t e) {
+  std::uint64_t acc = k.table[0][e & 15];
+  for (int i = 1; i < 16; ++i) {
+    acc = k.mont.mul(acc, k.table[i][(e >> (4 * i)) & 15]);
+  }
+  return acc;
+}
+
+/// base^e in Montgomery form, `base` already in it: 4-bit fixed windows
+/// from the top nonzero nibble of e down, four squarings and one table
+/// multiply per window.
+std::uint64_t pow_form(const Montgomery& m, std::uint64_t base,
+                       std::uint64_t e) {
+  if (e == 0) return m.one;
+  std::uint64_t window[16] = {};
+  window[0] = m.one;
+  for (int j = 1; j < 16; ++j) window[j] = m.mul(window[j - 1], base);
+  int i = (std::bit_width(e) - 1) / 4;
+  std::uint64_t acc = window[(e >> (4 * i)) & 15];
+  while (i-- > 0) {
+    for (int sq = 0; sq < 4; ++sq) acc = m.mul(acc, acc);
+    acc = m.mul(acc, window[(e >> (4 * i)) & 15]);
+  }
+  return acc;
+}
+
+/// The Fiat-Shamir challenge H("xchain-challenge/" || r || y || message).
+std::uint64_t challenge(std::uint64_t r, const PublicKey& pub,
+                        const Bytes& message, std::uint64_t q) {
+  std::uint8_t ctx[16] = {};
+  store_u64(ctx, r);
+  store_u64(ctx + 8, pub.y);
+  Sha256 h;
+  h.update("xchain-challenge/");
+  h.update(ctx, sizeof(ctx));
+  h.update(message);
+  return digest_to_scalar(h.finish(), q);
+}
+
 }  // namespace
+
+namespace detail {
+
+std::uint64_t pow_generator(std::uint64_t e) {
+  const Kernels& k = kernels();
+  return k.mont.from_form(pow_generator_form(k, e));
+}
+
+std::uint64_t pow_mod_p(std::uint64_t base, std::uint64_t e) {
+  const Montgomery& m = kernels().mont;
+  return m.from_form(pow_form(m, m.to_form(base), e));
+}
+
+}  // namespace detail
 
 Bytes Signature::encode() const {
   Bytes out;
+  out.reserve(16);
   append_u64(out, e);
   append_u64(out, s);
   return out;
@@ -91,7 +213,7 @@ KeyPair keygen(std::string_view seed) {
   h.update("xchain-keygen/");
   h.update(seed);
   const std::uint64_t x = 1 + digest_to_scalar(h.finish(), gp.q - 1);
-  return KeyPair{PrivateKey{x}, PublicKey{powmod(gp.g, x, gp.p)}};
+  return KeyPair{PrivateKey{x}, PublicKey{detail::pow_generator(x)}};
 }
 
 namespace {
@@ -133,23 +255,15 @@ Signature sign(const PrivateKey& key, const PublicKey& pub,
                const Bytes& message) {
   const GroupParams& gp = group();
   // Deterministic nonce derivation (RFC 6979 in spirit).
+  std::uint8_t key_bytes[8] = {};
+  store_u64(key_bytes, key.x);
   Sha256 nh;
   nh.update("xchain-nonce/");
-  Bytes key_bytes;
-  append_u64(key_bytes, key.x);
-  nh.update(key_bytes);
+  nh.update(key_bytes, sizeof(key_bytes));
   nh.update(message);
   const std::uint64_t k = 1 + digest_to_scalar(nh.finish(), gp.q - 1);
-  const std::uint64_t r = powmod(gp.g, k, gp.p);
-
-  Sha256 eh;
-  eh.update("xchain-challenge/");
-  Bytes ctx;
-  append_u64(ctx, r);
-  append_u64(ctx, pub.y);
-  eh.update(ctx);
-  eh.update(message);
-  const std::uint64_t e = digest_to_scalar(eh.finish(), gp.q);
+  const std::uint64_t r = detail::pow_generator(k);
+  const std::uint64_t e = challenge(r, pub, message, gp.q);
   const std::uint64_t s = (k + mulmod(e, key.x, gp.q)) % gp.q;
   return Signature{e, s};
 }
@@ -160,18 +274,12 @@ bool verify(const PublicKey& pub, const Bytes& message, const Signature& sig) {
     return false;
   }
   // R' = g^s * y^(-e) = g^s * y^(q - e)  (y has order q).
-  const std::uint64_t gs = powmod(gp.g, sig.s, gp.p);
-  const std::uint64_t ye = powmod(pub.y, gp.q - sig.e, gp.p);
-  const std::uint64_t r = mulmod(gs, ye, gp.p);
-
-  Sha256 eh;
-  eh.update("xchain-challenge/");
-  Bytes ctx;
-  append_u64(ctx, r);
-  append_u64(ctx, pub.y);
-  eh.update(ctx);
-  eh.update(message);
-  return digest_to_scalar(eh.finish(), gp.q) == sig.e;
+  const Kernels& k = kernels();
+  const std::uint64_t gs = pow_generator_form(k, sig.s);
+  const std::uint64_t ye =
+      pow_form(k.mont, k.mont.to_form(pub.y), gp.q - sig.e);
+  const std::uint64_t r = k.mont.from_form(k.mont.mul(gs, ye));
+  return challenge(r, pub, message, gp.q) == sig.e;
 }
 
 }  // namespace xchain::crypto

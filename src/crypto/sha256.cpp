@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
+#include "crypto/sha256_compress.hpp"
+
 namespace xchain::crypto {
 
 namespace {
@@ -34,9 +41,10 @@ inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
 
 }  // namespace
 
-Sha256::Sha256() { std::memcpy(state_, kInit, sizeof(state_)); }
+namespace detail {
 
-void Sha256::process_block(const std::uint8_t* block) {
+void sha256_compress_portable(std::uint32_t state[8],
+                              const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -52,8 +60,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -72,14 +80,109 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = t1 + t2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+// Intel's SHA extensions keep the eight state words as two vectors, ABEF
+// and CDGH, and run two rounds per SHA256RNDS2 from the low two lanes of a
+// message-plus-constant vector. Each of the 16 steps below runs four
+// rounds (two RNDS2) on one four-word message group and advances the
+// schedule: MSG1 starts group i + 3 from groups i - 1 and i, and MSG2
+// finishes group i + 1 from groups i - 1 and i.
+__attribute__((target("sha,sse4.1"))) void compress_ni(
+    std::uint32_t state[8], const std::uint8_t* block) {
+  // Byte shuffle turning each big-endian message word little-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // prev, cur, next, last: message groups i - 1, i, i + 1, i + 2 (mod 4).
+  __m128i cur = _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block)), bswap);
+  __m128i next = _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16)), bswap);
+  __m128i last = _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 32)), bswap);
+  __m128i prev = _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 48)), bswap);
+
+  for (int i = 0; i < 16; ++i) {
+    __m128i wk = _mm_add_epi32(
+        cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * i)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (i >= 3 && i < 15) {
+      next = _mm_sha256msg2_epu32(
+          _mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4)), cur);
+    }
+    wk = _mm_shuffle_epi32(wk, 0x0e);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    if (i >= 1 && i < 13) prev = _mm_sha256msg1_epu32(prev, cur);
+    const __m128i done = prev;
+    prev = cur;
+    cur = next;
+    next = last;
+    last = done;
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+}  // namespace
+
+Sha256Compress sha256_compress_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return nullptr;
+  if (!(ecx & bit_SSSE3) || !(ecx & bit_SSE4_1)) return nullptr;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return nullptr;
+  if (!(ebx & bit_SHA)) return nullptr;
+  return &compress_ni;
+}
+
+#else
+
+Sha256Compress sha256_compress_ni() { return nullptr; }
+
+#endif
+
+}  // namespace detail
+
+Sha256::Sha256() { std::memcpy(state_, kInit, sizeof(state_)); }
+
+void Sha256::process_block(const std::uint8_t* block) {
+  // CPUID is probed once per process; the static's guarded initialization
+  // makes the first calls race-free across threads.
+  static const detail::Sha256Compress compress = [] {
+    const detail::Sha256Compress ni = detail::sha256_compress_ni();
+    return ni != nullptr ? ni : &detail::sha256_compress_portable;
+  }();
+  compress(state_, block);
 }
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {

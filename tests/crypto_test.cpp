@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <utility>
 
 #include "crypto/bytes.hpp"
 #include "crypto/hashkey.hpp"
+#include "crypto/modexp.hpp"
 #include "crypto/rng.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/secret.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_compress.hpp"
 
 namespace xchain::crypto {
 namespace {
@@ -73,6 +76,42 @@ TEST(Sha256, KnownDigestsAtPaddingBoundaries) {
   };
   for (const auto& [len, digest] : kCases) {
     EXPECT_EQ(to_hex(sha256(std::string(len, 'a'))), digest) << "len=" << len;
+  }
+}
+
+TEST(Sha256, CompressionKernelsAgree) {
+  // The portable kernel is the reference, so pin it first, on every host:
+  // one compression of the padded "abc" block from the initial state is
+  // the whole FIPS 180-4 example digest.
+  std::uint32_t state[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
+                            0xa54ff53au, 0x510e527fu, 0x9b05688cu,
+                            0x1f83d9abu, 0x5be0cd19u};
+  std::uint8_t block[64] = {'a', 'b', 'c', 0x80};
+  block[63] = 24;  // message length in bits
+  detail::sha256_compress_portable(state, block);
+  const std::uint32_t abc[8] = {0xba7816bfu, 0x8f01cfeau, 0x414140deu,
+                                0x5dae2223u, 0xb00361a3u, 0x96177a9cu,
+                                0xb410ff61u, 0xf20015adu};
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(state[i], abc[i]) << "word " << i;
+
+  const detail::Sha256Compress ni = detail::sha256_compress_ni();
+  if (ni == nullptr) {
+    GTEST_SKIP() << "CPUID reports no SHA extensions: no hardware kernel to "
+                    "compare";
+  }
+  Rng rng(0x5a256);
+  for (int n = 0; n < 4096; ++n) {
+    std::uint32_t portable[8] = {};
+    for (std::uint32_t& w : portable) {
+      w = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    const Bytes data = rng.next_bytes(sizeof(block));
+    std::uint32_t hardware[8] = {};
+    std::memcpy(hardware, portable, sizeof(portable));
+    detail::sha256_compress_portable(portable, data.data());
+    ni(hardware, data.data());
+    ASSERT_EQ(std::memcmp(portable, hardware, sizeof(portable)), 0)
+        << "pair " << n;
   }
 }
 
@@ -194,6 +233,74 @@ TEST(Schnorr, DeterministicSignature) {
 TEST(Schnorr, KeygenDeterministicPerLabel) {
   EXPECT_EQ(keygen("alice").pub, keygen("alice").pub);
   EXPECT_NE(keygen("alice").pub.y, keygen("bob").pub.y);
+}
+
+TEST(Schnorr, ExponentiationMatchesPowmod) {
+  // The fixed-base table (g^e) and the Montgomery window (y^e) against
+  // the plain square-and-multiply reference. Random exponents span all 64
+  // bits, so every table entry is read.
+  const GroupParams& gp = group();
+  const std::uint64_t bases[] = {1, 2, gp.g, gp.p - 1, keygen("alice").pub.y};
+  const std::uint64_t exponents[] = {0,        1,    15, 16,
+                                     gp.q - 1, gp.q, (1ull << 61) - 1};
+  for (const std::uint64_t e : exponents) {
+    EXPECT_EQ(detail::pow_generator(e), powmod(gp.g, e, gp.p)) << "e=" << e;
+    for (const std::uint64_t b : bases) {
+      EXPECT_EQ(detail::pow_mod_p(b, e), powmod(b, e, gp.p))
+          << "base=" << b << " e=" << e;
+    }
+  }
+  Rng rng(0x6d6f6e74);
+  for (int n = 0; n < 10000; ++n) {
+    const std::uint64_t b = rng.next_below(gp.p);
+    const std::uint64_t e = rng.next_u64();
+    ASSERT_EQ(detail::pow_generator(e), powmod(gp.g, e, gp.p)) << "e=" << e;
+    ASSERT_EQ(detail::pow_mod_p(b, e), powmod(b, e, gp.p))
+        << "base=" << b << " e=" << e;
+  }
+}
+
+TEST(Schnorr, KnownAnswerVectors) {
+  // Keys and signatures pinned across builds: every sweep, fuzz and load
+  // report depends on them bit for bit, so a kernel change must keep them.
+  const std::pair<const char*, std::uint64_t> kKeys[] = {
+      {"alice", 0x15d95b259a28e135ull},    {"bob", 0x0b9e18c780cffb57ull},
+      {"carol", 0x17424483749043eaull},    {"party-0", 0x11bf80edc0560a70ull},
+      {"party-1", 0x1906aa43e75c2baaull},  {"party-2", 0x1b50381a9f52568cull},
+      {"party-3", 0x1bd6f9127e0aafb4ull},  {"bidder-1", 0x0b2eccc6ef4035fcull},
+  };
+  for (const auto& [label, y] : kKeys) {
+    EXPECT_EQ(keygen(label).pub.y, y) << label;
+  }
+
+  // alice signs bytes 0, 1, 2, ... of each length: empty, one-block and
+  // two-block digests on both sides of the 55/56-byte padding edge.
+  struct Vector {
+    std::size_t len;
+    Signature sig;
+  };
+  const Vector kSigs[] = {
+      {0, {0x0de11e238f3c5c71ull, 0x0de45593a457d8edull}},
+      {16, {0x0137f013c9fadc6full, 0x007315c828b5d6e6ull}},
+      {32, {0x0cba161ff4d3f83dull, 0x0436f4fa803b5d47ull}},
+      {55, {0x01aa27664182f24full, 0x0ab2940ed5b83dc0ull}},
+      {56, {0x0a85cbd506875399ull, 0x09d1c811085f1d2bull}},
+      {64, {0x04eacc94b8f5fb19ull, 0x057caff92262ee1full}},
+      {100, {0x0739a2b042678118ull, 0x04ef68ae000cd8afull}},
+  };
+  const KeyPair alice = keygen("alice");
+  for (const Vector& v : kSigs) {
+    Bytes msg(v.len);
+    for (std::size_t i = 0; i < v.len; ++i) {
+      msg[i] = static_cast<std::uint8_t>(i);
+    }
+    EXPECT_EQ(sign(alice.priv, alice.pub, msg), v.sig) << "len=" << v.len;
+    EXPECT_TRUE(verify(alice.pub, msg, v.sig)) << "len=" << v.len;
+    EXPECT_FALSE(verify(alice.pub, msg, Signature{v.sig.e ^ 1, v.sig.s}))
+        << "len=" << v.len;
+    EXPECT_FALSE(verify(alice.pub, msg, Signature{v.sig.e, v.sig.s ^ 1}))
+        << "len=" << v.len;
+  }
 }
 
 // ---------------------------------------------------------------------------

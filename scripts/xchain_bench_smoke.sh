@@ -21,8 +21,9 @@
 #   * --seed= takes the whole unsigned 64-bit range: 2^64-1 runs, and
 #     2^64, a sign or a leading space exit 2 without writing the artifact;
 #   * malformed flags (an empty or comma-truncated --scaling= or --mix=
-#     list, a signed or space-padded number), unknown mix protocols, an
-#     empty --json= path and a short artifact write (/dev/full) exit 2.
+#     list, a signed or space-padded number), unknown mix protocols, a
+#     mix protocol named twice, an empty --json= path and a short artifact
+#     write (/dev/full) exit 2.
 set -euo pipefail
 
 bin="$1"
@@ -136,6 +137,8 @@ done
   >/dev/null 2>&1; [[ $? -eq 2 ]] || fail "unknown mix protocol should exit 2"
 "$bin" --users=5 --mix=two-party:0 >/dev/null 2>&1; [[ $? -eq 2 ]] || \
   fail "zero mix weight should exit 2"
+"$bin" --users=20 --mix=two-party:1,two-party:1 >/dev/null 2>&1
+[[ $? -eq 2 ]] || fail "a mix protocol named twice should exit 2"
 # Every comma-separated item must parse: an empty list or a stray comma is
 # malformed, not a shorter list.
 for bad in --scaling= --scaling=1, --scaling=,1 --scaling=1,,4 \

@@ -117,12 +117,19 @@ LoadReport run_load(const LoadConfig& cfg) {
   if (mix.empty()) mix.push_back({"two-party", 1});
   // 64-bit: a few INT_MAX weights must not overflow the draw range.
   std::uint64_t total_weight = 0;
-  for (const MixEntry& m : mix) {
-    if (m.weight <= 0) {
-      throw std::invalid_argument("load: mix weight for '" + m.protocol +
+  for (auto m = mix.begin(); m != mix.end(); ++m) {
+    if (m->weight <= 0) {
+      throw std::invalid_argument("load: mix weight for '" + m->protocol +
                                   "' must be >= 1");
     }
-    total_weight += static_cast<std::uint64_t>(m.weight);
+    // A protocol named twice would report as two separate rows.
+    if (std::any_of(mix.begin(), m, [&](const MixEntry& e) {
+          return e.protocol == m->protocol;
+        })) {
+      throw std::invalid_argument("load: mix names '" + m->protocol +
+                                  "' twice");
+    }
+    total_weight += static_cast<std::uint64_t>(m->weight);
   }
   const unsigned threads = std::max(1u, cfg.threads);
 

@@ -70,8 +70,9 @@ struct LoadConfig {
   std::uint64_t seed = 1;    ///< arrival-process / mix-draw seed
 
   /// Weighted protocol mix; empty = {two-party:1}. Names resolve through
-  /// ProtocolRegistry::global() and must support bind_instance
-  /// (two-party, broker, bridge-transfer, bridge-account-create).
+  /// ProtocolRegistry::global(), each at most once, and must support
+  /// bind_instance (two-party, broker, bridge-transfer,
+  /// bridge-account-create).
   std::vector<MixEntry> mix;
 
   /// Inter-arrival gap between consecutive instances is drawn uniformly

@@ -170,6 +170,17 @@ std::vector<PendingConfig> expand_entries(
     std::vector<std::string>& truncations) {
   std::vector<PendingConfig> pending;
   for (const CampaignEntry& entry : spec.entries) {
+    // Every grid point overwrites its axes' keys, so a fixed override of
+    // one would be dropped without a word.
+    for (const GridAxis& axis : entry.grid.axes()) {
+      for (const auto& [key, value] : entry.overrides) {
+        if (key == axis.key) {
+          throw ParamError(entry.protocol + ": param '" + key +
+                           "' is both a fixed override (" + value +
+                           ") and a grid axis");
+        }
+      }
+    }
     ParamSet defaults = registry.defaults(entry.protocol);
     for (const auto& [key, value] : entry.overrides) {
       defaults.set(key, value);

@@ -1,5 +1,6 @@
 #include "sim/param.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -310,10 +311,19 @@ GridExpansion ParamGrid::expand(const ParamSet& defaults,
                                 std::size_t cap) const {
   // Validate every axis value up front: a capped expansion must still
   // reject a bad value that only the truncated tail would have reached.
+  // A value the schema renders like an earlier one ("01" after "1") would
+  // run and count one configuration twice, so it is an error too.
   for (const GridAxis& axis : axes_) {
     ParamSet probe = defaults;
+    std::vector<std::string> seen;
     for (const std::string& value : axis.values) {
       probe.set(axis.key, value);
+      std::string normal = probe.value_str(axis.key);
+      if (std::find(seen.begin(), seen.end(), normal) != seen.end()) {
+        throw ParamError("grid axis '" + axis.key + "': '" + value +
+                         "' repeats the value " + normal);
+      }
+      seen.push_back(std::move(normal));
     }
   }
 

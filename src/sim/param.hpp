@@ -160,8 +160,10 @@ class ParamGrid {
   /// Expands the cross product over `defaults` (each point = defaults +
   /// one value per axis), in row-major order with the FIRST axis varying
   /// slowest. Every value is validated through ParamSet::set, so a bad
-  /// grid fails before any sweep runs. At most `cap` points are
-  /// materialized; the full size is reported in GridExpansion.
+  /// grid fails before any sweep runs; so does a value that renders like
+  /// an earlier one of its axis (ParamSet::value_str: "01" after "1"),
+  /// which would repeat a point. At most `cap` points are materialized;
+  /// the full size is reported in GridExpansion.
   GridExpansion expand(const ParamSet& defaults, std::size_t cap = 4096) const;
 
  private:

@@ -43,8 +43,8 @@ struct HedgeBound {
   bool operator==(const HedgeBound&) const = default;
 };
 // The two flags sit in the tail padding after goods_received, so
-// PartyOutcome keeps its size: the tree executor caches one outcome vector
-// per memo leaf.
+// PartyOutcome keeps its size: the tree executor stores one outcome vector
+// per distinct outcome of a sweep.
 static_assert(sizeof(HedgeBound) == 3 * sizeof(Amount));
 
 /// The asset-safety rule: `d` shows `principal` fell and `counter_asset`
@@ -117,7 +117,7 @@ std::size_t audit_party(const std::string& schedule_label,
 /// vector under every conformance pattern at once. A pattern is a mask
 /// with bit p set when party p conforms; the outcomes' own conforming
 /// flags play no part. The schedule-tree executor keeps one verdict per
-/// memo leaf and answers most schedules from it.
+/// distinct outcome of its memo leaves and answers most schedules from it.
 struct AuditVerdict {
   /// Bit p: party p fails audit_party's checks, so it breaches whenever it
   /// conforms.

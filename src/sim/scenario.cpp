@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
+#include "chain/snapshot.hpp"
 #include "common/parallel.hpp"
 #include "core/crr.hpp"
 #include "sim/consult.hpp"
@@ -307,6 +310,40 @@ void attribute_faults(const ProtocolAdapter& adapter,
   }
 }
 
+/// Whether two runs' outcome vectors agree on every field but the
+/// conformance flags, which depend on plan coordinates a run may never
+/// consult and are patched per served schedule.
+bool same_result(const std::vector<PartyOutcome>& a,
+                 const std::vector<PartyOutcome>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const PartyOutcome& x, const PartyOutcome& y) {
+                      return x.name == y.name && x.payoff == y.payoff &&
+                             x.bound == y.bound;
+                    });
+}
+
+/// A hash of `out` over the fields same_result compares.
+std::uint64_t result_hash(const std::vector<PartyOutcome>& out) {
+  std::uint64_t h = chain::kStateHashSeed;
+  const auto mix = [&h](auto v) {
+    chain::state_hash_mix(h, static_cast<std::uint64_t>(v));
+  };
+  for (const PartyOutcome& o : out) {
+    mix(std::hash<std::string>{}(o.name));
+    for (const auto& [symbol, amount] : o.payoff.by_symbol) {
+      mix(std::hash<std::string>{}(symbol));
+      mix(amount);
+    }
+    mix(o.payoff.coin_delta);
+    mix(o.payoff.value_delta);
+    mix(o.bound.min_coin_delta);
+    mix(o.bound.spend_allowance);
+    mix(o.bound.goods_received | o.bound.completed << 1 |
+        o.bound.principal_lost << 2);
+  }
+  return h;
+}
+
 /// Prefix-sharing schedule-tree executor (the serial sweep's default
 /// engine). One instance drives one adapter's TreeFrame through a whole
 /// sweep. explore() runs every execution up front, depth-first:
@@ -322,11 +359,13 @@ void attribute_faults(const ProtocolAdapter& adapter,
 ///     stack, one slot per tick) to that consult's tick and runs only the
 ///     new suffix.
 ///
-/// Each new leaf gets a dense id and its AuditVerdict, computed once. The
-/// sweep loop then answers most schedules from their leaf's verdict under
-/// their conformance mask (verdict()), and serves the rest — violating
-/// schedules, sampled permuted serves — from their leaf's outcomes
-/// (outcomes()), never touching the world.
+/// A leaf holds an *outcome id*, not outcomes: runs that end alike share
+/// one stored outcome vector and one AuditVerdict, computed once per
+/// distinct outcome (the late-delays bridges end ~37k leaves in a few
+/// dozen outcomes). The sweep loop then answers most schedules from their
+/// outcome's verdict under their conformance mask (verdict()), and serves
+/// the rest — violating schedules, sampled permuted serves — from the
+/// stored outcomes (outcomes()), never touching the world.
 ///
 /// An adapter's interchangeable parties (ProtocolAdapter::
 /// interchangeable_parties) shrink the walk: a schedule is *canonical*
@@ -370,7 +409,7 @@ class TreeExecutor {
   std::size_t nodes_executed() const { return nodes_executed_; }
 
   /// The shard loop's fast path for the schedule with raw index `raw`,
-  /// plan indices `digit` and conformance mask `conforming`: its leaf's
+  /// plan indices `digit` and conformance mask `conforming`: its outcome's
   /// verdict under that mask. A schedule without a leaf of its own is a
   /// permuted serve, answered from its sorted twin's verdict under the
   /// twin's mask: a permutation moves each range party's outcome and
@@ -383,15 +422,15 @@ class TreeExecutor {
   Verdict verdict(std::size_t raw, const std::vector<std::size_t>& digit,
                   std::uint64_t conforming) {
     if (!verdicts_on_) return Verdict::kUnknown;
-    std::uint32_t id = leaf_of_[raw];
-    if (id == kNoLeaf) {
+    std::uint32_t id = outcome_of_[raw];
+    if (id == kNoOutcome) {
       if (verifying_serve()) return Verdict::kUnknown;
       const std::size_t first = sym_.first;
       std::copy_n(digit.begin() + static_cast<std::ptrdiff_t>(first),
                   sym_.size(), digits_.begin());
       const std::size_t twin = sorted_twin(raw);
-      id = twin == raw ? kNoLeaf : leaf_of_[twin];
-      if (id == kNoLeaf) return Verdict::kUnknown;
+      id = twin == raw ? kNoOutcome : outcome_of_[twin];
+      if (id == kNoOutcome) return Verdict::kUnknown;
       conforming &= ~sym_mask_;
       for (std::size_t j = 0; j < sym_.size(); ++j) {
         if (sym_conforms_[digits_[order_[j]]]) {
@@ -407,18 +446,19 @@ class TreeExecutor {
   }
 
   /// The outcomes of the schedule with raw index `raw` (decoded into `s`
-  /// by the caller), served from its explored leaf. Conformance flags are
-  /// patched in place on the leaf's stored outcomes, so a lookup costs no
-  /// allocation and no copy. A schedule without a leaf of its own is
-  /// served from its sorted twin's leaf, permuted into one reused scratch
-  /// vector. The sub-space partition says explore() reached every
-  /// in-budget canonical index; a hole is a completeness bug, and serving
-  /// it silently would mis-attribute outcomes.
+  /// by the caller), served from its explored leaf's interned outcome.
+  /// Conformance flags are patched in place on that shared vector, so a
+  /// lookup costs no allocation and no copy; the reference holds this
+  /// schedule's flags until the next call. A schedule without a leaf of
+  /// its own is served from its sorted twin's outcome, permuted into one
+  /// reused scratch vector. The sub-space partition says explore() reached
+  /// every in-budget canonical index; a hole is a completeness bug, and
+  /// serving it silently would mis-attribute outcomes.
   const std::vector<PartyOutcome>& outcomes(std::size_t raw,
                                             const Schedule& s) {
-    if (const std::uint32_t id = leaf_of_[raw]; id != kNoLeaf) {
-      patch_conformance(s, leaf_outcomes_[id]);
-      return leaf_outcomes_[id];
+    if (const std::uint32_t id = outcome_of_[raw]; id != kNoOutcome) {
+      patch_conformance(s, outcomes_[id]);
+      return outcomes_[id];
     }
     const std::size_t first = sym_.first;
     const std::size_t k = sym_.size();
@@ -426,14 +466,14 @@ class TreeExecutor {
       digits_[j] = raw / strides_[first + j] % lists()[first + j].size();
     }
     const std::size_t twin = sorted_twin(raw);
-    const std::uint32_t id = twin == raw ? kNoLeaf : leaf_of_[twin];
-    if (id == kNoLeaf) {
+    const std::uint32_t id = twin == raw ? kNoOutcome : outcome_of_[twin];
+    if (id == kNoOutcome) {
       throw std::logic_error(
           adapter_.name() +
           ": tree exploration left part of the schedule space uncovered");
     }
     // Names stay with their positions; payoffs and bounds follow plans.
-    const std::vector<PartyOutcome>& from = leaf_outcomes_[id];
+    const std::vector<PartyOutcome>& from = outcomes_[id];
     permuted_.resize(from.size());
     for (std::size_t q = 0; q < from.size(); ++q) {
       if (q < first || q >= first + k) permuted_[q] = from[q];
@@ -508,34 +548,33 @@ class TreeExecutor {
     all_ = n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
     // Raw-index strides matching ScheduleSpace::digits (party 0 is
     // the fastest-varying digit). Every leaf learns the exact set of
-    // plan-index combinations it covers, so leaf_of_ maps each raw index
-    // straight to its leaf.
+    // plan-index combinations it covers, so outcome_of_ maps each raw
+    // index straight to its leaf's outcome.
     strides_.assign(n, 1);
     std::size_t total = 1;
     for (std::size_t p = 0; p < n; ++p) {
       strides_[p] = total;
       total *= lists[p].size();
     }
-    leaf_of_.assign(total, kNoLeaf);
+    outcome_of_.assign(total, kNoOutcome);
     std::vector<std::vector<int>> cand(n);
     explore_parties(n, max_deviators, cand);
   }
 
  private:
-  static constexpr std::uint32_t kNoLeaf =
+  static constexpr std::uint32_t kNoOutcome =
       std::numeric_limits<std::uint32_t>::max();
 
   /// One memo-trie node: the question "which policy does `party`'s plan
-  /// give ordinal `ordinal`?", one edge per answer seen so far. A leaf's
-  /// id indexes the outcomes of the run that ended there and their
-  /// verdict. Roots live in a map keyed by the schedule's variant vector:
-  /// variants steer engines outside the consultation mechanism (the
-  /// auctioneer's declaration strategy), so runs under different variants
-  /// never share nodes.
+  /// give ordinal `ordinal`?", one edge per answer seen so far. A leaf
+  /// holds the outcome id of the run that ended there. Roots live in a
+  /// map keyed by the schedule's variant vector: variants steer engines
+  /// outside the consultation mechanism (the auctioneer's declaration
+  /// strategy), so runs under different variants never share nodes.
   struct TrieNode {
     PartyId party = kNoParty;
     int ordinal = -1;
-    std::uint32_t leaf = kNoLeaf;  ///< dense leaf id, once a run ends here
+    std::uint32_t leaf = kNoOutcome;  ///< outcome id, once a run ends here
     std::vector<std::pair<ActionPolicy, std::unique_ptr<TrieNode>>> edges;
   };
 
@@ -704,7 +743,7 @@ class TreeExecutor {
     }
     execute(s, from);
     ++nodes_executed_;
-    const std::uint32_t leaf = memoize(s, adapter_.tree_collect(s));
+    const std::uint32_t id = memoize(s, adapter_.tree_collect(s));
 
     // Branch exploration rewrites log_, so walk a copy of this run's path.
     const std::vector<ConsultEntry> path = log_.entries();
@@ -741,7 +780,7 @@ class TreeExecutor {
         for (std::size_t p = 0; p < cand.size(); ++p) {
           raw += static_cast<std::size_t>(covered[p][at[p]]) * strides_[p];
         }
-        leaf_of_[raw] = leaf;
+        outcome_of_[raw] = id;
         std::size_t p = 0;
         for (; p < cand.size(); ++p) {
           if (++at[p] < covered[p].size()) break;
@@ -815,17 +854,20 @@ class TreeExecutor {
   }
 
   /// Records the just-executed run of `s` in the trie and returns its
-  /// leaf id, verifying determinism: runs sharing a decision prefix must
-  /// consult the same coordinate next, and a run reaching an existing leaf
-  /// — possible only across deviator-set sub-spaces — must reproduce its
-  /// outcomes, conformance flags aside. A new leaf gets the next id and
-  /// its audit verdict.
+  /// outcome id, verifying determinism: runs sharing a decision prefix
+  /// must consult the same coordinate next, and a run reaching an existing
+  /// leaf — possible only across deviator-set sub-spaces — must reproduce
+  /// its outcomes, conformance flags aside. A new leaf interns the run's
+  /// outcomes: it takes the id of an equal stored vector (same_result,
+  /// found by result_hash and confirmed field by field, so a hash
+  /// collision costs a probe and never a wrong outcome), and otherwise the
+  /// next id, with the vector stored and its audit verdict computed once.
   std::uint32_t memoize(const Schedule& s, std::vector<PartyOutcome> out) {
     key_.clear();
     for (const DeviationPlan& plan : s.plans) key_.push_back(plan.variant());
     TrieNode* node = &roots_[key_];
     for (const ConsultEntry& e : log_.entries()) {
-      if (node->leaf != kNoLeaf ||
+      if (node->leaf != kNoOutcome ||
           (node->party != kNoParty &&
            (node->party != e.party || node->ordinal != e.ordinal))) {
         throw std::logic_error(
@@ -849,27 +891,35 @@ class TreeExecutor {
       }
       node = child;
     }
-    if (node->leaf != kNoLeaf) {
-      patch_conformance(s, leaf_outcomes_[node->leaf]);
-    }
     if (node->party != kNoParty ||
-        (node->leaf != kNoLeaf && leaf_outcomes_[node->leaf] != out)) {
+        (node->leaf != kNoOutcome &&
+         !same_result(outcomes_[node->leaf], out))) {
       throw std::logic_error(
           adapter_.name() +
           ": tree executor run consulted a prefix of an earlier run with "
           "equal answers but ended differently — engine is not "
           "deterministic");
     }
-    if (node->leaf == kNoLeaf) {
-      if (leaf_outcomes_.size() == kNoLeaf) {
-        throw std::length_error(adapter_.name() +
-                                ": tree executor ran out of leaf ids");
-      }
-      node->leaf = static_cast<std::uint32_t>(leaf_outcomes_.size());
-      if (verdicts_on_) verdicts_.push_back(audit_verdict(out));
-      leaf_outcomes_.push_back(std::move(out));
-    }
+    if (node->leaf == kNoOutcome) node->leaf = intern(std::move(out));
     return node->leaf;
+  }
+
+  /// The id of the stored outcome vector equal to `out` (same_result),
+  /// storing `out` and its verdict under the next id if there is none.
+  std::uint32_t intern(std::vector<PartyOutcome> out) {
+    const std::uint64_t h = result_hash(out);
+    for (auto [it, end] = interned_.equal_range(h); it != end; ++it) {
+      if (same_result(outcomes_[it->second], out)) return it->second;
+    }
+    if (outcomes_.size() == kNoOutcome) {
+      throw std::length_error(adapter_.name() +
+                              ": tree executor ran out of outcome ids");
+    }
+    const auto id = static_cast<std::uint32_t>(outcomes_.size());
+    if (verdicts_on_) verdicts_.push_back(audit_verdict(out));
+    outcomes_.push_back(std::move(out));
+    interned_.emplace(h, id);
+    return id;
   }
 
   /// Conformance flags depend on plan coordinates a run may never consult
@@ -891,12 +941,13 @@ class TreeExecutor {
   ConsultLog log_;
   std::map<std::vector<int>, TrieNode> roots_;
   const ScheduleSpace* space_ = nullptr;
-  /// Raw index -> leaf id (kNoLeaf: unexplored); leaf id -> the outcomes
-  /// of the run that ended there, and -> their verdict (none past 64
-  /// parties).
-  std::vector<std::uint32_t> leaf_of_;
-  std::vector<std::vector<PartyOutcome>> leaf_outcomes_;
+  /// Raw index -> its leaf's outcome id (kNoOutcome: unexplored); outcome
+  /// id -> the distinct outcome vector, and -> its verdict (none past 64
+  /// parties); result_hash -> the ids of the vectors with that hash.
+  std::vector<std::uint32_t> outcome_of_;
+  std::vector<std::vector<PartyOutcome>> outcomes_;
   std::vector<AuditVerdict> verdicts_;
+  std::unordered_multimap<std::uint64_t, std::uint32_t> interned_;
   bool verdicts_on_ = false;
   std::uint64_t all_ = 0;  ///< conformance mask of every party
   std::vector<std::size_t> strides_;  ///< raw-index stride per party

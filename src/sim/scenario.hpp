@@ -62,13 +62,14 @@
 // of the permuted serves (all of them in Debug) is re-executed and
 // compared whole, like the rewinds below.
 //
-// Each leaf's audit verdict (payoff_audit.hpp AuditVerdict: which parties
-// breach if they conform, whether coins are conserved, whether the run
-// completed) is computed once, when the leaf is made. The audit loop then
-// walks raw indices with an odometer over the per-party plan indices and
-// answers a clean schedule from its leaf's verdict under its conformance
-// mask: a leaf-id load and one mask test, no decode and no outcome
-// vector. A permuted serve is answered from its twin's verdict under the
+// Runs that end alike share one stored outcome vector: a leaf holds an
+// outcome id, interned when the leaf is made, and each distinct outcome's
+// audit verdict (payoff_audit.hpp AuditVerdict: which parties breach if
+// they conform, whether coins are conserved, whether the run completed)
+// is computed once. The audit loop then walks raw indices with an
+// odometer over the per-party plan indices and answers a clean schedule
+// from its leaf's verdict under its conformance mask: an outcome-id load
+// and one mask test, no decode and no outcome vector. A permuted serve is answered from its twin's verdict under the
 // twin's mask. Only violating schedules and sampled permuted serves are
 // decoded and audited from their leaf's outcomes, in raw order, and Debug
 // builds audit every verdict-served schedule that way too and throw on

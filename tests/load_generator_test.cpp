@@ -412,6 +412,8 @@ TEST(LoadGenerator, RejectsBadConfigs) {
   cfg.max_fee = -1;
   EXPECT_THROW(load::run_load(cfg), std::invalid_argument);
   cfg.max_fee = 64;
+  cfg.mix = {{"two-party", 1}, {"broker", 1}, {"two-party", 1}};
+  EXPECT_THROW(load::run_load(cfg), std::invalid_argument);
   cfg.mix = {{"no-such-protocol", 1}};
   EXPECT_THROW(load::run_load(cfg), sim::RegistryError);
   // Protocols without a bound-world form are rejected at bind time.

@@ -124,6 +124,31 @@ TEST(ParamGrid, BadAxisValueFailsBeforeAnySweep) {
   EXPECT_THROW(capped.expand(demo_schema(), /*cap=*/1), ParamError);
 }
 
+// A value that parses like an earlier one of its axis would run and count
+// one configuration twice, whether it came in the same flag or in a
+// repeated one (axes for one key merge); distinct values still expand.
+TEST(ParamGrid, RepeatedAxisValueIsAnError) {
+  ParamGrid leading_zero;
+  leading_zero.add_axis_csv("count", "1,01");
+  EXPECT_THROW(leading_zero.expand(demo_schema()), ParamError);
+  ParamGrid merged;
+  merged.add_axis_csv("count", "2");
+  merged.add_axis_csv("count", "2,3");
+  EXPECT_THROW(merged.expand(demo_schema()), ParamError);
+  ParamGrid real;
+  real.add_axis_csv("rate", "0.5,0.50");
+  EXPECT_THROW(real.expand(demo_schema()), ParamError);
+  ParamGrid text;
+  text.add_axis_csv("label", "a,b,a");
+  EXPECT_THROW(text.expand(demo_schema()), ParamError);
+  // Even when the cap would never materialize the repeat.
+  EXPECT_THROW(merged.expand(demo_schema(), /*cap=*/1), ParamError);
+  ParamGrid distinct;
+  distinct.add_axis_csv("count", "2");
+  distinct.add_axis_csv("count", "3,10");
+  EXPECT_EQ(distinct.expand(demo_schema()).points.size(), 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Registry: coverage, defaults, errors
 // ---------------------------------------------------------------------------
@@ -415,6 +440,30 @@ TEST(Campaign, DryRunTotalRefusesToOverflow) {
             std::size_t{9455962023710944623u});
   spec.entries.push_back({"auction-open", {{"bids", bids}}, {}});
   EXPECT_THROW(Campaign(spec).dry_run(), std::invalid_argument);
+}
+
+// Every grid point overwrites its axes' keys, so an entry that also fixes
+// one of them would drop the override without a word: expansion refuses
+// it, in a run and in a dry run. Overrides of other keys still apply.
+TEST(Campaign, OverrideOfAGridAxisIsAnError) {
+  CampaignSpec spec;
+  CampaignEntry entry;
+  entry.protocol = "two-party";
+  entry.overrides.emplace_back("delta", "3");
+  entry.grid.add_axis_csv("delta", "2");
+  spec.entries.push_back(std::move(entry));
+  EXPECT_THROW(Campaign(spec).run(), ParamError);
+  try {
+    (void)Campaign(spec).dry_run();
+    ADD_FAILURE() << "dry run should have thrown ParamError";
+  } catch (const ParamError& e) {
+    EXPECT_NE(std::string(e.what()).find("'delta'"), std::string::npos)
+        << e.what();
+  }
+  spec.entries[0].overrides = {{"premium_b", "3"}};
+  const DryRunReport ok = Campaign(spec).dry_run();
+  ASSERT_EQ(ok.configs.size(), 1u);
+  EXPECT_EQ(ok.configs[0].params, "premium_b=3 delta=2");
 }
 
 TEST(Campaign, GridCapReportsTruncation) {

@@ -536,7 +536,7 @@ TEST(PayoffAudit, FaultAttributionMatchesTheTwinByParty) {
 }
 
 // The tree executor answers most swept schedules from one AuditVerdict per
-// memo leaf instead of auditing them. Over every conformance mask of
+// distinct leaf outcome instead of auditing them. Over every conformance mask of
 // outcome vectors that exercise every check, audit_party plus the
 // verdict's conservation and liveness bits must give audit_schedule's
 // audited count and violation count, and the verdict must say whether the

@@ -9,6 +9,7 @@
 // left behind by interleaved run() calls), and the witness-permutation
 // reduction: bridges explore one witness ordering per permutation, still
 // report what full replay reports, and a false symmetry claim is caught.
+// So is an engine whose runs end differently where the memo reuses a leaf.
 
 #include <gtest/gtest.h>
 
@@ -326,11 +327,14 @@ TEST(TreeEquivalence, WitnessSymmetryMatchesFullReplay) {
 // A bridge adapter whose declared interchangeable range is a lie: it pays
 // witness-1 one coin more than the engine did, or declares a range whose
 // parties' plan lists differ. The executor must refuse to reduce either.
+// With a `drift`, it also pays witness-1 that much more on every call than
+// on the one before, so no two runs end alike, not even two that consult
+// the same decisions.
 class LopsidedBridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
  public:
   LopsidedBridgeAdapter(core::BridgeConfig cfg, PartyRange range,
-                        Amount witness1_bonus)
-      : cfg_(cfg), range_(range), bonus_(witness1_bonus) {}
+                        Amount witness1_bonus, Amount drift = 0)
+      : cfg_(cfg), range_(range), bonus_(witness1_bonus), drift_(drift) {}
 
   std::string name() const override { return "lopsided-bridge"; }
   std::size_t party_count() const override {
@@ -358,13 +362,15 @@ class LopsidedBridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
                      s.plans[p].conforms_within(cfg_.delta), r.payoffs[p],
                      {}});
     }
-    out[1].payoff.coin_delta += bonus_;
+    out[1].payoff.coin_delta += bonus_ + drift_ * calls_++;
     return out;
   }
 
   core::BridgeConfig cfg_;
   PartyRange range_;
   Amount bonus_;
+  Amount drift_;
+  mutable Amount calls_ = 0;
 };
 
 TEST(TreeEquivalence, WitnessSymmetryGuardCatchesFalseClaims) {
@@ -411,6 +417,35 @@ TEST(TreeEquivalence, WitnessSymmetryGuardCatchesFalseClaims) {
   // So does a range reaching past the last party.
   expect_refused(LopsidedBridgeAdapter(transfer, {1, 5}, 0),
                  "lopsided-bridge");
+}
+
+// Under a deviator budget the tree explores deviator-set sub-spaces, and a
+// run in one may end at a leaf another already reached (halt-only at
+// max_deviators 2 on the 3-witness bridge). The memo serves the stored
+// outcomes only if the new run reproduces them, so a drifting engine must
+// stop the sweep, naming the adapter; the same engine without the drift
+// reports what brute replay does.
+TEST(TreeEquivalence, MemoGuardCatchesRunsThatEndDifferently) {
+  SweepOptions opts;
+  opts.max_deviators = 2;
+  opts.executor = SweepExecutor::kTree;
+  const core::BridgeConfig transfer;
+  try {
+    (void)ScenarioRunner(LopsidedBridgeAdapter(transfer, {}, 0, 1))
+        .sweep(opts);
+    ADD_FAILURE() << "sweep should have thrown std::logic_error";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("lopsided-bridge"), std::string::npos) << what;
+    EXPECT_NE(what.find("ended differently"), std::string::npos) << what;
+  }
+
+  const LopsidedBridgeAdapter steady(transfer, {}, 0);
+  const SweepReport tree = ScenarioRunner(steady).sweep(opts);
+  opts.executor = SweepExecutor::kBrute;
+  const SweepReport brute = ScenarioRunner(steady).sweep(opts);
+  expect_identical(brute, tree);
+  expect_stats_invariants(brute, tree);
 }
 
 // A bridge whose audit bounds make leaf verdicts depend on who conforms.

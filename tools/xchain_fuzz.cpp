@@ -67,8 +67,8 @@ void print_usage(std::FILE* to) {
       "mutants whose consult-path execution signature is novel. Violations\n"
       "are delta-debugged to canonical minimal reproducers.\n"
       "\n"
-      "  --protocol=NAME     fuzz NAME (repeatable; default: all registry\n"
-      "                      protocols)\n"
+      "  --protocol=NAME     fuzz NAME (repeatable, once per name;\n"
+      "                      default: all registry protocols)\n"
       "  --seed=N            PRNG seed (default 1); same seed + budgets =>\n"
       "                      byte-identical report\n"
       "  --budget-runs=N     executions per protocol (default 2000)\n"
@@ -188,7 +188,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--self-test") {
       self_test = true;
     } else if (arg.rfind("--protocol=", 0) == 0) {
-      protocols.push_back(value_of("--protocol="));
+      // A target named twice would be fuzzed, and counted, twice.
+      std::string name = value_of("--protocol=");
+      if (std::find(protocols.begin(), protocols.end(), name) !=
+          protocols.end()) {
+        std::fprintf(stderr, "xchain-fuzz: --protocol=%s given twice\n",
+                     name.c_str());
+        return 2;
+      }
+      protocols.push_back(std::move(name));
     } else if (arg.rfind("--seed=", 0) == 0) {
       unsigned long long v = 0;
       if (!parse_ulong(value_of("--seed="), v)) {

@@ -17,9 +17,10 @@
 #     auction bidders: exactly 7 * 3^38 schedules; 39: too many), and so
 #     does a dry-run total past 64 bits (two 38-bidder configurations),
 #     with and without --quiet;
-#   * a --set of a key that is also a --grid axis, and an axis value that
+#   * a --set of a key that is also a --grid axis, an axis value that
 #     repeats an earlier one once parsed ("1,01", or "2" then "2,3" in two
-#     --grid flags), exit 2 in a run and in a dry run;
+#     --grid flags), and a key --set twice in one entry, exit 2 in a run
+#     and in a dry run;
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
 #     JSON with the strategy space;
 #   * a --max-deviators=2 late-delays broker sweep writes the same JSON at
@@ -118,10 +119,12 @@ for quiet in "" --quiet; do
     fail "two 38-bidder configurations --dry-run $quiet exited $rc (want 2)"
 done
 # Every grid point overwrites its axes' keys, so a --set of one would be
-# dropped without a word; an axis value repeating an earlier one once
-# parsed would run and count one configuration twice. Both exit 2.
+# dropped without a word, and so would all but the last value of a key
+# --set twice; an axis value repeating an earlier one once parsed would run
+# and count one configuration twice. All exit 2.
 for args in "--set delta=3 --grid delta=2" "--grid delta=1,01" \
-            "--grid delta=2 --grid delta=2,3"; do
+            "--grid delta=2 --grid delta=2,3" \
+            "--set delta=2 --set delta=3" "--set delta=2 --set delta=2"; do
   for dry in "" --dry-run; do
     rc=0
     "$bin" --protocol=two-party $args $dry --quiet >/dev/null 2>&1 || rc=$?

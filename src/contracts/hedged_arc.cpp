@@ -1,6 +1,8 @@
 #include "contracts/hedged_arc.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/premiums.hpp"
 
@@ -8,7 +10,17 @@ namespace xchain::contracts {
 
 HedgedArc::HedgedArc(const chain::Contract& host, const LatticeTerms& terms,
                      Spec spec)
-    : host_(host), t_(terms), spec_(std::move(spec)), diam_(t_.g.diameter()) {
+    : host_(host), t_(terms), spec_(std::move(spec)) {
+#ifndef NDEBUG
+  if (t_.diameter != t_.g.diameter()) {
+    // Appended in steps (a GCC 12 -Wrestrict false positive, bug 105651).
+    std::string what = "HedgedArc: LatticeTerms::diameter is ";
+    what += std::to_string(t_.diameter);
+    what += ", the deal graph's is ";
+    what += std::to_string(t_.g.diameter());
+    throw std::logic_error(what);
+  }
+#endif
   st_.rp.resize(t_.hashlocks.size());
   st_.keys.resize(t_.hashlocks.size());
 }

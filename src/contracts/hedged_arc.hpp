@@ -24,6 +24,9 @@ struct Hashlock {
 /// contracts' Params derive from it.
 struct LatticeTerms {
   graph::Digraph g;
+  /// g.diameter(), an all-pairs walk: computed once where the terms are
+  /// built, not once per arc (Debug builds check it per arc).
+  std::size_t diameter = 0;
   Amount premium_unit = 0;  ///< p in Equations 1 and 2
   std::vector<Hashlock> hashlocks;
   std::vector<crypto::PublicKey> party_keys;  ///< indexed by PartyId
@@ -173,7 +176,7 @@ class HedgedArc {
   /// The hashkey deadline of a path with `len` hops: (diam + |q|) * Delta
   /// from the hashkey phase's start.
   Tick path_deadline(std::size_t len) const {
-    return t_.hashkey_base + static_cast<Tick>(diam_ + len) * t_.delta;
+    return t_.hashkey_base + static_cast<Tick>(t_.diameter + len) * t_.delta;
   }
 
   State& state() { return st_; }
@@ -192,7 +195,6 @@ class HedgedArc {
   const chain::Contract& host_;
   const LatticeTerms& t_;
   Spec spec_;
-  std::size_t diam_;
   crypto::VerifyCache vcache_;
   std::map<graph::Path, Amount> rp_amount_memo_;  ///< Equation 1 per path
   State st_;

@@ -316,8 +316,10 @@ BrokerWorld::BrokerWorld(const BrokerConfig& cfg, const WorldBinding& binding,
   // Alice trades once escrow + trading activation are visible (by 6Δ), and
   // the hashkey phase starts after the trading deadline.
   s.hashkey_base = t0 + 6 * d;
+  const std::size_t diam = s.g.diameter();
   auto common = [&](BrokerChainContract::Params& p) {
     p.g = s.g;
+    p.diameter = diam;
     p.party_base = w.base;
     p.premium_unit = cfg.premium_unit;
     p.hashlocks = hashlocks;
@@ -387,7 +389,7 @@ BrokerWorld::BrokerWorld(const BrokerConfig& cfg, const WorldBinding& binding,
   w.carol->set_account_base(w.base);
   w.frame.chains = &chains;
   w.frame.actors = {w.alice.get(), w.bob.get(), w.carol.get()};
-  w.frame.horizon = s.hashkey_base + (s.g.diameter() + 3 + 1) * d + 2;
+  w.frame.horizon = s.hashkey_base + (diam + 3 + 1) * d + 2;
   if (!bound) sim::debug_validate_deadlines(chains, d);
 }
 

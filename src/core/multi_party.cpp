@@ -293,6 +293,7 @@ MultiPartyWorld::MultiPartyWorld(const MultiPartyConfig& cfg,
     chain::Blockchain& bc = chains.at(arc.from);
     MultiPartyArcContract::Params p;
     p.g = g;
+    p.diameter = diam;
     p.arc = arc;
     p.asset_symbol = "token-" + std::to_string(arc.from);
     p.asset_amount = cfg.asset_amount;

@@ -1,6 +1,7 @@
 #include "sim/campaign.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -170,6 +171,19 @@ std::vector<PendingConfig> expand_entries(
     std::vector<std::string>& truncations) {
   std::vector<PendingConfig> pending;
   for (const CampaignEntry& entry : spec.entries) {
+    // Overrides apply in order, so the last of a key named twice would win
+    // without a word.
+    for (auto it = entry.overrides.begin(); it != entry.overrides.end();
+         ++it) {
+      for (auto later = std::next(it); later != entry.overrides.end();
+           ++later) {
+        if (later->first == it->first) {
+          throw ParamError(entry.protocol + ": param '" + it->first +
+                           "' is overridden twice (" + it->second + ", " +
+                           later->second + ")");
+        }
+      }
+    }
     // Every grid point overwrites its axes' keys, so a fixed override of
     // one would be dropped without a word.
     for (const GridAxis& axis : entry.grid.axes()) {

@@ -27,8 +27,9 @@ namespace xchain::sim {
 
 /// One campaign line: a registered protocol, fixed parameter overrides
 /// (applied to every grid point), and a grid of swept axes (empty grid =
-/// the single overridden-defaults configuration). A key may be an override
-/// or an axis, not both: expansion throws ParamError.
+/// the single overridden-defaults configuration). A key may be overridden
+/// once, and be an override or an axis, not both: expansion throws
+/// ParamError otherwise.
 struct CampaignEntry {
   std::string protocol;
   std::vector<std::pair<std::string, std::string>> overrides;

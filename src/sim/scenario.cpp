@@ -136,8 +136,10 @@ class ScheduleSpace {
   /// Calls visit(raw index, plan indices, bits) for every schedule of raw
   /// indices [begin, end) within the deviator budget, in raw order. An
   /// odometer over the per-party plan indices stands in for decoding, and
-  /// a per-(party, plan) table gives each schedule's bits, so the walk
-  /// needs no division and no plan copy.
+  /// a per-(party, plan) table gives each plan's bits, so the walk needs no
+  /// division and no plan copy: a step updates the schedule's bits from
+  /// the digits it changed (party p's bit is p's alone, so an XOR swaps
+  /// it).
   template <class Visit>
   void for_each(std::size_t begin, std::size_t end, int max_deviators,
                 Visit&& visit) const {
@@ -155,18 +157,23 @@ class ScheduleSpace {
       }
     }
     std::vector<std::size_t> digit = digits(begin);
+    Bits b;
+    for (std::size_t p = 0; p < digit.size(); ++p) {
+      b.conforming |= table[at[p] + digit[p]].conforming;
+      b.deviators += table[at[p] + digit[p]].deviators;
+    }
     for (std::size_t i = begin; i < end; ++i) {
-      Bits b;
-      for (std::size_t p = 0; p < digit.size(); ++p) {
-        b.conforming |= table[at[p] + digit[p]].conforming;
-        b.deviators += table[at[p] + digit[p]].deviators;
-      }
       if (max_deviators < 0 || b.deviators <= max_deviators) {
         visit(i, digit, b);
       }
       for (std::size_t p = 0; p < digit.size(); ++p) {
-        if (++digit[p] < spaces_[p].size()) break;
-        digit[p] = 0;
+        const Bits& was = table[at[p] + digit[p]];
+        const bool carry = ++digit[p] == spaces_[p].size();
+        if (carry) digit[p] = 0;
+        const Bits& now = table[at[p] + digit[p]];
+        b.conforming ^= was.conforming ^ now.conforming;
+        b.deviators += now.deviators - was.deviators;
+        if (!carry) break;
       }
     }
   }
@@ -358,6 +365,17 @@ std::uint64_t result_hash(const std::vector<PartyOutcome>& out) {
 ///     is a branch: the executor rewinds the world (layered checkpoint
 ///     stack, one slot per tick) to that consult's tick and runs only the
 ///     new suffix.
+///
+/// Nothing a parent run knows is derived again for its children. One
+/// shared candidate table (cand_, lists of plan indices in one arena)
+/// holds each party's plans that agree with the current path; a run
+/// narrows it along its *new* consults only, and an undo stack restores
+/// it on the way back up. memoize() resumes its trie walk at the node the
+/// run's kept log prefix reaches, read off a per-run trail of node ids,
+/// and checks every entry the run recorded itself. The trie lives in an
+/// arena of fixed-size node blocks with index edges (first child, next
+/// sibling), so a node costs no allocation of its own and the whole trie
+/// is freed at once.
 ///
 /// A leaf holds an *outcome id*, not outcomes: runs that end alike share
 /// one stored outcome vector and one AuditVerdict, computed once per
@@ -557,25 +575,74 @@ class TreeExecutor {
       total *= lists[p].size();
     }
     outcome_of_.assign(total, kNoOutcome);
-    std::vector<std::vector<int>> cand(n);
-    explore_parties(n, max_deviators, cand);
+    cand_.assign(n, {});
+    picked_.assign(n, -1);
+    sched_.plans.resize(n);
+    explore_parties(n, max_deviators);
   }
 
  private:
   static constexpr std::uint32_t kNoOutcome =
       std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint32_t kNoNode =
+      std::numeric_limits<std::uint32_t>::max();
 
   /// One memo-trie node: the question "which policy does `party`'s plan
-  /// give ordinal `ordinal`?", one edge per answer seen so far. A leaf
-  /// holds the outcome id of the run that ended there. Roots live in a
-  /// map keyed by the schedule's variant vector: variants steer engines
-  /// outside the consultation mechanism (the auctioneer's declaration
-  /// strategy), so runs under different variants never share nodes.
+  /// give ordinal `ordinal`?", with its answers' nodes linked from `child`
+  /// through their `sibling`s, each carrying the answer on the edge into
+  /// it (`choice`, `delay`). A leaf holds the outcome id of the run that
+  /// ended there. Roots are keyed by the schedule's variant vector:
+  /// variants steer engines outside the consultation mechanism (the
+  /// auctioneer's declaration strategy), so runs under different variants
+  /// never share nodes.
   struct TrieNode {
+    Tick delay = 0;
     PartyId party = kNoParty;
     int ordinal = -1;
     std::uint32_t leaf = kNoOutcome;  ///< outcome id, once a run ends here
-    std::vector<std::pair<ActionPolicy, std::unique_ptr<TrieNode>>> edges;
+    std::uint32_t child = kNoNode;
+    std::uint32_t sibling = kNoNode;
+    ActionChoice choice = ActionChoice::kPerform;
+
+    ActionPolicy answer() const { return {choice, delay}; }
+  };
+
+  /// The trie's nodes, by id, in blocks of kBlock that never move: making
+  /// a node allocates only when a block fills, and a reference to a node
+  /// stays valid while others are made.
+  class TrieArena {
+   public:
+    std::uint32_t make(const ActionPolicy& answer) {
+      if (size_ % kBlock == 0) {
+        blocks_.push_back(std::make_unique<TrieNode[]>(kBlock));
+      }
+      TrieNode& node = (*this)[size_];
+      node.choice = answer.choice;
+      node.delay = answer.delay;
+      return size_++;
+    }
+    TrieNode& operator[](std::uint32_t id) {
+      return blocks_[id / kBlock][id % kBlock];
+    }
+
+   private:
+    static constexpr std::uint32_t kBlock = 2048;
+    std::vector<std::unique_ptr<TrieNode[]>> blocks_;
+    std::uint32_t size_ = 0;
+  };
+
+  /// Party p's candidates are cand_pool_[begin, end), ascending plan
+  /// indices.
+  struct Span {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  /// One narrowing, undone by restoring `party`'s span and cutting the
+  /// pool back to `top`.
+  struct Undo {
+    PartyId party;
+    Span span;
+    std::uint32_t top;
   };
 
   /// The bounded per-party plan lists explore() walks.
@@ -656,17 +723,16 @@ class TreeExecutor {
   }
 
   /// Explores every sub-space in which parties [0, open) are still to be
-  /// chosen and each later party q takes the plans in cand[q], with
+  /// chosen and each later party q takes the plans in its cand_ span, with
   /// `budget` deviators left (-1 = unbounded). The last open party splits
   /// first, so party 0's choice varies fastest, as in the raw-index order.
   /// A party splits by engine variant, in first-seen order: variants steer
   /// engines outside the consultation mechanism, so each choice of
   /// variants is its own tree. Under a binding budget each variant splits
   /// again, into the reference plan (budget kept) and the rest (one spent).
-  void explore_parties(std::size_t open, int budget,
-                       std::vector<std::vector<int>>& cand) {
+  void explore_parties(std::size_t open, int budget) {
     if (open == 0) {
-      if (canonical(cand, nullptr)) dfs(cand, 0, -1);
+      if (canonical(nullptr)) dfs(0, -1);
       return;
     }
     const std::size_t p = open - 1;
@@ -682,152 +748,167 @@ class TreeExecutor {
     }
     for (const int v : variants) {
       for (int deviate = 0; deviate <= max_deviate; ++deviate) {
-        cand[p].clear();
+        const auto top = static_cast<std::uint32_t>(cand_pool_.size());
         for (std::size_t i = 0; i < plans.size(); ++i) {
           if (plans[i].variant() == v &&
               (!split || plans[i].is_conforming() == (deviate == 0))) {
-            cand[p].push_back(static_cast<int>(i));
+            cand_pool_.push_back(static_cast<int>(i));
           }
         }
-        if (!cand[p].empty()) explore_parties(p, budget - deviate, cand);
+        cand_[p] = {top, static_cast<std::uint32_t>(cand_pool_.size())};
+        if (cand_[p].end > top) explore_parties(p, budget - deviate);
+        cand_pool_.resize(top);
       }
     }
   }
 
-  /// Whether cand's product holds a canonical schedule, one whose
-  /// interchangeable parties' plan indices are non-decreasing (always,
-  /// without such parties). Candidate lists are ascending, so a greedy walk
-  /// decides it: each range party takes its least candidate not below its
-  /// predecessor's. With `pick`, the least canonical schedule is written
-  /// there, every other party at its first candidate.
-  bool canonical(const std::vector<std::vector<int>>& cand,
-                 std::vector<int>* pick) const {
-    if (pick) {
-      pick->resize(cand.size());
-      for (std::size_t p = 0; p < cand.size(); ++p) {
-        (*pick)[p] = cand[p].front();
-      }
-    }
+  /// Whether the candidate table's product holds a canonical schedule, one
+  /// whose interchangeable parties' plan indices are non-decreasing
+  /// (always, without such parties). Candidate lists are ascending, so a
+  /// greedy walk decides it: each range party takes its least candidate
+  /// not below its predecessor's. With `pick`, the least canonical
+  /// schedule is written there, every other party at its first candidate;
+  /// a plan is copied only where the party's pick changed.
+  bool canonical(Schedule* pick) {
+    const auto take = [&](std::size_t p, int idx) {
+      if (!pick || picked_[p] == idx) return;
+      picked_[p] = idx;
+      pick->plans[p] = lists()[p][static_cast<std::size_t>(idx)];
+    };
     int floor = 0;
-    for (std::size_t p = sym_.first; p < sym_.last; ++p) {
-      const auto it = std::lower_bound(cand[p].begin(), cand[p].end(), floor);
-      if (it == cand[p].end()) return false;
+    for (std::size_t p = 0; p < cand_.size(); ++p) {
+      const int* first = cand_pool_.data() + cand_[p].begin;
+      const int* last = cand_pool_.data() + cand_[p].end;
+      if (p < sym_.first || p >= sym_.last) {
+        take(p, *first);
+        continue;
+      }
+      const int* it = std::lower_bound(first, last, floor);
+      if (it == last) return false;
       floor = *it;
-      if (pick) (*pick)[p] = floor;
+      take(p, floor);
     }
     return true;
   }
 
-  /// One depth-first exploration step. `cand[p]` lists the indices (into
-  /// lists()[p]) of party p's plans compatible with the current path
-  /// prefix; a representative — each party's first candidate, the
-  /// interchangeable ones' least canonical choice, so every executed leaf
-  /// serves a canonical schedule — executes from tick `from` (the world
-  /// holds the prefix state; positions <= from_pos of the consult log are
-  /// the prefix and belong to ancestor frames). The run is memoized, then
-  /// its NEW consult positions are walked deepest-first: at each, the
-  /// consulted party's still-viable candidates are partitioned by their
-  /// answer, and every class other than the taken one holding a canonical
-  /// schedule becomes a child branch — rewind to the consult's tick,
-  /// re-run with a representative of the class, recurse. Deepest-first
-  /// order keeps every rewind target inside the shared prefix of the
-  /// snapshot stack.
-  void dfs(const std::vector<std::vector<int>>& cand, Tick from,
-           std::ptrdiff_t from_pos) {
-    std::vector<int> pick;
-    canonical(cand, &pick);
-    Schedule s;
-    s.plans.reserve(cand.size());
-    for (std::size_t p = 0; p < cand.size(); ++p) {
-      s.plans.push_back(lists()[p][static_cast<std::size_t>(pick[p])]);
+  /// Narrows `party`'s candidates to the plans answering `answer` at
+  /// `ordinal`, pushing the undo record restore() pops. A narrowed list is
+  /// a copy on top of the pool; a list the answer leaves whole stays put.
+  void narrow(PartyId party, int ordinal, const ActionPolicy& answer) {
+    const Span was = cand_[party];
+    const auto top = static_cast<std::uint32_t>(cand_pool_.size());
+    undo_.push_back({party, was, top});
+    const std::vector<DeviationPlan>& plans = lists()[party];
+    for (std::uint32_t k = was.begin; k < was.end; ++k) {
+      const int idx = cand_pool_[k];
+      if (plans[static_cast<std::size_t>(idx)].policy(ordinal) == answer) {
+        cand_pool_.push_back(idx);
+      }
     }
-    execute(s, from);
+    const auto end = static_cast<std::uint32_t>(cand_pool_.size());
+    if (end - top == was.end - was.begin) {
+      cand_pool_.resize(top);
+    } else {
+      cand_[party] = {top, end};
+    }
+  }
+
+  /// Undoes the latest narrow().
+  void restore() {
+    const Undo u = undo_.back();
+    undo_.pop_back();
+    cand_[u.party] = u.span;
+    cand_pool_.resize(u.top);
+  }
+
+  /// Records that the leaf `id` serves the candidate table's whole
+  /// product, so the sweep loop resolves each of its raw indices with one
+  /// table load. An odometer over the candidate lists moves the raw index
+  /// by the digits it changes.
+  void mark_covered(std::uint32_t id) {
+    const std::size_t n = cand_.size();
+    at_.assign(n, 0);
+    std::size_t raw = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+      raw += static_cast<std::size_t>(cand_pool_[cand_[p].begin]) *
+             strides_[p];
+    }
+    while (true) {
+      outcome_of_[raw] = id;
+      std::size_t p = 0;
+      for (; p < n; ++p) {
+        const Span sp = cand_[p];
+        const auto was = static_cast<std::size_t>(
+            cand_pool_[sp.begin + at_[p]]);
+        if (++at_[p] < sp.end - sp.begin) {
+          raw += (static_cast<std::size_t>(cand_pool_[sp.begin + at_[p]]) -
+                  was) * strides_[p];
+          break;
+        }
+        raw -= (was - static_cast<std::size_t>(cand_pool_[sp.begin])) *
+               strides_[p];
+        at_[p] = 0;
+      }
+      if (p == n) break;
+    }
+  }
+
+  /// One depth-first exploration step. The candidate table lists, per
+  /// party, the plans that agree with the log's first from_pos + 1
+  /// consults (every answer an ancestor run recorded, down to the branch
+  /// this run takes); a representative — each party's first candidate,
+  /// the interchangeable ones' least canonical choice, so every executed
+  /// leaf serves a canonical schedule — executes from tick `from` (the
+  /// world holds the prefix state). The run is memoized, and its NEW
+  /// consults, pushed onto path_ because children rewrite the log, narrow
+  /// the table one by one: what is left is the product the leaf serves.
+  /// They are then walked deepest-first, each narrowing undone first, so
+  /// the table agrees with the consults before it: the consulted party's
+  /// candidates are partitioned by their answer, and every class other
+  /// than the taken one holding a canonical schedule becomes a child
+  /// branch — rewind to the consult's tick, re-run with a representative
+  /// of the class, recurse. Deepest-first order keeps every rewind target
+  /// inside the shared prefix of the snapshot stack. Within a sub-space
+  /// distinct leaves differ at their first divergent consulted answer, and
+  /// sub-spaces are disjoint, so no raw index is marked twice.
+  void dfs(Tick from, std::ptrdiff_t from_pos) {
+    canonical(&sched_);
+    execute(sched_, from);
     ++nodes_executed_;
-    const std::uint32_t id = memoize(s, adapter_.tree_collect(s));
+    const std::uint32_t id = memoize(sched_, adapter_.tree_collect(sched_));
 
-    // Branch exploration rewrites log_, so walk a copy of this run's path.
-    const std::vector<ConsultEntry> path = log_.entries();
-    // Viability filter: does plan `pl` of `party` agree with every answer
-    // the path consulted from that party before position `upto`?
-    const auto viable = [&](PartyId party, const DeviationPlan& pl,
-                            std::size_t upto) {
-      for (std::size_t j = 0; j < upto; ++j) {
-        if (path[j].party != party) continue;
-        if (pl.policy(path[j].ordinal) != path[j].pol) return false;
-      }
-      return true;
-    };
-
-    // This leaf serves exactly the cross-product of each party's
-    // candidates that agree with the complete path — record it so the
-    // sweep loop resolves raw indices with one table load. (Within a
-    // sub-space distinct leaves differ at their first divergent consulted
-    // answer, and sub-spaces are disjoint, so no index is written twice.)
-    {
-      std::vector<std::vector<int>> covered(cand.size());
-      for (std::size_t p = 0; p < cand.size(); ++p) {
-        for (const int idx : cand[p]) {
-          if (viable(static_cast<PartyId>(p),
-                     lists()[p][static_cast<std::size_t>(idx)],
-                     path.size())) {
-            covered[p].push_back(idx);
-          }
-        }
-      }
-      std::vector<std::size_t> at(cand.size(), 0);
-      while (true) {
-        std::size_t raw = 0;
-        for (std::size_t p = 0; p < cand.size(); ++p) {
-          raw += static_cast<std::size_t>(covered[p][at[p]]) * strides_[p];
-        }
-        outcome_of_[raw] = id;
-        std::size_t p = 0;
-        for (; p < cand.size(); ++p) {
-          if (++at[p] < covered[p].size()) break;
-          at[p] = 0;
-        }
-        if (p == cand.size()) break;
-      }
+    const std::size_t base = path_.size();
+    const std::vector<ConsultEntry>& log = log_.entries();
+    path_.insert(path_.end(), log.begin() + (from_pos + 1), log.end());
+    const std::size_t len = path_.size() - base;
+    for (std::size_t j = base; j < base + len; ++j) {
+      narrow(path_[j].party, path_[j].ordinal, path_[j].pol);
     }
-    for (std::size_t i = path.size(); i-- > 0;) {
-      if (static_cast<std::ptrdiff_t>(i) <= from_pos) break;
-      const ConsultEntry& e = path[i];
-      const auto& plans = lists()[e.party];
-      std::vector<int> pool;
-      for (const int idx : cand[e.party]) {
-        if (viable(e.party, plans[static_cast<std::size_t>(idx)], i)) {
-          pool.push_back(idx);
-        }
-      }
-      std::vector<ActionPolicy> seen{e.pol};
-      for (const int idx : pool) {
+    mark_covered(id);
+    for (std::size_t j = len; j-- > 0;) {
+      restore();
+      const ConsultEntry e = path_[base + j];
+      const Span pool = cand_[e.party];
+      const std::size_t seen = seen_.size();
+      seen_.push_back(e.pol);
+      for (std::uint32_t k = pool.begin; k < pool.end; ++k) {
         const ActionPolicy alt =
-            plans[static_cast<std::size_t>(idx)].policy(e.ordinal);
-        if (std::find(seen.begin(), seen.end(), alt) != seen.end()) continue;
-        seen.push_back(alt);
-        std::vector<std::vector<int>> nc(cand.size());
-        for (std::size_t q = 0; q < cand.size(); ++q) {
-          if (q == static_cast<std::size_t>(e.party)) {
-            for (const int pi : pool) {
-              if (plans[static_cast<std::size_t>(pi)].policy(e.ordinal) ==
-                  alt) {
-                nc[q].push_back(pi);
-              }
-            }
-          } else {
-            for (const int qi : cand[q]) {
-              if (viable(static_cast<PartyId>(q),
-                         lists()[q][static_cast<std::size_t>(qi)], i)) {
-                nc[q].push_back(qi);
-              }
-            }
-          }
+            lists()[e.party][static_cast<std::size_t>(cand_pool_[k])].policy(
+                e.ordinal);
+        if (std::find(seen_.begin() + static_cast<std::ptrdiff_t>(seen),
+                      seen_.end(), alt) != seen_.end()) {
+          continue;
         }
-        if (canonical(nc, nullptr)) {
-          dfs(nc, e.tick, static_cast<std::ptrdiff_t>(i));
+        seen_.push_back(alt);
+        narrow(e.party, e.ordinal, alt);
+        if (canonical(nullptr)) {
+          dfs(e.tick, from_pos + 1 + static_cast<std::ptrdiff_t>(j));
         }
+        restore();
       }
+      seen_.resize(seen);
     }
+    path_.resize(base);
   }
 
   void execute(const Schedule& s, Tick resume) {
@@ -843,6 +924,7 @@ class TreeExecutor {
       // their answers agree with `s`, which branches at the resume tick.
       log_.begin_resumed_run(resume);
     }
+    kept_ = log_.entries().size();
     const bool with_hash = verifying();
     for (Tick t = resume; t < frame_.horizon; ++t) {
       if (frame_.chains->snap_depth() <= static_cast<std::size_t>(t)) {
@@ -857,51 +939,67 @@ class TreeExecutor {
   /// outcome id, verifying determinism: runs sharing a decision prefix
   /// must consult the same coordinate next, and a run reaching an existing
   /// leaf — possible only across deviator-set sub-spaces — must reproduce
-  /// its outcomes, conformance flags aside. A new leaf interns the run's
-  /// outcomes: it takes the id of an equal stored vector (same_result,
-  /// found by result_hash and confirmed field by field, so a hash
-  /// collision costs a probe and never a wrong outcome), and otherwise the
-  /// next id, with the vector stored and its audit verdict computed once.
+  /// its outcomes, conformance flags aside. The walk starts at the run's
+  /// first own log entry: a fresh run's at the root of its variant
+  /// vector, a resumed run's at trail_[kept_], the node its kept log
+  /// prefix reached when an earlier run recorded that prefix. Every entry
+  /// the run recorded itself, same-tick re-consults of the prefix
+  /// included, is checked, and trail_ follows it. A new leaf interns the
+  /// run's outcomes: it takes the id of an equal stored vector
+  /// (same_result, found by result_hash and confirmed field by field, so a
+  /// hash collision costs a probe and never a wrong outcome), and
+  /// otherwise the next id, with the vector stored and its audit verdict
+  /// computed once.
   std::uint32_t memoize(const Schedule& s, std::vector<PartyOutcome> out) {
-    key_.clear();
-    for (const DeviationPlan& plan : s.plans) key_.push_back(plan.variant());
-    TrieNode* node = &roots_[key_];
-    for (const ConsultEntry& e : log_.entries()) {
-      if (node->leaf != kNoOutcome ||
-          (node->party != kNoParty &&
-           (node->party != e.party || node->ordinal != e.ordinal))) {
+    const std::vector<ConsultEntry>& log = log_.entries();
+    trail_.resize(log.size() + 1);
+    if (kept_ == 0) {
+      key_.clear();
+      for (const DeviationPlan& plan : s.plans) {
+        key_.push_back(plan.variant());
+      }
+      const auto [root, made] = roots_.try_emplace(key_, kNoNode);
+      if (made) root->second = trie_.make({});
+      trail_[0] = root->second;
+    }
+    std::uint32_t here = trail_[kept_];
+    for (std::size_t k = kept_; k < log.size(); ++k) {
+      const ConsultEntry& e = log[k];
+      TrieNode& node = trie_[here];
+      if (node.leaf != kNoOutcome ||
+          (node.party != kNoParty &&
+           (node.party != e.party || node.ordinal != e.ordinal))) {
         throw std::logic_error(
             adapter_.name() +
             ": tree executor consult sequence diverged between runs "
             "sharing a decision prefix — engine is not deterministic in "
             "its consulted plan coordinates");
       }
-      node->party = e.party;
-      node->ordinal = e.ordinal;
-      TrieNode* child = nullptr;
-      for (auto& edge : node->edges) {
-        if (edge.first == e.pol) {
-          child = edge.second.get();
-          break;
-        }
+      node.party = e.party;
+      node.ordinal = e.ordinal;
+      std::uint32_t child = node.child;
+      while (child != kNoNode && trie_[child].answer() != e.pol) {
+        child = trie_[child].sibling;
       }
-      if (!child) {
-        node->edges.emplace_back(e.pol, std::make_unique<TrieNode>());
-        child = node->edges.back().second.get();
+      if (child == kNoNode) {
+        child = trie_.make(e.pol);
+        trie_[child].sibling = node.child;
+        node.child = child;
       }
-      node = child;
+      here = child;
+      trail_[k + 1] = here;
     }
-    if (node->party != kNoParty ||
-        (node->leaf != kNoOutcome &&
-         !same_result(outcomes_[node->leaf], out))) {
+    TrieNode& node = trie_[here];
+    if (node.party != kNoParty ||
+        (node.leaf != kNoOutcome && !same_result(outcomes_[node.leaf], out))) {
       throw std::logic_error(
           adapter_.name() +
           ": tree executor run consulted a prefix of an earlier run with "
           "equal answers but ended differently — engine is not "
           "deterministic");
     }
-    if (node->leaf == kNoOutcome) node->leaf = intern(std::move(out));
-    return node->leaf;
+    if (node.leaf == kNoOutcome) node.leaf = intern(std::move(out));
+    return node.leaf;
   }
 
   /// The id of the stored outcome vector equal to `out` (same_result),
@@ -939,8 +1037,24 @@ class TreeExecutor {
   const ProtocolAdapter& adapter_;
   TreeFrame& frame_;
   ConsultLog log_;
-  std::map<std::vector<int>, TrieNode> roots_;
+  std::size_t kept_ = 0;  ///< log entries the current run kept, not made
+  TrieArena trie_;
+  std::map<std::vector<int>, std::uint32_t> roots_;  ///< variants -> root
+  /// trail_[k]: the node the log's first k entries reach.
+  std::vector<std::uint32_t> trail_;
   const ScheduleSpace* space_ = nullptr;
+  /// The candidate table, its pool and undo stack; the consults each
+  /// active dfs() frame walks (its new log suffix), and the answers each
+  /// has branched on at its current consult.
+  std::vector<Span> cand_;
+  std::vector<int> cand_pool_;
+  std::vector<Undo> undo_;
+  std::vector<ConsultEntry> path_;
+  std::vector<ActionPolicy> seen_;
+  /// The one schedule dfs() executes, and its plan index per party.
+  Schedule sched_;
+  std::vector<int> picked_;
+  std::vector<std::size_t> at_;  ///< mark_covered()'s odometer
   /// Raw index -> its leaf's outcome id (kNoOutcome: unexplored); outcome
   /// id -> the distinct outcome vector, and -> its verdict (none past 64
   /// parties); result_hash -> the ids of the vectors with that hash.

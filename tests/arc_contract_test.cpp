@@ -26,6 +26,7 @@ class ArcFixture : public ::testing::Test {
               crypto::keygen("party-2")} {
     MultiPartyArcContract::Params p;
     p.g = g_;
+    p.diameter = g_.diameter();
     p.arc = {1, 0};  // B -> A
     p.asset_symbol = "token-1";
     p.asset_amount = 100;

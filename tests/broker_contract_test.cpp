@@ -44,6 +44,7 @@ class BrokerContractFixtureT : public ::testing::Test {
     g_.add_arc(kC, kA);
     BrokerChainContract::Params p;
     p.g = g_;
+    p.diameter = g_.diameter();
     p.party_base = Base;
     p.escrow_arc = {kC, kA};
     p.trading_arc = {kA, kB};

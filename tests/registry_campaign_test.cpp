@@ -466,6 +466,39 @@ TEST(Campaign, OverrideOfAGridAxisIsAnError) {
   EXPECT_EQ(ok.configs[0].params, "premium_b=3 delta=2");
 }
 
+// Overrides apply in order, so a key set twice would keep only its last
+// value without a word. An entry may name a key once, even with one
+// value; the same key in two entries is two configurations, and legal.
+TEST(Campaign, RepeatedOverrideIsAnError) {
+  for (const char* second : {"3", "2"}) {
+    SCOPED_TRACE(second);
+    CampaignSpec spec;
+    CampaignEntry entry;
+    entry.protocol = "two-party";
+    entry.overrides = {{"delta", "2"}, {"premium_b", "3"}, {"delta", second}};
+    spec.entries.push_back(std::move(entry));
+    EXPECT_THROW(Campaign(spec).run(), ParamError);
+    try {
+      (void)Campaign(spec).dry_run();
+      ADD_FAILURE() << "dry run should have thrown ParamError";
+    } catch (const ParamError& e) {
+      EXPECT_NE(std::string(e.what()).find("'delta'"), std::string::npos)
+          << e.what();
+    }
+  }
+  CampaignSpec spec;
+  for (const char* delta : {"2", "3"}) {
+    CampaignEntry entry;
+    entry.protocol = "two-party";
+    entry.overrides = {{"delta", delta}};
+    spec.entries.push_back(std::move(entry));
+  }
+  const DryRunReport ok = Campaign(spec).dry_run();
+  ASSERT_EQ(ok.configs.size(), 2u);
+  EXPECT_EQ(ok.configs[0].params, "delta=2");
+  EXPECT_EQ(ok.configs[1].params, "delta=3");
+}
+
 TEST(Campaign, GridCapReportsTruncation) {
   CampaignSpec spec;
   CampaignEntry entry;

@@ -237,6 +237,62 @@ TEST(StrategySweep, ArcLatticeSweepsArePinned) {
   }
 }
 
+// The protocols the pins above leave out, at the CLI's default budget of
+// 20,000 schedules: the two witness bridges (unbounded and at two
+// deviators, where the tree explores deviator-set sub-spaces), the
+// two-party swap and both ladders. nodes_executed and dedup_hits say how
+// the tree explored, so an executor change that runs more or fewer nodes
+// fails here even when every report stays the same.
+TEST(StrategySweep, LateDelaySweepsArePinned) {
+  struct Pin {
+    const char* protocol;
+    int max_deviators;
+    const char* line;
+    std::size_t nodes_executed;
+    std::size_t dedup_hits;
+  };
+  const Pin kPinned[] = {
+      {"bridge-transfer", -1,
+       "bridge-transfer: 14641 schedules, 21296 conforming-party audits, "
+       "0 violations",
+       1630, 13011},
+      {"bridge-transfer", 2,
+       "bridge-transfer: 641 schedules, 1696 conforming-party audits, "
+       "0 violations",
+       135, 506},
+      {"bridge-account-create", -1,
+       "bridge-account-create: 14641 schedules, 21296 conforming-party "
+       "audits, 0 violations",
+       1830, 12811},
+      {"bridge-account-create", 2,
+       "bridge-account-create: 641 schedules, 1696 conforming-party audits, "
+       "0 violations",
+       142, 499},
+      {"two-party", -1,
+       "hedged-two-party: 4096 schedules, 1024 conforming-party audits, "
+       "0 violations",
+       641, 3455},
+      {"crr-ladder", -1,
+       "crr-ladder: 4096 schedules, 1024 conforming-party audits, "
+       "0 violations",
+       641, 3455},
+      {"bootstrap", -1,
+       "bootstrap-ladder-r2: 4096 schedules, 1152 conforming-party audits, "
+       "0 violations",
+       737, 3359},
+  };
+  for (const Pin& pin : kPinned) {
+    const auto adapter = ProtocolRegistry::global().make(pin.protocol);
+    SweepOptions opts = with_strategies(StrategySpace::Kind::kLateDelays);
+    opts.max_deviators = pin.max_deviators;
+    const SweepReport report = ScenarioRunner(*adapter).sweep(opts);
+    SCOPED_TRACE(pin.line);
+    EXPECT_EQ(report.line(), pin.line);
+    EXPECT_EQ(report.nodes_executed, pin.nodes_executed);
+    EXPECT_EQ(report.dedup_hits, pin.dedup_hits);
+  }
+}
+
 TEST(StrategySweep, SweepReportLineFormatIsPinned) {
   SweepReport r;
   r.protocol = "demo";

@@ -9,7 +9,8 @@
 // left behind by interleaved run() calls), and the witness-permutation
 // reduction: bridges explore one witness ordering per permutation, still
 // report what full replay reports, and a false symmetry claim is caught.
-// So is an engine whose runs end differently where the memo reuses a leaf.
+// So is an engine whose runs end differently where the memo reuses a leaf,
+// and one whose consults change order between runs sharing a prefix.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chain/fault.hpp"
@@ -329,12 +331,20 @@ TEST(TreeEquivalence, WitnessSymmetryMatchesFullReplay) {
 // parties' plan lists differ. The executor must refuse to reduce either.
 // With a `drift`, it also pays witness-1 that much more on every call than
 // on the one before, so no two runs end alike, not even two that consult
-// the same decisions.
+// the same decisions. With `reorder`, its engine ticks witness-1 and
+// witness-2 in the other order on its second tree run only. That run
+// resumes at a branch of the first, in a tick in which both witnesses
+// consulted before the branch, so the two consults it records again swap
+// places in the log while every answer and every outcome stays the same.
+// Its call counters live on the adapter, outside the world, so no rewind
+// undoes them.
 class LopsidedBridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
  public:
   LopsidedBridgeAdapter(core::BridgeConfig cfg, PartyRange range,
-                        Amount witness1_bonus, Amount drift = 0)
-      : cfg_(cfg), range_(range), bonus_(witness1_bonus), drift_(drift) {}
+                        Amount witness1_bonus, Amount drift = 0,
+                        bool reorder = false)
+      : cfg_(cfg), range_(range), bonus_(witness1_bonus), drift_(drift),
+        reorder_(reorder) {}
 
   std::string name() const override { return "lopsided-bridge"; }
   std::size_t party_count() const override {
@@ -347,6 +357,13 @@ class LopsidedBridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
   PartyRange interchangeable_parties() const override { return range_; }
   std::unique_ptr<ProtocolAdapter> clone() const override {
     return std::make_unique<LopsidedBridgeAdapter>(*this);
+  }
+  void tree_set_plans(const Schedule& s) const override {
+    WorldAdapter::tree_set_plans(s);
+    // Swapped for the second run, and back for the third.
+    if (reorder_ && (++tree_runs_ == 2 || tree_runs_ == 3)) {
+      std::swap(tree_frame()->actors[1], tree_frame()->actors[2]);
+    }
   }
 
  private:
@@ -370,7 +387,9 @@ class LopsidedBridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
   PartyRange range_;
   Amount bonus_;
   Amount drift_;
+  bool reorder_;
   mutable Amount calls_ = 0;
+  mutable int tree_runs_ = 0;
 };
 
 TEST(TreeEquivalence, WitnessSymmetryGuardCatchesFalseClaims) {
@@ -446,6 +465,27 @@ TEST(TreeEquivalence, MemoGuardCatchesRunsThatEndDifferently) {
   const SweepReport brute = ScenarioRunner(steady).sweep(opts);
   expect_identical(brute, tree);
   expect_stats_invariants(brute, tree);
+}
+
+// A run resumed at a branch re-records every consult from the branch tick
+// on, the prefix's same-tick consults included, and the memo checks each
+// against the trie: runs sharing a decision prefix must consult the same
+// (party, ordinal) next. An engine that swaps which witness consults
+// first within a tick must stop the sweep, naming the adapter, even when
+// the swap sits before the branch and no later run repeats it.
+TEST(TreeEquivalence, MemoGuardCatchesDivergentConsultOrder) {
+  SweepOptions opts;
+  opts.executor = SweepExecutor::kTree;
+  try {
+    (void)ScenarioRunner(
+        LopsidedBridgeAdapter(core::BridgeConfig{}, {}, 0, 0, true))
+        .sweep(opts);
+    ADD_FAILURE() << "sweep should have thrown std::logic_error";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("lopsided-bridge"), std::string::npos) << what;
+    EXPECT_NE(what.find("diverged"), std::string::npos) << what;
+  }
 }
 
 // A bridge whose audit bounds make leaf verdicts depend on who conforms.

@@ -8,8 +8,9 @@
 #     flags, malformed values (a negative, signed, space-padded or
 #     overflowing --seed among them), an empty --corpus-out= or
 #     --reproducers= directory (rejected before any run, so no report is
-#     written), a --protocol named twice and a short --json write
-#     (/dev/full) exit 2;
+#     written), a --protocol named twice, --self-test with --replay (the
+#     starter seeds alone never reach the planted bug) and a short --json
+#     write (/dev/full) exit 2;
 #   * --self-test finds the planted two-entry bug within a bounded budget
 #     and shrinks it to the pinned canonical reproducer (exit 0);
 #   * the seeded regression corpus replays clean (exit 0) and the JSON
@@ -53,6 +54,8 @@ done
 rc=0; "$bin" --protocol=two-party --protocol=two-party --budget-runs=10 \
   --quiet >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "a --protocol named twice exited $rc (want 2)"
+rc=0; "$bin" --self-test --replay --budget-runs=1000 >/dev/null 2>&1 || rc=$?
+[[ "$rc" -eq 2 ]] || fail "--self-test --replay exited $rc (want 2)"
 rc=0; "$bin" --budget-runs=0 >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "--budget-runs=0 exited $rc (want 2)"
 rc=0; "$bin" --corpus=/no/such/dir >/dev/null 2>&1 || rc=$?

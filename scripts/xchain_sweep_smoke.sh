@@ -21,6 +21,8 @@
 #     repeats an earlier one once parsed ("1,01", or "2" then "2,3" in two
 #     --grid flags), and a key --set twice in one entry, exit 2 in a run
 #     and in a dry run;
+#   * a Δ past its upper bound (int64 max) exits 2 instead of overflowing
+#     the deadlines into a false liveness violation;
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
 #     JSON with the strategy space;
 #   * a --max-deviators=2 late-delays broker sweep writes the same JSON at
@@ -131,6 +133,12 @@ for args in "--set delta=3 --grid delta=2" "--grid delta=1,01" \
     [[ $rc -eq 2 ]] || fail "two-party $args $dry exited $rc (want 2)"
   done
 done
+# Deadlines are sums of multiples of Δ, so Δ is bounded above: int64 max
+# is a parameter error, not a run whose deadlines wrap.
+rc=0
+"$bin" --protocol=two-party --set delta=9223372036854775807 --quiet \
+  >/dev/null 2>&1 || rc=$?
+[[ $rc -eq 2 ]] || fail "two-party delta=2^63-1 exited $rc (want 2)"
 rm -f "$json.dry"
 rc=0
 "$bin" --protocol=two-party --dry-run --json="$json.dry" >/dev/null 2>&1 || \

@@ -1,7 +1,7 @@
 #include "fuzz/harness.hpp"
 
 #include <chrono>
-#include <set>
+#include <unordered_set>
 
 #include "common/json.hpp"
 #include "fuzz/mutator.hpp"
@@ -68,11 +68,12 @@ TargetFuzzResult fuzz_target(const FuzzTarget& target,
     return res.runs >= opts.budget_runs || (timed && Clock::now() >= deadline);
   };
 
+  // Admission and shrink bookkeeping only ever asks "seen before?".
   std::vector<FuzzInput> corpus;
-  std::set<std::uint64_t> signatures;
-  std::set<std::string> corpus_keys;   // canonical texts in `corpus`
-  std::set<std::string> shrunk_from;   // violating inputs already shrunk
-  std::set<std::string> repro_keys;    // minimized texts already recorded
+  std::unordered_set<std::uint64_t> signatures;
+  std::unordered_set<std::string> corpus_keys;  // canonical texts in `corpus`
+  std::unordered_set<std::string> shrunk_from;  // violating inputs shrunk
+  std::unordered_set<std::string> repro_keys;   // minimized texts recorded
   std::size_t shrinks = 0;
 
   // Executes one raw input: canonicalize, run, admit-on-novelty, and
@@ -128,16 +129,13 @@ TargetFuzzResult fuzz_target(const FuzzTarget& target,
     FuzzInput base;
     base.protocol = target.name;
     while (!out_of_budget()) {
-      // Copy the parent/donor out: consider() may grow or evict corpus
-      // slots while the mutant is being built from them.
-      const FuzzInput parent =
+      // The parent and donor are read in place: mutate() returns the
+      // mutant before consider() can grow or evict a corpus slot.
+      const FuzzInput& parent =
           corpus.empty() ? base : corpus[rng.below(corpus.size())];
-      FuzzInput donor;
-      const bool has_donor = corpus.size() >= 2;
-      if (has_donor) donor = corpus[rng.below(corpus.size())];
-      const Instance& shape = pool.instance_for(parent);
-      consider(mutator.mutate(parent, shape, has_donor ? &donor : nullptr,
-                              rng));
+      const FuzzInput* donor =
+          corpus.size() >= 2 ? &corpus[rng.below(corpus.size())] : nullptr;
+      consider(mutator.mutate(parent, pool.instance_for(parent), donor, rng));
     }
   }
 

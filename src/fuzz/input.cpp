@@ -327,15 +327,27 @@ const sim::DeviationPlan& FuzzInput::plan_of(std::size_t p) const {
 FuzzInput canonical_input(const FuzzInput& in,
                           const sim::ProtocolAdapter& adapter,
                           const sim::ParamSet& schema) {
-  FuzzInput out;
-  out.protocol = in.protocol;
-  const sim::ParamSet ps = in.params(schema);
-  for (const sim::ParamSpec& spec : ps.specs()) {
-    const std::string cur = ps.value_str(spec.key);
+  FuzzInput out = canonical_plans(in, adapter);
+  out.overrides = canonical_overrides(in.params(schema), schema);
+  return out;
+}
+
+Overrides canonical_overrides(const sim::ParamSet& params,
+                              const sim::ParamSet& schema) {
+  Overrides out;
+  for (const sim::ParamSpec& spec : params.specs()) {
+    std::string cur = params.value_str(spec.key);
     if (cur != schema.value_str(spec.key)) {
-      out.overrides.emplace_back(spec.key, cur);
+      out.emplace_back(spec.key, std::move(cur));
     }
   }
+  return out;
+}
+
+FuzzInput canonical_plans(const FuzzInput& in,
+                          const sim::ProtocolAdapter& adapter) {
+  FuzzInput out;
+  out.protocol = in.protocol;
   const std::size_t n = adapter.party_count();
   out.plans.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
@@ -353,18 +365,32 @@ FuzzInput canonical_input(const FuzzInput& in,
 sim::Schedule schedule_of(const FuzzInput& in,
                           const sim::ProtocolAdapter& adapter,
                           const std::string& overrides_label) {
+  sim::Schedule s = unlabelled_schedule(in, adapter);
+  s.label = schedule_label(in, adapter, overrides_label);
+  return s;
+}
+
+sim::Schedule unlabelled_schedule(const FuzzInput& in,
+                                  const sim::ProtocolAdapter& adapter) {
   sim::Schedule s;
   const std::size_t n = adapter.party_count();
   s.plans.reserve(n);
   for (std::size_t p = 0; p < n; ++p) s.plans.push_back(in.plan_of(p));
-  s.label = adapter.name();
-  for (std::size_t p = 0; p < n; ++p) {
-    s.label += p == 0 ? '[' : ',';
-    s.label += adapter.plan_label(static_cast<PartyId>(p), s.plans[p]);
-  }
-  s.label += ']';
-  if (!overrides_label.empty()) s.label += " (" + overrides_label + ")";
   return s;
+}
+
+std::string schedule_label(const FuzzInput& in,
+                           const sim::ProtocolAdapter& adapter,
+                           const std::string& overrides_label) {
+  std::string label = adapter.name();
+  const std::size_t n = adapter.party_count();
+  for (std::size_t p = 0; p < n; ++p) {
+    label += p == 0 ? '[' : ',';
+    label += adapter.plan_label(static_cast<PartyId>(p), in.plan_of(p));
+  }
+  label += ']';
+  if (!overrides_label.empty()) label += " (" + overrides_label + ")";
+  return label;
 }
 
 }  // namespace xchain::fuzz

@@ -77,12 +77,16 @@ sim::DeviationPlan encode_plan(const std::vector<sim::ActionPolicy>& acts,
 sim::DeviationPlan canonical_plan(const sim::DeviationPlan& plan,
                                   int action_count);
 
+/// (key, value) parameter assignments, in application order.
+using Overrides = std::vector<std::pair<std::string, std::string>>;
+
 /// One fuzz input. `plans` is indexed by party and may be shorter than the
 /// protocol's party count (missing tail = conforming parties).
 struct FuzzInput {
   std::string protocol;
-  /// (key, value) parameter overrides, in application order.
-  std::vector<std::pair<std::string, std::string>> overrides;
+  /// Parameter overrides, in application order (the last one of a key
+  /// wins).
+  Overrides overrides;
   std::vector<sim::DeviationPlan> plans;
   /// Injected chain faults (`fault` lines, one clause per line) and the
   /// conforming parties' resilience policy (`resilience` line). Both
@@ -114,16 +118,40 @@ struct FuzzInput {
 /// truncated/extended to party_count() and canonicalized over each
 /// party's action_count(); overrides are schema-validated, restated
 /// defaults dropped, survivors emitted in schema declaration order. Two
-/// semantically identical inputs canonicalize to the same str().
+/// semantically identical inputs canonicalize to the same str(). It is
+/// canonical_plans() with canonical_overrides() in place of the
+/// overrides; fuzz::InstancePool computes the latter once per instance.
 FuzzInput canonical_input(const FuzzInput& in,
                           const sim::ProtocolAdapter& adapter,
                           const sim::ParamSet& schema);
 
+/// The override half of canonical_input(): the values of `params` that
+/// differ from `schema`'s defaults, in schema declaration order.
+Overrides canonical_overrides(const sim::ParamSet& params,
+                              const sim::ParamSet& schema);
+
+/// The plan half of canonical_input(): `in` without its overrides, its
+/// plans truncated/extended to party_count() and each canonical over its
+/// party's action_count().
+FuzzInput canonical_plans(const FuzzInput& in,
+                          const sim::ProtocolAdapter& adapter);
+
 /// The runnable schedule for `in` on `adapter`: plans padded with
-/// conforming entries to party_count(), labelled in the sweep engine's
-/// "name[plan,plan,...]" convention with the overrides appended.
+/// conforming entries to party_count(), labelled by schedule_label().
 sim::Schedule schedule_of(const FuzzInput& in,
                           const sim::ProtocolAdapter& adapter,
                           const std::string& overrides_label);
+
+/// schedule_of() without the label, which costs more to build than the
+/// plans: runs that audit clean never read it.
+sim::Schedule unlabelled_schedule(const FuzzInput& in,
+                                  const sim::ProtocolAdapter& adapter);
+
+/// The label of `in`'s schedule on `adapter`, in the sweep engine's
+/// "name[plan,plan,...]" convention with " (<overrides_label>)" appended
+/// when that is non-empty.
+std::string schedule_label(const FuzzInput& in,
+                           const sim::ProtocolAdapter& adapter,
+                           const std::string& overrides_label);
 
 }  // namespace xchain::fuzz

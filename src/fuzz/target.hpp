@@ -11,19 +11,26 @@
 // Because a mutated input may override parameters, the adapter (and its
 // expensive reusable world) depends on the input's override set. The
 // InstancePool caches one Instance — adapter + ScheduleExecutor + the
-// shape facts mutation needs (action counts, Δ, variant universes) — per
-// distinct canonical override string. The input's chain environment (its
-// `fault` and `resilience` lines) is a per-run input instead: run() sets
-// it on the instance's adapter, whose one world switches environments
-// between runs, and a faulted run's faultless twin runs on that same
-// world. Plan-only mutation dominates fuzzing, so almost every run hits
-// the pooled default-parameter instance.
+// shape facts mutation and canonicalization need (action counts, Δ,
+// variant universes, the canonical override list) — per distinct
+// override set, and remembers which instance each override list it was
+// handed resolves to, so a list is parsed against the schema once per
+// pool. The input's chain environment (its `fault` and `resilience`
+// lines) is a per-run input instead: run() sets it on the instance's
+// adapter, whose one world switches environments between runs, and a
+// faulted run's faultless twin runs on that same world. Plan-only
+// mutation dominates fuzzing, so almost every run hits the pooled
+// default-parameter instance.
+//
+// Nothing here outlives its pool, and fuzz_target() builds one pool per
+// call, so a (seed, corpus) pair costs the same work in every call.
 
 #include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fuzz/executor.hpp"
@@ -56,6 +63,9 @@ struct Instance {
   /// params.overrides_str(): the pool key, and the schedule-label suffix a
   /// run extends with its environment text.
   std::string overrides_label;
+  /// canonical_overrides(params, schema): the overrides of every input
+  /// canonical() returns for this instance.
+  Overrides overrides;
   std::unique_ptr<sim::ProtocolAdapter> adapter;
   std::unique_ptr<ScheduleExecutor> executor;
   Tick delta = 1;
@@ -68,8 +78,12 @@ struct Instance {
   std::size_t party_count() const { return action_counts.size(); }
 };
 
-/// Caches Instances per canonical override string. Throws sim::ParamError
-/// on inputs whose overrides fail the schema.
+/// Caches Instances per override set: two override lists share an
+/// instance when their ParamSets print the same overrides_str(), so an
+/// alternate spelling of a value shares its instance. Each override list
+/// resolves once per pool; a hit is one hash lookup. Throws
+/// sim::ParamError on inputs whose overrides fail the schema or the
+/// factory, on every call: a rejected list is never remembered.
 class InstancePool {
  public:
   explicit InstancePool(const FuzzTarget& target) : target_(target) {}
@@ -77,7 +91,9 @@ class InstancePool {
   /// The instance for `in`'s override set (building it on first use).
   Instance& instance_for(const FuzzInput& in);
 
-  /// Canonicalizes `in` against its own instance.
+  /// Canonicalizes `in` against its own instance: equal to
+  /// canonical_input(in, adapter, schema), with the override half read
+  /// from the instance.
   FuzzInput canonical(const FuzzInput& in);
 
   /// Builds `in`'s schedule and executes it on its instance under `in`'s
@@ -86,7 +102,10 @@ class InstancePool {
   /// environment, its faultless twin: a violation that vanishes there was
   /// caused by the injected fault, not the deviation schedule, and is
   /// dropped as expected substrate damage (the within-envelope guarantees
-  /// are pinned by dedicated tests, not the fuzzer).
+  /// are pinned by dedicated tests, not the fuzzer). Only a violation
+  /// reads the schedule label, so only a violating run builds it: the
+  /// label schedule_of() gives `in` with the instance's overrides_label
+  /// and, when faulted, the environment text.
   RunOutcome run(const FuzzInput& in);
 
   const FuzzTarget& target() const { return target_; }
@@ -95,8 +114,18 @@ class InstancePool {
   std::size_t size() const { return instances_.size(); }
 
  private:
+  struct OverridesHash {
+    std::size_t operator()(const Overrides& o) const;
+  };
+
+  Instance& build(sim::ParamSet params, std::string key);
+
   const FuzzTarget& target_;
+  /// Built instances by overrides_label.
   std::map<std::string, std::unique_ptr<Instance>> instances_;
+  /// Every override list resolved so far, raw or canonical, to its
+  /// instance.
+  std::unordered_map<Overrides, Instance*, OverridesHash> resolved_;
 };
 
 }  // namespace xchain::fuzz

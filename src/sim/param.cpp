@@ -136,8 +136,14 @@ std::string ParamSpec::default_str() const {
 
 std::string ParamSpec::bounds_str() const {
   if (type == ParamType::kString || (!has_min && !has_max)) return "";
-  const std::string lo = has_min ? double_str(min) : "-inf";
-  const std::string hi = has_max ? double_str(max) : "+inf";
+  // Integer bounds print whole: "%.10g" would show 10^12 as 1e+12.
+  const auto num = [this](double v) {
+    return type == ParamType::kDouble
+               ? double_str(v)
+               : std::to_string(static_cast<std::int64_t>(v));
+  };
+  const std::string lo = has_min ? num(min) : "-inf";
+  const std::string hi = has_max ? num(max) : "+inf";
   return (has_min ? "[" : "(") + lo + ", " + hi + (has_max ? "]" : ")");
 }
 

@@ -97,8 +97,9 @@ class ParamSet {
   /// True iff `key` was explicitly set() since construction.
   bool is_set(const std::string& key) const;
 
-  /// "k=v" pairs for every non-default value, in declaration order —
-  /// the campaign report's per-configuration label ("" when all-default).
+  /// "k=v" pairs for every key set() since construction, a value equal
+  /// to its default included, in declaration order — the campaign
+  /// report's per-configuration label ("" when nothing was set).
   std::string overrides_str() const;
 
   /// Current value of `key` rendered as a string (default or override).

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -161,7 +162,8 @@ class Party {
   /// Decision point for the scheduled action `ordinal`, to be reached when
   /// (and only when) the action's guard first holds. Applies the party's
   /// plan: Perform runs `perform(chains)` immediately, Delay(d) queues it
-  /// for tick now + d, Drop discards it. Returns false only for Drop, so
+  /// for tick now + d (saturating: a delay past the last tick never comes
+  /// due), Drop discards it. Returns false only for Drop, so
   /// callers can distinguish "will happen" from "never will"; either way
   /// the decision is made exactly once — callers flip their did-flags
   /// regardless of the result.
@@ -172,7 +174,9 @@ class Party {
     if (consults_) consults_->record(id_, ordinal, pol, now);
     if (pol.choice == ActionChoice::kDrop) return false;
     if (pol.choice == ActionChoice::kDelay && pol.delay > 0) {
-      pending_.push_back({now + pol.delay, std::forward<Fn>(perform)});
+      constexpr Tick kNever = std::numeric_limits<Tick>::max();
+      const Tick due = pol.delay > kNever - now ? kNever : now + pol.delay;
+      pending_.push_back({due, std::forward<Fn>(perform)});
       return true;
     }
     perform(chains);

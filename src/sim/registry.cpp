@@ -13,6 +13,13 @@ std::string join(const std::vector<std::string>& names) {
   return out.empty() ? "<none>" : out;
 }
 
+// Upper bounds on every Δ and amount keep deadline and balance arithmetic
+// far inside int64: deadlines add up multiples of Δ per round, arc and
+// witness, and premiums and balances add up multiples of the amounts.
+// Every test, CI grid and experiment stays at Δ <= 6.
+constexpr double kMaxDelta = 1000;
+constexpr Amount kMaxAmount = 1'000'000'000'000;
+
 /// Parses a "100,80" bid list (auction schemas keep the per-bidder bid
 /// vector as one string param so the bidder count itself is sweepable).
 std::vector<Amount> parse_bids(const std::string& csv) {
@@ -32,6 +39,10 @@ std::vector<Amount> parse_bids(const std::string& csv) {
     if (parsed < 0) {
       throw ParamError("param 'bids': bids must be non-negative");
     }
+    if (parsed > kMaxAmount) {
+      throw ParamError("param 'bids': bids must be at most " +
+                       std::to_string(kMaxAmount));
+    }
     out.push_back(static_cast<Amount>(parsed));
   }
   return out;
@@ -44,22 +55,29 @@ std::vector<Amount> parse_bids(const std::string& csv) {
 ParamSet two_party_schema() {
   return ParamSet({
       ParamSpec::amount("alice_tokens", 100, "A: apricot principal")
-          .at_least(1),
-      ParamSpec::amount("bob_tokens", 50, "B: banana principal").at_least(1),
+          .between(1, kMaxAmount),
+      ParamSpec::amount("bob_tokens", 50, "B: banana principal")
+          .between(1, kMaxAmount),
       ParamSpec::amount("premium_a", 2, "p_a: Alice's premium component")
-          .at_least(0),
-      ParamSpec::amount("premium_b", 1, "p_b: Bob's premium").at_least(0),
-      ParamSpec::integer("delta", 2, "synchrony bound in ticks").at_least(1),
+          .between(0, kMaxAmount),
+      ParamSpec::amount("premium_b", 1, "p_b: Bob's premium")
+          .between(0, kMaxAmount),
+      ParamSpec::integer("delta", 2, "synchrony bound in ticks")
+          .between(1, kMaxDelta),
   });
 }
 
 std::vector<ParamSpec> multi_party_scalars() {
   return {
       ParamSpec::amount("asset_amount", 100, "units per swapped asset")
-          .at_least(1),
+          .between(1, kMaxAmount),
+      // Each party holds 10^12 native coin per chain and posts up to 10p
+      // on one chain (a 10-ring, Figure 3a), so a larger p could never be
+      // paid.
       ParamSpec::amount("premium_unit", 1, "p: uniform premium per asset")
-          .at_least(0),
-      ParamSpec::integer("delta", 1, "synchrony bound in ticks").at_least(1),
+          .between(0, kMaxAmount / 10),
+      ParamSpec::integer("delta", 1, "synchrony bound in ticks")
+          .between(1, kMaxDelta),
       ParamSpec::integer("hedged", 1, "1 = hedged (§7), 0 = base baseline")
           .between(0, 1),
   };
@@ -67,48 +85,59 @@ std::vector<ParamSpec> multi_party_scalars() {
 
 ParamSet auction_schema() {
   return ParamSet({
-      ParamSpec::amount("ticket_count", 10, "tickets on sale").at_least(1),
+      ParamSpec::amount("ticket_count", 10, "tickets on sale")
+          .between(1, kMaxAmount),
       ParamSpec::text("bids", "100,80",
-                      "per-bidder bids, comma-separated (sets bidder count)"),
+                      "per-bidder bids, comma-separated (sets bidder "
+                      "count; each in [0, 1000000000000])"),
       ParamSpec::amount("premium_unit", 2, "p: auctioneer endows n*p")
-          .at_least(0),
-      ParamSpec::integer("delta", 2, "synchrony bound in ticks").at_least(1),
+          .between(0, kMaxAmount),
+      ParamSpec::integer("delta", 2, "synchrony bound in ticks")
+          .between(1, kMaxDelta),
       ParamSpec::amount("collateral", 150,
                         "sealed only: uniform commitment collateral M")
-          .at_least(0),
+          .between(0, kMaxAmount),
   });
 }
 
 ParamSet broker_schema() {
   return ParamSet({
-      ParamSpec::amount("ticket_count", 10, "tickets Bob sells").at_least(1),
-      ParamSpec::amount("sale_price", 101, "Carol's coin escrow").at_least(1),
+      ParamSpec::amount("ticket_count", 10, "tickets Bob sells")
+          .between(1, kMaxAmount),
+      ParamSpec::amount("sale_price", 101, "Carol's coin escrow")
+          .between(1, kMaxAmount),
       ParamSpec::amount("purchase_price", 100, "what Bob receives")
-          .at_least(1),
-      ParamSpec::amount("premium_unit", 1, "p: base premium").at_least(0),
-      ParamSpec::integer("delta", 1, "synchrony bound in ticks").at_least(1),
+          .between(1, kMaxAmount),
+      // Each broker party holds 1,000,000 premium coin per chain and posts
+      // up to 9p on one chain, so a larger p could never be paid.
+      ParamSpec::amount("premium_unit", 1, "p: base premium")
+          .between(0, 100'000),
+      ParamSpec::integer("delta", 1, "synchrony bound in ticks")
+          .between(1, kMaxDelta),
   });
 }
 
 ParamSet bootstrap_schema() {
   return ParamSet({
       ParamSpec::amount("alice_tokens", 1'000'000, "A: apricot principal")
-          .at_least(1),
+          .between(1, kMaxAmount),
       ParamSpec::amount("bob_tokens", 1'000'000, "B: banana principal")
-          .at_least(1),
+          .between(1, kMaxAmount),
       ParamSpec::real("factor", 100.0, "P: premium = value / P").at_least(1),
       ParamSpec::integer("rounds", 2, "r: bootstrap rounds").between(1, 16),
-      ParamSpec::integer("delta", 2, "synchrony bound in ticks").at_least(1),
+      ParamSpec::integer("delta", 2, "synchrony bound in ticks")
+          .between(1, kMaxDelta),
   });
 }
 
 ParamSet crr_ladder_schema() {
   return ParamSet({
       ParamSpec::amount("alice_tokens", 100'000, "A: apricot principal")
-          .at_least(1),
+          .between(1, kMaxAmount),
       ParamSpec::amount("bob_tokens", 100'000, "B: banana principal")
-          .at_least(1),
-      ParamSpec::integer("delta", 2, "synchrony bound in ticks").at_least(1),
+          .between(1, kMaxAmount),
+      ParamSpec::integer("delta", 2, "synchrony bound in ticks")
+          .between(1, kMaxDelta),
       ParamSpec::real("volatility", 0.8, "annualized sigma").at_least(0),
       ParamSpec::real("rate", 0.0, "risk-free rate").at_least(0),
       ParamSpec::real("ticks_per_year", 1460, "tick granularity (6h default)")
@@ -123,7 +152,7 @@ ParamSet bridge_schema() {
       ParamSpec::integer("quorum", 2, "k: attestations completing the claim")
           .between(1, 8),
       ParamSpec::amount("transfer_amount", 100, "bridged principal")
-          .at_least(1),
+          .between(1, kMaxAmount),
       ParamSpec::amount("witness_reward", 2, "reward per attestation")
           .between(1, 100),
       ParamSpec::amount("premium_unit", 2,

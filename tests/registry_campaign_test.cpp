@@ -223,6 +223,59 @@ TEST(Registry, OutOfBoundsParamsAreRejectedNotUB) {
   }
 }
 
+TEST(Registry, EveryDeltaAndAmountIsBoundedAbove) {
+  // Δ and the amounts feed deadline and balance arithmetic, so one past
+  // each upper bound is a ParamError, never a signed int64 overflow.
+  for (const std::string& name : ProtocolRegistry::global().names()) {
+    ParamSet ps = ProtocolRegistry::global().defaults(name);
+    for (const ParamSpec& spec : ps.specs()) {
+      if (spec.key != "delta" && spec.type != ParamType::kAmount) continue;
+      SCOPED_TRACE(name + " " + spec.key);
+      ASSERT_TRUE(spec.has_max);
+      EXPECT_LE(spec.max, spec.key == "delta" ? 1e3 : 1e12);
+      const auto top = static_cast<std::int64_t>(spec.max);
+      EXPECT_THROW(ps.set(spec.key, std::to_string(top + 1)), ParamError);
+      EXPECT_NO_THROW(ps.set(spec.key, std::to_string(top)));
+    }
+  }
+  // Each bid too, when the factory parses the list.
+  for (const char* name : {"auction-open", "auction-sealed"}) {
+    SCOPED_TRACE(name);
+    ParamSet ps = ProtocolRegistry::global().defaults(name);
+    ps.set("bids", "100,1000000000001");
+    EXPECT_THROW(ProtocolRegistry::global().make(name, ps), ParamError);
+    ps.set("bids", "100,1000000000000");
+    EXPECT_NO_THROW(ProtocolRegistry::global().make(name, ps));
+  }
+}
+
+TEST(Registry, AllConformingRunsCompleteCleanAtTheUpperBounds) {
+  // Every protocol with Δ and every amount at its upper bound, each bid
+  // included: the all-conforming run must complete and audit clean.
+  for (const std::string& name : ProtocolRegistry::global().names()) {
+    SCOPED_TRACE(name);
+    ParamSet ps = ProtocolRegistry::global().defaults(name);
+    for (const ParamSpec& spec : ps.specs()) {
+      if (spec.key == "delta" || spec.type == ParamType::kAmount) {
+        ps.set(spec.key,
+               std::to_string(static_cast<std::int64_t>(spec.max)));
+      }
+    }
+    if (ps.has("bids")) ps.set("bids", "1000000000000,999999999999");
+    const auto adapter = ProtocolRegistry::global().make(name, ps);
+    Schedule s;
+    s.plans.assign(adapter->party_count(), DeviationPlan::conforming());
+    s.label = name;
+    const std::vector<PartyOutcome> outcomes = adapter->run(s);
+    std::vector<Violation> violations;
+    audit_schedule(s.label, outcomes, violations);
+    for (const Violation& v : violations) ADD_FAILURE() << v.str();
+    for (const PartyOutcome& o : outcomes) {
+      EXPECT_TRUE(o.bound.completed) << o.name;
+    }
+  }
+}
+
 // Registry defaults must stay byte-identical to the historical hard-coded
 // reference structs (the numbers the whole PR-1..3 test/bench corpus was
 // pinned on). reference_configs.hpp is now a shim over these defaults, so

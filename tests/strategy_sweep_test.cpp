@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -418,6 +419,30 @@ TEST(StrategySweep, ViolationLabelsCarryTheFullPolicy) {
   EXPECT_EQ(schedules.count("grudge[conform,d0+1]"), 1u);
   EXPECT_EQ(schedules.count("grudge[conform,d0+4]"), 1u);
   EXPECT_EQ(schedules.count("grudge[halt@0,d0+2]"), 1u);
+}
+
+TEST(StrategySweep, DelayPastTheLastTickNeverComesDue) {
+  // A delayed action comes due at now + d, saturated: d = int64 max must
+  // play like any delay past the horizon (d = 1000 here), never wrap into
+  // the past and play like a timely action.
+  constexpr Tick kMax = std::numeric_limits<Tick>::max();
+  for (const std::string& name : ProtocolRegistry::global().names()) {
+    const auto adapter = ProtocolRegistry::global().make(name);
+    const std::size_t n = adapter->party_count();
+    for (std::size_t p = 0; p < n; ++p) {
+      const int actions = adapter->action_count(static_cast<PartyId>(p));
+      for (int o = 0; o < actions; ++o) {
+        SCOPED_TRACE(name + " party " + std::to_string(p) + " d" +
+                     std::to_string(o));
+        Schedule late, never;
+        late.plans.assign(n, DeviationPlan::conforming());
+        never.plans = late.plans;
+        late.plans[p] = DeviationPlan::conforming().delayed(o, 1000);
+        never.plans[p] = DeviationPlan::conforming().delayed(o, kMax);
+        EXPECT_EQ(adapter->run(never), adapter->run(late));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

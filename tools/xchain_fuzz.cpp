@@ -14,7 +14,8 @@
 // saves the evolved corpus for cross-run reuse (the nightly soak cache).
 // --replay only replays seeds (the CI corpus-regression mode). --self-test
 // fuzzes a planted violating adapter and succeeds only if the harness
-// finds the bug AND shrinks it to the pinned canonical reproducer.
+// finds the bug AND shrinks it to the pinned canonical reproducer; it
+// takes neither --protocol nor --replay.
 //
 // Determinism: with --budget-seconds unset, output (and the --json report
 // body) is a pure function of seed + budgets + corpus.
@@ -84,7 +85,8 @@ void print_usage(std::FILE* to) {
       "                      regression mode)\n"
       "  --self-test         fuzz the planted violating adapter; exit 0\n"
       "                      only if the bug is found and shrinks to the\n"
-      "                      pinned canonical reproducer\n"
+      "                      pinned canonical reproducer (not with\n"
+      "                      --protocol or --replay)\n"
       "\n"
       "Exit: 0 clean / self-test passed, 1 violations / self-test failed,\n"
       "2 bad usage.\n");
@@ -271,6 +273,14 @@ int main(int argc, char** argv) {
     if (!protocols.empty()) {
       std::fprintf(stderr,
                    "xchain-fuzz: --self-test and --protocol are mutually "
+                   "exclusive\n");
+      return 2;
+    }
+    // The planted bug needs two mutated coordinates, which no starter
+    // seed carries, so a replay-only self-test could never pass.
+    if (opts.replay_only) {
+      std::fprintf(stderr,
+                   "xchain-fuzz: --self-test and --replay are mutually "
                    "exclusive\n");
       return 2;
     }

@@ -9,8 +9,9 @@
 #     overflowing --seed among them), an empty --corpus-out= or
 #     --reproducers= directory (rejected before any run, so no report is
 #     written), a --protocol named twice, --self-test with --replay (the
-#     starter seeds alone never reach the planted bug) and a short --json
-#     write (/dev/full) exit 2;
+#     starter seeds alone never reach the planted bug), a short --json
+#     write (/dev/full) and a corpus seed planning for a party its
+#     protocol does not have (naming the file) exit 2;
 #   * --self-test finds the planted two-entry bug within a bounded budget
 #     and shrinks it to the pinned canonical reproducer (exit 0);
 #   * the seeded regression corpus replays clean (exit 0) and the JSON
@@ -63,6 +64,14 @@ rc=0; "$bin" --corpus=/no/such/dir >/dev/null 2>&1 || rc=$?
 rc=0; "$bin" --protocol=two-party --budget-runs=10 --quiet \
   --json=/dev/full >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "short --json write exited $rc (want 2)"
+# A plan for a party the seed's instance does not have would never run, and
+# the seed would replay as the all-conforming run.
+mkdir -p "$work/bad_party"
+printf 'protocol two-party\nplan 7 x0\n' > "$work/bad_party/party7.fuzz"
+rc=0; err="$("$bin" --replay --corpus="$work/bad_party" --protocol=two-party \
+  --quiet 2>&1 >/dev/null)" || rc=$?
+[[ "$rc" -eq 2 ]] || fail "a plan for party 7 of two-party exited $rc (want 2)"
+grep -qF "party7.fuzz" <<<"$err" || fail "the party-7 rejection names no file: $err"
 # An empty output directory would silently persist nothing.
 for flag in --corpus-out= --reproducers=; do
   rm -f "$work/empty_dir.json"

@@ -4,8 +4,8 @@
 # Usage: xchain_sweep_smoke.sh /path/to/xchain-sweep /path/to/out.json
 #
 # Asserts that:
-#   * --list names every registered reference protocol and the strategy
-#     spaces, and without a --protocol exits 2 without writing when asked
+#   * --list names all ten registry protocols and the strategy spaces,
+#     and without a --protocol exits 2 without writing when asked
 #     for a --json= report it has not;
 #   * a small two-party grid campaign (premium_a=1,2) exits 0;
 #   * the emitted JSON parses (python3 when available, grep fallback) and
@@ -41,10 +41,11 @@ json="$2"
 
 fail() { echo "xchain_sweep_smoke: FAIL: $*" >&2; exit 1; }
 
-# --list must name all reference protocols and the strategy spaces.
+# --list must name all ten registry protocols and the strategy spaces.
 list_out="$("$bin" --list)"
 for name in two-party multi-party-ring multi-party-fig3a auction-open \
-            auction-sealed broker bootstrap crr-ladder; do
+            auction-sealed broker bootstrap crr-ladder bridge-transfer \
+            bridge-account-create; do
   grep -q "^  $name " <<<"$list_out" || fail "--list is missing '$name'"
 done
 for space in halt-only timely-delays late-delays; do

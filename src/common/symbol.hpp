@@ -43,6 +43,10 @@ class SymbolTable {
   /// The name behind an id. Precondition: `id.valid()`.
   static const std::string& name(SymbolId id);
 
+  /// The id whose value() is `value`, for ids stored as plain integers.
+  /// Precondition: `value < size()`.
+  static SymbolId at(std::uint32_t value) { return SymbolId(value); }
+
   /// Number of symbols interned so far (ids are < size()).
   static std::size_t size();
 };

@@ -339,19 +339,27 @@ void AuctionWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   }
 }
 
-AuctionResult AuctionWorld::collect() const {
+void AuctionWorld::summarize(ResultSummary& out) const {
   const Impl& w = *impl_;
-  const std::size_t n = w.cfg.bids.size();
-
-  AuctionResult out;
-  out.completed = w.s.coin->completed_cleanly();
-  out.tickets_to = w.s.ticket->awarded_to().value_or(kAlice);
-  out.auctioneer = w.tracker->delta(w.chains, kAlice);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.bidders.push_back(
-        w.tracker->delta(w.chains, static_cast<PartyId>(i + 1)));
+  out.push_back(w.s.coin->completed_cleanly());
+  out.push_back(w.s.ticket->awarded_to().value_or(kAlice));
+  for (PartyId p = 0; p <= static_cast<PartyId>(w.cfg.bids.size()); ++p) {
+    w.tracker->write_delta(w.chains, p, out);
   }
-  out.events = w.chains.all_events();
+}
+
+AuctionResult AuctionWorld::collect() const {
+  const std::size_t n = impl_->cfg.bids.size();
+  ResultSummary summary = summary_buffer();
+  summarize(summary);
+  SummaryReader in(summary);
+  AuctionResult out;
+  out.completed = in.flag();
+  out.tickets_to = static_cast<PartyId>(in.next());
+  out.auctioneer = in.delta();
+  out.bidders.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.bidders.push_back(in.delta());
+  out.events = impl_->chains.all_events();
   return out;
 }
 

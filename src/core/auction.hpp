@@ -104,6 +104,10 @@ class AuctionWorld {
   /// the contracts' inclusive deadlines decide whether a late
   /// bid/reveal/forward still counts).
   void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// Appends that result to `out` without strings or maps: completed,
+  /// tickets_to, then the auctioneer's and each bidder's balance changes.
+  /// collect() is this summary read back, plus the event log.
+  void summarize(ResultSummary& out) const;
   /// The result of the run the world's state describes.
   AuctionResult collect() const;
 

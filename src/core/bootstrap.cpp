@@ -305,22 +305,34 @@ void BootstrapWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   impl_->bob->set_plan(plans.at(1));
 }
 
-BootstrapResult BootstrapWorld::collect() const {
+void BootstrapWorld::summarize(ResultSummary& out) const {
   const Impl& w = *impl_;
   const contracts::LadderContract& apricot_ladder = *w.apricot_ladder;
   const contracts::LadderContract& banana_ladder = *w.banana_ladder;
+  out.push_back(apricot_ladder.principal_redeemed() &&
+                banana_ladder.principal_redeemed());
+  out.push_back(std::max(premium_lockup_of(apricot_ladder),
+                         premium_lockup_of(banana_ladder)));
+  out.push_back(principal_lockup_of(apricot_ladder));
+  out.push_back(principal_lockup_of(banana_ladder));
+  w.tracker->write_delta(w.chains, kAlice, out);
+  w.tracker->write_delta(w.chains, kBob, out);
+}
 
+BootstrapResult BootstrapWorld::collect() const {
+  const Impl& w = *impl_;
+  ResultSummary summary = summary_buffer();
+  summarize(summary);
+  SummaryReader in(summary);
   BootstrapResult out;
-  out.swapped = apricot_ladder.principal_redeemed() &&
-                banana_ladder.principal_redeemed();
-  out.alice = w.tracker->delta(w.chains, kAlice);
-  out.bob = w.tracker->delta(w.chains, kBob);
+  out.swapped = in.flag();
+  out.max_premium_lockup = in.next();
+  out.alice_lockup = in.next();
+  out.bob_lockup = in.next();
+  out.alice = in.delta();
+  out.bob = in.delta();
   out.initial_risk_apricot = w.amounts.initial_risk_apricot();
   out.initial_risk_banana = w.amounts.initial_risk_banana();
-  out.max_premium_lockup = std::max(premium_lockup_of(apricot_ladder),
-                                    premium_lockup_of(banana_ladder));
-  out.alice_lockup = principal_lockup_of(apricot_ladder);
-  out.bob_lockup = principal_lockup_of(banana_ladder);
   out.events = w.chains.all_events();
   return out;
 }

@@ -89,6 +89,11 @@ class BootstrapWorld {
   sim::TreeFrame& frame();
   /// Installs one plan per actor: Alice, Bob.
   void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// Appends that result to `out` without strings or maps: swapped, the
+  /// longest premium lock-up, each principal's lock-up (Alice's, then
+  /// Bob's), then Alice's and Bob's balance changes. collect() is this
+  /// summary read back, plus the config's initial risks and the event log.
+  void summarize(ResultSummary& out) const;
   /// The result of the run the world's state describes.
   BootstrapResult collect() const;
 

@@ -281,19 +281,34 @@ void BridgeWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   }
 }
 
-BridgeResult BridgeWorld::collect() const {
+void BridgeWorld::summarize(ResultSummary& out) const {
   const Impl& w = *impl_;
-  BridgeResult r;
-  r.committed = w.door->committed();
-  r.transfer_completed = w.claim->resolved();
-  r.principal_refunded = w.door->principal_refunded();
-  r.attesters = w.claim->attester_count();
-  r.bonds_posted = w.door->bonds_posted();
-  r.bonds_forfeited = w.door->bonds_forfeited();
+  out.push_back(w.door->committed());
+  out.push_back(w.claim->resolved());
+  out.push_back(w.door->principal_refunded());
+  out.push_back(w.claim->attester_count());
+  out.push_back(w.door->bonds_posted());
+  out.push_back(w.door->bonds_forfeited());
   for (PartyId p = 0; p < static_cast<PartyId>(w.cfg.party_count()); ++p) {
-    r.payoffs.push_back(w.tracker->delta(*w.chains, w.base + p));
+    w.tracker->write_delta(*w.chains, w.base + p, out);
   }
-  r.events = w.chains->all_events();
+}
+
+BridgeResult BridgeWorld::collect() const {
+  const std::size_t n = static_cast<std::size_t>(impl_->cfg.party_count());
+  ResultSummary summary = summary_buffer();
+  summarize(summary);
+  SummaryReader in(summary);
+  BridgeResult r;
+  r.committed = in.flag();
+  r.transfer_completed = in.flag();
+  r.principal_refunded = in.flag();
+  r.attesters = static_cast<int>(in.next());
+  r.bonds_posted = static_cast<int>(in.next());
+  r.bonds_forfeited = static_cast<int>(in.next());
+  r.payoffs.reserve(n);
+  for (std::size_t p = 0; p < n; ++p) r.payoffs.push_back(in.delta());
+  r.events = impl_->chains->all_events();
   return r;
 }
 

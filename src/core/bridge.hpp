@@ -100,6 +100,11 @@ class BridgeWorld {
   /// Installs one plan per actor: plans[0] the user, plans[1..n] the
   /// witnesses.
   void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// Appends that result to `out` without strings or maps: committed,
+  /// transfer_completed, principal_refunded, attesters, bonds_posted,
+  /// bonds_forfeited, then each party's balance changes. collect() is
+  /// this summary read back, plus the event log.
+  void summarize(ResultSummary& out) const;
   /// The result of the run the world's state describes.
   BridgeResult collect() const;
 

@@ -405,21 +405,32 @@ void BrokerWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   impl_->carol->set_plan(plans.at(2));
 }
 
-BrokerResult BrokerWorld::collect() const {
+void BrokerWorld::summarize(ResultSummary& out) const {
   const Impl& w = *impl_;
   const Setup& s = w.s;
+  out.push_back(s.ticket->bucket_redeemed(Which::kEscrowArc) &&
+                s.ticket->bucket_redeemed(Which::kTradingArc) &&
+                s.coin->bucket_redeemed(Which::kEscrowArc) &&
+                s.coin->bucket_redeemed(Which::kTradingArc));
+  out.push_back(lockup_of(*s.ticket));
+  out.push_back(lockup_of(*s.coin));
+  for (const PartyId p : {kAlice, kBob, kCarol}) {
+    w.tracker->write_delta(*w.chains, w.base + p, out);
+  }
+}
 
+BrokerResult BrokerWorld::collect() const {
+  ResultSummary summary = summary_buffer();
+  summarize(summary);
+  SummaryReader in(summary);
   BrokerResult out;
-  out.completed = s.ticket->bucket_redeemed(Which::kEscrowArc) &&
-                  s.ticket->bucket_redeemed(Which::kTradingArc) &&
-                  s.coin->bucket_redeemed(Which::kEscrowArc) &&
-                  s.coin->bucket_redeemed(Which::kTradingArc);
-  out.alice = w.tracker->delta(*w.chains, w.base + kAlice);
-  out.bob = w.tracker->delta(*w.chains, w.base + kBob);
-  out.carol = w.tracker->delta(*w.chains, w.base + kCarol);
-  out.bob_lockup = lockup_of(*s.ticket);
-  out.carol_lockup = lockup_of(*s.coin);
-  out.events = w.chains->all_events();
+  out.completed = in.flag();
+  out.bob_lockup = in.next();
+  out.carol_lockup = in.next();
+  out.alice = in.delta();
+  out.bob = in.delta();
+  out.carol = in.delta();
+  out.events = impl_->chains->all_events();
   return out;
 }
 

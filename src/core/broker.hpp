@@ -74,6 +74,10 @@ class BrokerWorld {
   sim::TreeFrame& frame();
   /// Installs one plan per actor: Alice, Bob, Carol.
   void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// Appends that result to `out` without strings or maps: completed,
+  /// Bob's and Carol's lock-ups, then Alice's, Bob's and Carol's balance
+  /// changes. collect() is this summary read back, plus the event log.
+  void summarize(ResultSummary& out) const;
   /// The result of the run the world's state describes.
   BrokerResult collect() const;
 

@@ -352,28 +352,41 @@ void MultiPartyWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   }
 }
 
-MultiPartyResult MultiPartyWorld::collect() const {
+void MultiPartyWorld::summarize(ResultSummary& out) const {
   const Impl& w = *impl_;
   const Digraph& g = w.cfg.g;
   const std::size_t n = g.size();
-
-  MultiPartyResult out;
-  out.all_redeemed = true;
-  out.payoffs.reserve(n);
-  out.assets_escrowed.assign(n, 0);
-  out.assets_refunded.assign(n, 0);
-  out.assets_received.assign(n, 0);
+  // all_redeemed, then the escrowed, refunded and received counts of
+  // party v at counts + 3v, + 3v + 1 and + 3v + 2.
+  const std::size_t at = out.size();
+  out.resize(at + 1 + 3 * n, 0);
+  out[at] = 1;
+  const std::size_t counts = at + 1;
   for (const Arc& arc : g.arcs()) {
     const MultiPartyArcContract& c = w.s.at(arc.from, arc.to);
-    out.all_redeemed &= c.redeemed();
-    out.assets_escrowed[arc.from] += c.escrowed() ? 1 : 0;
-    out.assets_refunded[arc.from] += c.refunded() ? 1 : 0;
-    out.assets_received[arc.to] += c.redeemed() ? 1 : 0;
+    if (!c.redeemed()) out[at] = 0;
+    out[counts + 3 * arc.from] += c.escrowed() ? 1 : 0;
+    out[counts + 3 * arc.from + 1] += c.refunded() ? 1 : 0;
+    out[counts + 3 * arc.to + 2] += c.redeemed() ? 1 : 0;
   }
-  for (Vertex v = 0; v < n; ++v) {
-    out.payoffs.push_back(w.tracker->delta(w.chains, v));
+  for (Vertex v = 0; v < n; ++v) w.tracker->write_delta(w.chains, v, out);
+}
+
+MultiPartyResult MultiPartyWorld::collect() const {
+  const std::size_t n = impl_->cfg.g.size();
+  ResultSummary summary = summary_buffer();
+  summarize(summary);
+  SummaryReader in(summary);
+  MultiPartyResult out;
+  out.all_redeemed = in.flag();
+  for (std::size_t v = 0; v < n; ++v) {
+    out.assets_escrowed.push_back(static_cast<int>(in.next()));
+    out.assets_refunded.push_back(static_cast<int>(in.next()));
+    out.assets_received.push_back(static_cast<int>(in.next()));
   }
-  out.events = w.chains.all_events();
+  out.payoffs.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) out.payoffs.push_back(in.delta());
+  out.events = impl_->chains.all_events();
   return out;
 }
 

@@ -71,6 +71,11 @@ class MultiPartyWorld {
   sim::TreeFrame& frame();
   /// Installs one plan per party, in vertex order.
   void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  /// Appends that result to `out` without strings or maps: all_redeemed,
+  /// each party's escrowed, refunded and received asset counts, then each
+  /// party's balance changes. collect() is this summary read back, plus
+  /// the event log.
+  void summarize(ResultSummary& out) const;
   /// The result of the run the world's state describes.
   MultiPartyResult collect() const;
 

@@ -358,22 +358,32 @@ void TwoPartyWorld::set_plans(const std::vector<sim::DeviationPlan>& plans) {
   impl_->bob->set_plan(plans.at(1));
 }
 
-TwoPartyResult TwoPartyWorld::collect() const {
+void TwoPartyWorld::summarize(ResultSummary& out) const {
   const Impl& w = *impl_;
   const contracts::HedgedSwapContract& apricot_c = *w.apricot_c;
   const contracts::HedgedSwapContract& banana_c = *w.banana_c;
+  out.push_back(apricot_c.redeemed() && banana_c.redeemed());
+  out.push_back(lockup_of(apricot_c.escrowed_at(),
+                          apricot_c.principal_resolved_at(),
+                          apricot_c.principal_refunded()));
+  out.push_back(lockup_of(banana_c.escrowed_at(),
+                          banana_c.principal_resolved_at(),
+                          banana_c.principal_refunded()));
+  w.tracker->write_delta(*w.chains, w.base + kAlice, out);
+  w.tracker->write_delta(*w.chains, w.base + kBob, out);
+}
 
+TwoPartyResult TwoPartyWorld::collect() const {
+  ResultSummary summary = summary_buffer();
+  summarize(summary);
+  SummaryReader in(summary);
   TwoPartyResult r;
-  r.swapped = apricot_c.redeemed() && banana_c.redeemed();
-  r.alice = w.tracker->delta(*w.chains, w.base + kAlice);
-  r.bob = w.tracker->delta(*w.chains, w.base + kBob);
-  r.alice_lockup = lockup_of(apricot_c.escrowed_at(),
-                             apricot_c.principal_resolved_at(),
-                             apricot_c.principal_refunded());
-  r.bob_lockup = lockup_of(banana_c.escrowed_at(),
-                           banana_c.principal_resolved_at(),
-                           banana_c.principal_refunded());
-  r.events = w.chains->all_events();
+  r.swapped = in.flag();
+  r.alice_lockup = in.next();
+  r.bob_lockup = in.next();
+  r.alice = in.delta();
+  r.bob = in.delta();
+  r.events = impl_->chains->all_events();
   return r;
 }
 

@@ -351,6 +351,19 @@ std::uint64_t result_hash(const std::vector<PartyOutcome>& out) {
   return h;
 }
 
+/// A hash of a result key (ProtocolAdapter::tree_result_key): one
+/// multiply-and-shift step per word.
+struct ResultKeyHash {
+  std::size_t operator()(const core::ResultSummary& key) const noexcept {
+    std::uint64_t h = key.size();
+    for (const std::int64_t w : key) {
+      h = (h ^ static_cast<std::uint64_t>(w)) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+};
+
 /// Prefix-sharing schedule-tree executor (the serial sweep's default
 /// engine). One instance drives one adapter's TreeFrame through a whole
 /// sweep. explore() runs every execution up front, depth-first:
@@ -380,7 +393,10 @@ std::uint64_t result_hash(const std::vector<PartyOutcome>& out) {
 /// A leaf holds an *outcome id*, not outcomes: runs that end alike share
 /// one stored outcome vector and one AuditVerdict, computed once per
 /// distinct outcome (the late-delays bridges end ~37k leaves in a few
-/// dozen outcomes). The sweep loop then answers most schedules from their
+/// dozen outcomes). A run finds its id by its result key, which the
+/// adapter writes into a reused buffer without strings or maps, and only a
+/// new key (a few dozen per protocol) maps the world's result to
+/// outcomes. The sweep loop then answers most schedules from their
 /// outcome's verdict under their conformance mask (verdict()), and serves
 /// the rest — violating schedules, sampled permuted serves — from the
 /// stored outcomes (outcomes()), never touching the world.
@@ -874,8 +890,8 @@ class TreeExecutor {
   void dfs(Tick from, std::ptrdiff_t from_pos) {
     canonical(&sched_);
     execute(sched_, from);
+    const std::uint32_t id = memoize(sched_);
     ++nodes_executed_;
-    const std::uint32_t id = memoize(sched_, adapter_.tree_collect(sched_));
 
     const std::size_t base = path_.size();
     const std::vector<ConsultEntry>& log = log_.entries();
@@ -944,13 +960,20 @@ class TreeExecutor {
   /// vector, a resumed run's at trail_[kept_], the node its kept log
   /// prefix reached when an earlier run recorded that prefix. Every entry
   /// the run recorded itself, same-tick re-consults of the prefix
-  /// included, is checked, and trail_ follows it. A new leaf interns the
-  /// run's outcomes: it takes the id of an equal stored vector
-  /// (same_result, found by result_hash and confirmed field by field, so a
-  /// hash collision costs a probe and never a wrong outcome), and
-  /// otherwise the next id, with the vector stored and its audit verdict
-  /// computed once.
-  std::uint32_t memoize(const Schedule& s, std::vector<PartyOutcome> out) {
+  /// included, is checked, and trail_ follows it.
+  ///
+  /// The run's outcome id comes from its result key (the adapter's
+  /// tree_result_key: plan variants and the world's string-free summary),
+  /// looked up in keys_ (one hash, an exact compare). Only a new key
+  /// derives the run's outcomes (tree_collect) and interns them: they take
+  /// the id of an equal stored vector (same_result, found by result_hash
+  /// and confirmed field by field, so a hash collision costs a probe and
+  /// never a wrong outcome), and otherwise the next id, with the vector
+  /// stored and its audit verdict computed once. A known key is trusted,
+  /// except on verification runs (every run in Debug) and at an existing
+  /// leaf, which derive the outcomes anyway and throw unless they equal
+  /// the key's.
+  std::uint32_t memoize(const Schedule& s) {
     const std::vector<ConsultEntry>& log = log_.entries();
     trail_.resize(log.size() + 1);
     if (kept_ == 0) {
@@ -990,16 +1013,41 @@ class TreeExecutor {
       trail_[k + 1] = here;
     }
     TrieNode& node = trie_[here];
-    if (node.party != kNoParty ||
-        (node.leaf != kNoOutcome && !same_result(outcomes_[node.leaf], out))) {
+    const bool revisit = node.leaf != kNoOutcome;
+    const std::uint32_t id =
+        node.party == kNoParty ? outcome_id(s, revisit) : kNoOutcome;
+    if (id == kNoOutcome || (revisit && node.leaf != id)) {
       throw std::logic_error(
           adapter_.name() +
           ": tree executor run consulted a prefix of an earlier run with "
           "equal answers but ended differently — engine is not "
           "deterministic");
     }
-    if (node.leaf == kNoOutcome) node.leaf = intern(std::move(out));
-    return node.leaf;
+    node.leaf = id;
+    return id;
+  }
+
+  /// The outcome id of the just-executed run of `s`, by its result key;
+  /// with `check` (or on a verification run, or in Debug) a known key's
+  /// outcomes are derived as well and must equal the stored ones.
+  std::uint32_t outcome_id(const Schedule& s, bool check) {
+    adapter_.tree_result_key(s, result_key_);
+    const auto known = keys_.find(result_key_);
+    if (known == keys_.end()) {
+      const std::uint32_t id = intern(adapter_.tree_collect(s));
+      keys_.emplace(result_key_, id);
+      return id;
+    }
+    const std::uint32_t id = known->second;
+    if ((check || kCheckShortcuts || verifying()) &&
+        !same_result(outcomes_[id], adapter_.tree_collect(s))) {
+      throw std::logic_error(
+          adapter_.name() +
+          ": tree executor run ended differently from an earlier run with "
+          "an equal result key — the key misses a result field the "
+          "outcomes read, or the engine is not deterministic");
+    }
+    return id;
   }
 
   /// The id of the stored outcome vector equal to `out` (same_result),
@@ -1068,6 +1116,10 @@ class TreeExecutor {
   std::vector<std::uint64_t> hashes_;  ///< world hash per snapshot slot
   std::size_t hashed_to_ = 0;  ///< leading slots whose hashes are fresh
   std::vector<int> key_;       ///< memoize()'s scratch: the run's variants
+  /// outcome_id()'s scratch, and each result key seen with the outcome id
+  /// its first run derived: one entry per distinct key, not per run.
+  core::ResultSummary result_key_;
+  std::unordered_map<core::ResultSummary, std::uint32_t, ResultKeyHash> keys_;
   std::size_t nodes_executed_ = 0;
   PartyRange sym_;  ///< interchangeable parties (empty: no reduction)
   std::uint64_t sym_mask_ = 0;  ///< their conformance bits

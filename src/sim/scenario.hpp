@@ -63,7 +63,11 @@
 // compared whole, like the rewinds below.
 //
 // Runs that end alike share one stored outcome vector: a leaf holds an
-// outcome id, interned when the leaf is made, and each distinct outcome's
+// outcome id, found when the leaf is made by the run's result key (its
+// plans' variants and the world's string-free summary of the result), and
+// only a key not seen before maps the world's result to outcomes and
+// interns them. A sample of known keys (all of them in Debug) derives the
+// outcomes anyway and throws unless they match. Each distinct outcome's
 // audit verdict (payoff_audit.hpp AuditVerdict: which parties breach if
 // they conform, whether coins are conserved, whether the run completed)
 // is computed once. The audit loop then walks raw indices with an
@@ -272,9 +276,10 @@ class ProtocolAdapter {
   /// --- Schedule-tree executor hooks ---------------------------------------
   /// The cached world's frame (persistent actors + chains + horizon), built
   /// on first use, or nullptr when the adapter has no engine world (test
-  /// fakes). When this returns non-null, tree_set_plans / tree_collect must
-  /// be implemented; they are const for the same reason run() is (the
-  /// world is a mutable cache on a logically-const adapter).
+  /// fakes). When this returns non-null, tree_set_plans, tree_collect and
+  /// tree_result_key must be implemented; they are const for the same
+  /// reason run() is (the world is a mutable cache on a logically-const
+  /// adapter).
   virtual TreeFrame* tree_frame() const { return nullptr; }
   /// Installs one schedule's plans (and variant knobs, e.g. the
   /// auctioneer's declaration strategy) on the frame's persistent actors.
@@ -286,6 +291,17 @@ class ProtocolAdapter {
   /// same assembly run() ends with.
   virtual std::vector<PartyOutcome> tree_collect(const Schedule& s) const {
     (void)s;
+    throw std::logic_error(name() + ": tree executor hooks not implemented");
+  }
+  /// Replaces `key` with the key of the world's current end-of-run state
+  /// under `s`, written without strings or maps. Equal keys must mean
+  /// equal tree_collect(s) outcomes, conformance flags aside: the tree
+  /// executor derives outcomes only for a key it has not seen, and checks
+  /// that promise on a sample of the rest.
+  virtual void tree_result_key(const Schedule& s,
+                               core::ResultSummary& key) const {
+    (void)s;
+    (void)key;
     throw std::logic_error(name() + ": tree executor hooks not implemented");
   }
 
@@ -322,14 +338,18 @@ class WorldCache {
 };
 
 /// The one execution path of every registry protocol. An engine world W
-/// (core/*World) exposes its TreeFrame, set_plans(plans) and collect();
-/// this base drives all of them through that frame:
+/// (core/*World) exposes its TreeFrame, set_plans(plans), collect() and
+/// summarize(out), the string-free form of what collect() returns; this
+/// base drives all of them through that frame:
 ///   * run() rewinds the cached private world to snapshot slot 0 (its
 ///     post-setup state) under the adapter's current environment, then
 ///     plays the schedule to the horizon (sim::play) and maps the result
 ///     through outcomes_from() — the path brute sweep shards, fault
 ///     sweeps, attribution twins, the fuzzer and load twins all share;
-///   * the tree hooks hand the same world to the schedule-tree executor;
+///   * the tree hooks hand the same world to the schedule-tree executor,
+///     which keys each run by its plans' variants and summarize() and
+///     maps a run through collect() and outcomes_from() only for a new
+///     key;
 ///   * bind_instance() builds the world bound onto shared chains.
 /// A concrete adapter supplies its identity, plan space, make_world() and
 /// outcomes_from().
@@ -377,6 +397,14 @@ class WorldAdapter : public ProtocolAdapter {
   std::vector<PartyOutcome> tree_collect(const Schedule& s) const override {
     return outcomes_from(world().collect(), s);
   }
+  /// The plans' variants, then the world's summary: everything
+  /// outcomes_from() may read but the config, which the adapter fixes.
+  void tree_result_key(const Schedule& s,
+                       core::ResultSummary& key) const override {
+    key.clear();
+    for (const DeviationPlan& plan : s.plans) key.push_back(plan.variant());
+    world().summarize(key);
+  }
 
  protected:
   /// Builds the protocol's world: private and traceless under a default
@@ -387,9 +415,11 @@ class WorldAdapter : public ProtocolAdapter {
 
   /// Maps a finished run's result to per-party outcomes under `s`. Every
   /// bound term must be path-determined (config + run result + plan
-  /// variants, never a party's own unconsulted plan coordinates): the
-  /// tree executor serves one cached outcome to every schedule sharing a
-  /// consulted-decision path, patching only the conformance flags.
+  /// variants, never a party's own unconsulted plan coordinates, nor the
+  /// result's event log): the tree executor serves one cached outcome to
+  /// every schedule sharing a consulted-decision path, and to every run
+  /// whose plan variants and world summary match an earlier run's,
+  /// patching only the conformance flags.
   virtual std::vector<PartyOutcome> outcomes_from(
       const Result& r, const Schedule& s) const = 0;
 

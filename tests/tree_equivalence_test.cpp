@@ -10,7 +10,8 @@
 // reduction: bridges explore one witness ordering per permutation, still
 // report what full replay reports, and a false symmetry claim is caught.
 // So is an engine whose runs end differently where the memo reuses a leaf,
-// and one whose consults change order between runs sharing a prefix.
+// one whose consults change order between runs sharing a prefix, and an
+// adapter whose result key misses a field its outcomes read.
 
 #include <gtest/gtest.h>
 
@@ -465,6 +466,72 @@ TEST(TreeEquivalence, MemoGuardCatchesRunsThatEndDifferently) {
   const SweepReport brute = ScenarioRunner(steady).sweep(opts);
   expect_identical(brute, tree);
   expect_stats_invariants(brute, tree);
+}
+
+// A bridge adapter whose result key misses a field its outcomes read: the
+// key stops after the user's balance changes and leaves out the
+// witnesses', which outcomes_from reports like the user's. Runs in which
+// different witnesses end up paid then share a key but not their outcomes.
+class ForgetfulBridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
+ public:
+  explicit ForgetfulBridgeAdapter(core::BridgeConfig cfg) : cfg_(cfg) {}
+
+  std::string name() const override { return "forgetful-bridge"; }
+  std::size_t party_count() const override {
+    return static_cast<std::size_t>(cfg_.party_count());
+  }
+  int action_count(PartyId p) const override {
+    return p == 0 ? cfg_.user_actions() : cfg_.witness_actions();
+  }
+  Tick delta() const override { return cfg_.delta; }
+  std::unique_ptr<ProtocolAdapter> clone() const override {
+    return std::make_unique<ForgetfulBridgeAdapter>(*this);
+  }
+  void tree_result_key(const Schedule& s,
+                       core::ResultSummary& key) const override {
+    WorldAdapter::tree_result_key(s, key);
+    // The plans' variants, BridgeWorld::summarize's six result fields,
+    // then each party's balance changes: a count, two words per symbol.
+    const std::size_t user = s.plans.size() + 6;
+    key.resize(user + 1 + 2 * static_cast<std::size_t>(key[user]));
+  }
+
+ private:
+  std::unique_ptr<core::BridgeWorld> make_world(
+      const core::WorldBinding& binding) const override {
+    return std::make_unique<core::BridgeWorld>(cfg_, binding);
+  }
+  std::vector<PartyOutcome> outcomes_from(const core::BridgeResult& r,
+                                          const Schedule& s) const override {
+    std::vector<PartyOutcome> out;
+    for (std::size_t p = 0; p < s.plans.size(); ++p) {
+      out.push_back({p == 0 ? "user" : "witness-" + std::to_string(p),
+                     s.plans[p].conforms_within(cfg_.delta), r.payoffs[p],
+                     {}});
+    }
+    return out;
+  }
+
+  core::BridgeConfig cfg_;
+};
+
+// The memo trusts a known result key, so the executor re-derives the
+// outcomes of a sample of runs (the first two and every 32nd; every run in
+// Debug) and compares them with the key's. A key that misses a field must
+// stop the sweep, naming the adapter and the key.
+TEST(TreeEquivalence, ResultKeyGuardCatchesAKeyThatMissesAField) {
+  SweepOptions opts;
+  opts.strategies.kind = StrategySpace::Kind::kLateDelays;
+  opts.executor = SweepExecutor::kTree;
+  try {
+    (void)ScenarioRunner(ForgetfulBridgeAdapter(core::BridgeConfig{}))
+        .sweep(opts);
+    ADD_FAILURE() << "sweep should have thrown std::logic_error";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("forgetful-bridge"), std::string::npos) << what;
+    EXPECT_NE(what.find("result key"), std::string::npos) << what;
+  }
 }
 
 // A run resumed at a branch re-records every consult from the branch tick

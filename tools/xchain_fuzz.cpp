@@ -99,10 +99,40 @@ bool parse_seconds(const std::string& s, double& out) {
   return end != s.c_str() && *end == '\0' && errno != ERANGE && out > 0;
 }
 
+/// The number of parties `in`'s protocol has under `in`'s own overrides,
+/// built by its fuzz target or else by the registry; 0 when neither knows
+/// the protocol or the overrides are rejected (the known-target check and
+/// the fuzz loop's skipped inputs report those as before).
+std::size_t party_count_of(const fuzz::FuzzInput& in,
+                           const std::vector<fuzz::FuzzTarget>& targets) {
+  const sim::ProtocolRegistry& registry = sim::ProtocolRegistry::global();
+  const auto target =
+      std::find_if(targets.begin(), targets.end(),
+                   [&](const fuzz::FuzzTarget& t) {
+                     return t.name == in.protocol;
+                   });
+  try {
+    if (target != targets.end()) {
+      return target->factory(in.params(target->schema))->party_count();
+    }
+    if (registry.contains(in.protocol)) {
+      return registry
+          .make(in.protocol, in.params(registry.defaults(in.protocol)))
+          ->party_count();
+    }
+  } catch (const sim::ParamError&) {
+  }
+  return 0;
+}
+
 /// Loads every *.fuzz file under `dir` (sorted by filename for replay
 /// determinism) into per-protocol seed lists. Returns false (with a
-/// message) on unreadable dirs/files or malformed inputs.
+/// message) on unreadable dirs/files, malformed inputs, and inputs with a
+/// plan for a party their protocol does not have under their overrides
+/// (such a plan would never run, and the seed would replay as the
+/// all-conforming run without a word).
 bool load_corpus_dir(const std::string& dir,
+                     const std::vector<fuzz::FuzzTarget>& targets,
                      std::map<std::string, std::vector<fuzz::FuzzInput>>& by,
                      std::string& error) {
   namespace fs = std::filesystem;
@@ -132,6 +162,14 @@ bool load_corpus_dir(const std::string& dir,
     text << f.rdbuf();
     try {
       fuzz::FuzzInput in = fuzz::FuzzInput::parse(text.str());
+      const std::size_t parties = party_count_of(in, targets);
+      if (parties > 0 && in.plans.size() > parties) {
+        error = "corpus file '" + path.string() + "': plan for party " +
+                std::to_string(in.plans.size() - 1) + ", but " +
+                in.protocol + " has " + std::to_string(parties) +
+                " parties under its overrides";
+        return false;
+      }
       by[in.protocol].push_back(std::move(in));
     } catch (const std::exception& e) {
       error = "corpus file '" + path.string() + "': " + e.what();
@@ -303,7 +341,7 @@ int main(int argc, char** argv) {
   std::map<std::string, std::vector<fuzz::FuzzInput>> seeds_by_protocol;
   for (const std::string& dir : corpus_dirs) {
     std::string error;
-    if (!load_corpus_dir(dir, seeds_by_protocol, error)) {
+    if (!load_corpus_dir(dir, targets, seeds_by_protocol, error)) {
       std::fprintf(stderr, "xchain-fuzz: %s\n", error.c_str());
       return 2;
     }

@@ -13,6 +13,9 @@
 #     wall-time/stamp fields (the load loop's determinism contract);
 #   * --scaling=1,4 exits 0: its re-runs match the primary report in every
 #     deterministic field, each violation and its attribution included;
+#   * the bound §6 ladders (--mix=bootstrap:1,crr-ladder:1) exit 0 with
+#     --threads=1 and --threads=4 artifacts identical modulo the wall-time/
+#     stamp fields, 0 unattributed violations and both protocols drawn;
 #   * equal INT_MAX mix weights draw both protocols (the draw range is
 #     their 64-bit sum);
 #   * scripts/bench_compare.py passes an artifact against its --threads=4
@@ -22,8 +25,9 @@
 #     2^64, a sign or a leading space exit 2 without writing the artifact;
 #   * malformed flags (an empty or comma-truncated --scaling= or --mix=
 #     list, a signed or space-padded number), unknown mix protocols, a
-#     mix protocol named twice, an empty --json= path and a short artifact
-#     write (/dev/full) exit 2.
+#     protocol without a bound form (auction-open), a mix protocol named
+#     twice, an empty --json= path and a short artifact write (/dev/full)
+#     exit 2.
 set -euo pipefail
 
 bin="$1"
@@ -74,6 +78,37 @@ else
   t1_lat="$(grep '"latency_ticks"' "$work/t1.json" | head -1)"
   t4_lat="$(grep '"latency_ticks"' "$work/t4.json" | head -1)"
   [[ "$t1_lat" == "$t4_lat" ]] || fail "latency differs across thread counts"
+fi
+
+# The ladders bind too: the geometric bootstrap and the CRR-priced one
+# (whose one rung pair is the hedged two-party swap's shape).
+rm -f "$work/l1.json" "$work/l4.json"
+for t in 1 4; do
+  "$bin" --users=60 --threads=$t --seed=3 --mix=bootstrap:1,crr-ladder:1 \
+    --json="$work/l$t.json" --quiet || fail "ladder --threads=$t run exited $? (want 0)"
+done
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$work/l1.json" "$work/l4.json" <<'EOF'
+import json, sys
+WALL = {"threads", "wall_seconds", "instances_per_second", "txs_per_second",
+        "latency_wall_seconds", "scaling", "git_commit", "build_type",
+        "compiler", "hardware_threads"}
+docs = []
+for path in sys.argv[1:3]:
+    with open(path) as f:
+        doc = json.load(f)
+    assert doc["instances"] == 60, doc["instances"]
+    assert doc["unattributed"] == 0, doc["unattributed"]
+    drawn = {p["name"] for p in doc["protocols"] if p["instances"] > 0}
+    assert drawn == {"bootstrap", "crr-ladder"}, drawn
+    docs.append({k: v for k, v in doc.items() if k not in WALL})
+assert docs[0] == docs[1], "ladder threads=1 vs threads=4 reports differ"
+EOF
+else
+  grep -q '"unattributed": 0' "$work/l1.json" || fail "ladder unattributed != 0"
+  l1_lat="$(grep '"latency_ticks"' "$work/l1.json" | head -1)"
+  l4_lat="$(grep '"latency_ticks"' "$work/l4.json" | head -1)"
+  [[ "$l1_lat" == "$l4_lat" ]] || fail "ladder latency differs across thread counts"
 fi
 
 # Equal INT_MAX weights: a 32-bit weight sum overflowed and drew only the
@@ -139,6 +174,8 @@ done
   fail "zero mix weight should exit 2"
 "$bin" --users=20 --mix=two-party:1,two-party:1 >/dev/null 2>&1
 [[ $? -eq 2 ]] || fail "a mix protocol named twice should exit 2"
+"$bin" --users=5 --mix=auction-open:1 --json="$work/bad.json" >/dev/null 2>&1
+[[ $? -eq 2 ]] || fail "a mix protocol without a bound form should exit 2"
 # Every comma-separated item must parse: an empty list or a stray comma is
 # malformed, not a shorter list.
 for bad in --scaling= --scaling=1, --scaling=,1 --scaling=1,,4 \
@@ -154,5 +191,6 @@ done
 set -e
 
 rm -f "$work/t1.json" "$work/t4.json" "$work/bad.json" "$work/max.json" \
-  "$work/drift.json" "$work/scaling.json" "$work/seed.json"
+  "$work/drift.json" "$work/scaling.json" "$work/seed.json" \
+  "$work/l1.json" "$work/l4.json"
 echo "xchain_bench_smoke: OK"

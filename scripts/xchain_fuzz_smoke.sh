@@ -10,13 +10,16 @@
 #     --reproducers= directory (rejected before any run, so no report is
 #     written), a --protocol named twice, --self-test with --replay (the
 #     starter seeds alone never reach the planted bug), a short --json
-#     write (/dev/full) and a corpus seed planning for a party its
-#     protocol does not have (naming the file) exit 2;
+#     write (/dev/full), a corpus seed planning for a party its
+#     protocol does not have and a corpus seed whose overrides its
+#     protocol's schema rejects (an out-of-range value or an unknown key;
+#     each naming the file) exit 2;
 #   * --self-test finds the planted two-entry bug within a bounded budget
 #     and shrinks it to the pinned canonical reproducer (exit 0);
 #   * the seeded regression corpus replays clean (exit 0) and the JSON
 #     report parses (python3 when available, grep fallback) with 0
-#     violating runs, and (python3 only) two-party and bridge-transfer,
+#     violating runs, and (python3 only) no skipped seed; two-party and
+#     bridge-transfer,
 #     whose faulted seeds share their default-parameter world, report one
 #     instance each;
 #   * two same-seed bounded runs emit byte-identical JSON bodies modulo
@@ -72,6 +75,17 @@ rc=0; err="$("$bin" --replay --corpus="$work/bad_party" --protocol=two-party \
   --quiet 2>&1 >/dev/null)" || rc=$?
 [[ "$rc" -eq 2 ]] || fail "a plan for party 7 of two-party exited $rc (want 2)"
 grep -qF "party7.fuzz" <<<"$err" || fail "the party-7 rejection names no file: $err"
+# A seed whose overrides the schema rejects is a corpus error, not a skip:
+# n is bounded to [2, 10], and nn is no multi-party-ring key.
+for bad in n=99 nn=3; do
+  mkdir -p "$work/bad_param_$bad"
+  printf 'protocol multi-party-ring\nset %s\n' "$bad" \
+    > "$work/bad_param_$bad/seed.fuzz"
+  rc=0; err="$("$bin" --replay --corpus="$work/bad_param_$bad" \
+    --protocol=multi-party-ring --quiet 2>&1 >/dev/null)" || rc=$?
+  [[ "$rc" -eq 2 ]] || fail "a corpus seed with 'set $bad' exited $rc (want 2)"
+  grep -qF "seed.fuzz" <<<"$err" || fail "the 'set $bad' rejection names no file: $err"
+done
 # An empty output directory would silently persist nothing.
 for flag in --corpus-out= --reproducers=; do
   rm -f "$work/empty_dir.json"
@@ -109,6 +123,7 @@ assert doc["runs"] > 0, doc
 names = {t["protocol"] for t in doc["targets"]}
 assert {"two-party", "broker", "auction-open"} <= names, names
 assert all(t["violating_runs"] == 0 for t in doc["targets"]), doc
+assert all(t["skipped_inputs"] == 0 for t in doc["targets"]), doc
 # Each of these replays a faulted seed beside its default-parameter ones;
 # a fault environment runs on its override set's world, so one world each.
 instances = {t["protocol"]: t["instances"] for t in doc["targets"]}

@@ -41,7 +41,8 @@ namespace xchain::contracts {
 ///             and rung 1 is awarded to the owner.
 ///
 /// A ladder with one premium rung is exactly the hedged two-party contract
-/// of §5.2 (verified against HedgedSwapContract in the tests).
+/// of §5.2: the hedged two-party swap runs on it (core::two_party_ladder),
+/// and tests/ladder_test.cpp checks its §5.2 rules one by one.
 ///
 /// All deadlines are inclusive; sweeps fire the first block past them.
 class LadderContract : public chain::SnapshotState<LadderContract> {

@@ -86,7 +86,7 @@ AuctionResult run_sealed_auction(const AuctionConfig& cfg,
 /// World of the ticket auction (open or sealed-bid): chains, contracts,
 /// endowments, bidder secrets, signature caches, and the persistent
 /// auctioneer and bidder actors, built once. Runs go through sim::play
-/// (see TwoPartyWorld); the free functions above play a fresh world.
+/// (see BootstrapWorld); the free functions above play a fresh world.
 class AuctionWorld {
  public:
   AuctionWorld(const AuctionConfig& cfg, bool sealed,

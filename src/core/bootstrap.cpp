@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -25,9 +26,9 @@ PartyId banana_depositor(int j) { return j % 2 == 0 ? kBob : kAlice; }
 /// One step of the interleaved global schedule (Figure 2).
 struct GlobalAction {
   enum class Kind { kDeposit, kRedeem } kind;
-  ChainId chain;      // 0 = apricot, 1 = banana
+  int ladder;         // 0 = apricot, 1 = banana
   std::size_t rung;   // for deposits
-  PartyId actor;
+  PartyId actor;      // protocol-local id
 };
 
 /// The full schedule: for j = r..1 deposit banana rung j then apricot rung
@@ -35,6 +36,7 @@ struct GlobalAction {
 /// (revealing s); Bob redeems apricot.
 std::vector<GlobalAction> make_schedule(int rounds) {
   std::vector<GlobalAction> seq;
+  seq.reserve(static_cast<std::size_t>(2 * rounds + 4));
   for (int j = rounds; j >= 1; --j) {
     seq.push_back({GlobalAction::Kind::kDeposit, 1,
                    static_cast<std::size_t>(j), banana_depositor(j)});
@@ -62,34 +64,35 @@ class LadderParty : public chain::SnapshotState<LadderParty, sim::Party> {
         schedule_(schedule),
         apricot_(apricot),
         banana_(banana),
-        secret_(std::move(secret)),
-        submitted_(schedule.size(), 0) {}
+        secret_(std::move(secret)) {}
 
   void step(chain::MultiChain& chains, Tick now) override {
-    for (std::size_t g = 0; g < schedule_.size(); ++g) {
-      const GlobalAction& action = schedule_[g];
-      if (done(action)) continue;
-      // The first pending action: ours to perform, or wait for its owner.
-      if (action.actor == id() && !submitted_[g]) {
-        submitted_[g] = 1;
-        act(chains, now, own_ordinal(g),
-            [this, &action](chain::MultiChain& ch) {
-              submit_action(ch, action);
-            });
-      }
-      return;
+    // Actions only ever become done, so the first pending one never moves
+    // back: resume the scan where the last tick left it.
+    while (pending_ < schedule_.size() && done(schedule_[pending_])) {
+      ++pending_;
+    }
+    if (pending_ == schedule_.size()) return;
+    // The first pending action: ours to perform, or wait for its owner.
+    const GlobalAction& action = schedule_[pending_];
+    if (action.actor == id() && pending_ >= decided_) {
+      decided_ = pending_ + 1;
+      act(chains, now, own_ordinal(pending_),
+          [this, &action](chain::MultiChain& ch) {
+            submit_action(ch, action);
+          });
     }
   }
 
  private:
-  contracts::LadderContract& ladder(ChainId c) {
-    return c == 0 ? apricot_ : banana_;
+  contracts::LadderContract& ladder(int which) {
+    return which == 0 ? apricot_ : banana_;
   }
 
   bool done(const GlobalAction& a) {
     return a.kind == GlobalAction::Kind::kDeposit
-               ? ladder(a.chain).rung_deposited(a.rung)
-               : ladder(a.chain).principal_redeemed();
+               ? ladder(a.ladder).rung_deposited(a.rung)
+               : ladder(a.ladder).principal_redeemed();
   }
 
   /// This party's action index among its own schedule entries.
@@ -102,23 +105,22 @@ class LadderParty : public chain::SnapshotState<LadderParty, sim::Party> {
   }
 
   void submit_action(chain::MultiChain& chains, const GlobalAction& act) {
-    contracts::LadderContract& target = ladder(act.chain);
+    contracts::LadderContract& target = ladder(act.ladder);
     if (act.kind == GlobalAction::Kind::kDeposit) {
-      submit(chains, act.chain,
+      submit(chains, target.chain_id(),
              [&act] { return "deposit rung " + std::to_string(act.rung); },
              [&target, rung = act.rung](chain::TxContext& ctx) {
                target.deposit(ctx, rung);
              });
     } else {
       // Alice redeems with her secret; Bob with the preimage Alice
-      // revealed on the banana chain.
-      crypto::Bytes preimage =
-          id() == kAlice
-              ? secret_.value()
-              : banana_.revealed_preimage().value_or(crypto::Bytes{});
-      submit(chains, act.chain, "redeem principal",
-             [&target, p = std::move(preimage)](chain::TxContext& ctx) {
-               target.redeem(ctx, p);
+      // revealed on the banana chain, public since her redemption is the
+      // action before his.
+      submit(chains, target.chain_id(), "redeem principal",
+             [this, &target](chain::TxContext& ctx) {
+               target.redeem(ctx, id() == kAlice
+                                      ? secret_.value()
+                                      : banana_.revealed_preimage().value());
              });
     }
   }
@@ -127,9 +129,10 @@ class LadderParty : public chain::SnapshotState<LadderParty, sim::Party> {
   contracts::LadderContract& apricot_;
   contracts::LadderContract& banana_;
   crypto::Secret secret_;
-  std::vector<char> submitted_;
+  std::size_t pending_ = 0;  ///< index of the first action not yet done
+  std::size_t decided_ = 0;  ///< one past this party's last decided action
 
-  auto state_tie() { return std::tie(submitted_); }
+  auto state_tie() { return std::tie(pending_, decided_); }
   friend chain::SnapshotState<LadderParty, sim::Party>;
 };
 
@@ -171,6 +174,8 @@ BootstrapSchedule bootstrap_amounts(const BootstrapConfig& cfg) {
   BootstrapSchedule amounts;
   amounts.rounds = cfg.rounds;
   amounts.factor = cfg.factor;
+  amounts.apricot.reserve(rounds + 1);
+  amounts.banana.reserve(rounds + 1);
   amounts.apricot.push_back(cfg.alice_tokens);
   amounts.banana.push_back(cfg.bob_tokens);
   amounts.apricot.insert(amounts.apricot.end(), cfg.apricot_premiums.begin(),
@@ -182,7 +187,11 @@ BootstrapSchedule bootstrap_amounts(const BootstrapConfig& cfg) {
 
 struct BootstrapWorld::Impl {
   BootstrapSchedule amounts;
-  chain::MultiChain chains;
+  /// Private worlds own their chains; bound worlds alias the shared
+  /// MultiChain and leave own_chains empty.
+  chain::MultiChain own_chains;
+  chain::MultiChain* chains = &own_chains;
+  PartyId base = 0;  ///< first global party id (0 when private)
   contracts::LadderContract* apricot_ladder = nullptr;
   contracts::LadderContract* banana_ladder = nullptr;
   crypto::Secret secret;
@@ -195,43 +204,59 @@ struct BootstrapWorld::Impl {
 
 BootstrapWorld::BootstrapWorld(const BootstrapConfig& cfg,
                                chain::TraceMode trace)
+    : BootstrapWorld(cfg, WorldBinding{}, trace) {}
+
+BootstrapWorld::BootstrapWorld(const BootstrapConfig& cfg,
+                               const WorldBinding& binding,
+                               chain::TraceMode trace)
     : impl_(std::make_unique<Impl>()) {
   if (cfg.rounds < 1) {
     throw std::invalid_argument("run_bootstrap_swap: rounds >= 1");
   }
   Impl& w = *impl_;
+  const bool bound = binding.bound();
+  w.base = binding.party_base;
   const Tick d = cfg.delta;
+  const Tick t0 = binding.start;
   const int r = cfg.rounds;
   w.amounts = bootstrap_amounts(cfg);
   const BootstrapSchedule& amounts = w.amounts;
 
-  chain::MultiChain& chains = w.chains;
-  chains.set_trace(trace);
-  chain::Blockchain& apricot = chains.add_chain("apricot");
-  chain::Blockchain& banana = chains.add_chain("banana");
+  chain::MultiChain& chains = bound ? *binding.chains : w.own_chains;
+  w.chains = &chains;
+  if (!bound) chains.set_trace(trace);
+  chain::Blockchain& apricot = bound ? chains.get_or_add_chain("apricot")
+                                     : chains.add_chain("apricot");
+  chain::Blockchain& banana = bound ? chains.get_or_add_chain("banana")
+                                    : chains.add_chain("banana");
+  const auto party = [&w](PartyId local) { return w.base + local; };
 
   // Ladder deadlines follow the interleaved schedule: global step k (from
   // 1) has deadline k*Delta. Banana rung j is step 2(r-j)+1, apricot rung j
   // is step 2(r-j)+2; principals are steps 2r+1 (apricot) and 2r+2
-  // (banana); redemptions at (2r+3) and (2r+4).
+  // (banana); redemptions at (2r+3) and (2r+4). Bound instances shift the
+  // whole ladder to their arrival.
   auto apricot_deadline = [&](int j) {
-    return j == 0 ? (2 * r + 1) * d : (2 * (r - j) + 2) * d;
+    return t0 + (j == 0 ? (2 * r + 1) * d : (2 * (r - j) + 2) * d);
   };
   auto banana_deadline = [&](int j) {
-    return j == 0 ? (2 * r + 2) * d : (2 * (r - j) + 1) * d;
+    return t0 + (j == 0 ? (2 * r + 2) * d : (2 * (r - j) + 1) * d);
   };
 
-  crypto::Rng rng("bootstrap-swap");
+  crypto::Rng rng(bound ? "bootstrap-swap:" + binding.tag
+                        : std::string("bootstrap-swap"));
   w.secret = crypto::Secret::random(rng);
   const crypto::Secret& secret = w.secret;
 
   contracts::LadderContract::Params ap;
   contracts::LadderContract::Params bp;
+  ap.rungs.reserve(static_cast<std::size_t>(r + 1));
+  bp.rungs.reserve(static_cast<std::size_t>(r + 1));
   for (int j = 0; j <= r; ++j) {
-    contracts::LadderContract::RungSpec a{apricot_depositor(j),
+    contracts::LadderContract::RungSpec a{party(apricot_depositor(j)),
                                           amounts.apricot[j],
                                           apricot_deadline(j), {}, false};
-    contracts::LadderContract::RungSpec b{banana_depositor(j),
+    contracts::LadderContract::RungSpec b{party(banana_depositor(j)),
                                           amounts.banana[j],
                                           banana_deadline(j), {}, false};
     // RELEASE wiring (§6): banana guards release on the next deposit;
@@ -250,34 +275,34 @@ BootstrapWorld::BootstrapWorld(const BootstrapConfig& cfg,
     ap.rungs.push_back(a);
     bp.rungs.push_back(b);
   }
-  ap.counterparty = kBob;
+  ap.counterparty = party(kBob);
   ap.principal_symbol = "apricot";
   ap.hashlock = secret.hashlock();
-  ap.redemption_deadline = (2 * r + 4) * d;
-  bp.counterparty = kAlice;
+  ap.redemption_deadline = t0 + (2 * r + 4) * d;
+  bp.counterparty = party(kAlice);
   bp.principal_symbol = "banana";
   bp.hashlock = secret.hashlock();
-  bp.redemption_deadline = (2 * r + 3) * d;
+  bp.redemption_deadline = t0 + (2 * r + 3) * d;
 
-  w.apricot_ladder = &apricot.deploy<contracts::LadderContract>(ap);
-  w.banana_ladder = &banana.deploy<contracts::LadderContract>(bp);
+  w.apricot_ladder = &apricot.deploy<contracts::LadderContract>(std::move(ap));
+  w.banana_ladder = &banana.deploy<contracts::LadderContract>(std::move(bp));
 
   // Endowments: principals plus exactly the premium coins each party needs.
-  apricot.ledger_for_setup().mint(chain::Address::party(kAlice), "apricot",
-                                  cfg.alice_tokens);
-  banana.ledger_for_setup().mint(chain::Address::party(kBob), "banana",
-                                 cfg.bob_tokens);
+  apricot.ledger_for_setup().mint(chain::Address::party(party(kAlice)),
+                                  "apricot", cfg.alice_tokens);
+  banana.ledger_for_setup().mint(chain::Address::party(party(kBob)),
+                                 "banana", cfg.bob_tokens);
   for (int j = 1; j <= r; ++j) {
     apricot.ledger_for_setup().mint(
-        chain::Address::party(apricot_depositor(j)), apricot.native(),
+        chain::Address::party(party(apricot_depositor(j))), apricot.native(),
         amounts.apricot[j]);
     banana.ledger_for_setup().mint(
-        chain::Address::party(banana_depositor(j)), banana.native(),
+        chain::Address::party(party(banana_depositor(j))), banana.native(),
         amounts.banana[j]);
   }
 
   w.schedule = make_schedule(r);
-  w.tracker = std::make_unique<PayoffTracker>(chains, 2);
+  w.tracker = std::make_unique<PayoffTracker>(chains, w.base, 2);
 
   w.alice = std::make_unique<LadderParty>(
       kAlice, "alice", sim::DeviationPlan::conforming(), w.schedule,
@@ -285,12 +310,15 @@ BootstrapWorld::BootstrapWorld(const BootstrapConfig& cfg,
   w.bob = std::make_unique<LadderParty>(
       kBob, "bob", sim::DeviationPlan::conforming(), w.schedule,
       *w.apricot_ladder, *w.banana_ladder, crypto::Secret{});
+  w.alice->set_account_base(w.base);
+  w.bob->set_account_base(w.base);
   w.frame.chains = &chains;
   w.frame.actors = {w.alice.get(), w.bob.get()};
-  w.frame.horizon = (2 * r + 4) * d + 2;
+  w.frame.horizon = t0 + (2 * r + 4) * d + 2;
   // The §6 ladder interleaves the two chains' deposits Delta apart, so each
-  // single chain's consecutive deadlines sit 2*Delta apart.
-  sim::debug_validate_deadlines(chains, d);
+  // single chain's consecutive deadlines sit 2*Delta apart; debug builds
+  // check that once per private world.
+  if (!bound) sim::debug_validate_deadlines(chains, d);
 }
 
 BootstrapWorld::~BootstrapWorld() = default;
@@ -315,8 +343,8 @@ void BootstrapWorld::summarize(ResultSummary& out) const {
                          premium_lockup_of(banana_ladder)));
   out.push_back(principal_lockup_of(apricot_ladder));
   out.push_back(principal_lockup_of(banana_ladder));
-  w.tracker->write_delta(w.chains, kAlice, out);
-  w.tracker->write_delta(w.chains, kBob, out);
+  w.tracker->write_delta(*w.chains, w.base + kAlice, out);
+  w.tracker->write_delta(*w.chains, w.base + kBob, out);
 }
 
 BootstrapResult BootstrapWorld::collect() const {
@@ -333,7 +361,7 @@ BootstrapResult BootstrapWorld::collect() const {
   out.bob = in.delta();
   out.initial_risk_apricot = w.amounts.initial_risk_apricot();
   out.initial_risk_banana = w.amounts.initial_risk_banana();
-  out.events = w.chains.all_events();
+  out.events = w.chains->all_events();
   return out;
 }
 

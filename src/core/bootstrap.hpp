@@ -5,6 +5,7 @@
 
 #include "chain/blockchain.hpp"
 #include "common/types.hpp"
+#include "core/binding.hpp"
 #include "core/payoff.hpp"
 #include "core/premiums.hpp"
 #include "sim/deviation.hpp"
@@ -67,20 +68,29 @@ BootstrapSchedule bootstrap_amounts(const BootstrapConfig& cfg);
 /// global order, escrow A, redeem banana; Bob symmetric).
 ///
 /// With rounds = 1 this protocol *is* the hedged two-party swap of §5.2
-/// with p_b = A/P and p_a + p_b = (A+B)/P — a correspondence the tests
-/// verify against run_hedged_two_party.
+/// with p_b = A/P and p_a + p_b = (A+B)/P: run_hedged_two_party plays the
+/// one-rung ladder of two_party_ladder (core/two_party.hpp).
 BootstrapResult run_bootstrap_swap(const BootstrapConfig& cfg,
                                    sim::DeviationPlan alice,
                                    sim::DeviationPlan bob);
 
 /// World of the bootstrapped ladder swap: both chains, both ladder
-/// contracts, endowments, and the two persistent actors, built once. Runs
-/// go through sim::play (see TwoPartyWorld); run_bootstrap_swap plays a
-/// fresh world.
+/// contracts, endowments, and the two persistent, snapshot-capable actors,
+/// built once. A run installs plans and ticks the frame to its horizon
+/// (sim::play): run_bootstrap_swap and run_hedged_two_party do that on a
+/// fresh traced world, sweep adapters on one reused traceless world
+/// rewound to its post-setup snapshot (sim/scenario.hpp), and the load
+/// generator on a bound world.
 class BootstrapWorld {
  public:
   explicit BootstrapWorld(const BootstrapConfig& cfg,
                           chain::TraceMode trace = chain::TraceMode::kFull);
+
+  /// Bound form (core/binding.hpp): deploys the instance onto the shared
+  /// MultiChain at `binding.party_base` / `binding.start`; the load
+  /// scheduler drives the frame's actors on the shared chains.
+  BootstrapWorld(const BootstrapConfig& cfg, const WorldBinding& binding,
+                 chain::TraceMode trace = chain::TraceMode::kOff);
   ~BootstrapWorld();
   BootstrapWorld(BootstrapWorld&&) noexcept;
   BootstrapWorld& operator=(BootstrapWorld&&) noexcept;

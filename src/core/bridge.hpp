@@ -77,7 +77,7 @@ struct BridgeResult {
 
 /// World of the witness bridge (both variants): chains, contracts,
 /// endowments, and the persistent user and witness actors, built once.
-/// Runs go through sim::play (see TwoPartyWorld); run_bridge plays a
+/// Runs go through sim::play (see BootstrapWorld); run_bridge plays a
 /// fresh world.
 class BridgeWorld {
  public:

@@ -52,7 +52,7 @@ BrokerResult run_broker_deal(const BrokerConfig& cfg,
 
 /// World of the brokered sale: both chains, both contracts, premium
 /// tables, secrets, signature caches, and the three persistent actors,
-/// built once. Runs go through sim::play (see TwoPartyWorld);
+/// built once. Runs go through sim::play (see BootstrapWorld);
 /// run_broker_deal plays a fresh world.
 class BrokerWorld {
  public:

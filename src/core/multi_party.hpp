@@ -56,7 +56,7 @@ MultiPartyResult run_multi_party_swap(
 
 /// World of the multi-party swap: one chain per party, all arc contracts,
 /// endowments, leader secrets, signature caches, and one persistent actor
-/// per party, built once. Runs go through sim::play (see TwoPartyWorld);
+/// per party, built once. Runs go through sim::play (see BootstrapWorld);
 /// run_multi_party_swap plays a fresh world. Throws std::invalid_argument
 /// on malformed configs, exactly like the free function.
 class MultiPartyWorld {

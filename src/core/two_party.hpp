@@ -1,15 +1,10 @@
 #pragma once
 
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "chain/blockchain.hpp"
 #include "common/types.hpp"
-#include "core/binding.hpp"
+#include "core/bootstrap.hpp"
 #include "core/payoff.hpp"
 #include "sim/deviation.hpp"
-#include "sim/tree.hpp"
 
 namespace xchain::core {
 
@@ -49,10 +44,16 @@ TwoPartyResult run_base_two_party(const TwoPartyConfig& cfg,
                                   sim::DeviationPlan alice,
                                   sim::DeviationPlan bob);
 
-/// Runs the *hedged* two-party atomic swap of §5.2 / Figure 1:
-/// premium distribution (Alice deposits p_a + p_b on the banana contract,
-/// Bob deposits p_b on the apricot contract) followed by the base swap with
-/// premium-aware contracts.
+/// The §6 premium ladder with one rung that *is* the hedged two-party swap
+/// of §5.2 / Figure 1: Bob's premium p_b is the apricot rung, Alice's
+/// p_a + p_b the banana rung, over principals A and B and bound Delta.
+BootstrapConfig two_party_ladder(const TwoPartyConfig& cfg);
+
+/// Runs the *hedged* two-party atomic swap of §5.2 / Figure 1 on a fresh
+/// traced BootstrapWorld over two_party_ladder(cfg): premium distribution
+/// (Alice deposits p_a + p_b on the banana contract, Bob deposits p_b on
+/// the apricot contract) followed by the base swap with premium-aware
+/// contracts.
 /// Action ordinals:
 ///   Alice: 0 = deposit premium, 1 = escrow principal, 2 = redeem (reveal s)
 ///   Bob:   0 = deposit premium, 1 = escrow principal, 2 = redeem
@@ -63,43 +64,5 @@ TwoPartyResult run_hedged_two_party(const TwoPartyConfig& cfg,
 /// Number of deviation-relevant actions per role (for deviation sweeps).
 inline constexpr int kBaseTwoPartyActions = 2;
 inline constexpr int kHedgedTwoPartyActions = 3;
-
-/// World of the hedged two-party swap: chains, contracts, endowments, and
-/// the two persistent, snapshot-capable actors, built once. A run
-/// installs plans and ticks the frame to its horizon (sim::play):
-/// run_hedged_two_party does that on a fresh traced world, sweep adapters
-/// on one reused traceless world rewound to its post-setup snapshot
-/// (sim/scenario.hpp), and the load generator on a bound world.
-class TwoPartyWorld {
- public:
-  explicit TwoPartyWorld(const TwoPartyConfig& cfg,
-                         chain::TraceMode trace = chain::TraceMode::kFull);
-
-  /// Bound form (core/binding.hpp): deploys the instance onto the shared
-  /// MultiChain at `binding.party_base` / `binding.start`; the load
-  /// scheduler drives the frame's actors on the shared chains.
-  TwoPartyWorld(const TwoPartyConfig& cfg, const WorldBinding& binding,
-                chain::TraceMode trace = chain::TraceMode::kOff);
-
-  ~TwoPartyWorld();
-  TwoPartyWorld(TwoPartyWorld&&) noexcept;
-  TwoPartyWorld& operator=(TwoPartyWorld&&) noexcept;
-
-  /// Chains, actors (Alice, Bob), and the run horizon (sim/tree.hpp).
-  sim::TreeFrame& frame();
-  /// Installs one plan per actor: Alice, Bob.
-  void set_plans(const std::vector<sim::DeviationPlan>& plans);
-  /// Appends that result to `out` without strings or maps: swapped, each
-  /// principal's lock-up (Alice's, then Bob's), then Alice's and Bob's
-  /// balance changes. collect() is this summary read back, plus the event
-  /// log.
-  void summarize(ResultSummary& out) const;
-  /// The result of the run the world's state describes.
-  TwoPartyResult collect() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace xchain::core

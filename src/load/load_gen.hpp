@@ -71,8 +71,8 @@ struct LoadConfig {
 
   /// Weighted protocol mix; empty = {two-party:1}. Names resolve through
   /// ProtocolRegistry::global(), each at most once, and must support
-  /// bind_instance (two-party, broker, bridge-transfer,
-  /// bridge-account-create).
+  /// bind_instance (two-party, bootstrap, crr-ladder, broker,
+  /// bridge-transfer, bridge-account-create).
   std::vector<MixEntry> mix;
 
   /// Inter-arrival gap between consecutive instances is drawn uniformly

@@ -167,8 +167,8 @@ ProtocolRegistry build_global() {
   ProtocolRegistry r;
   r.add({"two-party", "hedged two-party swap (§5.2, Figure 1)",
          two_party_schema(), [](const ParamSet& p) {
-           return std::make_unique<TwoPartySwapAdapter>(
-               two_party_config_from(p));
+           return std::make_unique<BootstrapSwapAdapter>(
+               make_two_party_adapter(two_party_config_from(p)));
          }});
   {
     std::vector<ParamSpec> specs = {

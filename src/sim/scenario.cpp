@@ -329,28 +329,6 @@ bool same_result(const std::vector<PartyOutcome>& a,
                     });
 }
 
-/// A hash of `out` over the fields same_result compares.
-std::uint64_t result_hash(const std::vector<PartyOutcome>& out) {
-  std::uint64_t h = chain::kStateHashSeed;
-  const auto mix = [&h](auto v) {
-    chain::state_hash_mix(h, static_cast<std::uint64_t>(v));
-  };
-  for (const PartyOutcome& o : out) {
-    mix(std::hash<std::string>{}(o.name));
-    for (const auto& [symbol, amount] : o.payoff.by_symbol) {
-      mix(std::hash<std::string>{}(symbol));
-      mix(amount);
-    }
-    mix(o.payoff.coin_delta);
-    mix(o.payoff.value_delta);
-    mix(o.bound.min_coin_delta);
-    mix(o.bound.spend_allowance);
-    mix(o.bound.goods_received | o.bound.completed << 1 |
-        o.bound.principal_lost << 2);
-  }
-  return h;
-}
-
 /// A hash of a result key (ProtocolAdapter::tree_result_key): one
 /// multiply-and-shift step per word.
 struct ResultKeyHash {
@@ -480,7 +458,7 @@ class TreeExecutor {
   }
 
   /// The outcomes of the schedule with raw index `raw` (decoded into `s`
-  /// by the caller), served from its explored leaf's interned outcome.
+  /// by the caller), served from its explored leaf's stored outcome.
   /// Conformance flags are patched in place on that shared vector, so a
   /// lookup costs no allocation and no copy; the reference holds this
   /// schedule's flags until the next call. A schedule without a leaf of
@@ -965,14 +943,11 @@ class TreeExecutor {
   /// The run's outcome id comes from its result key (the adapter's
   /// tree_result_key: plan variants and the world's string-free summary),
   /// looked up in keys_ (one hash, an exact compare). Only a new key
-  /// derives the run's outcomes (tree_collect) and interns them: they take
-  /// the id of an equal stored vector (same_result, found by result_hash
-  /// and confirmed field by field, so a hash collision costs a probe and
-  /// never a wrong outcome), and otherwise the next id, with the vector
-  /// stored and its audit verdict computed once. A known key is trusted,
-  /// except on verification runs (every run in Debug) and at an existing
-  /// leaf, which derive the outcomes anyway and throw unless they equal
-  /// the key's.
+  /// derives the run's outcomes (tree_collect): they take the next id,
+  /// with the vector stored and its audit verdict computed once. A known
+  /// key is trusted, except on verification runs (every run in Debug) and
+  /// at an existing leaf, which derive the outcomes anyway and throw
+  /// unless they equal the key's.
   std::uint32_t memoize(const Schedule& s) {
     const std::vector<ConsultEntry>& log = log_.entries();
     trail_.resize(log.size() + 1);
@@ -1034,7 +1009,13 @@ class TreeExecutor {
     adapter_.tree_result_key(s, result_key_);
     const auto known = keys_.find(result_key_);
     if (known == keys_.end()) {
-      const std::uint32_t id = intern(adapter_.tree_collect(s));
+      if (outcomes_.size() == kNoOutcome) {
+        throw std::length_error(adapter_.name() +
+                                ": tree executor ran out of outcome ids");
+      }
+      const auto id = static_cast<std::uint32_t>(outcomes_.size());
+      outcomes_.push_back(adapter_.tree_collect(s));
+      if (verdicts_on_) verdicts_.push_back(audit_verdict(outcomes_.back()));
       keys_.emplace(result_key_, id);
       return id;
     }
@@ -1047,24 +1028,6 @@ class TreeExecutor {
           "an equal result key — the key misses a result field the "
           "outcomes read, or the engine is not deterministic");
     }
-    return id;
-  }
-
-  /// The id of the stored outcome vector equal to `out` (same_result),
-  /// storing `out` and its verdict under the next id if there is none.
-  std::uint32_t intern(std::vector<PartyOutcome> out) {
-    const std::uint64_t h = result_hash(out);
-    for (auto [it, end] = interned_.equal_range(h); it != end; ++it) {
-      if (same_result(outcomes_[it->second], out)) return it->second;
-    }
-    if (outcomes_.size() == kNoOutcome) {
-      throw std::length_error(adapter_.name() +
-                              ": tree executor ran out of outcome ids");
-    }
-    const auto id = static_cast<std::uint32_t>(outcomes_.size());
-    if (verdicts_on_) verdicts_.push_back(audit_verdict(out));
-    outcomes_.push_back(std::move(out));
-    interned_.emplace(h, id);
     return id;
   }
 
@@ -1104,12 +1067,11 @@ class TreeExecutor {
   std::vector<int> picked_;
   std::vector<std::size_t> at_;  ///< mark_covered()'s odometer
   /// Raw index -> its leaf's outcome id (kNoOutcome: unexplored); outcome
-  /// id -> the distinct outcome vector, and -> its verdict (none past 64
-  /// parties); result_hash -> the ids of the vectors with that hash.
+  /// id -> the outcome vector of its result key, and -> its verdict (none
+  /// past 64 parties).
   std::vector<std::uint32_t> outcome_of_;
   std::vector<std::vector<PartyOutcome>> outcomes_;
   std::vector<AuditVerdict> verdicts_;
-  std::unordered_multimap<std::uint64_t, std::uint32_t> interned_;
   bool verdicts_on_ = false;
   std::uint64_t all_ = 0;  ///< conformance mask of every party
   std::vector<std::size_t> strides_;  ///< raw-index stride per party
@@ -1310,23 +1272,6 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
     attribute_faults(adapter_, space, violation_raw, report);
   }
   return report;
-}
-
-// ---------------------------------------------------------------------------
-// Two-party swap
-// ---------------------------------------------------------------------------
-
-std::vector<PartyOutcome> TwoPartySwapAdapter::outcomes_from(
-    const core::TwoPartyResult& r, const Schedule& s) const {
-  PartyOutcome alice{"alice", s.plans[0].conforms_within(cfg_.delta), r.alice,
-                     {}};
-  if (r.alice_lockup > 0) alice.bound.min_coin_delta = cfg_.premium_b;
-  PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg_.delta), r.bob, {}};
-  if (r.bob_lockup > 0) bob.bound.min_coin_delta = cfg_.premium_a;
-  alice.bound.completed = bob.bound.completed = r.swapped;
-  alice.bound.principal_lost = lost_principal(r.alice, "apricot", "banana");
-  bob.bound.principal_lost = lost_principal(r.bob, "banana", "apricot");
-  return {std::move(alice), std::move(bob)};
 }
 
 // ---------------------------------------------------------------------------
@@ -1541,6 +1486,10 @@ std::vector<PartyOutcome> BridgeAdapter::outcomes_from(
     out.push_back(std::move(o));
   }
   return out;
+}
+
+BootstrapSwapAdapter make_two_party_adapter(const core::TwoPartyConfig& cfg) {
+  return BootstrapSwapAdapter(core::two_party_ladder(cfg), "hedged-two-party");
 }
 
 BootstrapSwapAdapter make_crr_ladder_adapter(core::BootstrapConfig cfg,

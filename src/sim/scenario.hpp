@@ -93,12 +93,13 @@
 // threads. The merged report is identical, schedule for schedule,
 // whatever the worker count.
 //
-// Adapters for all the protocol families — two-party hedged swap (§5),
-// multi-party ARC swap (§7), ticket auction open + sealed (§9), the
-// three-party brokered sale (§8), the bootstrapped premium-ladder swap
-// (§6), the CRR-priced ladder (§4 + §6), and the witness bridge — live at
-// the bottom of this header, but new engines should NOT be hand-wired to
-// these classes: register a named factory in sim/registry.hpp instead. The
+// Adapters for all the protocol families — multi-party ARC swap (§7),
+// ticket auction open + sealed (§9), the three-party brokered sale (§8),
+// the bootstrapped premium-ladder swap (§6) with its one-rung forms (the
+// two-party hedged swap of §5 and the CRR-priced ladder of §4 + §6), and
+// the witness bridge — live at the bottom of this header, but new engines
+// should NOT be hand-wired to these classes: register a named factory in
+// sim/registry.hpp instead. The
 // registry maps stable protocol names to ParamSet-driven adapter
 // factories, and the campaign layer (sim/campaign.hpp, the `xchain-sweep`
 // CLI, CI) sweeps whole configuration × strategy grids through it with
@@ -611,34 +612,6 @@ class ScenarioRunner {
 // Concrete adapters
 // ---------------------------------------------------------------------------
 
-/// Hedged two-party swap (§5.2, Figure 1). Bound: a conforming party whose
-/// principal was locked up and refunded earns at least the counterparty's
-/// premium (p_b for Alice, p_a for Bob).
-class TwoPartySwapAdapter final : public WorldAdapter<core::TwoPartyWorld> {
- public:
-  explicit TwoPartySwapAdapter(core::TwoPartyConfig cfg) : cfg_(cfg) {}
-
-  std::string name() const override { return "hedged-two-party"; }
-  std::size_t party_count() const override { return 2; }
-  int action_count(PartyId) const override {
-    return core::kHedgedTwoPartyActions;
-  }
-  Tick delta() const override { return cfg_.delta; }
-  std::unique_ptr<ProtocolAdapter> clone() const override {
-    return std::make_unique<TwoPartySwapAdapter>(*this);
-  }
-
- private:
-  std::unique_ptr<core::TwoPartyWorld> make_world(
-      const core::WorldBinding& binding) const override {
-    return std::make_unique<core::TwoPartyWorld>(cfg_, binding);
-  }
-  std::vector<PartyOutcome> outcomes_from(const core::TwoPartyResult& r,
-                                          const Schedule& s) const override;
-
-  core::TwoPartyConfig cfg_;
-};
-
 /// Multi-party ARC swap on a digraph (§7). Bound (Lemma 6): a conforming
 /// party earns at least premium_unit per locked-and-refunded asset.
 class MultiPartySwapAdapter final
@@ -754,8 +727,10 @@ class BrokerDealAdapter final : public WorldAdapter<core::BrokerWorld> {
 /// counterparty's chain when both principals were escrowed — the exact
 /// two-party floors p_b and p_a generalized to the ladder amounts).
 /// Deliberately final: parallel workers clone adapters by value, so ladder
-/// variants (like the CRR-priced one) are expressed as config factories,
-/// never as subclasses that could slice through the base clone().
+/// variants (the hedged two-party swap, the CRR-priced ladder) are
+/// expressed as config factories, never as subclasses that could slice
+/// through the base clone(). Every variant runs under every executor and
+/// under load.
 class BootstrapSwapAdapter final : public WorldAdapter<core::BootstrapWorld> {
  public:
   explicit BootstrapSwapAdapter(core::BootstrapConfig cfg,
@@ -775,9 +750,8 @@ class BootstrapSwapAdapter final : public WorldAdapter<core::BootstrapWorld> {
 
  private:
   std::unique_ptr<core::BootstrapWorld> make_world(
-      const core::WorldBinding&) const override {
-    return std::make_unique<core::BootstrapWorld>(cfg_,
-                                                  chain::TraceMode::kOff);
+      const core::WorldBinding& binding) const override {
+    return std::make_unique<core::BootstrapWorld>(cfg_, binding);
   }
   std::vector<PartyOutcome> outcomes_from(const core::BootstrapResult& r,
                                           const Schedule& s) const override;
@@ -839,6 +813,12 @@ class BridgeAdapter final : public WorldAdapter<core::BridgeWorld> {
 
   core::BridgeConfig cfg_;
 };
+
+/// The hedged two-party swap (§5.2, Figure 1) as the one-rung ladder it is
+/// (core::two_party_ladder), under the name "hedged-two-party": a
+/// conforming party whose principal was locked up and refunded earns at
+/// least the counterparty's premium (p_b for Alice, p_a for Bob).
+BootstrapSwapAdapter make_two_party_adapter(const core::TwoPartyConfig& cfg);
 
 /// Market parameters for CRR premium pricing (§4).
 struct CrrMarket {

@@ -59,21 +59,29 @@ TEST(Bootstrap2Party, PremiumLockupDurationIndependentOfRounds) {
 }
 
 TEST(Bootstrap2Party, SingleRoundMatchesHedgedTwoParty) {
-  // rounds = 1 is §5.2 with p_b = A/P and p_a + p_b = (A+B)/P. Compare
-  // outcomes against run_hedged_two_party across all deviation pairs.
+  // rounds = 1 is §5.2 with p_b = A/P and p_a + p_b = (A+B)/P: the
+  // geometric ladder at P = 100 has the same rungs as two_party_ladder at
+  // p_b = A/P, p_a = B/P, and plays the same under every deviation pair.
   BootstrapConfig bs;
   bs.alice_tokens = 10'000;
-  bs.bob_tokens = 10'000;
+  bs.bob_tokens = 20'000;
   bs.factor = 100.0;
   bs.rounds = 1;
   bs.delta = 2;
 
   TwoPartyConfig tp;
   tp.alice_tokens = 10'000;
-  tp.bob_tokens = 10'000;
+  tp.bob_tokens = 20'000;
   tp.premium_b = 100;  // A/P
-  tp.premium_a = 100;  // B/P, so p_a + p_b = (A+B)/P = 200
+  tp.premium_a = 200;  // B/P, so p_a + p_b = (A+B)/P = 300
   tp.delta = 2;
+  const BootstrapConfig one_rung = two_party_ladder(tp);
+  const BootstrapSchedule geometric = bootstrap_amounts(bs);
+  const BootstrapSchedule explicit_rungs = bootstrap_amounts(one_rung);
+  EXPECT_EQ(geometric.apricot, explicit_rungs.apricot);
+  EXPECT_EQ(geometric.banana, explicit_rungs.banana);
+  EXPECT_EQ(explicit_rungs.apricot, (std::vector<Amount>{10'000, 100}));
+  EXPECT_EQ(explicit_rungs.banana, (std::vector<Amount>{20'000, 300}));
 
   for (int a = -1; a <= 3; ++a) {
     for (int b = -1; b <= 3; ++b) {
@@ -84,10 +92,10 @@ TEST(Bootstrap2Party, SingleRoundMatchesHedgedTwoParty) {
       const auto lhs = run_bootstrap_swap(bs, plan(a), plan(b));
       const auto rhs = run_hedged_two_party(tp, plan(a), plan(b));
       EXPECT_EQ(lhs.swapped, rhs.swapped) << "a=" << a << " b=" << b;
-      EXPECT_EQ(lhs.alice.coin_delta, rhs.alice.coin_delta)
-          << "a=" << a << " b=" << b;
-      EXPECT_EQ(lhs.bob.coin_delta, rhs.bob.coin_delta)
-          << "a=" << a << " b=" << b;
+      EXPECT_EQ(lhs.alice, rhs.alice) << "a=" << a << " b=" << b;
+      EXPECT_EQ(lhs.bob, rhs.bob) << "a=" << a << " b=" << b;
+      EXPECT_EQ(lhs.alice_lockup, rhs.alice_lockup) << "a=" << a << " b=" << b;
+      EXPECT_EQ(lhs.bob_lockup, rhs.bob_lockup) << "a=" << a << " b=" << b;
     }
   }
 }

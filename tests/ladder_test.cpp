@@ -196,6 +196,180 @@ TEST(LadderContractValidation, RejectsEmptyAndBadDeadlines) {
                std::invalid_argument);
 }
 
+// The one-rung ladder is the §5.2 hedged contract (the apricot side of
+// Figure 1, Delta = 2): rung 1 is Bob's premium 5 (deadline 4), rung 0
+// Alice's principal 100 apricot (deadline 6), redemption at 12.
+// HedgedFixture checks that contract's rules on it, one case each.
+struct OneRungSwap {
+  OneRungSwap()
+      : bc(chains.add_chain("apricot")),
+        secret(crypto::Secret::from_label("s")),
+        ladder(bc.deploy<LadderContract>(LadderContract::Params{
+            {{kAlice, 100, 6, {}, false}, {kBob, 5, 4, {}, false}},
+            kBob,
+            "apricot",
+            secret.hashlock(),
+            12})) {
+    bc.ledger_for_setup().mint(Address::party(kAlice), "apricot", 100);
+    bc.ledger_for_setup().mint(Address::party(kBob), bc.native(), 5);
+  }
+
+  void submit_premium(Tick t, PartyId who = kBob) {
+    bc.submit({who, "premium", [this](TxContext& c) { ladder.deposit(c, 1); }});
+    idle_until(t);
+  }
+  void submit_escrow(Tick t, PartyId who = kAlice) {
+    bc.submit({who, "escrow", [this](TxContext& c) { ladder.deposit(c, 0); }});
+    idle_until(t);
+  }
+  void submit_redeem(Tick t) {
+    bc.submit({kBob, "redeem", [this](TxContext& c) {
+                 ladder.redeem(c, secret.value());
+               }});
+    idle_until(t);
+  }
+  void idle_until(Tick t) {
+    for (Tick now = bc.height() + 1; now <= t; ++now) chains.produce_all(now);
+  }
+
+  Amount coins(PartyId p) {
+    return bc.ledger().balance(Address::party(p), bc.native());
+  }
+  Amount tokens(PartyId p) {
+    return bc.ledger().balance(Address::party(p), "apricot");
+  }
+
+  MultiChain chains;
+  chain::Blockchain& bc;
+  crypto::Secret secret;
+  LadderContract& ladder;
+};
+
+class HedgedFixture : public ::testing::Test, protected OneRungSwap {};
+
+TEST_F(HedgedFixture, HappyPathRefundsPremium) {
+  submit_premium(0);
+  submit_escrow(1);
+  submit_redeem(2);
+  EXPECT_TRUE(ladder.principal_redeemed());
+  EXPECT_EQ(ladder.rung_state(1), RS::kRefunded);
+  EXPECT_EQ(tokens(kBob), 100);  // principal to redeemer
+  EXPECT_EQ(coins(kBob), 5);     // premium back
+}
+
+TEST_F(HedgedFixture, PrincipalNeverEscrowedRefundsPremiumAtDeadline) {
+  submit_premium(0);
+  idle_until(7);  // principal deadline 6; sweep at 7
+  EXPECT_TRUE(ladder.dead());
+  EXPECT_EQ(ladder.rung_state(1), RS::kRefunded);
+  EXPECT_EQ(ladder.rung_resolved_at(1), 7);
+  EXPECT_EQ(coins(kBob), 5);
+}
+
+TEST_F(HedgedFixture, UnredeemedPrincipalAwardsPremiumToOwner) {
+  submit_premium(0);
+  submit_escrow(1);
+  idle_until(13);  // redemption deadline 12; sweep at 13
+  EXPECT_EQ(ladder.rung_state(0), RS::kRefunded);
+  EXPECT_EQ(ladder.rung_state(1), RS::kForfeited);
+  EXPECT_EQ(tokens(kAlice), 100);  // principal back
+  EXPECT_EQ(coins(kAlice), 5);     // Bob's premium compensates Alice
+  EXPECT_EQ(coins(kBob), 0);
+}
+
+TEST_F(HedgedFixture, LatePremiumRejected) {
+  idle_until(4);
+  submit_premium(5);  // premium deadline 4
+  EXPECT_FALSE(ladder.rung_deposited(1));
+  EXPECT_EQ(coins(kBob), 5);
+}
+
+TEST_F(HedgedFixture, LateEscrowRejected) {
+  submit_premium(0);
+  idle_until(6);
+  submit_escrow(7);  // principal deadline 6
+  EXPECT_FALSE(ladder.rung_deposited(0));
+  EXPECT_EQ(tokens(kAlice), 100);
+  // The premium was refunded by the sweep at tick 7.
+  EXPECT_EQ(ladder.rung_state(1), RS::kRefunded);
+}
+
+TEST_F(HedgedFixture, RedeemAtBoundaryTimely) {
+  submit_premium(0);
+  submit_escrow(1);
+  idle_until(11);
+  submit_redeem(12);  // inclusive deadline
+  EXPECT_TRUE(ladder.principal_redeemed());
+  EXPECT_EQ(ladder.rung_state(1), RS::kRefunded);
+}
+
+TEST_F(HedgedFixture, LateRedeemLosesToSweep) {
+  submit_premium(0);
+  submit_escrow(1);
+  idle_until(12);
+  submit_redeem(13);
+  EXPECT_FALSE(ladder.principal_redeemed());
+  EXPECT_EQ(ladder.rung_state(0), RS::kRefunded);
+  EXPECT_EQ(ladder.rung_state(1), RS::kForfeited);
+}
+
+TEST_F(HedgedFixture, WrongSenderPremiumIgnored) {
+  submit_premium(0, /*who=*/kAlice);
+  EXPECT_FALSE(ladder.rung_deposited(1));
+}
+
+TEST_F(HedgedFixture, WrongSenderEscrowIgnored) {
+  submit_premium(0);
+  submit_escrow(1, /*who=*/kBob);
+  EXPECT_FALSE(ladder.rung_deposited(0));
+  EXPECT_EQ(tokens(kAlice), 100);
+}
+
+TEST_F(HedgedFixture, RedeemWithoutEscrowIsNoop) {
+  submit_premium(0);
+  submit_redeem(1);
+  EXPECT_FALSE(ladder.principal_redeemed());
+  EXPECT_FALSE(ladder.revealed_preimage().has_value());
+  EXPECT_EQ(ladder.rung_state(1), RS::kHeld);
+}
+
+TEST_F(HedgedFixture, ConservationAcrossOutcomes) {
+  // Every outcome (redeemed, unredeemed, principal missing, premium
+  // missing) keeps all coins and tokens between the parties and the
+  // contract.
+  const auto conserved = [](OneRungSwap& s) {
+    EXPECT_EQ(s.coins(kAlice) + s.coins(kBob) +
+                  s.bc.ledger().balance(s.ladder.address(), s.bc.native()),
+              5);
+    EXPECT_EQ(s.tokens(kAlice) + s.tokens(kBob) +
+                  s.bc.ledger().balance(s.ladder.address(), "apricot"),
+              100);
+  };
+  submit_premium(0);
+  submit_escrow(1);
+  idle_until(13);
+  conserved(*this);
+  {
+    OneRungSwap redeemed;
+    redeemed.submit_premium(0);
+    redeemed.submit_escrow(1);
+    redeemed.submit_redeem(2);
+    redeemed.idle_until(13);
+    conserved(redeemed);
+  }
+  {
+    OneRungSwap no_principal;
+    no_principal.submit_premium(0);
+    no_principal.idle_until(13);
+    conserved(no_principal);
+  }
+  {
+    OneRungSwap no_premium;
+    no_premium.idle_until(13);
+    conserved(no_premium);
+  }
+}
+
 TEST(LadderSingleRound, MatchesHedgedSwapSemantics) {
   // rounds = 1 ladder: rung 0 principal (deadline 6), rung 1 premium
   // (deadline 4), redemption 12 — exactly a §5.2 contract.

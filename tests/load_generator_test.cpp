@@ -62,88 +62,98 @@ void drive(chain::MultiChain& chains,
 }
 
 TEST(LoadInstanceNamespacing, TwoInstancesMatchSoloPayoffs) {
-  const sim::ProtocolRegistry& reg = sim::ProtocolRegistry::global();
-  const auto adapter = reg.make("two-party");
+  for (const char* name : {"two-party", "bootstrap", "crr-ladder"}) {
+    SCOPED_TRACE(name);
+    const auto adapter = sim::ProtocolRegistry::global().make(name);
+    const std::size_t parties = adapter->party_count();
 
-  // Reference: one conforming run on a private world.
-  const std::vector<sim::PartyOutcome> solo = adapter->run(conforming(2));
+    // Reference: one conforming run on a private world.
+    const std::vector<sim::PartyOutcome> solo =
+        adapter->run(conforming(parties));
 
-  // Two instances sharing one MultiChain at disjoint account bases.
-  chain::MultiChain chains;
-  chains.set_trace(chain::TraceMode::kOff);
-  core::WorldBinding b0;
-  b0.chains = &chains;
-  b0.party_base = 0;
-  b0.tag = "two-party#0";
-  core::WorldBinding b1;
-  b1.chains = &chains;
-  b1.party_base = 2;
-  b1.tag = "two-party#1";
-  const auto i0 = adapter->bind_instance(b0);
-  const auto i1 = adapter->bind_instance(b1);
+    // Two instances sharing one MultiChain at disjoint account bases.
+    chain::MultiChain chains;
+    chains.set_trace(chain::TraceMode::kOff);
+    core::WorldBinding b0;
+    b0.chains = &chains;
+    b0.party_base = 0;
+    b0.tag = std::string(name) + "#0";
+    core::WorldBinding b1;
+    b1.chains = &chains;
+    b1.party_base = static_cast<PartyId>(parties);
+    b1.tag = std::string(name) + "#1";
+    const auto i0 = adapter->bind_instance(b0);
+    const auto i1 = adapter->bind_instance(b1);
 
-  sim::TxSink s0, s1;
-  for (sim::Party* p : i0->actors()) p->set_tx_sink(&s0);
-  for (sim::Party* p : i1->actors()) p->set_tx_sink(&s1);
-  drive(chains, {i0.get(), i1.get()}, {&s0, &s1});
+    sim::TxSink s0, s1;
+    for (sim::Party* p : i0->actors()) p->set_tx_sink(&s0);
+    for (sim::Party* p : i1->actors()) p->set_tx_sink(&s1);
+    drive(chains, {i0.get(), i1.get()}, {&s0, &s1});
 
-  // Both instances complete with exactly the solo payoffs — a shared
-  // ledger row would show up as a by_symbol / coin_delta difference.
-  for (const auto& bound : {i0->collect(), i1->collect()}) {
-    ASSERT_EQ(bound.size(), solo.size());
-    for (std::size_t p = 0; p < solo.size(); ++p) {
-      EXPECT_EQ(bound[p].name, solo[p].name);
-      EXPECT_EQ(bound[p].payoff.coin_delta, solo[p].payoff.coin_delta);
-      EXPECT_EQ(bound[p].payoff.value_delta, solo[p].payoff.value_delta);
-      EXPECT_EQ(bound[p].payoff.by_symbol, solo[p].payoff.by_symbol);
+    // Both instances complete with exactly the solo payoffs — a shared
+    // ledger row would show up as a by_symbol / coin_delta difference.
+    for (const auto& bound : {i0->collect(), i1->collect()}) {
+      ASSERT_EQ(bound.size(), solo.size());
+      for (std::size_t p = 0; p < solo.size(); ++p) {
+        EXPECT_EQ(bound[p].name, solo[p].name);
+        EXPECT_EQ(bound[p].payoff.coin_delta, solo[p].payoff.coin_delta);
+        EXPECT_EQ(bound[p].payoff.value_delta, solo[p].payoff.value_delta);
+        EXPECT_EQ(bound[p].payoff.by_symbol, solo[p].payoff.by_symbol);
+        EXPECT_TRUE(bound[p].bound.completed) << bound[p].name;
+      }
     }
   }
 }
 
 TEST(LoadInstanceNamespacing, StaggeredArrivalMatchesSoloPayoffs) {
-  const sim::ProtocolRegistry& reg = sim::ProtocolRegistry::global();
-  const auto adapter = reg.make("broker");
-  const std::vector<sim::PartyOutcome> solo = adapter->run(conforming(3));
+  for (const char* name : {"broker", "two-party", "bootstrap", "crr-ladder"}) {
+    SCOPED_TRACE(name);
+    const auto adapter = sim::ProtocolRegistry::global().make(name);
+    const std::size_t parties = adapter->party_count();
+    const std::vector<sim::PartyOutcome> solo =
+        adapter->run(conforming(parties));
 
-  // The second instance arrives mid-run (start = 5): its deadline ladder
-  // is offset, its endowments are minted on live chains.
-  chain::MultiChain chains;
-  chains.set_trace(chain::TraceMode::kOff);
-  core::WorldBinding b0;
-  b0.chains = &chains;
-  b0.party_base = 0;
-  b0.tag = "broker#0";
-  core::WorldBinding b1;
-  b1.chains = &chains;
-  b1.party_base = 3;
-  b1.start = 5;
-  b1.tag = "broker#1";
-  const auto i0 = adapter->bind_instance(b0);
-  sim::TxSink s0, s1;
-  for (sim::Party* p : i0->actors()) p->set_tx_sink(&s0);
+    // The second instance arrives mid-run (start = 5): its deadline ladder
+    // is offset, its endowments are minted on live chains.
+    chain::MultiChain chains;
+    chains.set_trace(chain::TraceMode::kOff);
+    core::WorldBinding b0;
+    b0.chains = &chains;
+    b0.party_base = 0;
+    b0.tag = std::string(name) + "#0";
+    core::WorldBinding b1;
+    b1.chains = &chains;
+    b1.party_base = static_cast<PartyId>(parties);
+    b1.start = 5;
+    b1.tag = std::string(name) + "#1";
+    const auto i0 = adapter->bind_instance(b0);
+    sim::TxSink s0, s1;
+    for (sim::Party* p : i0->actors()) p->set_tx_sink(&s0);
 
-  std::unique_ptr<sim::LoadInstance> i1;
-  Tick end = i0->end_tick();
-  for (Tick now = 0; now < end; ++now) {
-    if (now == 5) {
-      i1 = adapter->bind_instance(b1);
-      for (sim::Party* p : i1->actors()) p->set_tx_sink(&s1);
-      end = std::max(end, i1->end_tick());
+    std::unique_ptr<sim::LoadInstance> i1;
+    Tick end = i0->end_tick();
+    for (Tick now = 0; now < end; ++now) {
+      if (now == 5) {
+        i1 = adapter->bind_instance(b1);
+        for (sim::Party* p : i1->actors()) p->set_tx_sink(&s1);
+        end = std::max(end, i1->end_tick());
+      }
+      for (sim::Party* actor : i0->actors()) actor->tick(chains, now);
+      if (i1) {
+        for (sim::Party* actor : i1->actors()) actor->tick(chains, now);
+      }
+      s0.drain();
+      s1.drain();
+      chains.produce_all(now);
     }
-    for (sim::Party* actor : i0->actors()) actor->tick(chains, now);
-    if (i1) {
-      for (sim::Party* actor : i1->actors()) actor->tick(chains, now);
-    }
-    s0.drain();
-    s1.drain();
-    chains.produce_all(now);
-  }
 
-  for (const auto& bound : {i0->collect(), i1->collect()}) {
-    ASSERT_EQ(bound.size(), solo.size());
-    for (std::size_t p = 0; p < solo.size(); ++p) {
-      EXPECT_EQ(bound[p].payoff.by_symbol, solo[p].payoff.by_symbol)
-          << bound[p].name;
+    for (const auto& bound : {i0->collect(), i1->collect()}) {
+      ASSERT_EQ(bound.size(), solo.size());
+      for (std::size_t p = 0; p < solo.size(); ++p) {
+        EXPECT_EQ(bound[p].payoff.by_symbol, solo[p].payoff.by_symbol)
+            << bound[p].name;
+        EXPECT_TRUE(bound[p].bound.completed) << bound[p].name;
+      }
     }
   }
 }
@@ -201,6 +211,25 @@ TEST(LoadGenerator, UncongestedLoadIsViolationFree) {
   EXPECT_EQ(total, 60u);
   EXPECT_GT(r.txs_included, 0u);
   EXPECT_GT(r.latency.p50, 0);
+}
+
+TEST(LoadGenerator, UncongestedLaddersAuditCleanAtAnyThreadCount) {
+  // The bound §6 ladders: the geometric bootstrap and the CRR-priced one.
+  load::LoadConfig cfg;
+  cfg.users = 40;
+  cfg.seed = 7;
+  cfg.block_capacity = 0;
+  cfg.mix = {{"bootstrap", 1}, {"crr-ladder", 1}};
+  cfg.threads = 1;
+  const load::LoadReport serial = load::run_load(cfg);
+  EXPECT_EQ(serial.instances, 40u);
+  EXPECT_TRUE(serial.violations.empty()) << serial.violations.front().str();
+  ASSERT_EQ(serial.per_protocol.size(), 2u);
+  for (const load::ProtocolStats& p : serial.per_protocol) {
+    EXPECT_GT(p.instances, 0u) << p.protocol;
+  }
+  cfg.threads = 4;
+  EXPECT_TRUE(serial.same_outcome(load::run_load(cfg)));
 }
 
 TEST(LoadGenerator, ReportIsThreadCountInvariant) {

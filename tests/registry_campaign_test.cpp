@@ -342,8 +342,8 @@ TEST(Registry, RegistryAdaptersSweepIdenticalToLegacyConstruction) {
     std::string registry_name;
   };
   std::vector<Pair> pairs;
-  pairs.push_back({std::make_unique<TwoPartySwapAdapter>(
-                       reference_two_party_config()),
+  pairs.push_back({std::make_unique<BootstrapSwapAdapter>(
+                       make_two_party_adapter(reference_two_party_config())),
                    "two-party"});
   pairs.push_back({std::make_unique<MultiPartySwapAdapter>(
                        reference_multi_party_config()),

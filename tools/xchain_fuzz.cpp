@@ -101,8 +101,11 @@ bool parse_seconds(const std::string& s, double& out) {
 
 /// The number of parties `in`'s protocol has under `in`'s own overrides,
 /// built by its fuzz target or else by the registry; 0 when neither knows
-/// the protocol or the overrides are rejected (the known-target check and
-/// the fuzz loop's skipped inputs report those as before).
+/// the protocol (the known-target check reports that) or the factory
+/// rejects overrides the schema accepts (the fuzz loop skips such an input
+/// and counts it). Overrides the schema rejects throw sim::ParamError: a
+/// seed naming an unknown key or an out-of-range value is a corpus error,
+/// not a skip.
 std::size_t party_count_of(const fuzz::FuzzInput& in,
                            const std::vector<fuzz::FuzzTarget>& targets) {
   const sim::ProtocolRegistry& registry = sim::ProtocolRegistry::global();
@@ -111,24 +114,28 @@ std::size_t party_count_of(const fuzz::FuzzInput& in,
                    [&](const fuzz::FuzzTarget& t) {
                      return t.name == in.protocol;
                    });
-  try {
-    if (target != targets.end()) {
-      return target->factory(in.params(target->schema))->party_count();
+  if (target != targets.end()) {
+    const sim::ParamSet params = in.params(target->schema);
+    try {
+      return target->factory(params)->party_count();
+    } catch (const sim::ParamError&) {
+      return 0;
     }
-    if (registry.contains(in.protocol)) {
-      return registry
-          .make(in.protocol, in.params(registry.defaults(in.protocol)))
-          ->party_count();
-    }
-  } catch (const sim::ParamError&) {
   }
-  return 0;
+  if (!registry.contains(in.protocol)) return 0;
+  const sim::ParamSet params = in.params(registry.defaults(in.protocol));
+  try {
+    return registry.make(in.protocol, params)->party_count();
+  } catch (const sim::ParamError&) {
+    return 0;
+  }
 }
 
 /// Loads every *.fuzz file under `dir` (sorted by filename for replay
 /// determinism) into per-protocol seed lists. Returns false (with a
-/// message) on unreadable dirs/files, malformed inputs, and inputs with a
-/// plan for a party their protocol does not have under their overrides
+/// message) on unreadable dirs/files, malformed inputs, overrides their
+/// protocol's schema rejects, and inputs with a plan for a party their
+/// protocol does not have under their overrides
 /// (such a plan would never run, and the seed would replay as the
 /// all-conforming run without a word).
 bool load_corpus_dir(const std::string& dir,
